@@ -32,9 +32,11 @@ let test_all_ranks_run () =
 
 let test_self_and_nprocs () =
   for_domains (fun d ->
-      Psched.run ~domains:d ~nprocs:6 (fun r ->
-          Alcotest.(check int) "self" r (Sched.self ());
-          Alcotest.(check int) "nprocs" 6 (Sched.nprocs ())))
+      Test_util.per_rank ~domains:d ~nprocs:6 (fun _ ->
+          (Sched.self (), Sched.nprocs ()))
+      |> Array.iteri (fun r (self, nprocs) ->
+             Alcotest.(check int) "self" r self;
+             Alcotest.(check int) "nprocs" 6 nprocs))
 
 (* The clock merge: tick streams are globally unique and — the tentpole
    property — identical for every domain count. *)
@@ -111,47 +113,60 @@ let test_barrier () =
       let comm = Mpi.world () in
       Mpi.prepare comm ~nprocs:8;
       let phase = Array.make 8 0 in
-      Psched.run ~domains:d ~nprocs:8 (fun r ->
-          phase.(r) <- 1;
-          Mpi.barrier comm;
-          Array.iter
-            (fun p -> Alcotest.(check int) "phase complete" 1 p)
-            phase;
-          Mpi.barrier comm;
-          phase.(r) <- 2);
+      let seen =
+        Test_util.per_rank ~domains:d ~nprocs:8 (fun r ->
+            phase.(r) <- 1;
+            Mpi.barrier comm;
+            let snapshot = Array.copy phase in
+            Mpi.barrier comm;
+            phase.(r) <- 2;
+            snapshot)
+      in
+      Array.iter
+        (Array.iter (fun p -> Alcotest.(check int) "phase complete" 1 p))
+        seen;
       Alcotest.(check bool) "all finished" true
         (Array.for_all (fun p -> p = 2) phase))
+
+let int_payload = function Mpi.P_int v -> Some v | _ -> None
 
 let test_send_recv_fifo () =
   for_domains (fun d ->
       let comm = Mpi.world () in
       Mpi.prepare comm ~nprocs:2;
-      Psched.run ~domains:d ~nprocs:2 (fun r ->
-          if r = 0 then
-            for i = 1 to 10 do
-              Mpi.send comm ~dst:1 ~tag:0 (Mpi.P_int i)
-            done
-          else
-            for i = 1 to 10 do
-              match Mpi.recv comm ~src:0 ~tag:0 with
-              | Mpi.P_int v -> Alcotest.(check int) "fifo order" i v
-              | _ -> Alcotest.fail "wrong payload"
-            done))
+      let seen =
+        Test_util.per_rank ~domains:d ~nprocs:2 (fun r ->
+            if r = 0 then begin
+              for i = 1 to 10 do
+                Mpi.send comm ~dst:1 ~tag:0 (Mpi.P_int i)
+              done;
+              []
+            end
+            else
+              List.init 10 (fun _ -> int_payload (Mpi.recv comm ~src:0 ~tag:0)))
+      in
+      List.iteri
+        (fun i p ->
+          match p with
+          | Some v -> Alcotest.(check int) "fifo order" (i + 1) v
+          | None -> Alcotest.fail "wrong payload")
+        seen.(1))
 
 let test_collectives () =
   for_domains (fun d ->
       let comm = Mpi.world () in
       Mpi.prepare comm ~nprocs:4;
-      Psched.run ~domains:d ~nprocs:4 (fun r ->
+      Test_util.per_rank ~domains:d ~nprocs:4 (fun r ->
           let s = Mpi.allreduce comm Mpi.Sum (r + 1) in
-          Alcotest.(check int) "allreduce sum" 10 s;
-          let values = Mpi.allgather comm (Mpi.P_int (100 + r)) in
-          Array.iteri
-            (fun i p ->
-              match p with
-              | Mpi.P_int v -> Alcotest.(check int) "allgathered" (100 + i) v
-              | _ -> Alcotest.fail "wrong payload")
-            values))
+          (s, Mpi.allgather comm (Mpi.P_int (100 + r))))
+      |> Array.iter (fun (s, values) ->
+             Alcotest.(check int) "allreduce sum" 10 s;
+             Array.iteri
+               (fun i p ->
+                 match int_payload p with
+                 | Some v -> Alcotest.(check int) "allgathered" (100 + i) v
+                 | None -> Alcotest.fail "wrong payload")
+               values))
 
 (* The MPI event log merges identically across domain counts. *)
 let test_event_log_deterministic () =
