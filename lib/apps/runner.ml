@@ -61,20 +61,41 @@ let prepare_parallel ~domains ~nprocs ~comm ~posix ~mpiio ~inj =
     Option.iter (fun i -> Injector.prepare i ~nprocs) inj
   end
 
-let run_faulted ~domains ~semantics ~local_order ~nprocs ~seed ~cb_nodes ~tier
-    ~wal ~plan ~mds_shards body =
-  let inj = Injector.create plan in
-  Hpcfs_hdf5.Hdf5.reset_registries ();
-  let pfs = Pfs.create ~local_order ~mds_shards semantics in
-  let mds = Md.create pfs in
-  let collector = Collector.create () in
+(* The staging tier a run goes through, if any, and the backend the POSIX
+   layer sees: the burst buffer, the write-ahead log or the bare PFS. *)
+let staging ~tier ~wal pfs =
   let tier = Option.map (fun config -> Tier.create ~config pfs) tier in
+  let wal = Option.map (fun config -> Wal.create ~config pfs) wal in
+  let backend =
+    match (tier, wal) with
+    | Some t, _ -> Tier.backend t
+    | None, Some w -> Wal.backend w
+    | None, None -> Hpcfs_fs.Backend.of_pfs pfs
+  in
+  (tier, wal, backend)
+
+(* End of job: whatever is still buffered reaches the PFS, as a real burst
+   buffer's epilogue stage-out would ensure.  Surviving nodes' buffers are
+   nonvolatile, so this holds after a crash too. *)
+let epilogue_drain ~tier ~wal =
+  Option.iter
+    (fun t ->
+      Obs.span Obs.T_bb "epilogue-drain" (fun () ->
+          ignore (Tier.drain_all t ())))
+    tier;
+  Option.iter
+    (fun w ->
+      Obs.span Obs.T_bb "epilogue-drain" (fun () -> ignore (Wal.drain_all w)))
+    wal
+
+let run_faulted ~domains ~nprocs ~seed ~cb_nodes ~pfs ~mds ~collector ~tier
+    ~wal ~backend:base_backend ~plan body =
+  let inj = Injector.create plan in
   Option.iter
     (fun t ->
       Tier.set_fault t ~prng:(Injector.drain_prng inj)
         (Some (fun ~node ~time -> Injector.drain_fault inj ~node ~time)))
     tier;
-  let wal = Option.map (fun config -> Wal.create ~config pfs) wal in
   Option.iter
     (fun w ->
       (* Like the drain hook: installed only when the plan has log events,
@@ -93,12 +114,6 @@ let run_faulted ~domains ~semantics ~local_order ~nprocs ~seed ~cb_nodes ~tier
     if Injector.has_target_events inj && wal = None then
       Some (Journal.create ~prng:(Injector.retry_prng inj) pfs)
     else None
-  in
-  let base_backend =
-    match (tier, wal) with
-    | Some t, _ -> Tier.backend t
-    | None, Some w -> Wal.backend w
-    | None, None -> Hpcfs_fs.Backend.of_pfs pfs
   in
   let backend =
     Injector.wrap_backend inj
@@ -217,80 +232,70 @@ let run_faulted ~domains ~semantics ~local_order ~nprocs ~seed ~cb_nodes ~tier
     match status with
     | `Done -> ()
     | `Crashed (rank, time, io_index) ->
-      (* The victim's node-local buffer dies with it; undrained bytes are
-         gone before the PFS even reconciles. *)
-      let bb_lost =
-        match tier with
-        | None -> 0
-        | Some t -> Tier.crash_node t ~node:(Tier.node_of_rank t rank) ~time
-      in
-      (* The WAL applies the crash *before* the PFS reconciles: the victim
-         node's un-flushed log tail dies (torn at a record boundary), and
-         applied-but-unpublished records revert to the surviving log so
-         the post-restart replay rebuilds what the PFS is about to drop. *)
-      let wal_summary =
-        match wal with
-        | None -> { Wal.lost_bytes = 0; torn_bytes = 0 }
-        | Some w -> Wal.on_crash w ~victim:(Wal.node_of_rank w rank) ~time ()
-      in
-      let stats, per_file =
-        Obs.span Obs.T_fs "crash-reconcile" (fun () ->
-            Pfs.crash pfs ~time
-              ~keep_stripes:(fun ~total -> Injector.keep_stripes inj ~total)
-              ())
-      in
-      (* The lock manager fences the dead client: its grants cannot
-         outlive it (a restarted rank is a new client to the server). *)
-      ignore (Pfs.evict_client pfs ~client:rank);
-      crashes :=
-        {
-          Injector.cr_rank = rank;
-          cr_time = time;
-          cr_io_index = io_index;
-          cr_stats = stats;
-          cr_per_file = per_file;
-          cr_bb_lost_bytes = bb_lost;
-          cr_wal_lost_bytes = wal_summary.Wal.lost_bytes;
-          cr_wal_torn_bytes = wal_summary.Wal.torn_bytes;
-        }
-        :: !crashes;
-      (match Injector.restart_delay_of inj ~rank with
-      | None -> ()
-      | Some delay ->
-        incr restarts;
-        Obs.incr "fault.restarts";
-        attempt_loop ~clock:(time + delay) ~attempt:(attempt + 1))
+      abort ~attempt ~victim:(Some rank) ~time ~io_index
     | `Mds_down time ->
       (* A metadata-server failure aborts the job fail-stop (every rank's
          next open/truncate would hang): reconcile pending data exactly
-         like a whole-job crash, with a synthetic victim rank of -1. *)
-      (* No victim node: every host (and its log) survives an MDS abort,
-         but applied-unpublished records still revert for re-replay. *)
-      Option.iter (fun w -> ignore (Wal.on_crash w ~time ())) wal;
-      let stats, per_file =
-        Obs.span Obs.T_fs "crash-reconcile" (fun () ->
-            Pfs.crash pfs ~time
-              ~keep_stripes:(fun ~total -> Injector.keep_stripes inj ~total)
-              ())
-      in
-      crashes :=
-        {
-          Injector.cr_rank = -1;
-          cr_time = time;
-          cr_io_index = 0;
-          cr_stats = stats;
-          cr_per_file = per_file;
-          cr_bb_lost_bytes = 0;
-          cr_wal_lost_bytes = 0;
-          cr_wal_torn_bytes = 0;
-        }
-        :: !crashes;
-      (match Injector.mds_restart_time inj with
-      | None -> ()
-      | Some at ->
+         like a whole-job crash, with no victim — every host (and its
+         log) survives, recorded as the synthetic rank -1. *)
+      abort ~attempt ~victim:None ~time ~io_index:0
+  and abort ~attempt ~victim ~time ~io_index =
+    (* The victim's node-local buffer dies with it; undrained bytes are
+       gone before the PFS even reconciles. *)
+    let bb_lost =
+      match (tier, victim) with
+      | Some t, Some rank ->
+        Tier.crash_node t ~node:(Tier.node_of_rank t rank) ~time
+      | _ -> 0
+    in
+    (* The WAL applies the crash *before* the PFS reconciles: the victim
+       node's un-flushed log tail dies (torn at a record boundary), and
+       applied-but-unpublished records revert to the surviving log so the
+       post-restart replay rebuilds what the PFS is about to drop. *)
+    let wal_summary =
+      match wal with
+      | None -> { Wal.lost_bytes = 0; torn_bytes = 0 }
+      | Some w ->
+        Wal.on_crash w ?victim:(Option.map (Wal.node_of_rank w) victim) ~time ()
+    in
+    let stats, per_file =
+      Obs.span Obs.T_fs "crash-reconcile" (fun () ->
+          Pfs.crash pfs ~time
+            ~keep_stripes:(fun ~total -> Injector.keep_stripes inj ~total)
+            ())
+    in
+    (* The lock manager fences the dead client: its grants cannot outlive
+       it (a restarted rank is a new client to the server). *)
+    Option.iter (fun rank -> ignore (Pfs.evict_client pfs ~client:rank)) victim;
+    crashes :=
+      {
+        Injector.cr_rank = Option.value victim ~default:(-1);
+        cr_time = time;
+        cr_io_index = io_index;
+        cr_stats = stats;
+        cr_per_file = per_file;
+        cr_bb_lost_bytes = bb_lost;
+        cr_wal_lost_bytes = wal_summary.Wal.lost_bytes;
+        cr_wal_torn_bytes = wal_summary.Wal.torn_bytes;
+      }
+      :: !crashes;
+    let restart =
+      match victim with
+      | Some rank ->
+        Option.map
+          (fun delay -> time + delay)
+          (Injector.restart_delay_of inj ~rank)
+      | None ->
+        Option.map
+          (fun at -> max at (time + 1))
+          (Injector.mds_restart_time inj)
+    in
+    Option.iter
+      (fun clock ->
         incr restarts;
         Obs.incr "fault.restarts";
-        attempt_loop ~clock:(max at (time + 1)) ~attempt:(attempt + 1))
+        attempt_loop ~clock ~attempt:(attempt + 1))
+      restart
   in
   attempt_loop ~clock:0 ~attempt:0;
   (* Flush storage transitions scheduled after the job's last step (e.g. a
@@ -299,17 +304,7 @@ let run_faulted ~domains ~semantics ~local_order ~nprocs ~seed ~cb_nodes ~tier
   let epilogue_time = 1 lsl 40 in
   if Injector.has_target_events inj then
     Injector.advance_targets inj ~time:epilogue_time;
-  (* Surviving nodes' buffers are nonvolatile: the burst-buffer service
-     stages out whatever is still buffered, crash or not. *)
-  Option.iter
-    (fun t ->
-      Obs.span Obs.T_bb "epilogue-drain" (fun () ->
-          ignore (Tier.drain_all t ())))
-    tier;
-  Option.iter
-    (fun w ->
-      Obs.span Obs.T_bb "epilogue-drain" (fun () -> ignore (Wal.drain_all w)))
-    wal;
+  epilogue_drain ~tier ~wal;
   let recovery =
     Option.map
       (fun j ->
@@ -320,30 +315,19 @@ let run_faulted ~domains ~semantics ~local_order ~nprocs ~seed ~cb_nodes ~tier
   let wal_check =
     Option.map (fun w -> Obs.span Obs.T_fs "fsck" (fun () -> Wal.check w)) wal
   in
-  {
-    records = Collector.records collector;
-    events = !events;
-    stats = Pfs.stats pfs;
-    md = Md.stats mds;
-    pfs;
-    tier;
-    wal;
-    nprocs;
-    faults =
-      Some
-        {
-          Injector.o_plan = plan;
-          o_crashes = List.rev !crashes;
-          o_restarts = !restarts;
-          o_drain_faults = Injector.injected_drain_faults inj;
-          o_log_faults = Injector.injected_log_faults inj;
-          o_target_failures = List.rev !target_records;
-          o_journal = Option.map Journal.stats journal;
-          o_recovery = recovery;
-          o_wal = Option.map Wal.stats wal;
-          o_wal_check = wal_check;
-        };
-  }
+  ( !events,
+    {
+      Injector.o_plan = plan;
+      o_crashes = List.rev !crashes;
+      o_restarts = !restarts;
+      o_drain_faults = Injector.injected_drain_faults inj;
+      o_log_faults = Injector.injected_log_faults inj;
+      o_target_failures = List.rev !target_records;
+      o_journal = Option.map Journal.stats journal;
+      o_recovery = recovery;
+      o_wal = Option.map Wal.stats wal;
+      o_wal_check = wal_check;
+    } )
 
 let run ?obs ?(semantics = Hpcfs_fs.Consistency.Strong) ?(local_order = true)
     ?(nprocs = 64) ?(seed = 42) ?(cb_nodes = 6) ?(mds_shards = 1) ?tier ?wal
@@ -376,57 +360,46 @@ let run ?obs ?(semantics = Hpcfs_fs.Consistency.Strong) ?(local_order = true)
       | None -> None)
   in
   let go () =
-    match faults with
-    | Some plan ->
-      run_faulted ~domains ~semantics ~local_order ~nprocs ~seed ~cb_nodes
-        ~tier ~wal ~plan ~mds_shards body
-    | None ->
-      Hpcfs_hdf5.Hdf5.reset_registries ();
-      let pfs = Pfs.create ~local_order ~mds_shards semantics in
-      let mds = Md.create pfs in
-      let collector = Collector.create () in
-      let tier = Option.map (fun config -> Tier.create ~config pfs) tier in
-      let wal = Option.map (fun config -> Wal.create ~config pfs) wal in
-      let posix =
-        match (tier, wal) with
-        | None, None -> Posix.make_ctx ~mds pfs collector
-        | Some t, _ -> Posix.make_ctx_backend ~mds (Tier.backend t) collector
-        | None, Some w -> Posix.make_ctx_backend ~mds (Wal.backend w) collector
-      in
-      let comm = Mpi.world () in
-      let mpiio = Mpiio.make_ctx ~cb_nodes posix comm in
-      prepare_parallel ~domains ~nprocs ~comm ~posix ~mpiio ~inj:None;
-      let env = { comm; posix; mpiio; tier; nprocs; seed; attempt = 0 } in
-      Obs.span Obs.T_sched "simulate"
-        ~args:[ ("nprocs", string_of_int nprocs) ]
-        (fun () ->
-          sched_run ~domains ~nprocs (fun _rank ->
-              Mpi.barrier comm;
-              body env;
-              Mpi.barrier comm));
-      (* End of job: whatever is still buffered reaches the PFS, as a real
-         burst buffer's epilogue stage-out would ensure. *)
-      Option.iter
-        (fun t ->
-          Obs.span Obs.T_bb "epilogue-drain" (fun () ->
-              ignore (Tier.drain_all t ())))
-        tier;
-      Option.iter
-        (fun w ->
-          Obs.span Obs.T_bb "epilogue-drain" (fun () ->
-              ignore (Wal.drain_all w)))
-        wal;
-      {
-        records = Collector.records collector;
-        events = Mpi.events comm;
-        stats = Pfs.stats pfs;
-        md = Md.stats mds;
-        pfs;
-        tier;
-        wal;
-        nprocs;
-        faults = None;
-      }
+    Hpcfs_hdf5.Hdf5.reset_registries ();
+    let pfs = Pfs.create ~local_order ~mds_shards semantics in
+    let mds = Md.create pfs in
+    let collector = Collector.create () in
+    let tier, wal, backend = staging ~tier ~wal pfs in
+    let events, faults =
+      match faults with
+      | Some plan ->
+        let events, outcome =
+          run_faulted ~domains ~nprocs ~seed ~cb_nodes ~pfs ~mds ~collector
+            ~tier ~wal ~backend ~plan body
+        in
+        (events, Some outcome)
+      | None ->
+        let posix = Posix.make_ctx_backend ~mds backend collector in
+        let comm = Mpi.world () in
+        let mpiio = Mpiio.make_ctx ~cb_nodes posix comm in
+        prepare_parallel ~domains ~nprocs ~comm ~posix ~mpiio ~inj:None;
+        let env = { comm; posix; mpiio; tier; nprocs; seed; attempt = 0 } in
+        Obs.span Obs.T_sched "simulate"
+          ~args:[ ("nprocs", string_of_int nprocs) ]
+          (fun () ->
+            sched_run ~domains ~nprocs (fun _rank ->
+                Mpi.barrier comm;
+                body env;
+                Mpi.barrier comm));
+        epilogue_drain ~tier ~wal;
+        (Mpi.events comm, None)
+    in
+    {
+      records = Collector.records collector;
+      events;
+      stats = Pfs.stats pfs;
+      md = Md.stats mds;
+      pfs;
+      tier;
+      wal;
+      nprocs;
+      faults;
+    }
   in
   match obs with None -> go () | Some sink -> Obs.with_sink sink go
 

@@ -26,16 +26,3 @@ let of_string s =
   | _ -> None
 
 let pp ppf t = Format.pp_print_string ppf (describe t)
-
-(* The retry policy for transient drain failures is the simulator-wide
-   capped-backoff helper (Hpcfs_util.Backoff), re-exported here so tier
-   code and its callers keep their historical names. *)
-type retry = Hpcfs_util.Backoff.policy = {
-  max_retries : int;  (* failed attempts before the extent is left staged *)
-  base_delay : int;  (* backoff of the first retry, in ticks *)
-  max_delay : int;  (* per-retry backoff cap *)
-  jitter : float;  (* extra random fraction of the backoff, [0, jitter) *)
-}
-
-let default_retry = Hpcfs_util.Backoff.default
-let backoff_delay = Hpcfs_util.Backoff.delay

@@ -43,25 +43,3 @@ val of_string : string -> t option
     (64 KiB/tick, interval 32). *)
 
 val pp : Format.formatter -> t -> unit
-
-type retry = Hpcfs_util.Backoff.policy = {
-  max_retries : int;
-      (** Failed attempts tolerated before the extent is left staged for a
-          later drain pass. *)
-  base_delay : int;  (** Backoff of the first retry, in logical ticks. *)
-  max_delay : int;  (** Per-retry backoff cap, in logical ticks. *)
-  jitter : float;
-      (** Random extra fraction of the backoff, drawn uniformly from
-          [\[0, jitter)] — the decorrelation that keeps a fleet of nodes
-          from retrying in lockstep. *)
-}
-(** Retry policy for transient drain failures (a flaky PFS connection, an
-    overloaded OST).  Backoff of attempt [n] is
-    [min max_delay (base_delay * 2^n)] plus jitter. *)
-
-val default_retry : retry
-(** 4 retries, 8-tick base, 256-tick cap, 50% jitter. *)
-
-val backoff_delay : retry -> Hpcfs_util.Prng.t -> attempt:int -> int
-(** [backoff_delay retry prng ~attempt] is the deterministic (per PRNG
-    state) backoff before retry number [attempt] (0-based). *)

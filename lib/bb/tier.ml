@@ -1,15 +1,15 @@
 module Pfs = Hpcfs_fs.Pfs
 module Fdata = Hpcfs_fs.Fdata
-module Backend = Hpcfs_fs.Backend
-module Namespace = Hpcfs_fs.Namespace
+module Staging = Hpcfs_fs.Staging
 module Interval = Hpcfs_util.Interval
+module Backoff = Hpcfs_util.Backoff
 module Obs = Hpcfs_obs.Obs
 
 type config = {
   ranks_per_node : int;
   policy : Drain.t;
   capacity_per_node : int option;
-  retry : Drain.retry;
+  retry : Backoff.policy;
 }
 
 let default_config =
@@ -17,117 +17,53 @@ let default_config =
     ranks_per_node = 4;
     policy = Drain.Sync_on_close;
     capacity_per_node = None;
-    retry = Drain.default_retry;
+    retry = Backoff.default;
   }
 
-(* One staged write.  The record is shared between the owning node's log,
-   the global backlog and the per-file queue, so its lifecycle is a mutable
-   state: [`Staged] (dirty, node-local only), [`Drained] (replayed into the
-   PFS, retained as node-local cache until the next open invalidates it)
-   and [`Dropped] (truncated or invalidated — ignore everywhere). *)
-type extent = {
-  x_file : string;
-  x_node : int;
-  x_rank : int;
-  x_time : int;
-  mutable x_iv : Interval.t;
-  mutable x_data : bytes;
-  mutable x_state : [ `Staged | `Drained | `Dropped ];
-}
-
+(* A staged extent is a {!Staging.record}, shared between the owning node's
+   log, the global backlog and the per-file queue.  [Pending] is dirty and
+   node-local only; [Applied] is drained into the PFS and retained as
+   node-local cache until the next open invalidates it; [Dropped] is
+   truncated or invalidated. *)
 type node = {
-  n_id : int;
-  mutable n_log : extent list; (* newest first *)
-  n_by_file : (string, extent list ref) Hashtbl.t;
-      (* the same extent records as [n_log], indexed per file (newest
-         first) so reads don't filter the whole node log *)
+  mutable n_log : Staging.record list; (* newest first *)
+  n_by_file : (string, Staging.record list ref) Hashtbl.t;
+      (* the same records as [n_log], indexed per file (newest first) so
+         reads don't filter the whole node log *)
   n_snapshots : (string, bytes) Hashtbl.t; (* stage_in read caches *)
-  mutable n_undrained : int; (* dirty bytes buffered on this node *)
 }
 
 type t = {
-  pfs : Pfs.t;
+  core : Staging.t;
   config : config;
   nodes : (int, node) Hashtbl.t;
-  backlog : extent Queue.t; (* global staging order, for async drains *)
-  per_file : (string, extent Queue.t) Hashtbl.t; (* staging order per file *)
-  hw : (string, int) Hashtbl.t; (* staged size high-water per file *)
-  mutable last_drain : int;
-  mutable occupancy : int;
-  (* statistics *)
-  mutable s_writes : int;
-  mutable s_reads : int;
-  mutable s_bytes_written : int;
-  mutable s_bytes_read : int;
-  mutable s_staged : int;
-  mutable s_drained : int;
-  mutable s_stage_in : int;
-  mutable s_stage_out : int;
-  mutable s_hits : int;
-  mutable s_misses : int;
-  mutable s_stalls : int;
-  mutable s_stalled_bytes : int;
-  mutable s_peak : int;
-  mutable s_stale_reads : int;
-  mutable s_stale_bytes : int;
-  (* fault injection *)
-  mutable fault : (node:int -> time:int -> bool) option;
-  mutable fault_prng : Hpcfs_util.Prng.t;
-  mutable s_drain_faults : int;
-  mutable s_drain_retries : int;
-  mutable s_backoff_ticks : int;
-  mutable s_drain_aborts : int;
-  mutable s_drain_target_down : int;
-  mutable s_crash_lost_bytes : int;
-  mu : Mutex.t; (* serializes the data surface during parallel runs *)
+  stage_in : Staging.counter;
+  stage_out : Staging.counter;
+  hits : Staging.counter;
+  misses : Staging.counter;
+  crash_lost : Staging.counter;
 }
 
 let create ?(config = default_config) pfs =
   {
-    pfs;
+    core =
+      Staging.create ~prefix:"bb" ~staged:"staged_bytes" ~fault:"drain"
+        ~events:("async-drain", "stall")
+        ~ranks_per_node:config.ranks_per_node ~retry:config.retry pfs;
     config;
     nodes = Hashtbl.create 16;
-    backlog = Queue.create ();
-    per_file = Hashtbl.create 16;
-    hw = Hashtbl.create 16;
-    last_drain = 0;
-    occupancy = 0;
-    s_writes = 0;
-    s_reads = 0;
-    s_bytes_written = 0;
-    s_bytes_read = 0;
-    s_staged = 0;
-    s_drained = 0;
-    s_stage_in = 0;
-    s_stage_out = 0;
-    s_hits = 0;
-    s_misses = 0;
-    s_stalls = 0;
-    s_stalled_bytes = 0;
-    s_peak = 0;
-    s_stale_reads = 0;
-    s_stale_bytes = 0;
-    fault = None;
-    fault_prng = Hpcfs_util.Prng.create 0;
-    s_drain_faults = 0;
-    s_drain_retries = 0;
-    s_backoff_ticks = 0;
-    s_drain_aborts = 0;
-    s_drain_target_down = 0;
-    s_crash_lost_bytes = 0;
-    mu = Mutex.create ();
+    stage_in = Staging.counter "bb.stage_in_bytes";
+    stage_out = Staging.counter "bb.stage_out_bytes";
+    hits = Staging.counter "bb.cache_hits";
+    misses = Staging.counter "bb.cache_misses";
+    crash_lost = Staging.counter "bb.crash_lost_bytes";
   }
 
-let set_fault t ?prng hook =
-  t.fault <- hook;
-  Option.iter (fun p -> t.fault_prng <- p) prng
-
-let pfs t = t.pfs
+let set_fault t ?prng hook = Staging.set_fault t.core ?prng hook
+let pfs t = Staging.pfs t.core
 let config t = t.config
-let occupancy t = t.occupancy
-
-let node_of_rank t rank =
-  if rank < 0 then rank else rank / max 1 t.config.ranks_per_node
+let occupancy t = Staging.occupancy t.core
+let node_of_rank t rank = Staging.node_of_rank t.core rank
 
 let get_node t id =
   match Hashtbl.find_opt t.nodes id with
@@ -135,170 +71,57 @@ let get_node t id =
   | None ->
     let n =
       {
-        n_id = id;
         n_log = [];
         n_by_file = Hashtbl.create 8;
         n_snapshots = Hashtbl.create 8;
-        n_undrained = 0;
       }
     in
     Hashtbl.add t.nodes id n;
     n
 
-let file_queue t path =
-  match Hashtbl.find_opt t.per_file path with
-  | Some q -> q
-  | None ->
-    let q = Queue.create () in
-    Hashtbl.add t.per_file path q;
-    q
-
-let hw_size t path = Option.value ~default:0 (Hashtbl.find_opt t.hw path)
-
-let file_size t path = max (Pfs.file_size t.pfs path) (hw_size t path)
-
-(* PFS reads issued on behalf of tier clients degrade rather than fail
-   when a storage target is down: the missing chunks read back as zeroes
-   and the node-local overlay still paints its staged data on top. *)
-let pfs_read t ~time ~rank path ~off ~len =
-  try Pfs.read t.pfs ~time ~rank path ~off ~len
-  with Hpcfs_fs.Target.Target_down _ ->
-    Pfs.read_degraded t.pfs ~time ~rank path ~off ~len
-
 (* Draining ---------------------------------------------------------------- *)
 
-(* One drain attempt may fail transiently when a fault hook is installed;
-   failures retry under the configured backoff policy.  Returns [true] when
-   the extent may be written down, [false] when every retry failed — the
-   extent stays staged for a later drain pass. *)
-let drain_admitted t ~time ~node =
-  match t.fault with
-  | None -> true
-  | Some fails ->
-    let retry = t.config.retry in
-    let rec attempt n =
-      if not (fails ~node ~time) then true
-      else begin
-        t.s_drain_faults <- t.s_drain_faults + 1;
-        Obs.incr "bb.drain_faults";
-        if n >= retry.Drain.max_retries then begin
-          t.s_drain_aborts <- t.s_drain_aborts + 1;
-          Obs.incr "bb.drain_aborts";
-          false
-        end
-        else begin
-          let delay = Drain.backoff_delay retry t.fault_prng ~attempt:n in
-          t.s_drain_retries <- t.s_drain_retries + 1;
-          t.s_backoff_ticks <- t.s_backoff_ticks + delay;
-          Obs.incr "bb.drain_retries";
-          Obs.incr ~by:delay "bb.drain_backoff_ticks";
-          attempt (n + 1)
-        end
-      end
-    in
-    attempt 0
-
-(* Replaying a staged extent into the PFS with its original issue timestamp
-   and rank means the backing file ends up with exactly the write history a
-   direct run would have produced; only the arrival moment differs.  The
-   extent stays in its node's log as a read cache until invalidated. *)
-let drain_extent t ~time x =
-  match x.x_state with
-  | `Drained | `Dropped -> 0
-  | `Staged when not (drain_admitted t ~time ~node:x.x_node) -> 0
-  | `Staged -> (
-    match
-      Pfs.write t.pfs ~time:x.x_time ~rank:x.x_rank x.x_file
-        ~off:x.x_iv.Interval.lo x.x_data
-    with
-    | exception Hpcfs_fs.Target.Target_down _ ->
-      (* The backing target is down: not a transient fault the backoff
-         loop can ride out.  The extent stays staged — the node-local
-         copy is the only one — and a later pass (after recovery or
-         failover) drains it. *)
-      t.s_drain_target_down <- t.s_drain_target_down + 1;
-      Obs.incr "bb.drain_target_down";
-      0
-    | () ->
-      x.x_state <- `Drained;
-      let len = Interval.length x.x_iv in
-      let node = get_node t x.x_node in
-      node.n_undrained <- node.n_undrained - len;
-      t.occupancy <- t.occupancy - len;
-      t.s_drained <- t.s_drained + len;
-      Obs.incr ~by:len "bb.drained_bytes";
-      Obs.gauge "bb.backlog" t.occupancy;
-      len)
+(* A drain attempt may fail transiently when a fault hook is installed; an
+   extent whose retries all failed stays staged for a later pass.  The
+   drained extent stays in its node's log as a read cache. *)
+let drain_extent t ~time (x : Staging.record) =
+  if x.state = Pending && Staging.admitted t.core ~time ~node:x.node then
+    Staging.replay t.core x
+  else 0
 
 (* Drain a file's staged extents in staging order — every node's, or one
-   node's — compacting the per-file queue as we go.  Extents whose drain
-   failed past the retry budget stay queued for a later pass. *)
+   node's — compacting the per-file queue as we go.  An extent whose drain
+   was aborted is skipped, not waited for: it stays queued for a later
+   pass while the file's younger extents drain past it. *)
 let drain_for_file t ?node ~time path =
-  match Hashtbl.find_opt t.per_file path with
+  match Staging.file_queue t.core path with
   | None -> 0
   | Some q ->
     let keep = Queue.create () in
     let drained = ref 0 in
     Queue.iter
-      (fun x ->
-        if x.x_state = `Staged then
+      (fun (x : Staging.record) ->
+        if x.state = Pending then
           match node with
-          | Some n when x.x_node <> n -> Queue.add x keep
+          | Some n when x.node <> n -> Queue.add x keep
           | _ ->
             drained := !drained + drain_extent t ~time x;
-            if x.x_state = `Staged then Queue.add x keep)
+            if x.state = Pending then Queue.add x keep)
       q;
     Queue.clear q;
     Queue.transfer keep q;
     !drained
 
-(* Drain up to [budget] backlog bytes, oldest extents first.  The last
-   extent is never split: real drains move whole log records. *)
-let drain_backlog t ~time budget =
-  let remaining = ref budget in
-  let total = ref 0 in
-  let continue_ = ref true in
-  while !continue_ && not (Queue.is_empty t.backlog) do
-    let x = Queue.peek t.backlog in
-    if x.x_state <> `Staged then ignore (Queue.pop t.backlog)
-    else if !remaining <= 0 then continue_ := false
-    else begin
-      let len = drain_extent t ~time x in
-      (* A drain abort leaves the extent staged at the head of the backlog:
-         stop here and let a later pass retry, preserving staging order. *)
-      if x.x_state = `Staged then continue_ := false
-      else begin
-        ignore (Queue.pop t.backlog);
-        remaining := !remaining - len;
-        total := !total + len
-      end
-    end
-  done;
-  !total
-
 let maybe_async_drain t ~time =
   match t.config.policy with
   | Drain.Async { bandwidth_bytes_per_tick; drain_interval } ->
-    if time - t.last_drain >= drain_interval then begin
-      let budget = bandwidth_bytes_per_tick * (time - t.last_drain) in
-      t.last_drain <- max t.last_drain time;
-      let drained = drain_backlog t ~time budget in
-      if drained > 0 then
-        Obs.event Obs.T_bb
-          ~args:[ ("bytes", string_of_int drained) ]
-          "async-drain"
-    end
+    Staging.paced_drain t.core ~time ~bandwidth:bandwidth_bytes_per_tick
+      ~interval:drain_interval ~replay:(drain_extent t ~time)
   | Drain.Sync_on_close | Drain.On_laminate -> ()
 
 let stall t bytes =
-  if bytes > 0 then begin
-    t.s_stalls <- t.s_stalls + 1;
-    t.s_stalled_bytes <- t.s_stalled_bytes + bytes;
-    Obs.incr "bb.stalls";
-    Obs.incr ~by:bytes "bb.stalled_bytes";
-    Obs.observe "bb.stall_bytes" (float_of_int bytes);
-    Obs.event Obs.T_bb ~args:[ ("bytes", string_of_int bytes) ] "stall"
-  end
+  Staging.stall t.core bytes;
+  if bytes > 0 then Obs.observe "bb.stall_bytes" (float_of_int bytes)
 
 (* The synchronous flush a close or fsync performs for the caller's node,
    according to the policy. *)
@@ -310,38 +133,26 @@ let flush_for_commit t ~node ~time path =
 
 (* Data surface ------------------------------------------------------------- *)
 
+(* Staged extents are cut by the core; drained extents cached on the nodes
+   and stage-in snapshots are cut here. *)
 let truncate_staged t path len =
+  Staging.truncate_pending t.core path len;
   Hashtbl.iter
     (fun _ node ->
       List.iter
-        (fun x ->
-          if x.x_file = path && x.x_state <> `Dropped then
-            if x.x_iv.Interval.lo >= len then begin
-              if x.x_state = `Staged then begin
-                let l = Interval.length x.x_iv in
-                node.n_undrained <- node.n_undrained - l;
-                t.occupancy <- t.occupancy - l
-              end;
-              x.x_state <- `Dropped
-            end
-            else if x.x_iv.Interval.hi > len then begin
-              let removed = x.x_iv.Interval.hi - len in
-              x.x_data <- Bytes.sub x.x_data 0 (len - x.x_iv.Interval.lo);
-              x.x_iv <- Interval.make x.x_iv.Interval.lo len;
-              if x.x_state = `Staged then begin
-                node.n_undrained <- node.n_undrained - removed;
-                t.occupancy <- t.occupancy - removed
-              end
-            end)
+        (fun (x : Staging.record) ->
+          if x.file = path && x.state = Applied then
+            if x.off >= len then x.state <- Dropped
+            else if x.off + Bytes.length x.data > len then
+              x.data <- Bytes.sub x.data 0 (len - x.off))
         node.n_log;
       match Hashtbl.find_opt node.n_snapshots path with
       | Some snap when Bytes.length snap > len ->
         Hashtbl.replace node.n_snapshots path (Bytes.sub snap 0 len)
       | _ -> ())
-    t.nodes;
-  Hashtbl.replace t.hw path (min (hw_size t path) len)
+    t.nodes
 
-let open_file t ~time ~rank ?(create = false) ?(trunc = false) path =
+let open_file t ~time ~rank ~create ~trunc path =
   maybe_async_drain t ~time;
   let node = get_node t (node_of_rank t rank) in
   (* Close-to-open cache invalidation: the opening node drops its clean
@@ -350,48 +161,45 @@ let open_file t ~time ~rank ?(create = false) ?(trunc = false) path =
   Hashtbl.remove node.n_snapshots path;
   node.n_log <-
     List.filter
-      (fun x -> not (x.x_file = path && x.x_state <> `Staged))
+      (fun (x : Staging.record) -> not (x.file = path && x.state <> Pending))
       node.n_log;
   (match Hashtbl.find_opt node.n_by_file path with
-  | Some l -> l := List.filter (fun x -> x.x_state = `Staged) !l
+  | Some l ->
+    l := List.filter (fun (x : Staging.record) -> x.state = Pending) !l
   | None -> ());
-  ignore (Pfs.open_file t.pfs ~time ~rank ~create ~trunc path);
+  ignore (Pfs.open_file (pfs t) ~time ~rank ~create ~trunc path);
   if trunc then truncate_staged t path 0;
-  file_size t path
+  Staging.file_size t.core path
 
 let close_file t ~time ~rank path =
   maybe_async_drain t ~time;
   flush_for_commit t ~node:(node_of_rank t rank) ~time path;
-  Pfs.close_file t.pfs ~time ~rank path
+  Pfs.close_file (pfs t) ~time ~rank path
 
 let fsync t ~time ~rank path =
   maybe_async_drain t ~time;
   flush_for_commit t ~node:(node_of_rank t rank) ~time path;
-  Pfs.fsync t.pfs ~time ~rank path
-
-let is_laminated t path =
-  Fdata.is_laminated (Namespace.lookup_file (Pfs.namespace t.pfs) path)
+  Pfs.fsync (pfs t) ~time ~rank path
 
 let write t ~time ~rank path ~off data =
   maybe_async_drain t ~time;
   let len = Bytes.length data in
-  t.s_writes <- t.s_writes + 1;
-  t.s_bytes_written <- t.s_bytes_written + len;
-  Obs.incr "bb.writes";
-  Obs.incr ~by:len "bb.bytes_written";
+  Staging.count_write t.core len;
   if len > 0 then begin
-    if is_laminated t path then invalid_arg "Tier.write: file is laminated";
-    let node = get_node t (node_of_rank t rank) in
-    (* Make room first: capacity eviction drains the node's oldest dirty
-       extents synchronously — the stall burst buffers hit when the
+    if Staging.laminated (pfs t) path then
+      invalid_arg "Tier.write: file is laminated";
+    let id = node_of_rank t rank in
+    let node = get_node t id in
+    (* Make room first: capacity eviction drains the node's own oldest
+       dirty extents synchronously — the stall burst buffers hit when the
        compute phase outruns the drain. *)
     (match t.config.capacity_per_node with
-    | Some cap when node.n_undrained + len > cap ->
+    | Some cap when Staging.pending t.core ~node:id + len > cap ->
       let forced = ref 0 in
       List.iter
-        (fun x ->
-          if x.x_state = `Staged && node.n_undrained + len > cap then
-            forced := !forced + drain_extent t ~time x)
+        (fun (x : Staging.record) ->
+          if x.state = Pending && Staging.pending t.core ~node:id + len > cap
+          then forced := !forced + drain_extent t ~time x)
         (List.rev node.n_log);
       if !forced > 0 then begin
         Obs.incr "bb.evictions";
@@ -399,43 +207,13 @@ let write t ~time ~rank path ~off data =
       end;
       stall t !forced
     | _ -> ());
-    let x =
-      {
-        x_file = path;
-        x_node = node.n_id;
-        x_rank = rank;
-        x_time = time;
-        x_iv = Interval.of_len off len;
-        x_data = Bytes.copy data;
-        x_state = `Staged;
-      }
-    in
+    let x = Staging.append t.core ~time ~rank path ~off data in
     node.n_log <- x :: node.n_log;
     (match Hashtbl.find_opt node.n_by_file path with
     | Some l -> l := x :: !l
     | None -> Hashtbl.add node.n_by_file path (ref [ x ]));
-    Queue.add x t.backlog;
-    Queue.add x (file_queue t path);
-    node.n_undrained <- node.n_undrained + len;
-    t.occupancy <- t.occupancy + len;
-    t.s_staged <- t.s_staged + len;
-    Obs.incr ~by:len "bb.staged_bytes";
-    Obs.gauge "bb.backlog" t.occupancy;
-    if t.occupancy > t.s_peak then t.s_peak <- t.occupancy;
-    Hashtbl.replace t.hw path (max (hw_size t path) (off + len))
+    Staging.extend t.core path (off + len)
   end
-
-let paint ~off buf x =
-  match
-    Interval.intersect (Interval.of_len off (Bytes.length buf)) x.x_iv
-  with
-  | None -> ()
-  | Some inter ->
-    Bytes.blit x.x_data
-      (inter.Interval.lo - x.x_iv.Interval.lo)
-      buf
-      (inter.Interval.lo - off)
-      (Interval.length inter)
 
 let fully_covered req ivs =
   let rest =
@@ -445,203 +223,116 @@ let fully_covered req ivs =
   in
   List.for_all Interval.is_empty rest
 
-(* What a strongly-consistent stack would return: the PFS oracle plus every
-   still-undrained extent of the file, in issue order.  This is the same
-   ground truth Fdata reads are measured against, extended to data that has
-   not reached the PFS yet. *)
-let ground_truth t path ~off ~len =
-  let buf = Bytes.make len '\000' in
-  let oracle = Pfs.read_oracle t.pfs path ~off ~len in
-  Bytes.blit oracle 0 buf 0 (Bytes.length oracle);
-  (match Hashtbl.find_opt t.per_file path with
-  | None -> ()
-  | Some q ->
-    (* Queue order is staging order, which is issue-time order. *)
-    Queue.iter (fun x -> if x.x_state = `Staged then paint ~off buf x) q);
-  buf
-
+(* The node's log (dirty and cached extents) painted over a stage-in
+   snapshot or, failing that, over a PFS read; a request the log covers
+   entirely never touches the PFS. *)
 let read t ~time ~rank path ~off ~len =
   maybe_async_drain t ~time;
-  let size = file_size t path in
-  let n = max 0 (min len (max 0 (size - off))) in
   let node = get_node t (node_of_rank t rank) in
-  let overlay =
-    match Hashtbl.find_opt node.n_by_file path with
-    | None -> []
-    | Some l -> List.rev (List.filter (fun x -> x.x_state <> `Dropped) !l)
-  in
-  let req = Interval.of_len off n in
-  let served_locally =
-    n = 0 || fully_covered req (List.map (fun x -> x.x_iv) overlay)
-  in
-  let snapshot = Hashtbl.find_opt node.n_snapshots path in
-  let data =
-    if served_locally then begin
-      let buf = Bytes.make n '\000' in
-      List.iter (paint ~off buf) overlay;
-      t.s_hits <- t.s_hits + 1;
-      Obs.incr "bb.cache_hits";
-      buf
-    end
-    else
-      match snapshot with
-      | Some snap when off + n <= Bytes.length snap ->
-        let buf = Bytes.sub snap off n in
-        List.iter (paint ~off buf) overlay;
-        t.s_hits <- t.s_hits + 1;
-        Obs.incr "bb.cache_hits";
+  Staging.read t.core path ~off ~len ~serve:(fun n ->
+      let overlay =
+        match Hashtbl.find_opt node.n_by_file path with
+        | None -> []
+        | Some l ->
+          List.rev
+            (List.filter (fun (x : Staging.record) -> x.state <> Dropped) !l)
+      in
+      let hit buf =
+        List.iter (Staging.paint ~off buf) overlay;
+        Staging.bump t.hits 1;
         buf
-      | _ ->
-        let base = pfs_read t ~time ~rank path ~off ~len:n in
-        let buf = Bytes.make n '\000' in
-        Bytes.blit base.Fdata.data 0 buf 0 (Bytes.length base.Fdata.data);
-        List.iter (paint ~off buf) overlay;
-        t.s_misses <- t.s_misses + 1;
-        Obs.incr "bb.cache_misses";
-        buf
-  in
-  let truth = ground_truth t path ~off ~len:n in
-  let stale = ref 0 in
-  for i = 0 to n - 1 do
-    if Bytes.get data i <> Bytes.get truth i then incr stale
-  done;
-  t.s_reads <- t.s_reads + 1;
-  t.s_bytes_read <- t.s_bytes_read + n;
-  Obs.incr "bb.reads";
-  Obs.incr ~by:n "bb.bytes_read";
-  if !stale > 0 then begin
-    t.s_stale_reads <- t.s_stale_reads + 1;
-    t.s_stale_bytes <- t.s_stale_bytes + !stale
-  end;
-  { Fdata.data; stale_bytes = !stale }
+      in
+      if
+        n = 0
+        || fully_covered (Interval.of_len off n)
+             (List.map
+                (fun (x : Staging.record) ->
+                  Interval.of_len x.off (Bytes.length x.data))
+                overlay)
+      then
+        hit (Bytes.make n '\000')
+      else
+        match Hashtbl.find_opt node.n_snapshots path with
+        | Some snap when off + n <= Bytes.length snap ->
+          hit (Bytes.sub snap off n)
+        | _ ->
+          let buf = Staging.pfs_bytes t.core ~time ~rank path ~off ~len:n in
+          List.iter (Staging.paint ~off buf) overlay;
+          Staging.bump t.misses 1;
+          buf)
 
 let truncate t ~time path len =
-  Pfs.truncate t.pfs ~time path len;
+  Pfs.truncate (pfs t) ~time path len;
   truncate_staged t path len
+
+include Staging.Surface (struct
+  type tier = t
+
+  let core t = t.core
+  let open_file = open_file
+  let close_file = close_file
+  let read = read
+  let write = write
+  let fsync = fsync
+  let truncate = truncate
+end)
 
 (* Staging and publication -------------------------------------------------- *)
 
+
 let stage_in t ~time ~rank path =
-  let size = Pfs.file_size t.pfs path in
-  let r = pfs_read t ~time ~rank path ~off:0 ~len:size in
+  Staging.locked t.core @@ fun () ->
+  let size = Pfs.file_size (pfs t) path in
+  let r = Staging.pfs_read t.core ~time ~rank path ~off:0 ~len:size in
   let node = get_node t (node_of_rank t rank) in
   Hashtbl.replace node.n_snapshots path r.Fdata.data;
   let n = Bytes.length r.Fdata.data in
-  t.s_stage_in <- t.s_stage_in + n;
-  Obs.incr ~by:n "bb.stage_in_bytes";
+  Staging.bump t.stage_in n;
   n
 
 let laminate t ~time path =
+  Staging.locked t.core @@ fun () ->
   ignore (drain_for_file t ~time path);
-  Pfs.laminate t.pfs ~time path
+  Pfs.laminate (pfs t) ~time path
 
 let stage_out t ~time path =
+  Staging.locked t.core @@ fun () ->
   let b = drain_for_file t ~time path in
-  t.s_stage_out <- t.s_stage_out + b;
-  Obs.incr ~by:b "bb.stage_out_bytes";
-  Pfs.laminate t.pfs ~time path
+  Staging.bump t.stage_out b;
+  Pfs.laminate (pfs t) ~time path
 
-let drain_file t ?(time = max_int) path = drain_for_file t ~time path
+let drain_file t ?(time = max_int) path =
+  Staging.locked t.core (fun () -> drain_for_file t ~time path)
 
+(* Every extent is attempted; an aborted one stays staged and the rest of
+   the backlog, its own file included, still drains. *)
 let drain_all t ?(time = max_int) () =
-  let total = ref 0 in
-  let requeue = Queue.create () in
-  while not (Queue.is_empty t.backlog) do
-    let x = Queue.pop t.backlog in
-    total := !total + drain_extent t ~time x;
-    if x.x_state = `Staged then Queue.add x requeue
-  done;
-  Queue.transfer requeue t.backlog;
-  !total
+  Staging.locked t.core (fun () ->
+      Staging.drain_all t.core ~replay:(drain_extent t ~time))
 
 (* A node crash loses the node's undrained (dirty) staged bytes: they exist
    only in its local buffer, so they never reach the PFS.  Clean (drained)
    cached extents and snapshots are mere caches — also gone, but no data is
    lost with them. *)
 let crash_node t ~node:id ~time:_ =
+  Staging.locked t.core @@ fun () ->
   match Hashtbl.find_opt t.nodes id with
   | None -> 0
   | Some node ->
     let lost = ref 0 in
     List.iter
-      (fun x ->
-        if x.x_state = `Staged then begin
-          lost := !lost + Interval.length x.x_iv;
-          x.x_state <- `Dropped
-        end
-        else if x.x_state = `Drained then x.x_state <- `Dropped)
+      (fun (x : Staging.record) ->
+        if x.state = Pending then lost := !lost + Bytes.length x.data;
+        Staging.drop t.core x)
       node.n_log;
     node.n_log <- [];
     Hashtbl.reset node.n_by_file;
     Hashtbl.reset node.n_snapshots;
-    t.occupancy <- t.occupancy - !lost;
-    node.n_undrained <- 0;
-    t.s_crash_lost_bytes <- t.s_crash_lost_bytes + !lost;
     if !lost > 0 then begin
-      Obs.incr ~by:!lost "bb.crash_lost_bytes";
-      Obs.gauge "bb.backlog" t.occupancy
+      Staging.bump t.crash_lost !lost;
+      Obs.gauge "bb.backlog" (occupancy t)
     end;
     !lost
-
-(* Concurrency: the tier's node logs, backlog queue and occupancy
-   accounting are shared across every rank, so a domain-parallel run
-   serializes the whole data surface on one coarse lock (burst-buffer
-   traffic is not the bottleneck the parallel scheduler targets).  The
-   lock nests above the per-file Fdata locks — a tier operation may take
-   an Fdata lock via the PFS, never the reverse — so the ordering is
-   acyclic.  Legacy runs take a branch, not the lock. *)
-
-let locked t f =
-  if Hpcfs_util.Domctx.parallel () then begin
-    Mutex.lock t.mu;
-    Fun.protect ~finally:(fun () -> Mutex.unlock t.mu) f
-  end
-  else f ()
-
-let open_file t ~time ~rank ?create ?trunc path =
-  locked t (fun () -> open_file t ~time ~rank ?create ?trunc path)
-
-let close_file t ~time ~rank path =
-  locked t (fun () -> close_file t ~time ~rank path)
-
-let fsync t ~time ~rank path = locked t (fun () -> fsync t ~time ~rank path)
-
-let write t ~time ~rank path ~off data =
-  locked t (fun () -> write t ~time ~rank path ~off data)
-
-let read t ~time ~rank path ~off ~len =
-  locked t (fun () -> read t ~time ~rank path ~off ~len)
-
-let truncate t ~time path len = locked t (fun () -> truncate t ~time path len)
-let file_size t path = locked t (fun () -> file_size t path)
-
-let stage_in t ~time ~rank path =
-  locked t (fun () -> stage_in t ~time ~rank path)
-
-let laminate t ~time path = locked t (fun () -> laminate t ~time path)
-let stage_out t ~time path = locked t (fun () -> stage_out t ~time path)
-let drain_file t ?time path = locked t (fun () -> drain_file t ?time path)
-let drain_all t ?time () = locked t (fun () -> drain_all t ?time ())
-
-let crash_node t ~node ~time =
-  locked t (fun () -> crash_node t ~node ~time)
-
-(* Backend ------------------------------------------------------------------ *)
-
-let backend t =
-  {
-    Backend.pfs = t.pfs;
-    open_file =
-      (fun ~time ~rank ~create ~trunc path ->
-        open_file t ~time ~rank ~create ~trunc path);
-    close_file = (fun ~time ~rank path -> close_file t ~time ~rank path);
-    read = (fun ~time ~rank path ~off ~len -> read t ~time ~rank path ~off ~len);
-    write =
-      (fun ~time ~rank path ~off data -> write t ~time ~rank path ~off data);
-    fsync = (fun ~time ~rank path -> fsync t ~time ~rank path);
-    truncate = (fun ~time path len -> truncate t ~time path len);
-    file_size = (fun path -> file_size t path);
-  }
 
 (* Statistics --------------------------------------------------------------- *)
 
@@ -670,28 +361,29 @@ type stats = {
 }
 
 let stats t =
+  let c = Staging.counts t.core in
   {
-    writes = t.s_writes;
-    reads = t.s_reads;
-    bytes_written = t.s_bytes_written;
-    bytes_read = t.s_bytes_read;
-    staged_bytes = t.s_staged;
-    drained_bytes = t.s_drained;
-    stage_in_bytes = t.s_stage_in;
-    stage_out_bytes = t.s_stage_out;
-    cache_hits = t.s_hits;
-    cache_misses = t.s_misses;
-    drain_stalls = t.s_stalls;
-    stalled_bytes = t.s_stalled_bytes;
-    peak_occupancy = t.s_peak;
-    stale_reads = t.s_stale_reads;
-    stale_bytes = t.s_stale_bytes;
-    drain_faults = t.s_drain_faults;
-    drain_retries = t.s_drain_retries;
-    drain_backoff_ticks = t.s_backoff_ticks;
-    drain_aborts = t.s_drain_aborts;
-    drain_target_down = t.s_drain_target_down;
-    crash_lost_bytes = t.s_crash_lost_bytes;
+    writes = c.writes.n;
+    reads = c.reads.n;
+    bytes_written = c.bytes_written.n;
+    bytes_read = c.bytes_read.n;
+    staged_bytes = c.staged_bytes.n;
+    drained_bytes = c.drained_bytes.n;
+    stage_in_bytes = t.stage_in.n;
+    stage_out_bytes = t.stage_out.n;
+    cache_hits = t.hits.n;
+    cache_misses = t.misses.n;
+    drain_stalls = c.stalls.n;
+    stalled_bytes = c.stalled_bytes.n;
+    peak_occupancy = c.peak_occupancy;
+    stale_reads = c.stale_reads;
+    stale_bytes = c.stale_bytes;
+    drain_faults = c.faults.n;
+    drain_retries = c.retries.n;
+    drain_backoff_ticks = c.backoff_ticks.n;
+    drain_aborts = c.aborts.n;
+    drain_target_down = c.target_down.n;
+    crash_lost_bytes = t.crash_lost.n;
   }
 
 let pp_stats ppf s =

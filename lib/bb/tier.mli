@@ -1,26 +1,14 @@
 (** The burst-buffer storage tier: a per-node write-back shim between the
     I/O layers and the backing PFS.
 
-    Ranks map to nodes through a configurable ranks-per-node layout.  Each
+    A policy over the {!Hpcfs_fs.Staging} core, which owns replay at the
+    original (time, rank), the paced drain and staleness accounting.  Each
     node owns an append-log of staged write extents: a write lands in the
-    writing node's log (cheap, node-local) and is {e drained} — replayed
-    into the backing {!Hpcfs_fs.Pfs.t} with its original issue timestamp
-    and rank — according to the configured {!Drain.t} policy.  Reads
-    compose the backing PFS's answer (under the PFS's own consistency
-    semantics) with the reading node's log, giving read-your-writes for
-    everything the node staged; a read fully served by the node log or by
-    a {!stage_in} snapshot never touches the PFS at all.
-
-    Because draining preserves issue timestamps, the backing PFS ends up
-    in exactly the state a direct run would have produced — the tier
-    changes {e when} data arrives and what in-flight reads observe, not
-    the final composition.  Staleness is accounted against the strong
-    ground truth ({!Hpcfs_fs.Pfs.read_oracle} plus all undrained extents),
-    so the end-to-end validation harness can compare tiered runs against
-    direct ones.
-
-    Like {!Hpcfs_fs.Pfs}, the module is time-agnostic: callers pass
-    logical timestamps.  Metadata operations are not interposed — they go
+    writing node's log and is {e drained} according to the configured
+    {!Drain.t} policy.  Reads compose the backing PFS's answer with the
+    reading node's log, giving read-your-writes for everything the node
+    staged; a read fully served by the node log or by a {!stage_in}
+    snapshot never touches the PFS at all.  Metadata operations go
     straight to the backing namespace, which stays strongly consistent. *)
 
 type config = {
@@ -30,14 +18,14 @@ type config = {
       (** Buffer bytes per node; staging beyond it forces a synchronous
           drain of the node's oldest extents (a stall).  [None] =
           unbounded. *)
-  retry : Drain.retry;
+  retry : Hpcfs_util.Backoff.policy;
       (** Backoff policy for transient drain failures (only exercised when
           a fault hook is installed via {!set_fault}). *)
 }
 
 val default_config : config
 (** 4 ranks per node, {!Drain.Sync_on_close}, unbounded buffers,
-    {!Drain.default_retry}. *)
+    {!Hpcfs_util.Backoff.default}. *)
 
 type t
 
@@ -51,42 +39,20 @@ val config : t -> config
 val node_of_rank : t -> int -> int
 (** The node a rank's writes are staged on. *)
 
-val backend : t -> Hpcfs_fs.Backend.t
-(** The tier as a POSIX-layer backend: lib/posix routes through this
-    record exactly as it would through a bare PFS. *)
+(** {1 The PFS-shaped data surface}
 
-(** {1 The PFS-shaped data surface} *)
-
-val open_file :
-  t -> time:int -> rank:int -> ?create:bool -> ?trunc:bool -> string -> int
-(** Opens pass through to the PFS (sessions are recorded there).  Opening
-    also invalidates the node's {e drained} cached extents and stage-in
+    Opening passes through to the PFS (sessions are recorded there) and
+    invalidates the node's {e drained} cached extents and stage-in
     snapshot for the file — the close-to-open cache invalidation burst
-    buffers perform — while undrained (dirty) extents are kept. *)
+    buffers perform — while undrained (dirty) extents are kept.  A write
+    stages into the node log.  Close and fsync apply the drain policy to
+    the calling node's staged extents of the file, then record the
+    operation on the PFS: under [Sync_on_close] and [Async] the extents
+    drain (fsync is a commit — the data must reach the PFS); under
+    [On_laminate] staged data stays local.  A read is the composite read
+    described above. *)
 
-val close_file : t -> time:int -> rank:int -> string -> unit
-(** Applies the drain policy for the closing node's staged extents of the
-    file, then records the close on the PFS. *)
-
-val read :
-  t -> time:int -> rank:int -> string -> off:int -> len:int ->
-  Hpcfs_fs.Fdata.read_result
-(** The composite read described above.  [stale_bytes] counts bytes that
-    differ from the strong ground truth. *)
-
-val write : t -> time:int -> rank:int -> string -> off:int -> bytes -> unit
-(** Stage into the node log.  Raises [Invalid_argument] if the file is
-    laminated, like {!Hpcfs_fs.Fdata.write}. *)
-
-val fsync : t -> time:int -> rank:int -> string -> unit
-(** Under [Sync_on_close] and [Async], drains the node's staged extents
-    for the file (fsync is a commit — the data must reach the PFS) and
-    then commits on the PFS.  Under [On_laminate] only the PFS commit is
-    recorded; staged data stays local. *)
-
-val truncate : t -> time:int -> string -> int -> unit
-val file_size : t -> string -> int
-(** Size including staged-but-undrained extents. *)
+include Hpcfs_fs.Staging.SURFACE with type tier := t
 
 (** {1 Staging and publication} *)
 
@@ -122,7 +88,7 @@ val set_fault :
   unit
 (** Install (or clear) a transient drain-failure hook: every drain attempt
     asks the hook; [true] makes the attempt fail, retried under the
-    configured {!Drain.retry} policy with backoff delays drawn from
+    configured [retry] policy with backoff delays drawn from
     [prng].  With no hook installed the drain path is untouched. *)
 
 val crash_node : t -> node:int -> time:int -> int

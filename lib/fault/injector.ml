@@ -13,8 +13,9 @@ type crash_event = {
   mutable c_fired : bool;
 }
 
-type drain_event = { d_node : int option; d_after : int; mutable d_left : int }
-type log_event = { l_node : int option; l_after : int; mutable l_left : int }
+(* A planned run of transient staging-device failures: burst-buffer drain
+   attempts ([drainfail:]) or write-ahead-log appends ([logfail:]). *)
+type device_fault = { f_node : int option; f_after : int; mutable f_left : int }
 
 (* A storage failure scheduled by the plan.  [`Armed] → (fail fires at
    [te_at]) → [`Down] → (recovery, if scheduled, fires at
@@ -41,16 +42,16 @@ type t = {
   retry_prng : Prng.t;  (* backoff jitter of client journal retries *)
   log_prng : Prng.t;  (* backoff jitter of WAL append retries *)
   crashes : crash_event list;
-  drains : drain_event list;
-  log_events : log_event list;
+  drains : device_fault list;
+  log_events : device_fault list;
   log_cap : int option;  (* tightest planned [logcap=], if any *)
   target_events : target_event list;
   mutable storage_hook : (time:int -> storage_action -> unit) option;
   io_counts : (int, int ref) Hashtbl.t;
   mu : Mutex.t; (* guards the shared tallies during a parallel run *)
   mutable injected_crashes : int;
-  mutable injected_drain_faults : int;
-  mutable injected_log_faults : int;
+  injected_drain_faults : int ref;
+  injected_log_faults : int ref;
 }
 
 let create plan =
@@ -76,14 +77,14 @@ let create plan =
             ts )
         | Plan.Drain_fault { node; after; failures } ->
           ( cs,
-            { d_node = node; d_after = after; d_left = failures } :: ds,
+            { f_node = node; f_after = after; f_left = failures } :: ds,
             ls,
             cap,
             ts )
         | Plan.Log_fail { node; after; failures } ->
           ( cs,
             ds,
-            { l_node = node; l_after = after; l_left = failures } :: ls,
+            { f_node = node; f_after = after; f_left = failures } :: ls,
             cap,
             ts )
         | Plan.Log_cap { bytes } ->
@@ -127,18 +128,13 @@ let create plan =
     io_counts = Hashtbl.create 8;
     mu = Mutex.create ();
     injected_crashes = 0;
-    injected_drain_faults = 0;
-    injected_log_faults = 0;
+    injected_drain_faults = ref 0;
+    injected_log_faults = ref 0;
   }
 
 let plan t = t.plan
 
-let locked t f =
-  if Domctx.parallel () then begin
-    Mutex.lock t.mu;
-    Fun.protect ~finally:(fun () -> Mutex.unlock t.mu) f
-  end
-  else f ()
+let locked t f = Domctx.locked t.mu f
 
 (* Pre-populate the per-rank I/O counters so no two ranks of a parallel
    run race on first-touch insertion; each counter then has a single
@@ -261,43 +257,35 @@ let restart_delay_of t ~rank =
     (List.rev t.crashes)
   |> Option.join
 
-let drain_fault t ~node ~time =
-  let hit =
+(* Does one attempt on [node] fail?  The first matching planned event
+   consumes one of its failures. *)
+let device_fault t events ~injected ~metric ~node ~time =
+  match
     List.find_opt
-      (fun d ->
-        d.d_left > 0 && time >= d.d_after
-        && match d.d_node with None -> true | Some n -> n = node)
-      t.drains
-  in
-  match hit with
+      (fun f ->
+        f.f_left > 0 && time >= f.f_after
+        && match f.f_node with None -> true | Some n -> n = node)
+      events
+  with
   | None -> false
-  | Some d ->
+  | Some f ->
     locked t (fun () ->
-        d.d_left <- d.d_left - 1;
-        t.injected_drain_faults <- t.injected_drain_faults + 1);
-    Obs.incr "fault.drain_faults";
+        f.f_left <- f.f_left - 1;
+        incr injected);
+    Obs.incr metric;
     true
 
-let log_fault t ~node ~time =
-  let hit =
-    List.find_opt
-      (fun l ->
-        l.l_left > 0 && time >= l.l_after
-        && match l.l_node with None -> true | Some n -> n = node)
-      t.log_events
-  in
-  match hit with
-  | None -> false
-  | Some l ->
-    locked t (fun () ->
-        l.l_left <- l.l_left - 1;
-        t.injected_log_faults <- t.injected_log_faults + 1);
-    Obs.incr "fault.log_faults";
-    true
+let drain_fault t =
+  device_fault t t.drains ~injected:t.injected_drain_faults
+    ~metric:"fault.drain_faults"
+
+let log_fault t =
+  device_fault t t.log_events ~injected:t.injected_log_faults
+    ~metric:"fault.log_faults"
 
 let injected_crashes t = t.injected_crashes
-let injected_drain_faults t = t.injected_drain_faults
-let injected_log_faults t = t.injected_log_faults
+let injected_drain_faults t = !(t.injected_drain_faults)
+let injected_log_faults t = !(t.injected_log_faults)
 
 (* Storage transitions fire before the operation (a write issued at or
    after the failure time must find the target already down), the
@@ -382,6 +370,16 @@ type outcome = {
   o_wal_check : Hpcfs_wal.Wal.check_report option;
 }
 
+let replayed_bytes outcome =
+  match outcome.o_journal with
+  | Some j -> j.Hpcfs_fs.Journal.replayed_bytes
+  | None -> 0
+
+let wal_recovered_bytes outcome =
+  match outcome.o_wal with
+  | Some w -> w.Hpcfs_wal.Wal.recovered_bytes
+  | None -> 0
+
 (* Total data loss of the run: whole-job crashes plus what storage-target
    failures dropped and the journal could not replay.  A replayed byte is
    not lost — the target records count the drop, so subtract what came
@@ -398,34 +396,21 @@ let crash_stats outcome =
       (fun acc tr -> Fdata.add_crash_stats acc tr.tr_stats)
       Fdata.no_crash_stats outcome.o_target_failures
   in
-  let replayed =
-    match outcome.o_journal with
-    | Some j -> j.Hpcfs_fs.Journal.replayed_bytes
-    | None -> 0
-  in
-  let target_lost = max 0 (targets.Fdata.lost_bytes - replayed) in
+  let target_lost = max 0 (targets.Fdata.lost_bytes - replayed_bytes outcome) in
   let total =
     Fdata.add_crash_stats crashes { targets with Fdata.lost_bytes = target_lost }
   in
   (* Same rule for the WAL: bytes its durable log re-replayed into the
      PFS after a crash or target failure are not lost. *)
-  match outcome.o_wal with
-  | None -> total
-  | Some w ->
-    { total with
-      Fdata.lost_bytes =
-        max 0 (total.Fdata.lost_bytes - w.Hpcfs_wal.Wal.recovered_bytes);
-    }
+  { total with
+    Fdata.lost_bytes =
+      max 0 (total.Fdata.lost_bytes - wal_recovered_bytes outcome);
+  }
 
 let bb_lost_bytes outcome =
   List.fold_left (fun acc cr -> acc + cr.cr_bb_lost_bytes) 0 outcome.o_crashes
 
 let target_failure_count outcome = List.length outcome.o_target_failures
-
-let replayed_bytes outcome =
-  match outcome.o_journal with
-  | Some j -> j.Hpcfs_fs.Journal.replayed_bytes
-  | None -> 0
 
 let journal_lost_bytes outcome =
   match outcome.o_journal with
@@ -440,9 +425,4 @@ let wal_lost_bytes outcome =
 let wal_torn_bytes outcome =
   match outcome.o_wal_check with
   | Some c -> c.Hpcfs_wal.Wal.torn_bytes
-  | None -> 0
-
-let wal_recovered_bytes outcome =
-  match outcome.o_wal with
-  | Some w -> w.Hpcfs_wal.Wal.recovered_bytes
   | None -> 0

@@ -1141,12 +1141,7 @@ let read ?(local_order = true) t ~semantics ~rank ~time ~off ~len =
    at most once per call.  [size], [write_count] and [is_laminated] stay
    lock-free: single-word reads. *)
 
-let locked t f =
-  if Domctx.parallel () then begin
-    Mutex.lock t.fd_mu;
-    Fun.protect ~finally:(fun () -> Mutex.unlock t.fd_mu) f
-  end
-  else f ()
+let locked t f = Domctx.locked t.fd_mu f
 
 let write t ~rank ~time ~off data =
   locked t (fun () -> write t ~rank ~time ~off data)

@@ -198,12 +198,7 @@ let all_files t =
    of the implementations call each other through the public names, so
    the lock is never taken twice. *)
 
-let locked t f =
-  if Hpcfs_util.Domctx.parallel () then begin
-    Mutex.lock t.mu;
-    Fun.protect ~finally:(fun () -> Mutex.unlock t.mu) f
-  end
-  else f ()
+let locked t f = Hpcfs_util.Domctx.locked t.mu f
 
 let lookup_file t path = locked t (fun () -> lookup_file t path)
 let exists t path = locked t (fun () -> exists t path)

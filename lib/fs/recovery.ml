@@ -5,6 +5,9 @@ let verdict_name = function
   | Recovered -> "recovered"
   | Corrupted -> "corrupted"
 
+let classify ~lost ~recovered =
+  if lost > 0 then Corrupted else if recovered > 0 then Recovered else Clean
+
 type file_report = {
   f_path : string;
   f_verdict : verdict;
@@ -37,14 +40,9 @@ let check journal ~time =
           Journal.file_outstanding journal path
         in
         let replayed = Journal.file_replayed_bytes journal path in
-        let verdict =
-          if outstanding_writes > 0 then Corrupted
-          else if replayed > 0 then Recovered
-          else Clean
-        in
         {
           f_path = path;
-          f_verdict = verdict;
+          f_verdict = classify ~lost:outstanding_writes ~recovered:replayed;
           f_replayed_bytes = replayed;
           f_outstanding_writes = outstanding_writes;
           f_outstanding_bytes = outstanding_bytes;

@@ -14,6 +14,10 @@ type verdict = Clean | Recovered | Corrupted
 val verdict_name : verdict -> string
 (** ["clean"], ["recovered"], ["corrupted"]. *)
 
+val classify : lost:int -> recovered:int -> verdict
+(** Anything still lost corrupts the file; otherwise anything replayed
+    makes it recovered. *)
+
 type file_report = {
   f_path : string;
   f_verdict : verdict;

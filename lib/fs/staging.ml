@@ -1,0 +1,459 @@
+module Interval = Hpcfs_util.Interval
+module Backoff = Hpcfs_util.Backoff
+module Prng = Hpcfs_util.Prng
+module Obs = Hpcfs_obs.Obs
+
+type state = Pending | Applied | Dropped
+
+type record = {
+  seq : int;
+  file : string;
+  node : int;
+  rank : int;
+  time : int;
+  off : int;
+  mutable data : bytes;
+  mutable state : state;
+}
+
+(* A statistic mirrored into the obs counter of the same name; the name is
+   built once, as concatenating it per call would allocate on every
+   operation even with telemetry off. *)
+type counter = { name : string; mutable n : int }
+
+let counter name = { name; n = 0 }
+
+let bump c by =
+  c.n <- c.n + by;
+  Obs.incr ~by c.name
+
+type counts = {
+  writes : counter;
+  reads : counter;
+  bytes_written : counter;
+  bytes_read : counter;
+  staged_bytes : counter;
+  drained_bytes : counter;
+  stalls : counter;
+  stalled_bytes : counter;
+  faults : counter;
+  retries : counter;
+  backoff_ticks : counter;
+  aborts : counter;
+  target_down : counter;
+  mutable peak_occupancy : int;
+  mutable stale_reads : int;
+  mutable stale_bytes : int;
+}
+
+type t = {
+  pfs : Pfs.t;
+  backlog_gauge : string;
+  drain_event : string;
+  stall_event : string;
+  ranks_per_node : int;
+  retry : Backoff.policy;
+  backlog : record Queue.t;  (* global staging order *)
+  per_file : (string, record Queue.t) Hashtbl.t;  (* staging order per file *)
+  hw : (string, int) Hashtbl.t;  (* staged size high-water per file *)
+  pending_per_node : (int, int) Hashtbl.t;
+  mutable last_drain : int;
+  mutable occupancy : int;
+  mutable next_seq : int;
+  mutable fault : (node:int -> time:int -> bool) option;
+  mutable fault_prng : Prng.t;
+  c : counts;
+  mu : Mutex.t;
+}
+
+let create ~prefix ~staged ~fault ~events:(drain_event, stall_event)
+    ~ranks_per_node ~retry pfs =
+  {
+    pfs;
+    backlog_gauge = prefix ^ ".backlog";
+    drain_event;
+    stall_event;
+    ranks_per_node;
+    retry;
+    backlog = Queue.create ();
+    per_file = Hashtbl.create 16;
+    hw = Hashtbl.create 16;
+    pending_per_node = Hashtbl.create 16;
+    last_drain = 0;
+    occupancy = 0;
+    next_seq = 0;
+    fault = None;
+    fault_prng = Prng.create 0;
+    c =
+      (let m s = counter (prefix ^ "." ^ s) in
+       let f s = m (fault ^ "_" ^ s) in
+       {
+         writes = m "writes";
+         reads = m "reads";
+         bytes_written = m "bytes_written";
+         bytes_read = m "bytes_read";
+         staged_bytes = m staged;
+         drained_bytes = m "drained_bytes";
+         stalls = m "stalls";
+         stalled_bytes = m "stalled_bytes";
+         faults = f "faults";
+         retries = f "retries";
+         backoff_ticks = f "backoff_ticks";
+         aborts = f "aborts";
+         target_down = m "drain_target_down";
+         peak_occupancy = 0;
+         stale_reads = 0;
+         stale_bytes = 0;
+       });
+    mu = Mutex.create ();
+  }
+
+let pfs t = t.pfs
+let counts t = t.c
+let occupancy t = t.occupancy
+
+let node_of_rank t rank =
+  if rank < 0 then rank else rank / max 1 t.ranks_per_node
+
+(* Record store ------------------------------------------------------------ *)
+
+let pending t ~node =
+  Option.value ~default:0 (Hashtbl.find_opt t.pending_per_node node)
+
+(* Every change to the pending set moves the per-node and global byte
+   counts together. *)
+let add_pending t ~node len =
+  Hashtbl.replace t.pending_per_node node (pending t ~node + len);
+  t.occupancy <- t.occupancy + len
+
+let file_queue t path = Hashtbl.find_opt t.per_file path
+let iter_files t f = Hashtbl.iter f t.per_file
+
+let pending_in_file t path =
+  match file_queue t path with
+  | None -> 0
+  | Some q ->
+    Queue.fold
+      (fun acc r ->
+        if r.state = Pending then acc + Bytes.length r.data else acc)
+      0 q
+
+let append t ~time ~rank path ~off data =
+  let len = Bytes.length data in
+  let r =
+    {
+      seq = t.next_seq;
+      file = path;
+      node = node_of_rank t rank;
+      rank;
+      time;
+      off;
+      data = Bytes.copy data;
+      state = Pending;
+    }
+  in
+  t.next_seq <- t.next_seq + 1;
+  Queue.add r t.backlog;
+  (match Hashtbl.find_opt t.per_file path with
+  | Some q -> Queue.add r q
+  | None ->
+    let q = Queue.create () in
+    Queue.add r q;
+    Hashtbl.add t.per_file path q);
+  add_pending t ~node:r.node len;
+  bump t.c.staged_bytes len;
+  Obs.gauge t.backlog_gauge t.occupancy;
+  if t.occupancy > t.c.peak_occupancy then t.c.peak_occupancy <- t.occupancy;
+  r
+
+let drop t r =
+  if r.state = Pending then add_pending t ~node:r.node (-Bytes.length r.data);
+  r.state <- Dropped
+
+let resync t =
+  Queue.clear t.backlog;
+  Hashtbl.reset t.pending_per_node;
+  t.occupancy <- 0;
+  Hashtbl.fold
+    (fun _ q acc ->
+      Queue.fold
+        (fun acc r -> if r.state = Pending then r :: acc else acc)
+        acc q)
+    t.per_file []
+  |> List.sort (fun a b -> compare a.seq b.seq)
+  |> List.iter (fun r ->
+         add_pending t ~node:r.node (Bytes.length r.data);
+         Queue.add r t.backlog);
+  Obs.gauge t.backlog_gauge t.occupancy
+
+let hw_size t path = Option.value ~default:0 (Hashtbl.find_opt t.hw path)
+let file_size t path = max (Pfs.file_size t.pfs path) (hw_size t path)
+let extend t path hi = Hashtbl.replace t.hw path (max (hw_size t path) hi)
+
+let truncate_pending t path len =
+  Option.iter
+    (Queue.iter (fun r ->
+         let l = Bytes.length r.data in
+         if r.state <> Pending then ()
+         else if r.off >= len then begin
+           drop t r;
+           r.data <- Bytes.empty
+         end
+         else if r.off + l > len then begin
+           add_pending t ~node:r.node (len - r.off - l);
+           r.data <- Bytes.sub r.data 0 (len - r.off)
+         end))
+    (file_queue t path);
+  Hashtbl.replace t.hw path (min (hw_size t path) len)
+
+(* Replay ------------------------------------------------------------------ *)
+
+(* Replaying a record with its original issue timestamp and rank gives the
+   backing file exactly the write history a direct run would have built;
+   only the arrival moment differs. *)
+let replay t r =
+  match r.state with
+  | Applied | Dropped -> 0
+  | Pending -> (
+    match
+      Pfs.write t.pfs ~time:r.time ~rank:r.rank r.file ~off:r.off r.data
+    with
+    | exception Target.Target_down _ ->
+      (* Not a transient fault a backoff loop can ride out: the node-local
+         copy is the only one, and a pass after recovery or failover
+         replays it. *)
+      bump t.c.target_down 1;
+      0
+    | () ->
+      let len = Bytes.length r.data in
+      r.state <- Applied;
+      add_pending t ~node:r.node (-len);
+      bump t.c.drained_bytes len;
+      Obs.gauge t.backlog_gauge t.occupancy;
+      len)
+
+let drain_head t ~replay ~more =
+  let total = ref 0 in
+  let rec go () =
+    match Queue.peek_opt t.backlog with
+    | Some r when r.state <> Pending ->
+      ignore (Queue.pop t.backlog);
+      go ()
+    | Some r when more !total ->
+      let n = replay r in
+      if r.state <> Pending then begin
+        ignore (Queue.pop t.backlog);
+        total := !total + n;
+        go ()
+      end
+    | Some _ | None -> ()
+  in
+  go ();
+  !total
+
+let drain_all t ~replay =
+  let total = ref 0 in
+  let requeue = Queue.create () in
+  while not (Queue.is_empty t.backlog) do
+    let r = Queue.pop t.backlog in
+    total := !total + replay r;
+    if r.state = Pending then Queue.add r requeue
+  done;
+  Queue.transfer requeue t.backlog;
+  !total
+
+let paced_drain t ~time ~bandwidth ~interval ~replay =
+  if time - t.last_drain >= interval then begin
+    let budget = bandwidth * (time - t.last_drain) in
+    t.last_drain <- max t.last_drain time;
+    let drained = drain_head t ~replay ~more:(fun d -> d < budget) in
+    if drained > 0 then
+      Obs.event Obs.T_bb
+        ~args:[ ("bytes", string_of_int drained) ]
+        t.drain_event
+  end
+
+let stall t bytes =
+  if bytes > 0 then begin
+    bump t.c.stalls 1;
+    bump t.c.stalled_bytes bytes;
+    Obs.event Obs.T_bb ~args:[ ("bytes", string_of_int bytes) ] t.stall_event
+  end
+
+(* Fault admission --------------------------------------------------------- *)
+
+let set_fault t ?prng hook =
+  t.fault <- hook;
+  Option.iter (fun p -> t.fault_prng <- p) prng
+
+let admitted t ~time ~node =
+  match t.fault with
+  | None -> true
+  | Some fails ->
+    let rec attempt n =
+      if not (fails ~node ~time) then true
+      else begin
+        bump t.c.faults 1;
+        if n >= t.retry.Backoff.max_retries then begin
+          bump t.c.aborts 1;
+          false
+        end
+        else begin
+          let delay = Backoff.delay t.retry t.fault_prng ~attempt:n in
+          bump t.c.retries 1;
+          bump t.c.backoff_ticks delay;
+          attempt (n + 1)
+        end
+      end
+    in
+    attempt 0
+
+(* Reads ------------------------------------------------------------------- *)
+
+let paint ~off buf r =
+  match
+    Interval.intersect
+      (Interval.of_len off (Bytes.length buf))
+      (Interval.of_len r.off (Bytes.length r.data))
+  with
+  | None -> ()
+  | Some inter ->
+    Bytes.blit r.data
+      (inter.Interval.lo - r.off)
+      buf
+      (inter.Interval.lo - off)
+      (Interval.length inter)
+
+let pfs_read t ~time ~rank path ~off ~len =
+  try Pfs.read t.pfs ~time ~rank path ~off ~len
+  with Target.Target_down _ ->
+    Pfs.read_degraded t.pfs ~time ~rank path ~off ~len
+
+let pfs_bytes t ~time ~rank path ~off ~len =
+  let base = pfs_read t ~time ~rank path ~off ~len in
+  let buf = Bytes.make len '\000' in
+  Bytes.blit base.Fdata.data 0 buf 0 (Bytes.length base.Fdata.data);
+  buf
+
+let count_write t len =
+  bump t.c.writes 1;
+  bump t.c.bytes_written len
+
+(* What a strongly consistent stack would return: the PFS oracle plus every
+   pending record of the file, in staging (= issue) order — the ground
+   truth Fdata reads are measured against, extended to data that has not
+   reached the PFS yet. *)
+let ground_truth t path ~off ~len =
+  let buf = Bytes.make len '\000' in
+  let oracle = Pfs.read_oracle t.pfs path ~off ~len in
+  Bytes.blit oracle 0 buf 0 (Bytes.length oracle);
+  Option.iter
+    (Queue.iter (fun r -> if r.state = Pending then paint ~off buf r))
+    (file_queue t path);
+  buf
+
+let read t path ~off ~len ~serve =
+  let n = max 0 (min len (max 0 (file_size t path - off))) in
+  let data = serve n in
+  let truth = ground_truth t path ~off ~len:n in
+  let stale = ref 0 in
+  for i = 0 to n - 1 do
+    if Bytes.get data i <> Bytes.get truth i then incr stale
+  done;
+  bump t.c.reads 1;
+  bump t.c.bytes_read n;
+  if !stale > 0 then begin
+    t.c.stale_reads <- t.c.stale_reads + 1;
+    t.c.stale_bytes <- t.c.stale_bytes + !stale
+  end;
+  { Fdata.data; stale_bytes = !stale }
+
+(* Concurrency and the backend facade -------------------------------------- *)
+
+let locked t f = Hpcfs_util.Domctx.locked t.mu f
+
+module type TIER = Staging_intf.TIER with type core := t
+module type SURFACE = Staging_intf.SURFACE
+
+module Surface (T : TIER) = struct
+  let open_file tier ~time ~rank ?(create = false) ?(trunc = false) path =
+    locked (T.core tier) (fun () ->
+        T.open_file tier ~time ~rank ~create ~trunc path)
+
+  let close_file tier ~time ~rank path =
+    locked (T.core tier) (fun () -> T.close_file tier ~time ~rank path)
+
+  let read tier ~time ~rank path ~off ~len =
+    locked (T.core tier) (fun () -> T.read tier ~time ~rank path ~off ~len)
+
+  let write tier ~time ~rank path ~off data =
+    locked (T.core tier) (fun () -> T.write tier ~time ~rank path ~off data)
+
+  let fsync tier ~time ~rank path =
+    locked (T.core tier) (fun () -> T.fsync tier ~time ~rank path)
+
+  let truncate tier ~time path len =
+    locked (T.core tier) (fun () -> T.truncate tier ~time path len)
+
+  let file_size tier path =
+    let core = T.core tier in
+    locked core (fun () -> file_size core path)
+
+  let backend tier =
+    {
+      Backend.pfs = (T.core tier).pfs;
+      open_file =
+        (fun ~time ~rank ~create ~trunc path ->
+          open_file tier ~time ~rank ~create ~trunc path);
+      close_file = (fun ~time ~rank path -> close_file tier ~time ~rank path);
+      read =
+        (fun ~time ~rank path ~off ~len ->
+          read tier ~time ~rank path ~off ~len);
+      write =
+        (fun ~time ~rank path ~off data ->
+          write tier ~time ~rank path ~off data);
+      fsync = (fun ~time ~rank path -> fsync tier ~time ~rank path);
+      truncate = (fun ~time path len -> truncate tier ~time path len);
+      file_size = (fun path -> file_size tier path);
+    }
+end
+
+(* Publication watermarks -------------------------------------------------- *)
+
+module Watermarks = struct
+  type t = {
+    commits : (int * string, int) Hashtbl.t;
+    closes : (int * string, int) Hashtbl.t;
+  }
+
+  let create () = { commits = Hashtbl.create 64; closes = Hashtbl.create 64 }
+
+  let watermark tbl ~rank ~path =
+    Option.value ~default:min_int (Hashtbl.find_opt tbl (rank, path))
+
+  let bump tbl ~rank ~path time =
+    if time > watermark tbl ~rank ~path then
+      Hashtbl.replace tbl (rank, path) time
+
+  let note_commit w ~rank ~path ~time = bump w.commits ~rank ~path time
+
+  let note_close w ~rank ~path ~time =
+    bump w.closes ~rank ~path time;
+    bump w.commits ~rank ~path time
+
+  let settled_at w pfs ~rank ~path ~issued ~time =
+    match Pfs.semantics pfs with
+    | Consistency.Strong -> issued < time
+    | Consistency.Commit -> watermark w.commits ~rank ~path > issued
+    | Consistency.Session -> watermark w.closes ~rank ~path > issued
+    | Consistency.Eventual { delay } -> issued + delay <= time
+end
+
+let laminated pfs path =
+  let ns = Pfs.namespace pfs in
+  Namespace.exists ns path && Fdata.is_laminated (Namespace.lookup_file ns path)
+
+let touches_target pfs ~off ~len ~target =
+  List.exists
+    (fun (srv, _) -> srv = target)
+    (Stripe.split_extent (Pfs.stripe pfs) (Interval.of_len off len))

@@ -1,0 +1,236 @@
+(** The staging core shared by the host-side tiers ({!Hpcfs_bb.Tier},
+    {!Hpcfs_wal.Wal}): a store of write records held on compute nodes and
+    replayed into the backing {!Pfs.t} later.
+
+    Every record keeps the original issue timestamp and rank of its write,
+    and {!replay} hands both to {!Pfs.write}.  The backing file therefore
+    ends up with exactly the write history a direct run builds; a staging
+    tier changes {e when} bytes reach the servers, never what the PFS's
+    consistency engine lets a process observe.
+
+    The core owns the mechanics both tiers share:
+    - the record store: global backlog (staging order), per-file queues,
+      the staged size high-water mark, per-node pending bytes, occupancy
+      and its peak;
+    - replay of one record, the paced backlog drain and head-of-backlog
+      eviction;
+    - stall accounting and the capped-backoff admission loop of an
+      injected fault hook;
+    - the staleness ground truth of a read;
+    - the coarse lock and the {!Backend.t} record.
+
+    What differs between tiers — when to flush, what a read overlays, what
+    a crash loses — stays in the tier module. *)
+
+type state =
+  | Pending  (** Staged on its node, not yet in the PFS. *)
+  | Applied  (** Replayed; the PFS holds the bytes. *)
+  | Dropped  (** Truncated away, invalidated or lost: ignore everywhere. *)
+
+type record = {
+  seq : int;  (** Global staging order; per-file order is a subsequence. *)
+  file : string;
+  node : int;
+  rank : int;
+  time : int;  (** Original issue time, replayed as is. *)
+  off : int;
+  mutable data : bytes;
+  mutable state : state;
+}
+
+type t
+
+val create :
+  prefix:string -> staged:string -> fault:string -> events:string * string ->
+  ranks_per_node:int -> retry:Hpcfs_util.Backoff.policy -> Pfs.t -> t
+(** Counters are named [<prefix>.<name>]: [staged] counts the bytes
+    entering the store, [fault] is the stem of the admission-loop counters
+    ([<fault>_faults], [_retries], [_backoff_ticks], [_aborts]).  [events]
+    names the instants of a paced drain pass and of a stall. *)
+
+val pfs : t -> Pfs.t
+
+val node_of_rank : t -> int -> int
+(** Negative synthetic ranks keep their own identity. *)
+
+(** {1 Record store} *)
+
+val append :
+  t -> time:int -> rank:int -> string -> off:int -> bytes -> record
+(** Stage a copy of the write on the rank's node. *)
+
+val file_queue : t -> string -> record Queue.t option
+(** The file's records in staging order.  A tier may compact it, as long
+    as every {!Pending} record stays. *)
+
+val iter_files : t -> (string -> record Queue.t -> unit) -> unit
+(** Every file's queue, in no particular order. *)
+
+val pending : t -> node:int -> int
+(** Pending bytes staged on [node]. *)
+
+val pending_in_file : t -> string -> int
+(** Pending bytes of one file. *)
+
+val occupancy : t -> int
+(** Pending bytes across all nodes. *)
+
+val drop : t -> record -> unit
+(** Mark a record {!Dropped}, releasing its pending bytes. *)
+
+val resync : t -> unit
+(** Rebuild the backlog, the per-node pending bytes and the occupancy from
+    the per-file queues, after a tier moved records between states
+    wholesale (crash handling). *)
+
+val file_size : t -> string -> int
+(** PFS size, or the staged high-water mark if larger. *)
+
+val extend : t -> string -> int -> unit
+(** Raise the file's staged high-water mark to the given end offset. *)
+
+val truncate_pending : t -> string -> int -> unit
+(** Cut the file's pending records (and its high-water mark) at the given
+    length. *)
+
+(** {1 Replay} *)
+
+val replay : t -> record -> int
+(** Write a {!Pending} record into the PFS at its original (time, rank);
+    returns the bytes applied.  0 when the record is not pending, or when
+    its storage target is down: the record then stays pending. *)
+
+val drain_head : t -> replay:(record -> int) -> more:(int -> bool) -> int
+(** Replay from the head of the backlog while [more drained_so_far]
+    holds, oldest first.  A record the tier's [replay] leaves pending
+    stops the pass, preserving staging order.  Returns the bytes
+    drained. *)
+
+val drain_all : t -> replay:(record -> int) -> int
+(** Offer every pending record to [replay], in staging order; those it
+    leaves pending stay queued, in order.  Returns the bytes drained.  The
+    tier's [replay] decides whether a blocked record holds back the rest
+    of its file. *)
+
+val paced_drain :
+  t -> time:int -> bandwidth:int -> interval:int -> replay:(record -> int) ->
+  unit
+(** Once [interval] ticks have passed since the last pass, drain up to
+    [bandwidth] × elapsed ticks of backlog with {!drain_head}.  The last
+    record is never split: real drains move whole records. *)
+
+val stall : t -> int -> unit
+(** Account a synchronous drain of the given bytes a caller waited for
+    (no-op for 0). *)
+
+(** {1 Fault admission} *)
+
+val set_fault :
+  t -> ?prng:Hpcfs_util.Prng.t -> (node:int -> time:int -> bool) option ->
+  unit
+
+val admitted : t -> time:int -> node:int -> bool
+(** Ask the installed fault hook; a failed attempt retries under the
+    capped backoff, accounted rather than slept.  [false] once the retry
+    budget is spent.  Always [true] with no hook. *)
+
+(** {1 Reads} *)
+
+val paint : off:int -> bytes -> record -> unit
+(** Overlay the record's bytes on a buffer holding the file at [off]. *)
+
+val pfs_read :
+  t -> time:int -> rank:int -> string -> off:int -> len:int -> Fdata.read_result
+(** A PFS read that degrades (missing chunks read as zeroes) rather than
+    fails when a storage target is down. *)
+
+val pfs_bytes :
+  t -> time:int -> rank:int -> string -> off:int -> len:int -> bytes
+(** {!pfs_read}'s data, zero-filled to [len] bytes. *)
+
+val count_write : t -> int -> unit
+(** Account one application write of the given length. *)
+
+val read :
+  t -> string -> off:int -> len:int -> serve:(int -> bytes) ->
+  Fdata.read_result
+(** Clamp the request to {!file_size}, let [serve n] produce the tier's
+    answer for the [n] bytes at [off], and count its stale bytes against
+    the strong ground truth: the PFS oracle with every pending record of
+    the file painted on top in staging order. *)
+
+(** {1 Concurrency and the backend facade} *)
+
+val locked : t -> (unit -> 'a) -> 'a
+(** The store is shared by every rank, so a domain-parallel run takes one
+    coarse lock around each tier operation.  It nests above the per-file
+    Fdata locks — a tier operation may take one via the PFS, never the
+    reverse — so the ordering is acyclic.  Legacy runs take a branch, not
+    the lock. *)
+
+module type TIER = Staging_intf.TIER with type core := t
+module type SURFACE = Staging_intf.SURFACE
+
+(** A tier's surface under {!locked}, with {!file_size} and the
+    {!Backend.t} record. *)
+module Surface (T : TIER) : SURFACE with type tier := T.tier
+
+(** {1 Statistics} *)
+
+type counter = private { name : string; mutable n : int }
+(** A statistic mirrored into the obs counter [name]. *)
+
+val counter : string -> counter
+val bump : counter -> int -> unit
+
+type counts = private {
+  writes : counter;
+  reads : counter;
+  bytes_written : counter;
+  bytes_read : counter;
+  staged_bytes : counter;
+  drained_bytes : counter;
+  stalls : counter;
+  stalled_bytes : counter;
+  faults : counter;
+  retries : counter;
+  backoff_ticks : counter;
+  aborts : counter;
+  target_down : counter;  (** Replays refused by a down storage target. *)
+  mutable peak_occupancy : int;
+  mutable stale_reads : int;
+  mutable stale_bytes : int;
+}
+
+val counts : t -> counts
+(** The live counters (they keep moving with the tier). *)
+
+(** {1 Publication watermarks}
+
+    Which applied writes the PFS already persisted, tracked client-side
+    per (rank, path) from the commits and closes the client completed.
+    Shared by the client retry journal ({!Journal}) and the write-ahead
+    log: settled bytes survive a storage failure on their own, unsettled
+    ones must be replayed again. *)
+module Watermarks : sig
+  type t
+
+  val create : unit -> t
+  val note_commit : t -> rank:int -> path:string -> time:int -> unit
+
+  val note_close : t -> rank:int -> path:string -> time:int -> unit
+  (** A close also commits (cf. {!Fdata.session_close}). *)
+
+  val settled_at :
+    t -> Pfs.t -> rank:int -> path:string -> issued:int -> time:int -> bool
+  (** Is a write issued at [issued] persisted as of [time]?  The rule of
+      {!Fdata.persisted}: strong persists on arrival, commit/session once
+      the publishing operation ran strictly after the write, eventual
+      once the propagation delay elapsed. *)
+end
+
+val laminated : Pfs.t -> string -> bool
+(** The file exists and is laminated (read-only, published). *)
+
+val touches_target : Pfs.t -> off:int -> len:int -> target:int -> bool
+(** Does the byte range stripe onto storage target [target]? *)

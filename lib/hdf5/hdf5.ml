@@ -39,12 +39,7 @@ let attr_registry : (string * string, int) Hashtbl.t = Hashtbl.create 64
 
 let reg_mu = Mutex.create ()
 
-let reg_locked f =
-  if Hpcfs_util.Domctx.parallel () then begin
-    Mutex.lock reg_mu;
-    Fun.protect ~finally:(fun () -> Mutex.unlock reg_mu) f
-  end
-  else f ()
+let reg_locked f = Hpcfs_util.Domctx.locked reg_mu f
 
 type file = {
   backend : backend;

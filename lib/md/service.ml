@@ -405,12 +405,7 @@ let hit_ratio s =
    implementations; the implementations only call each other through the
    unlocked names, so the lock is never taken twice. *)
 
-let locked t f =
-  if Hpcfs_util.Domctx.parallel () then begin
-    Mutex.lock t.mu;
-    Fun.protect ~finally:(fun () -> Mutex.unlock t.mu) f
-  end
-  else f ()
+let locked t f = Hpcfs_util.Domctx.locked t.mu f
 
 let stat t ~time ~client path = locked t (fun () -> stat t ~time ~client path)
 

@@ -75,12 +75,7 @@ let log_event c e =
    FIFO, so one tag suffices for any sequence of collectives. *)
 let coll_tag = -1
 
-let locked c f =
-  if Domctx.parallel () then begin
-    Mutex.lock c.mu;
-    Fun.protect ~finally:(fun () -> Mutex.unlock c.mu) f
-  end
-  else f ()
+let locked c f = Domctx.locked c.mu f
 
 let mailbox c ~src ~dst ~tag =
   let key = (src, dst, tag) in

@@ -55,12 +55,7 @@ let create () =
    hold the lock around the user callback -- only the record itself. *)
 let par_mu = Mutex.create ()
 
-let[@inline] locked f =
-  if Hpcfs_util.Domctx.parallel () then begin
-    Mutex.lock par_mu;
-    Fun.protect ~finally:(fun () -> Mutex.unlock par_mu) f
-  end
-  else f ()
+let locked f = Hpcfs_util.Domctx.locked par_mu f
 
 module Domctx = Hpcfs_util.Domctx
 

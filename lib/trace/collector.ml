@@ -55,12 +55,7 @@ let emit t r =
     (* The codec is not concurrency-safe; a parallel run serializes spill
        emission.  The file then holds arrival order, not timestamp order
        — spilling is for single-domain at-scale recording (see .mli). *)
-    if Domctx.parallel () then begin
-      Mutex.lock t.mu;
-      Fun.protect ~finally:(fun () -> Mutex.unlock t.mu) (fun () ->
-          emit_disk d r)
-    end
-    else emit_disk d r);
+    Domctx.locked t.mu (fun () -> emit_disk d r));
   Domctx.add t.count 1
 
 let finish t =

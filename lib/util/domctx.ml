@@ -30,6 +30,13 @@ let parallel_flag = ref false
 let[@inline] parallel () = !parallel_flag
 let set_parallel b = parallel_flag := b
 
+let locked mu f =
+  if parallel () then begin
+    Mutex.lock mu;
+    Fun.protect ~finally:(fun () -> Mutex.unlock mu) f
+  end
+  else f ()
+
 let superstep_counter = ref 0
 let[@inline] superstep () = !superstep_counter
 let set_superstep n = superstep_counter := n

@@ -25,6 +25,10 @@ val parallel : unit -> bool
 val set_parallel : bool -> unit
 (** Scheduler-internal. *)
 
+val locked : Mutex.t -> (unit -> 'a) -> 'a
+(** [locked mu f] runs [f] holding [mu] during a parallel run (released
+    even if [f] raises); outside one it is just [f ()], one branch. *)
+
 val superstep : unit -> int
 (** Current superstep index of the running parallel simulation. *)
 

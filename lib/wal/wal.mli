@@ -1,14 +1,12 @@
 (** Host-side write-ahead logging tier.
 
-    Interposes on the {!Hpcfs_fs.Backend} facade like {!Hpcfs_bb.Tier}, but
-    with journal semantics instead of cache semantics: every write appends a
-    {!Hpcfs_fs.Journal}-shaped record (original timestamp, rank, offset,
-    bytes) to its compute node's sequential log and is acknowledged at
-    append time.  A background replayer drains the log into the PFS at a
-    configurable bandwidth, replaying each record with its original
-    [(time, rank)] so the PFS's own consistency engine still governs
-    publication — the log changes *when* bytes arrive at the servers, never
-    what any process is allowed to observe:
+    A policy over the {!Hpcfs_fs.Staging} core, like {!Hpcfs_bb.Tier}, but
+    with journal semantics instead of cache semantics: every write appends
+    a record to its compute node's sequential log and is acknowledged at
+    append time.  The core's paced drain replays the log into the PFS at
+    the original [(time, rank)], so the PFS's own consistency engine still
+    governs publication; each engine's rule says when a file's replay must
+    be complete:
 
     - strong: the whole file is replayed before any read observes it;
     - commit: the file is replayed by the time an [fsync] returns;
@@ -47,10 +45,6 @@ val default_config : config
 
 val create : ?config:config -> Hpcfs_fs.Pfs.t -> t
 
-val backend : t -> Hpcfs_fs.Backend.t
-(** The interposed data surface: hand it to [Posix.make_ctx_backend] and
-    the whole POSIX layer runs through the log. *)
-
 val pfs : t -> Hpcfs_fs.Pfs.t
 val config : t -> config
 
@@ -63,31 +57,10 @@ val node_of_rank : t -> int -> int
 
 (** {1 Data operations}
 
-    Same contracts as the corresponding {!Hpcfs_fs.Pfs} operations;
-    metadata failures ([Target.Mds_down]) propagate from the PFS. *)
+    Metadata failures ([Target.Mds_down]) propagate from the PFS.  A
+    fault-free WAL run reports exactly the staleness a direct run would. *)
 
-val open_file :
-  t -> time:int -> rank:int -> ?create:bool -> ?trunc:bool -> string -> int
-
-val close_file : t -> time:int -> rank:int -> string -> unit
-val fsync : t -> time:int -> rank:int -> string -> unit
-val write : t -> time:int -> rank:int -> string -> off:int -> bytes -> unit
-
-val read :
-  t ->
-  time:int ->
-  rank:int ->
-  string ->
-  off:int ->
-  len:int ->
-  Hpcfs_fs.Fdata.read_result
-(** Staleness is accounted against the same strongly-consistent ground
-    truth the PFS and the burst-buffer tier use (PFS oracle plus all
-    still-logged records), so a fault-free WAL run reports exactly the
-    staleness a direct run would. *)
-
-val truncate : t -> time:int -> string -> int -> unit
-val file_size : t -> string -> int
+include Hpcfs_fs.Staging.SURFACE with type tier := t
 
 val drain_all : t -> int
 (** Replay everything that can reach a live target (end-of-job epilogue,
@@ -116,7 +89,7 @@ val on_target_fail : t -> time:int -> target:int -> unit
 
 (** {1 Post-crash fsck} *)
 
-type verdict = Clean | Recovered | Corrupted
+type verdict = Hpcfs_fs.Recovery.verdict = Clean | Recovered | Corrupted
 
 type file_check = {
   c_path : string;

@@ -9,6 +9,7 @@ module Namespace = Hpcfs_fs.Namespace
 module Fdata = Hpcfs_fs.Fdata
 module Tier = Hpcfs_bb.Tier
 module Drain = Hpcfs_bb.Drain
+module Backoff = Hpcfs_util.Backoff
 module Registry = Hpcfs_apps.Registry
 module Validation = Hpcfs_apps.Validation
 
@@ -20,7 +21,7 @@ let make ?(semantics = Consistency.Session) ?(policy = Drain.Sync_on_close)
   let pfs = Pfs.create semantics in
   let config =
     { Tier.ranks_per_node; policy; capacity_per_node = capacity;
-      retry = Drain.default_retry }
+      retry = Backoff.default }
   in
   (pfs, Tier.create ~config pfs)
 
@@ -277,20 +278,20 @@ module Obs = Hpcfs_obs.Obs
 let test_backoff_schedule () =
   (* Without jitter the schedule is pure capped exponential. *)
   let retry =
-    { Drain.max_retries = 5; base_delay = 8; max_delay = 100; jitter = 0.0 }
+    { Backoff.max_retries = 5; base_delay = 8; max_delay = 100; jitter = 0.0 }
   in
   let prng = Prng.create 7 in
   let delays =
-    List.init 6 (fun n -> Drain.backoff_delay retry prng ~attempt:n)
+    List.init 6 (fun n -> Backoff.delay retry prng ~attempt:n)
   in
   Alcotest.(check (list int))
     "capped exponential" [ 8; 16; 32; 64; 100; 100 ] delays;
   (* With jitter, the schedule is deterministic for a fixed seed and stays
      within [exp, exp + exp/2). *)
-  let jittered = { retry with Drain.jitter = 0.5 } in
+  let jittered = { retry with Backoff.jitter = 0.5 } in
   let schedule seed =
     let p = Prng.create seed in
-    List.init 6 (fun n -> Drain.backoff_delay jittered p ~attempt:n)
+    List.init 6 (fun n -> Backoff.delay jittered p ~attempt:n)
   in
   Alcotest.(check (list int))
     "deterministic under a fixed seed" (schedule 11) (schedule 11);
@@ -304,7 +305,7 @@ let test_backoff_schedule () =
     (schedule 11);
   (* Huge attempt numbers must not overflow the shift. *)
   Alcotest.(check int) "attempt 62 capped" 100
-    (Drain.backoff_delay retry prng ~attempt:62)
+    (Backoff.delay retry prng ~attempt:62)
 
 let test_drain_retry_then_success () =
   let pfs, tier = make ~policy:Drain.Sync_on_close () in

@@ -1,10 +1,12 @@
 (* The host-side write-ahead logging tier: fault-free equivalence with the
    direct-PFS path (a QCheck differential over generated workloads and all
-   four consistency engines), replay ordering across a storage-target
+   four consistency engines, which also runs the burst buffer), replay ordering across a storage-target
    failure mid-drain, per-engine crash-tail semantics, and the log-device
    failure modes (logfail retry/write-through, logcap stalls). *)
 
 module Wal = Hpcfs_wal.Wal
+module Tier = Hpcfs_bb.Tier
+module Drain = Hpcfs_bb.Drain
 module Plan = Hpcfs_fault.Plan
 module Injector = Hpcfs_fault.Injector
 module Consistency = Hpcfs_fs.Consistency
@@ -33,17 +35,28 @@ let wal_check result =
 
 (* Differential ------------------------------------------------------------- *)
 
-(* The WAL changes when bytes arrive at the servers, never what the final
-   state may contain: a fault-free WAL run must produce byte-identical
-   final files, a fully drained log, and a clean fsck under every engine.
-   Per-read staleness is deliberately not compared: it is a timing
-   observable of unsynchronized racy reads (which generated workloads
-   contain — phases are not barrier-separated and mix draws overlap under
-   rank skew), and acking at log-append time legitimately shifts when such
-   a read lands relative to the racing write.  The zero-staleness claim is
-   pinned separately on a race-free workload below.  Pinned to one domain:
-   cross-domain log-append order is scheduling-dependent, which is outside
-   the differential's contract. *)
+(* A staging tier changes when bytes arrive at the servers, never what the
+   final state may contain: a fault-free run through the WAL, or through
+   the burst buffer under sync-close or async draining, must produce
+   byte-identical final files and a fully drained store under every
+   engine, and the WAL's fsck must be clean.  Both tiers sit on the same
+   staging core, so this checks every user of it.  Per-read staleness is
+   deliberately not compared: it is a timing observable of unsynchronized
+   racy reads (which generated workloads contain — phases are not
+   barrier-separated and mix draws overlap under rank skew), and acking at
+   staging time legitimately shifts when such a read lands relative to
+   the racing write.  The zero-staleness claim is pinned separately on a
+   race-free workload below.  Pinned to one domain: cross-domain staging
+   order is scheduling-dependent, which is outside the differential's
+   contract. *)
+let stagings =
+  let bb policy = `Bb { Tier.default_config with Tier.policy } in
+  [
+    ("wal", `Wal Wal.default_config);
+    ("bb sync-close", bb Drain.Sync_on_close);
+    ("bb async", bb Drain.default_async);
+  ]
+
 let qcheck_wal_differential =
   QCheck.Test.make ~name:"fault-free WAL is equivalent to direct PFS"
     ~count:15 Wl_gen.arbitrary (fun w ->
@@ -51,28 +64,38 @@ let qcheck_wal_differential =
       List.for_all
         (fun semantics ->
           let direct = Runner.run ~semantics ~nprocs:8 ~domains:1 body in
-          let walled =
-            Runner.run ~semantics ~nprocs:8 ~domains:1
-              ~wal:Wal.default_config body
-          in
-          if
-            Validation.final_digests direct
-            <> Validation.final_digests walled
-          then
-            QCheck.Test.fail_reportf "final bytes differ under %s"
-              (Validation.sem_name semantics);
-          let wal = Option.get walled.Runner.wal in
-          if Wal.occupancy wal <> 0 then
-            QCheck.Test.fail_reportf "backlog left under %s"
-              (Validation.sem_name semantics);
-          let c = Wal.check wal in
-          if
-            c.Wal.lost_bytes + c.Wal.torn_bytes + c.Wal.pending_bytes <> 0
-            || c.Wal.corrupted <> 0
-          then
-            QCheck.Test.fail_reportf "fault-free fsck not clean under %s"
-              (Validation.sem_name semantics);
-          true)
+          List.for_all
+            (fun (label, staging) ->
+              let tier, wal =
+                match staging with
+                | `Wal c -> (None, Some c)
+                | `Bb c -> (Some c, None)
+              in
+              let staged =
+                Runner.run ~semantics ~nprocs:8 ~domains:1 ?tier ?wal body
+              in
+              let fail msg =
+                QCheck.Test.fail_reportf "%s under %s: %s" label
+                  (Validation.sem_name semantics)
+                  msg
+              in
+              if
+                Validation.final_digests direct
+                <> Validation.final_digests staged
+              then fail "final bytes differ";
+              (match (staged.Runner.tier, staged.Runner.wal) with
+              | Some t, _ -> if Tier.occupancy t <> 0 then fail "backlog left"
+              | None, Some wal ->
+                if Wal.occupancy wal <> 0 then fail "backlog left";
+                let c = Wal.check wal in
+                if
+                  c.Wal.lost_bytes + c.Wal.torn_bytes + c.Wal.pending_bytes
+                  <> 0
+                  || c.Wal.corrupted <> 0
+                then fail "fault-free fsck not clean"
+              | None, None -> fail "run was not staged");
+              true)
+            stagings)
         engines)
 
 (* A race-free workload (collectives between bursts) must show zero stale
