@@ -48,6 +48,9 @@ val create : ?config:config -> Hpcfs_fs.Pfs.t -> t
 val pfs : t -> Hpcfs_fs.Pfs.t
 val config : t -> config
 
+val core : t -> Hpcfs_fs.Staging.t
+(** The staging core holding the log's records, for inspection. *)
+
 val occupancy : t -> int
 (** Logged-but-not-yet-replayed bytes across all node logs. *)
 

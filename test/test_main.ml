@@ -17,7 +17,7 @@ let () =
       ("apps", Test_apps.suite);
       ("bb", Test_bb.suite);
       ("wal", Test_wal.suite);
-      ("staging", Test_staging_golden.suite);
+      ("staging", Test_staging_golden.suite @ Test_staging_core.suite);
       ("fault", Test_fault.suite);
       ("wl", Test_wl.suite);
       ("obs", Test_obs.suite);

@@ -1,0 +1,256 @@
+(* The staging core below the tiers.  A QCheck model drives a bare
+   {!Staging.t} through random store operations and checks each file's
+   pending byte count against a fold over the file's queue after every
+   step; the same fold checks the WAL fsck's per-file pending bytes after a
+   crash and after a storage-target failure.  A fixed read script pins the
+   exact stale-read accounting of reads overlapping the reader's own
+   pending records, another rank's, and none, through the WAL and the
+   burst buffer. *)
+
+module Staging = Hpcfs_fs.Staging
+module Pfs = Hpcfs_fs.Pfs
+module Fdata = Hpcfs_fs.Fdata
+module Backend = Hpcfs_fs.Backend
+module Consistency = Hpcfs_fs.Consistency
+module Backoff = Hpcfs_util.Backoff
+module Tier = Hpcfs_bb.Tier
+module Drain = Hpcfs_bb.Drain
+module Wal = Hpcfs_wal.Wal
+module Plan = Hpcfs_fault.Plan
+module Runner = Hpcfs_apps.Runner
+module Workload = Hpcfs_wl.Workload
+module Compile = Hpcfs_wl.Compile
+
+(* A file's pending bytes, recomputed from its queue. *)
+let fold_pending core path =
+  match Staging.file_queue core path with
+  | None -> 0
+  | Some q ->
+    Queue.fold
+      (fun acc (r : Staging.record) ->
+        if r.state = Staging.Pending then acc + Bytes.length r.data else acc)
+      0 q
+
+(* Pending-count invariant -------------------------------------------------- *)
+
+type op =
+  | Append of { file : int; rank : int; off : int; len : int }
+  | Replay of int
+  | Drop of int
+  | Truncate of { file : int; len : int }
+  | Revert of int
+      (** Crash handling: an applied record returns to the log, a pending
+          one is lost; the store is then resynced. *)
+  | Resync
+
+let files = [| "/a"; "/b"; "/c" |]
+
+let pp_op = function
+  | Append { file; rank; off; len } ->
+    Printf.sprintf "append %s rank=%d off=%d len=%d" files.(file) rank off len
+  | Replay i -> Printf.sprintf "replay #%d" i
+  | Drop i -> Printf.sprintf "drop #%d" i
+  | Truncate { file; len } -> Printf.sprintf "truncate %s %d" files.(file) len
+  | Revert i -> Printf.sprintf "revert #%d" i
+  | Resync -> "resync"
+
+let gen_op =
+  QCheck.Gen.(
+    frequency
+      [
+        ( 4,
+          map4
+            (fun file rank off len -> Append { file; rank; off; len })
+            (int_bound 2) (int_bound 7) (int_bound 64) (int_range 1 16) );
+        (2, map (fun i -> Replay i) nat);
+        (1, map (fun i -> Drop i) nat);
+        ( 1,
+          map2
+            (fun file len -> Truncate { file; len })
+            (int_bound 2) (int_bound 80) );
+        (1, map (fun i -> Revert i) nat);
+        (1, return Resync);
+      ])
+
+let arb_ops =
+  QCheck.make
+    ~print:(fun ops -> String.concat "; " (List.map pp_op ops))
+    QCheck.Gen.(list_size (int_range 1 60) gen_op)
+
+let qcheck_pending_count =
+  QCheck.Test.make ~name:"pending_in_file = queue fold" ~count:300 arb_ops
+    (fun ops ->
+      let pfs = Pfs.create Consistency.Strong in
+      Array.iter
+        (fun path ->
+          ignore (Pfs.open_file pfs ~time:0 ~rank:0 ~create:true path))
+        files;
+      let core =
+        Staging.create ~prefix:"model" ~staged:"staged_bytes" ~fault:"model"
+          ~events:("model-drain", "model-stall") ~ranks_per_node:2
+          ~retry:Backoff.default pfs
+      in
+      let records = ref [||] in
+      let pick i =
+        let n = Array.length !records in
+        if n = 0 then None else Some !records.(i mod n)
+      in
+      List.iteri
+        (fun step op ->
+          let time = step + 1 in
+          (match op with
+          | Append { file; rank; off; len } ->
+            let r =
+              Staging.append core ~time ~rank files.(file) ~off
+                (Bytes.make len 'x')
+            in
+            records := Array.append !records [| r |]
+          | Replay i ->
+            Option.iter (fun r -> ignore (Staging.replay core r)) (pick i)
+          | Drop i -> Option.iter (Staging.drop core) (pick i)
+          | Truncate { file; len } ->
+            Staging.truncate_pending core files.(file) len
+          | Revert i ->
+            Option.iter
+              (fun (r : Staging.record) ->
+                match r.state with
+                | Staging.Applied -> r.state <- Staging.Pending
+                | Staging.Pending -> r.state <- Staging.Dropped
+                | Staging.Dropped -> ())
+              (pick i);
+            Staging.resync core
+          | Resync -> Staging.resync core);
+          let total =
+            Array.fold_left
+              (fun total path ->
+                let want = fold_pending core path in
+                let got = Staging.pending_in_file core path in
+                if got <> want then
+                  QCheck.Test.fail_reportf
+                    "after step %d (%s): %s has %d, fold %d" step (pp_op op)
+                    path got want;
+                total + want)
+              0 files
+          in
+          if Staging.occupancy core <> total then
+            QCheck.Test.fail_reportf
+              "after step %d (%s): occupancy %d, folds %d" step (pp_op op)
+              (Staging.occupancy core) total)
+        ops;
+      true)
+
+(* A WAL's fsck reports each file's unreplayable bytes: after a crash (the
+   log reverts applied suffixes and loses a tail) and after a target that
+   never comes back (its records stay logged), the report must agree with
+   the fold over the log's queues. *)
+let test_wal_check_pending () =
+  let body =
+    Compile.body
+      (Result.get_ok
+         (Workload.of_string
+            "checkpoint:steps=6,every=2,layout=shared,pattern=strided,\
+             block=256,count=4,sync=fsync"))
+  in
+  let slow =
+    { Wal.default_config with Wal.bandwidth_bytes_per_tick = 64;
+      drain_interval = 8 }
+  in
+  let leg label plan =
+    let r =
+      Runner.run ~semantics:Consistency.Commit ~nprocs:8 ~domains:1 ~wal:slow
+        ~faults:(Result.get_ok (Plan.of_string ~seed:7 plan))
+        body
+    in
+    let w = Option.get r.Runner.wal in
+    let c = Wal.check w in
+    List.iter
+      (fun (f : Wal.file_check) ->
+        Alcotest.(check int)
+          (Printf.sprintf "%s: %s pending" label f.Wal.c_path)
+          (fold_pending (Wal.core w) f.Wal.c_path)
+          f.Wal.c_pending_bytes)
+      c.Wal.files;
+    c.Wal.pending_bytes
+  in
+  ignore (leg "crash" "crash:rank=2,io=24,restart=64");
+  Alcotest.(check bool) "a dead target leaves bytes pending" true
+    (leg "ostfail" "ostfail:target=0,t=60" > 0)
+
+(* Stale-byte accounting --------------------------------------------------- *)
+
+(* One script through any backend: rank 0 and rank 1 leave records pending
+   in /f, rank 2 writes and fsyncs /g.  The reads cover the reader's own
+   pending bytes, another rank's, both, and a file with none pending
+   (fresh, or stale because the engine has not published it yet).
+   Returns each read's stale bytes. *)
+let stale_script (b : Backend.t) =
+  let read ~time ~rank path ~off ~len =
+    (b.Backend.read ~time ~rank path ~off ~len).Fdata.stale_bytes
+  in
+  ignore (b.Backend.open_file ~time:1 ~rank:0 ~create:true ~trunc:false "/f");
+  ignore (b.Backend.open_file ~time:1 ~rank:2 ~create:true ~trunc:false "/g");
+  List.iter
+    (fun rank ->
+      List.iter
+        (fun path ->
+          ignore
+            (b.Backend.open_file ~time:2 ~rank ~create:false ~trunc:false path))
+        [ "/f"; "/g" ])
+    [ 1; 2; 3 ];
+  b.Backend.write ~time:3 ~rank:0 "/f" ~off:0 (Bytes.make 8 'a');
+  b.Backend.write ~time:4 ~rank:1 "/f" ~off:8 (Bytes.make 8 'b');
+  b.Backend.write ~time:5 ~rank:2 "/g" ~off:0 (Bytes.make 8 'c');
+  b.Backend.fsync ~time:6 ~rank:2 "/g";
+  (* In script order: a list literal would evaluate right to left. *)
+  List.map
+    (fun (time, rank, path, off, len) -> read ~time ~rank path ~off ~len)
+    [
+      (7, 0, "/f", 0, 8);
+      (8, 0, "/f", 0, 16);
+      (9, 1, "/f", 4, 8);
+      (10, 3, "/f", 0, 16);
+      (11, 3, "/g", 0, 8);
+      (20, 3, "/g", 0, 8);
+      (21, 3, "/f", 0, 16);
+    ]
+
+let test_stale_accounting () =
+  let check label ~per_read ~reads ~bytes (got, stale_reads, stale_bytes) =
+    Alcotest.(check (list int)) (label ^ ": per read") per_read got;
+    Alcotest.(check int) (label ^ ": stale reads") reads stale_reads;
+    Alcotest.(check int) (label ^ ": stale bytes") bytes stale_bytes
+  in
+  let wal semantics =
+    let w = Wal.create (Pfs.create semantics) in
+    let got = stale_script (Wal.backend w) in
+    let s = Wal.stats w in
+    (got, s.Wal.stale_reads, s.Wal.stale_bytes)
+  in
+  let bb semantics =
+    let config =
+      { Tier.default_config with Tier.ranks_per_node = 1;
+        policy = Drain.Sync_on_close }
+    in
+    let t = Tier.create ~config (Pfs.create semantics) in
+    let got = stale_script (Tier.backend t) in
+    let s = Tier.stats t in
+    (got, s.Tier.stale_reads, s.Tier.stale_bytes)
+  in
+  check "wal commit" ~per_read:[ 0; 8; 4; 16; 0; 0; 16 ] ~reads:4 ~bytes:44
+    (wal Consistency.Commit);
+  check "wal eventual:8" ~per_read:[ 0; 8; 4; 16; 8; 0; 0 ] ~reads:4
+    ~bytes:36
+    (wal (Consistency.Eventual { delay = 8 }));
+  (* Session: /g is drained by the fsync but unpublished until a close, so
+     rank 3's reads of it are stale with nothing pending. *)
+  check "bb sync-close" ~per_read:[ 0; 8; 4; 16; 8; 8; 16 ] ~reads:6 ~bytes:60
+    (bb Consistency.Session)
+
+let suite =
+  [
+    QCheck_alcotest.to_alcotest qcheck_pending_count;
+    Alcotest.test_case "wal fsck pending = queue fold" `Quick
+      test_wal_check_pending;
+    Alcotest.test_case "stale accounting by overlap" `Quick
+      test_stale_accounting;
+  ]
