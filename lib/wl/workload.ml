@@ -300,8 +300,9 @@ let split_branch seg =
          && String.for_all
               (function '0' .. '9' -> true | _ -> false)
               (String.sub seg 0 i) ->
-    (int_of_string (String.sub seg 0 i), String.sub seg (i + 1) (String.length seg - i - 1))
-  | _ -> (1, seg)
+    let* w = Spec.parse_int "mix" "weight" (String.sub seg 0 i) in
+    Ok (w, String.sub seg (i + 1) (String.length seg - i - 1))
+  | _ -> Ok (1, seg)
 
 let rec parse_phase spec =
   let head, rest = Spec.split_head spec in
@@ -403,7 +404,7 @@ let rec parse_phase spec =
         List.fold_left
           (fun acc seg ->
             let* acc = acc in
-            let w, spec = split_branch seg in
+            let* w, spec = split_branch seg in
             let* p = parse_phase (String.trim spec) in
             match p with
             | Mix _ -> Error "mix: branches cannot nest mix"

@@ -124,6 +124,9 @@ let test_parse_errors () =
   check "mix no branches" "mix: needs at least one branch" "mix:n=4";
   check "mix zero weight" "mix: weight must be positive, got 0"
     "mix:n=2|0*write";
+  check "mix weight overflow"
+    "mix: weight: not an integer: \"99999999999999999999\""
+    "mix:99999999999999999999*write:count=1";
   (* '|' binds to the outermost mix, so a nested mix can never textually
      parse: the inner head is left with no branches of its own. *)
   check "mix nested" "mix: needs at least one branch" "mix:n=2|2*mix|write";
