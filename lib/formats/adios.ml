@@ -38,7 +38,10 @@ let open_write posix comm dir ~substreams =
        with a sentinel that is unlinked at close (Figure 3: ADIOS
        introduces getcwd and unlink into the LAMMPS trace). *)
     ignore (Posix.getcwd posix ~origin ());
-    Posix.mkdir posix ~origin dir;
+    (* A restarted writer finds the directory from its first attempt;
+       BP4 reuses it. *)
+    (try Posix.mkdir posix ~origin dir
+     with Posix.Posix_error { msg = "file exists"; _ } -> ());
     Posix.close posix ~origin
       (Posix.openf posix ~origin (dir ^ "/active")
          [ Posix.O_WRONLY; Posix.O_CREAT ])

@@ -16,7 +16,9 @@ let toc_bytes = 256
 let create posix comm ~nfiles ~basename =
   if nfiles <= 0 then invalid_arg "Silo.create: nfiles";
   if Mpi.rank comm = 0 then begin
-    Posix.mkdir posix ~origin basename;
+    (* Silo reuses the directory a restarted run already created. *)
+    (try Posix.mkdir posix ~origin basename
+     with Posix.Posix_error { msg = "file exists"; _ } -> ());
     ignore (Posix.opendir posix ~origin basename)
   end;
   Mpi.barrier comm;

@@ -10,6 +10,8 @@ module Report = Hpcfs_core.Report
 module Conflict = Hpcfs_core.Conflict
 module Skew = Hpcfs_trace.Skew
 module Record = Hpcfs_trace.Record
+module Registry = Hpcfs_apps.Registry
+module Plan = Hpcfs_fault.Plan
 
 (* A deliberately session-unsafe application: rank 0 writes, rank 1 reads
    the same bytes after a barrier but without any close/open in between.
@@ -120,6 +122,23 @@ let test_skew_adjustment_restores_conflict_order () =
   Alcotest.(check int) "skew magnitude" 1_000_000
     (Skew.max_pairwise_skew ~sync_point:skew ~ranks:2)
 
+(* The ADIOS and Silo models create their output directory on rank 0; a
+   crash-restarted attempt finds it from the first attempt and must go on
+   rather than fail the run. *)
+let test_crash_restart_reuses_output_dir () =
+  let plan =
+    Result.get_ok (Plan.of_string "crash:rank=1,io=5,restart=64")
+  in
+  List.iter
+    (fun app ->
+      let entry = Option.get (Registry.find app) in
+      let rows =
+        Validation.crash_report ~nprocs:8 ~app ~plan entry.Registry.body
+      in
+      Alcotest.(check int) (app ^ ": one row per engine") 3
+        (List.length rows))
+    [ "LAMMPS-ADIOS"; "MACSio" ]
+
 let suite =
   [
     Alcotest.test_case "stale session read detected" `Quick
@@ -131,4 +150,6 @@ let suite =
     Alcotest.test_case "eventual delay sweep" `Quick test_eventual_delay_sweep;
     Alcotest.test_case "skew adjustment" `Quick
       test_skew_adjustment_restores_conflict_order;
+    Alcotest.test_case "crash restart reuses output dir" `Quick
+      test_crash_restart_reuses_output_dir;
   ]
