@@ -20,16 +20,14 @@ let default_config =
     retry = Backoff.default;
   }
 
-(* A staged extent is a {!Staging.record}, shared between the owning node's
-   log, the global backlog and the per-file queue.  [Pending] is dirty and
-   node-local only; [Applied] is drained into the PFS and retained as
-   node-local cache until the next open invalidates it; [Dropped] is
-   truncated or invalidated. *)
+(* A staged extent is a {!Staging.record}, shared between the global
+   backlog, the per-file queue and the owning node's per-file list.
+   [Pending] is dirty and node-local only; [Applied] is drained into the
+   PFS and retained as node-local cache until the next open invalidates
+   it; [Dropped] is truncated or invalidated. *)
 type node = {
-  mutable n_log : Staging.record list; (* newest first *)
   n_by_file : (string, Staging.record list ref) Hashtbl.t;
-      (* the same records as [n_log], indexed per file (newest first) so
-         reads don't filter the whole node log *)
+      (* the node's extents of each file, newest first *)
   n_snapshots : (string, bytes) Hashtbl.t; (* stage_in read caches *)
 }
 
@@ -47,7 +45,8 @@ type t = {
 let create ?(config = default_config) pfs =
   {
     core =
-      Staging.create ~prefix:"bb" ~staged:"staged_bytes" ~fault:"drain"
+      Staging.create ~prefix:"bb" ~staged:"staged_bytes"
+        ~drained:"drained_bytes" ~fault:"drain"
         ~events:("async-drain", "stall")
         ~ranks_per_node:config.ranks_per_node ~retry:config.retry pfs;
     config;
@@ -69,13 +68,7 @@ let get_node t id =
   match Hashtbl.find_opt t.nodes id with
   | Some n -> n
   | None ->
-    let n =
-      {
-        n_log = [];
-        n_by_file = Hashtbl.create 8;
-        n_snapshots = Hashtbl.create 8;
-      }
-    in
+    let n = { n_by_file = Hashtbl.create 8; n_snapshots = Hashtbl.create 8 } in
     Hashtbl.add t.nodes id n;
     n
 
@@ -83,7 +76,7 @@ let get_node t id =
 
 (* A drain attempt may fail transiently when a fault hook is installed; an
    extent whose retries all failed stays staged for a later pass.  The
-   drained extent stays in its node's log as a read cache. *)
+   drained extent stays in its node's list as a read cache. *)
 let drain_extent t ~time (x : Staging.record) =
   if x.state = Pending && Staging.admitted t.core ~time ~node:x.node then
     Staging.replay t.core x
@@ -133,19 +126,16 @@ let flush_for_commit t ~node ~time path =
 
 (* Data surface ------------------------------------------------------------- *)
 
-(* Staged extents are cut by the core; drained extents cached on the nodes
-   and stage-in snapshots are cut here. *)
+(* The core cuts the file's queue; drained extents the queue no longer
+   holds stay cached on the nodes, and are cut here with the stage-in
+   snapshots. *)
 let truncate_staged t path len =
-  Staging.truncate_pending t.core path len;
+  Staging.truncate t.core path len;
   Hashtbl.iter
     (fun _ node ->
-      List.iter
-        (fun (x : Staging.record) ->
-          if x.file = path && x.state = Applied then
-            if x.off >= len then x.state <- Dropped
-            else if x.off + Bytes.length x.data > len then
-              x.data <- Bytes.sub x.data 0 (len - x.off))
-        node.n_log;
+      (match Hashtbl.find_opt node.n_by_file path with
+      | Some l -> List.iter (fun x -> Staging.clip t.core x len) !l
+      | None -> ());
       match Hashtbl.find_opt node.n_snapshots path with
       | Some snap when Bytes.length snap > len ->
         Hashtbl.replace node.n_snapshots path (Bytes.sub snap 0 len)
@@ -159,10 +149,6 @@ let open_file t ~time ~rank ~create ~trunc path =
      (drained) cached extents and any stage-in snapshot, so it re-reads
      whatever the PFS makes visible.  Dirty (undrained) extents stay. *)
   Hashtbl.remove node.n_snapshots path;
-  node.n_log <-
-    List.filter
-      (fun (x : Staging.record) -> not (x.file = path && x.state <> Pending))
-      node.n_log;
   (match Hashtbl.find_opt node.n_by_file path with
   | Some l ->
     l := List.filter (fun (x : Staging.record) -> x.state = Pending) !l
@@ -196,11 +182,11 @@ let write t ~time ~rank path ~off data =
     (match t.config.capacity_per_node with
     | Some cap when Staging.pending t.core ~node:id + len > cap ->
       let forced = ref 0 in
-      List.iter
-        (fun (x : Staging.record) ->
-          if x.state = Pending && Staging.pending t.core ~node:id + len > cap
-          then forced := !forced + drain_extent t ~time x)
-        (List.rev node.n_log);
+      (try
+         Staging.iter_backlog t.core (fun (x : Staging.record) ->
+             if Staging.pending t.core ~node:id + len <= cap then raise Exit;
+             if x.node = id then forced := !forced + drain_extent t ~time x)
+       with Exit -> ());
       if !forced > 0 then begin
         Obs.incr "bb.evictions";
         Obs.incr ~by:!forced "bb.evicted_bytes"
@@ -208,7 +194,6 @@ let write t ~time ~rank path ~off data =
       stall t !forced
     | _ -> ());
     let x = Staging.append t.core ~time ~rank path ~off data in
-    node.n_log <- x :: node.n_log;
     (match Hashtbl.find_opt node.n_by_file path with
     | Some l -> l := x :: !l
     | None -> Hashtbl.add node.n_by_file path (ref [ x ]));
@@ -320,12 +305,14 @@ let crash_node t ~node:id ~time:_ =
   | None -> 0
   | Some node ->
     let lost = ref 0 in
-    List.iter
-      (fun (x : Staging.record) ->
-        if x.state = Pending then lost := !lost + Bytes.length x.data;
-        Staging.drop t.core x)
-      node.n_log;
-    node.n_log <- [];
+    Hashtbl.iter
+      (fun _ l ->
+        List.iter
+          (fun (x : Staging.record) ->
+            if x.state = Pending then lost := !lost + Bytes.length x.data;
+            Staging.drop t.core x)
+          !l)
+      node.n_by_file;
     Hashtbl.reset node.n_by_file;
     Hashtbl.reset node.n_snapshots;
     if !lost > 0 then begin

@@ -609,6 +609,23 @@ let persisted t ~semantics ~time w =
   | Session -> w.pub_close <= time
   | Eventual _ -> pub_time ~semantics w <= time
 
+(* {!persisted}'s rule for a copy of a write kept outside the log (a
+   client journal's or a host-side log's): the publishing event is looked
+   up in the rank's commit and close history. *)
+let settled t ~semantics ~rank ~issued ~time =
+  let published tbl =
+    match Hashtbl.find_opt tbl rank with
+    | Some l -> ev_first_after l issued <= time
+    | None -> false
+  in
+  (match t.laminated_at with Some tl -> tl <= time | None -> false)
+  ||
+  match (semantics : Consistency.t) with
+  | Strong -> issued < time
+  | Commit -> published t.commits
+  | Session -> published t.closes
+  | Eventual { delay } -> issued + delay <= time
+
 (* The candidate non-durable writes, walked instead of the full log when
    the engine's pending index is exact: under commit/session semantics on
    a monotone clock, every publish time ever assigned is <= the crash
@@ -1156,6 +1173,9 @@ let session_close t ~rank ~time =
   locked t (fun () -> session_close t ~rank ~time)
 
 let laminate t ~time = locked t (fun () -> laminate t ~time)
+
+let settled t ~semantics ~rank ~issued ~time =
+  locked t (fun () -> settled t ~semantics ~rank ~issued ~time)
 
 let crash t ~semantics ~time ~stripe_size ~keep_stripes =
   locked t (fun () -> crash t ~semantics ~time ~stripe_size ~keep_stripes)

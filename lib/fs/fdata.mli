@@ -105,6 +105,16 @@ val crash :
     Session/commit event history survives — it describes operations that
     completed before the crash. *)
 
+val settled :
+  t -> semantics:Consistency.t -> rank:int -> issued:int -> time:int -> bool
+(** Is a write [rank] issued at [issued] persisted as of [time]?  The rule
+    {!crash} applies, asked of the file's commit and close history instead
+    of a logged write: strong persists on arrival; commit once [rank]
+    committed or closed after the write, by [time]; session once it
+    closed; eventual once the propagation delay elapsed.  Lamination
+    persists everything.  Host-side logs use it to tell which retained
+    writes a storage failure cannot take from the PFS. *)
+
 val crash_target :
   t ->
   semantics:Consistency.t ->

@@ -216,6 +216,12 @@ let truncate t ~time path len =
 
 let file_size t path = Fdata.size (Namespace.lookup_file t.namespace path)
 
+let settled t ~rank ~path ~issued ~time =
+  (not (Namespace.exists t.namespace path))
+  || Fdata.settled
+       (Namespace.lookup_file t.namespace path)
+       ~semantics:t.semantics ~rank ~issued ~time
+
 type stats = {
   reads : int;
   writes : int;

@@ -64,6 +64,11 @@ val truncate : t -> time:int -> string -> int -> unit
 
 val file_size : t -> string -> int
 
+val settled : t -> rank:int -> path:string -> issued:int -> time:int -> bool
+(** {!Fdata.settled} under this PFS's engine: has the write [rank] issued
+    at [issued] to [path] been persisted by [time]?  A path that no longer
+    exists counts as settled — there is nothing left to replay into. *)
+
 type stats = {
   reads : int;
   writes : int;

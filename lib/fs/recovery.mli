@@ -38,7 +38,8 @@ type report = {
 
 val check : Journal.t -> time:int -> report
 (** [check journal ~time] runs one final {!Journal.replay} at [time],
-    marks what still cannot land as {!Journal.Lost}, and classifies every
-    file in the namespace (files never journaled are [Clean]). *)
+    gives up on what still cannot land ({!Journal.mark_lost}), and
+    classifies every file in the namespace (files never journaled are
+    [Clean]). *)
 
 val pp : Format.formatter -> report -> unit

@@ -70,7 +70,7 @@ type t = {
   mu : Mutex.t;
 }
 
-let create ~prefix ~staged ~fault ~events:(drain_event, stall_event)
+let create ~prefix ~staged ~drained ~fault ~events:(drain_event, stall_event)
     ~ranks_per_node ~retry pfs =
   {
     pfs;
@@ -97,7 +97,7 @@ let create ~prefix ~staged ~fault ~events:(drain_event, stall_event)
          bytes_written = m "bytes_written";
          bytes_read = m "bytes_read";
          staged_bytes = m staged;
-         drained_bytes = m "drained_bytes";
+         drained_bytes = m drained;
          stalls = m "stalls";
          stalled_bytes = m "stalled_bytes";
          faults = f "faults";
@@ -182,6 +182,13 @@ let drop t r =
   if r.state = Pending then add_pending t r (-Bytes.length r.data);
   r.state <- Dropped
 
+let mark_applied t r =
+  if r.state = Pending then begin
+    add_pending t r (-Bytes.length r.data);
+    r.state <- Applied;
+    Obs.gauge t.backlog_gauge t.occupancy
+  end
+
 let resync t =
   Queue.clear t.backlog;
   Hashtbl.reset t.pending_per_node;
@@ -203,17 +210,23 @@ let hw_size t path = Option.value ~default:0 (Hashtbl.find_opt t.hw path)
 let file_size t path = max (Pfs.file_size t.pfs path) (hw_size t path)
 let extend t path hi = Hashtbl.replace t.hw path (max (hw_size t path) hi)
 
-let truncate_pending t path len =
-  iter_pending t path (fun r ->
-      let l = Bytes.length r.data in
-      if r.off >= len then begin
-        drop t r;
-        r.data <- Bytes.empty
-      end
-      else if r.off + l > len then begin
-        add_pending t r (len - r.off - l);
-        r.data <- Bytes.sub r.data 0 (len - r.off)
-      end);
+(* A record's bytes are cut with the file whether or not they reached the
+   PFS: an applied record a log may replay again must not bring back what
+   the truncate removed. *)
+let clip t r len =
+  let l = Bytes.length r.data in
+  if r.state <> Dropped then
+    if r.off >= len then begin
+      drop t r;
+      r.data <- Bytes.empty
+    end
+    else if r.off + l > len then begin
+      if r.state = Pending then add_pending t r (len - r.off - l);
+      r.data <- Bytes.sub r.data 0 (len - r.off)
+    end
+
+let truncate t path len =
+  Option.iter (Queue.iter (fun r -> clip t r len)) (file_queue t path);
   Hashtbl.replace t.hw path (min (hw_size t path) len)
 
 (* Replay ------------------------------------------------------------------ *)
@@ -241,6 +254,9 @@ let replay t r =
       bump t.c.drained_bytes len;
       Obs.gauge t.backlog_gauge t.occupancy;
       len)
+
+let iter_backlog t f =
+  Queue.iter (fun r -> if r.state = Pending then f r) t.backlog
 
 let drain_head t ~replay ~more =
   let total = ref 0 in
@@ -432,37 +448,6 @@ module Surface (T : TIER) = struct
       truncate = (fun ~time path len -> truncate tier ~time path len);
       file_size = (fun path -> file_size tier path);
     }
-end
-
-(* Publication watermarks -------------------------------------------------- *)
-
-module Watermarks = struct
-  type t = {
-    commits : (int * string, int) Hashtbl.t;
-    closes : (int * string, int) Hashtbl.t;
-  }
-
-  let create () = { commits = Hashtbl.create 64; closes = Hashtbl.create 64 }
-
-  let watermark tbl ~rank ~path =
-    Option.value ~default:min_int (Hashtbl.find_opt tbl (rank, path))
-
-  let bump tbl ~rank ~path time =
-    if time > watermark tbl ~rank ~path then
-      Hashtbl.replace tbl (rank, path) time
-
-  let note_commit w ~rank ~path ~time = bump w.commits ~rank ~path time
-
-  let note_close w ~rank ~path ~time =
-    bump w.closes ~rank ~path time;
-    bump w.commits ~rank ~path time
-
-  let settled_at w pfs ~rank ~path ~issued ~time =
-    match Pfs.semantics pfs with
-    | Consistency.Strong -> issued < time
-    | Consistency.Commit -> watermark w.commits ~rank ~path > issued
-    | Consistency.Session -> watermark w.closes ~rank ~path > issued
-    | Consistency.Eventual { delay } -> issued + delay <= time
 end
 
 let laminated pfs path =

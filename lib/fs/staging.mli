@@ -1,6 +1,7 @@
-(** The staging core shared by the host-side tiers ({!Hpcfs_bb.Tier},
-    {!Hpcfs_wal.Wal}): a store of write records held on compute nodes and
-    replayed into the backing {!Pfs.t} later.
+(** The staging core shared by the host-side logs — the burst buffer
+    ({!Hpcfs_bb.Tier}), the write-ahead log ({!Hpcfs_wal.Wal}) and the
+    client retry journal ({!Journal}): a store of write records held on
+    compute nodes and replayed into the backing {!Pfs.t} later.
 
     Every record keeps the original issue timestamp and rank of its write,
     and {!replay} hands both to {!Pfs.write}.  The backing file therefore
@@ -8,23 +9,26 @@
     tier changes {e when} bytes reach the servers, never what the PFS's
     consistency engine lets a process observe.
 
-    The core owns the mechanics both tiers share:
+    The core owns the mechanics the logs share:
     - the record store: global backlog (staging order), per-file queues
       and pending bytes, the staged size high-water mark, per-node pending
       bytes, occupancy and its peak;
     - replay of one record, the paced backlog drain and head-of-backlog
       eviction;
+    - truncation, which cuts pending and applied records alike;
     - stall accounting and the capped-backoff admission loop of an
       injected fault hook;
     - the staleness ground truth of a read;
     - the coarse lock and the {!Backend.t} record.
 
-    What differs between tiers — when to flush, what a read overlays, what
-    a crash loses — stays in the tier module. *)
+    Which retained records a storage failure forces back into the PFS is
+    the PFS's own durability rule, {!Pfs.settled}.  What differs between
+    logs — when to flush, what a read overlays, what a crash loses — stays
+    in the log's module. *)
 
 type state =
   | Pending  (** Staged on its node, not yet in the PFS. *)
-  | Applied  (** Replayed; the PFS holds the bytes. *)
+  | Applied  (** Replayed (or accepted directly); the PFS holds the bytes. *)
   | Dropped  (** Truncated away, invalidated or lost: ignore everywhere. *)
 
 type record = {
@@ -41,10 +45,12 @@ type record = {
 type t
 
 val create :
-  prefix:string -> staged:string -> fault:string -> events:string * string ->
-  ranks_per_node:int -> retry:Hpcfs_util.Backoff.policy -> Pfs.t -> t
+  prefix:string -> staged:string -> drained:string -> fault:string ->
+  events:string * string -> ranks_per_node:int ->
+  retry:Hpcfs_util.Backoff.policy -> Pfs.t -> t
 (** Counters are named [<prefix>.<name>]: [staged] counts the bytes
-    entering the store, [fault] is the stem of the admission-loop counters
+    entering the store, [drained] the bytes {!replay} moves into the PFS,
+    [fault] is the stem of the admission-loop counters
     ([<fault>_faults], [_retries], [_backoff_ticks], [_aborts]).  [events]
     names the instants of a paced drain pass and of a stall. *)
 
@@ -62,8 +68,8 @@ val append :
 val file_queue : t -> string -> record Queue.t option
 (** The file's records in staging order.  A tier may compact it, as long
     as every {!Pending} record stays.  A tier that moves a record into or
-    out of {!Pending} itself, rather than through {!replay}, {!drop} or
-    {!truncate_pending}, must call {!resync} afterwards. *)
+    out of {!Pending} itself, rather than through {!replay}, {!drop},
+    {!mark_applied} or {!truncate}, must call {!resync} afterwards. *)
 
 val iter_pending : t -> string -> (record -> unit) -> unit
 (** The file's {!Pending} records in staging order.  A file with no
@@ -84,6 +90,11 @@ val occupancy : t -> int
 val drop : t -> record -> unit
 (** Mark a record {!Dropped}, releasing its pending bytes. *)
 
+val mark_applied : t -> record -> unit
+(** Mark a just-appended {!Pending} record {!Applied} without replaying
+    it, releasing its pending bytes: the log retains a write the PFS
+    already accepted directly. *)
+
 val resync : t -> unit
 (** Rebuild the backlog, the per-file and per-node pending bytes and the
     occupancy from the per-file queues, after a tier moved records between
@@ -95,9 +106,14 @@ val file_size : t -> string -> int
 val extend : t -> string -> int -> unit
 (** Raise the file's staged high-water mark to the given end offset. *)
 
-val truncate_pending : t -> string -> int -> unit
-(** Cut the file's pending records (and its high-water mark) at the given
-    length. *)
+val clip : t -> record -> int -> unit
+(** Cut one {!Pending} or {!Applied} record at a file length: a record
+    wholly past it is {!drop}ped, one straddling it keeps its prefix. *)
+
+val truncate : t -> string -> int -> unit
+(** {!clip} every record of the file's queue, and its high-water mark, at
+    the given length.  Applied records are cut too, so a log that replays
+    them again after a storage failure does not bring the bytes back. *)
 
 (** {1 Replay} *)
 
@@ -105,6 +121,10 @@ val replay : t -> record -> int
 (** Write a {!Pending} record into the PFS at its original (time, rank);
     returns the bytes applied.  0 when the record is not pending, or when
     its storage target is down: the record then stays pending. *)
+
+val iter_backlog : t -> (record -> unit) -> unit
+(** Every {!Pending} record, in staging order.  The walk also passes over
+    the records replayed or dropped since a drain pass last popped them. *)
 
 val drain_head : t -> replay:(record -> int) -> more:(int -> bool) -> int
 (** Replay from the head of the backlog while [more drained_so_far]
@@ -213,30 +233,6 @@ type counts = private {
 
 val counts : t -> counts
 (** The live counters (they keep moving with the tier). *)
-
-(** {1 Publication watermarks}
-
-    Which applied writes the PFS already persisted, tracked client-side
-    per (rank, path) from the commits and closes the client completed.
-    Shared by the client retry journal ({!Journal}) and the write-ahead
-    log: settled bytes survive a storage failure on their own, unsettled
-    ones must be replayed again. *)
-module Watermarks : sig
-  type t
-
-  val create : unit -> t
-  val note_commit : t -> rank:int -> path:string -> time:int -> unit
-
-  val note_close : t -> rank:int -> path:string -> time:int -> unit
-  (** A close also commits (cf. {!Fdata.session_close}). *)
-
-  val settled_at :
-    t -> Pfs.t -> rank:int -> path:string -> issued:int -> time:int -> bool
-  (** Is a write issued at [issued] persisted as of [time]?  The rule of
-      {!Fdata.persisted}: strong persists on arrival, commit/session once
-      the publishing operation ran strictly after the write, eventual
-      once the propagation delay elapsed. *)
-end
 
 val laminated : Pfs.t -> string -> bool
 (** The file exists and is laminated (read-only, published). *)

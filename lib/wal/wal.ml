@@ -23,13 +23,12 @@ let default_config =
     retry = Backoff.default;
   }
 
-(* A logged write is a {!Staging.record}, in the same shape as a
-   {!Hpcfs_fs.Journal} entry: [Pending] is in the log, not yet replayed;
-   [Applied] is replayed; [Dropped] was truncated away before replay or
-   died with its node's log — lost, or torn as the in-flight append (the
-   per-file crash tallies keep which).  Unlike the burst buffer's, the
-   per-file queues are never compacted: fsck and crash handling walk
-   every record a file ever logged. *)
+(* A logged write is a {!Staging.record}, as a {!Hpcfs_fs.Journal} entry
+   is: [Pending] is in the log, not yet replayed; [Applied] is replayed;
+   [Dropped] was truncated away or died with its node's log — lost, or
+   torn as the in-flight append (the per-file crash tallies keep which).
+   Unlike the burst buffer's, the per-file queues are never compacted:
+   fsck and crash handling walk every record a file ever logged. *)
 type t = {
   core : Staging.t;
   config : config;
@@ -37,9 +36,6 @@ type t = {
      of the node completed.  Records appended strictly before it are on
      the log platter and survive the node's crash. *)
   flushed : (int, int) Hashtbl.t;
-  (* Which applied records are already persisted server-side decides what
-     a storage failure forces us to re-replay. *)
-  marks : Staging.Watermarks.t;
   (* Records that survived a crash or target failure in the durable log:
      their next replay is a recovery, which the fsck report classifies. *)
   recovering : (int, unit) Hashtbl.t;
@@ -58,12 +54,12 @@ type t = {
 let create ?(config = default_config) pfs =
   {
     core =
-      Staging.create ~prefix:"wal" ~staged:"appended_bytes" ~fault:"log"
+      Staging.create ~prefix:"wal" ~staged:"appended_bytes"
+        ~drained:"drained_bytes" ~fault:"log"
         ~events:("wal-drain", "wal-stall")
         ~ranks_per_node:config.ranks_per_node ~retry:config.retry pfs;
     config;
     flushed = Hashtbl.create 16;
-    marks = Staging.Watermarks.create ();
     recovering = Hashtbl.create 16;
     recovered_per_file = Hashtbl.create 16;
     crash_lost_per_file = Hashtbl.create 16;
@@ -113,8 +109,7 @@ let durable t (r : Staging.record) ~time =
    survive a target failure on their own; unsettled ones must be
    re-replayed from the log. *)
 let settled t (r : Staging.record) ~time =
-  Staging.Watermarks.settled_at t.marks (pfs t) ~rank:r.rank ~path:r.file
-    ~issued:r.time ~time
+  Pfs.settled (pfs t) ~rank:r.rank ~path:r.file ~issued:r.time ~time
 
 (* Draining ---------------------------------------------------------------- *)
 
@@ -196,7 +191,7 @@ let open_file t ~time ~rank ~create ~trunc path =
        run.  Records still blocked behind a dead target are truncated in
        the log — they would have been cut on the PFS anyway. *)
     ignore (drain_for_file t path);
-    Staging.truncate_pending t.core path 0
+    Staging.truncate t.core path 0
   end;
   ignore (Pfs.open_file (pfs t) ~time ~rank ~create ~trunc path);
   Staging.file_size t.core path
@@ -210,15 +205,13 @@ let close_file t ~time ~rank path =
   maybe_bg_drain t ~time;
   if flush_on t `Close then stall t (drain_for_file t path);
   note_flush t ~time ~rank;
-  Pfs.close_file (pfs t) ~time ~rank path;
-  Staging.Watermarks.note_close t.marks ~rank ~path ~time
+  Pfs.close_file (pfs t) ~time ~rank path
 
 let fsync t ~time ~rank path =
   maybe_bg_drain t ~time;
   if flush_on t `Fsync then stall t (drain_for_file t path);
   note_flush t ~time ~rank;
-  Pfs.fsync (pfs t) ~time ~rank path;
-  Staging.Watermarks.note_commit t.marks ~rank ~path ~time
+  Pfs.fsync (pfs t) ~time ~rank path
 
 let append_record t ~time ~rank path ~off data =
   ignore (Staging.append t.core ~time ~rank path ~off data)
@@ -293,7 +286,7 @@ let truncate t ~time path len =
   maybe_bg_drain t ~time;
   ignore (drain_for_file t path);
   Pfs.truncate (pfs t) ~time path len;
-  Staging.truncate_pending t.core path len
+  Staging.truncate t.core path len
 
 (* Concurrency: under the parallel scheduler the *append order* of racing
    ranks is interleaving-dependent, so WAL runs make their determinism
@@ -371,10 +364,8 @@ let on_crash t ?victim ~time () =
                   (* The PFS may still persist settled bytes; only the log
                      copy is gone.  An unsettled applied record whose bytes
                      the PFS drops has no log copy to replay from: lost. *)
-                  if
-                    not
-                      (Staging.laminated (pfs t) r.file || settled t r ~time)
-                  then lose t.crash_lost_per_file lost r
+                  if not (settled t r ~time) then
+                    lose t.crash_lost_per_file lost r
                 | Dropped -> ())
             q);
       let newest_first (a : Staging.record) (b : Staging.record) =
