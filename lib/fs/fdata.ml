@@ -199,7 +199,11 @@ let evl tbl rank =
     Hashtbl.add tbl rank l;
     l
 
-let laminate t ~time = t.laminated_at <- Some time
+(* The earliest lamination wins: a later one cannot un-publish the file. *)
+let laminate t ~time =
+  match t.laminated_at with
+  | Some tl when tl <= time -> ()
+  | _ -> t.laminated_at <- Some time
 
 let is_laminated t = t.laminated_at <> None
 

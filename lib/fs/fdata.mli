@@ -62,7 +62,8 @@ val session_close : t -> rank:int -> time:int -> unit
 val laminate : t -> time:int -> unit
 (** UnifyFS-style lamination (Section 3.2): the file becomes permanently
     read-only and all of its data becomes globally visible, regardless of
-    the consistency model.  Later writes raise [Invalid_argument]. *)
+    the consistency model.  Later writes raise [Invalid_argument].  A
+    second lamination keeps the earliest lamination time. *)
 
 val is_laminated : t -> bool
 

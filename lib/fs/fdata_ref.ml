@@ -42,7 +42,10 @@ let push tbl rank time =
 let times tbl rank =
   match Hashtbl.find_opt tbl rank with Some l -> !l | None -> []
 
-let laminate t ~time = t.laminated_at <- Some time
+let laminate t ~time =
+  match t.laminated_at with
+  | Some tl when tl <= time -> ()
+  | _ -> t.laminated_at <- Some time
 
 let is_laminated t = t.laminated_at <> None
 

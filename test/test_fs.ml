@@ -230,6 +230,34 @@ let test_fdata_lamination_restores_issue_order () =
   Alcotest.(check string) "issue order after lamination" "new"
     (Bytes.to_string r.Fdata.data)
 
+let test_fdata_double_lamination () =
+  (* A second lamination must not move the publication point: the file
+     stays published from the first one on, in both models. *)
+  let fd = Fdata.create () and fr = Hpcfs_fs.Fdata_ref.create () in
+  Fdata.write fd ~rank:0 ~time:1 ~off:0 (b "abcd");
+  Hpcfs_fs.Fdata_ref.write fr ~rank:0 ~time:1 ~off:0 (b "abcd");
+  let check label =
+    let r =
+      Fdata.read fd ~semantics:Consistency.Commit ~rank:1 ~time:7 ~off:0 ~len:4
+    and rr =
+      Hpcfs_fs.Fdata_ref.read fr ~semantics:Consistency.Commit ~rank:1 ~time:7
+        ~off:0 ~len:4
+    in
+    Alcotest.(check string) (label ^ ": data") "abcd"
+      (Bytes.to_string r.Fdata.data);
+    Alcotest.(check int) (label ^ ": stale") 0 r.Fdata.stale_bytes;
+    Alcotest.(check string) (label ^ ": reference data") "abcd"
+      (Bytes.to_string rr.Hpcfs_fs.Fdata_ref.data);
+    Alcotest.(check int) (label ^ ": reference stale") 0
+      rr.Hpcfs_fs.Fdata_ref.stale_bytes
+  in
+  Fdata.laminate fd ~time:5;
+  Hpcfs_fs.Fdata_ref.laminate fr ~time:5;
+  check "first lamination";
+  Fdata.laminate fd ~time:10;
+  Hpcfs_fs.Fdata_ref.laminate fr ~time:10;
+  check "second lamination"
+
 let test_pfs_laminate () =
   let pfs = Pfs.create (Consistency.Eventual { delay = 1_000_000 }) in
   ignore (Pfs.open_file pfs ~time:1 ~rank:0 ~create:true "/f");
@@ -741,6 +769,8 @@ let suite =
     Alcotest.test_case "fdata lamination" `Quick test_fdata_lamination;
     Alcotest.test_case "fdata lamination ordering" `Quick
       test_fdata_lamination_restores_issue_order;
+    Alcotest.test_case "fdata double lamination" `Quick
+      test_fdata_double_lamination;
     Alcotest.test_case "pfs laminate" `Quick test_pfs_laminate;
     Alcotest.test_case "fdata BurstFS mode" `Quick
       test_fdata_burstfs_no_local_order;
