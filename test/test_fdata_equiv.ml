@@ -172,6 +172,83 @@ let run_case sem ops =
     ops;
   true
 
+(* [Fdata.settled] against the formal publication rule, kept test-side from
+   the same history: each rank's commits and closes and the (earliest)
+   lamination time.  A write [rank] issued at [issued] is settled at [time]
+   when the file was laminated by [time], or when its engine's publishing
+   event happened in (issued, time]. *)
+let run_settled_case sem ops =
+  let a = Fdata.create () in
+  let clock = ref 0 in
+  let commits = Hashtbl.create 4 and closes = Hashtbl.create 4 in
+  let laminated = ref None in
+  let events tbl rank = Option.value ~default:[] (Hashtbl.find_opt tbl rank) in
+  let note tbl rank time = Hashtbl.replace tbl rank (time :: events tbl rank) in
+  let expected ~rank ~issued ~time =
+    let published evs = List.exists (fun e -> issued < e && e <= time) evs in
+    (match !laminated with Some tl -> tl <= time | None -> false)
+    ||
+    match (sem : Consistency.t) with
+    | Strong -> issued < time
+    | Commit -> published (events commits rank @ events closes rank)
+    | Session -> published (events closes rank)
+    | Eventual { delay } -> issued + delay <= time
+  in
+  let probe () =
+    let now = !clock in
+    for rank = 0 to 3 do
+      for issued = max 0 (now - 4) to now do
+        for time = issued - 1 to now + 4 do
+          let got = Fdata.settled a ~semantics:sem ~rank ~issued ~time in
+          if got <> expected ~rank ~issued ~time then
+            raise
+              (Mismatch
+                 (Printf.sprintf "settled rank=%d issued=%d time=%d: got %b"
+                    rank issued time got))
+        done
+      done
+    done
+  in
+  List.iter
+    (fun op ->
+      (match op with
+      | Write (rank, dt, off, len) -> (
+        clock := max 0 (!clock + dt);
+        try Fdata.write a ~rank ~time:!clock ~off (mk_data rank !clock off len)
+        with Invalid_argument _ -> ())
+      | Commit (rank, dt) ->
+        clock := max 0 (!clock + dt);
+        Fdata.commit a ~rank ~time:!clock;
+        note commits rank !clock
+      | Open (rank, dt) ->
+        clock := max 0 (!clock + dt);
+        Fdata.session_open a ~rank ~time:!clock
+      | Close (rank, dt) ->
+        clock := max 0 (!clock + dt);
+        Fdata.session_close a ~rank ~time:!clock;
+        note closes rank !clock
+      | Truncate (dt, len) ->
+        clock := max 0 (!clock + dt);
+        Fdata.truncate a ~time:!clock len
+      | Crash (dt, seed) ->
+        clock := max 0 (!clock + dt);
+        ignore
+          (Fdata.crash a ~semantics:sem ~time:!clock ~stripe_size:8
+             ~keep_stripes:(mk_keep seed))
+      | Laminate dt ->
+        clock := max 0 (!clock + dt);
+        Fdata.laminate a ~time:!clock;
+        laminated :=
+          Some (match !laminated with Some tl -> min tl !clock | None -> !clock));
+      probe ())
+    ops;
+  true
+
+let settled_test sem name =
+  QCheck.Test.make ~name ~count:150 arb_ops (fun ops ->
+      try run_settled_case sem ops
+      with Mismatch msg -> QCheck.Test.fail_report msg)
+
 let equiv_test sem name =
   QCheck.Test.make ~name ~count:150 arb_ops (fun ops ->
       try run_case sem ops
@@ -189,4 +266,14 @@ let suite =
       (equiv_test
          (Consistency.Eventual { delay = 3 })
          "extent store equals reference: eventual");
+    QCheck_alcotest.to_alcotest
+      (settled_test Consistency.Strong "settled follows publication: strong");
+    QCheck_alcotest.to_alcotest
+      (settled_test Consistency.Commit "settled follows publication: commit");
+    QCheck_alcotest.to_alcotest
+      (settled_test Consistency.Session "settled follows publication: session");
+    QCheck_alcotest.to_alcotest
+      (settled_test
+         (Consistency.Eventual { delay = 3 })
+         "settled follows publication: eventual");
   ]
