@@ -362,7 +362,7 @@ let readpath () =
     (fun sem ->
       List.iter
         (fun n ->
-          let fd = Fdata.create () and fr = Fdata_ref.create () in
+          let fd = Fdata.create sem and fr = Fdata_ref.create () in
           build_history n
             ~write:(fun ~rank ~time ~off payload ->
               Fdata.write fd ~rank ~time ~off payload;
@@ -382,8 +382,7 @@ let readpath () =
           let extent =
             time_reads
               (fun i ->
-                (Fdata.read fd ~semantics:sem ~rank:99 ~time:now
-                   ~off:(off_of i) ~len:4096)
+                (Fdata.read fd ~rank:99 ~time:now ~off:(off_of i) ~len:4096)
                   .Fdata.stale_bytes)
               reads
           and reference =

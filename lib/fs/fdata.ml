@@ -10,17 +10,23 @@
      identity a strongly-consistent PFS would return, used for staleness
      accounting;
    - [strong]: per byte, the winning write under strong-consistency
-     ordering (max (w_time, seq)), which also serves laminated files;
-   - per-engine *base* caches: a settled byte buffer plus segment index
-     holding everything already published under that engine, folded in
+     ordering (max (w_time, seq)), which also serves laminated files and
+     {!oracle};
+   - a *base* cache for a relaxed engine: a settled byte buffer plus
+     segment index holding everything already published, folded in
      effective-time (epoch) order as publishing events arrive — the
      UnifyFS/BurstFS shape, where a server-side extent index over write
      segments replaces the client's log walk.
 
-   Publishing events (commit, close, eventual-delay expiry) trigger epoch
-   compaction: the writer's newly-published writes fold into the base in
-   (publish_time, issue_time, seq) order.  A read then copies the base
-   range and overlays the reader's few still-pending visible extents.
+   Each file interprets one consistency engine, fixed at {!create}: every
+   write carries one publish time ([pub]) under it, each rank keeps one
+   list of publishing events (commits and closes under commit, closes
+   under session) and one list of still-unpublished writes, and the file
+   keeps one cache.  Publishing events (commit, close, eventual-delay
+   expiry) trigger epoch compaction: the writer's newly-published writes
+   fold into the base in (publish_time, issue_time, seq) order.  A read
+   then copies the base range and overlays the reader's few still-pending
+   visible extents.
 
    Bit-for-bit equivalence with the reference model is preserved by
    construction where the fast path applies, and by falling back to the
@@ -49,12 +55,14 @@ type write_rec = {
   mutable w_iv : Interval.t;
   mutable w_data : bytes;
   mutable w_live : bool;  (* false once dropped by truncate/crash *)
-  mutable pub_commit : int;
-      (* first commit by w_rank after w_time; [unpublished] if none yet *)
-  mutable pub_close : int;  (* likewise for closes *)
+  mutable pub : int;
+      (* publish time under the file's engine: w_time under strong,
+         w_time + delay under eventual, the writer's first publishing
+         event after w_time under commit/session ([unpublished] if none
+         yet) *)
 }
 
-(* Ascending event times of one rank (commits, closes or opens). *)
+(* Ascending event times of one rank (publishing events or opens). *)
 type evlist = { mutable ev : int array; mutable n : int }
 
 let evlist () = { ev = Array.make 4 0; n = 0 }
@@ -97,15 +105,12 @@ let ev_exists_in l ~after ~upto =
   let first = ev_first_after l after in
   first <> unpublished && first <= upto
 
-(* Per-engine settled cache.  [c_base] holds the bytes published under the
-   engine, folded in effective-time order up to [c_folded_pub];
-   [c_base_seq] records which write owns each settled byte.  For the
-   Eventual engine, writes whose delay has not expired by the event-clock
-   watermark wait in [c_pending] (ascending publish time). *)
-type mode = M_commit | M_session | M_eventual of int
-
+(* Settled cache of a relaxed engine.  [c_base] holds the published bytes,
+   folded in effective-time order up to [c_folded_pub]; [c_base_seq]
+   records which write owns each settled byte.  Under eventual, writes
+   whose delay has not expired by the event-clock watermark wait in
+   [c_pending] (ascending publish time).  Strong files never build it. *)
 type cache = {
-  c_mode : mode;
   mutable c_valid : bool;
   mutable c_base : bytes;
   mutable c_base_len : int;
@@ -116,13 +121,15 @@ type cache = {
 }
 
 type t = {
+  sem : Consistency.t;
   mutable log : write_rec array;
   mutable log_n : int;
   mutable live : int;  (* live writes in the log *)
   mutable size : int;
-  commits : (int, evlist) Hashtbl.t;
-  closes : (int, evlist) Hashtbl.t;
-  opens : (int, evlist) Hashtbl.t;
+  events : (int, evlist) Hashtbl.t;
+      (* publishing events per rank: commits and closes under commit,
+         closes under session, none under strong/eventual *)
+  opens : (int, evlist) Hashtbl.t;  (* session only *)
   mutable laminated_at : int option;
   (* Segment indexes (rebuilt wholesale after truncate/crash). *)
   mutable oracle : int Extmap.t;  (* insertion-order winner (seq) *)
@@ -132,10 +139,9 @@ type t = {
   writer_set : (int, unit) Hashtbl.t;  (* ranks that ever wrote *)
   (* Unpublished writes per rank, ascending (w_time, seq); the "pending
      overlay" of the reader's own extents, and the candidate set crash
-     reconciliation walks instead of the full log. *)
-  unpub_commit : (int, write_rec list ref) Hashtbl.t;
-  unpub_close : (int, write_rec list ref) Hashtbl.t;
-  mutable caches : cache list;
+     reconciliation walks instead of the full log.  Commit/session only. *)
+  unpub : (int, write_rec list ref) Hashtbl.t;
+  cache : cache;
   mutable watermark : int;  (* max event/write time seen (event clock) *)
   mutable monotonic : bool;  (* event clock never went backwards *)
   (* Domain-parallel state: the per-file lock every public operation
@@ -157,18 +163,17 @@ let dummy_write =
     w_iv = Interval.make 0 0;
     w_data = Bytes.empty;
     w_live = false;
-    pub_commit = 0;
-    pub_close = 0;
+    pub = 0;
   }
 
-let create () =
+let create sem =
   {
+    sem;
     log = Array.make 16 dummy_write;
     log_n = 0;
     live = 0;
     size = 0;
-    commits = Hashtbl.create 8;
-    closes = Hashtbl.create 8;
+    events = Hashtbl.create 8;
     opens = Hashtbl.create 8;
     laminated_at = None;
     oracle = Extmap.empty;
@@ -176,9 +181,17 @@ let create () =
     writers = Extmap.empty;
     multi_ranges = false;
     writer_set = Hashtbl.create 8;
-    unpub_commit = Hashtbl.create 8;
-    unpub_close = Hashtbl.create 8;
-    caches = [];
+    unpub = Hashtbl.create 8;
+    cache =
+      {
+        c_valid = false;
+        c_base = Bytes.empty;
+        c_base_len = 0;
+        c_base_seq = Extmap.empty;
+        c_folded_pub = min_int;
+        c_pending = [];
+        c_pend_pub = min_int;
+      };
     watermark = min_int;
     monotonic = true;
     fd_mu = Mutex.create ();
@@ -207,12 +220,26 @@ let laminate t ~time =
 
 let is_laminated t = t.laminated_at <> None
 
+let laminated_by t time =
+  match t.laminated_at with Some tl -> tl <= time | None -> false
+
+(* Publish time of a write [rank] issues at [time] under the file's
+   engine; [unpublished] while its publishing event has not happened. *)
+let pub_of t ~rank time =
+  match t.sem with
+  | Strong -> time
+  | Eventual { delay } -> time + delay
+  | Commit | Session -> (
+    match Hashtbl.find_opt t.events rank with
+    | Some l -> ev_first_after l time
+    | None -> unpublished)
+
 (* Strong-order comparison between two writes: (w_time, seq). *)
 let strong_wins t a_seq b_seq =
   let a = t.log.(a_seq) and b = t.log.(b_seq) in
   compare (a.w_time, a.w_seq) (b.w_time, b.w_seq) > 0
 
-let invalidate_caches t = List.iter (fun c -> c.c_valid <- false) t.caches
+let invalidate_cache t = t.cache.c_valid <- false
 
 (* The watermark is the max event/write time ever seen.  Writes arriving
    with old timestamps (burst-buffer drains replaying staged extents) are
@@ -258,12 +285,12 @@ let unpub_insert lref w =
   in
   lref := ins !lref
 
-let unpub tbl rank =
-  match Hashtbl.find_opt tbl rank with
+let unpub t rank =
+  match Hashtbl.find_opt t.unpub rank with
   | Some l -> l
   | None ->
     let l = ref [] in
-    Hashtbl.add tbl rank l;
+    Hashtbl.add t.unpub rank l;
     l
 
 (* Grow a cache's base buffer to cover [hi] bytes. *)
@@ -277,7 +304,7 @@ let base_reserve c hi =
   if hi > c.c_base_len then c.c_base_len <- hi
 
 (* Fold one write into a settled base (already clipped to the file by
-   construction; truncation rebuilds caches wholesale). *)
+   construction; truncation rebuilds the cache wholesale). *)
 let base_paint c w =
   let lo = w.w_iv.Interval.lo and hi = w.w_iv.Interval.hi in
   if hi > lo then begin
@@ -308,56 +335,39 @@ let fold_epoch c ~pub ws =
 
 (* Writes of [rank] published by an event at [time]: pop the (w_time <
    time) prefix of the rank's pending list, stamp their publish time, and
-   compact them into every matching cache. *)
-let publish t ~kind ~rank ~time =
-  let tbl = match kind with `Commit -> t.unpub_commit | `Close -> t.unpub_close in
-  let lref = unpub tbl rank in
+   compact them into the cache. *)
+let publish t ~rank ~time =
+  let lref = unpub t rank in
   let rec split acc = function
     | w :: rest when w.w_time < time -> split (w :: acc) rest
     | rest -> (List.rev acc, rest)
   in
   let published, pending = split [] !lref in
   lref := pending;
-  List.iter
-    (fun w ->
-      match kind with
-      | `Commit -> w.pub_commit <- time
-      | `Close -> w.pub_close <- time)
-    published;
-  if published <> [] then
-    List.iter
-      (fun c ->
-        if c.c_valid then
-          match (c.c_mode, kind) with
-          | M_commit, `Commit | M_session, `Close ->
-            fold_epoch c ~pub:time published
-          | _ -> ())
-      t.caches
+  List.iter (fun w -> w.pub <- time) published;
+  if t.cache.c_valid then fold_epoch t.cache ~pub:time published
 
-(* Advance every Eventual cache to the event-clock watermark: pending
-   writes whose delay expired fold in, in publish order. *)
+(* Advance an eventual cache to the event-clock watermark: pending writes
+   whose delay expired fold in, in publish order. *)
 let fold_eventual t =
-  List.iter
-    (fun c ->
-      match c.c_mode with
-      | M_eventual delay when c.c_valid ->
-        (* Fold runs of equal publish time as one epoch (several ranks
-           writing in the same tick expire together). *)
-        let rec go = function
-          | w :: rest when w.w_time + delay <= t.watermark ->
-            let pub = w.w_time + delay in
-            let rec take acc = function
-              | x :: r when x.w_time + delay = pub -> take (x :: acc) r
-              | r -> (List.rev acc, r)
-            in
-            let batch, rest' = take [ w ] rest in
-            fold_epoch c ~pub batch;
-            go rest'
-          | rest -> c.c_pending <- rest
+  let c = t.cache in
+  match t.sem with
+  | Eventual _ when c.c_valid ->
+    (* Fold runs of equal publish time as one epoch (several ranks writing
+       in the same tick expire together). *)
+    let rec go = function
+      | w :: rest when w.pub <= t.watermark ->
+        let rec take acc = function
+          | x :: r when x.pub = w.pub -> take (x :: acc) r
+          | r -> (List.rev acc, r)
         in
-        go c.c_pending
-      | _ -> ())
-    t.caches
+        let batch, rest' = take [ w ] rest in
+        fold_epoch c ~pub:w.pub batch;
+        go rest'
+      | rest -> c.c_pending <- rest
+    in
+    go c.c_pending
+  | _ -> ()
 
 (* Forward reference: canonicalization needs [reindex], defined with the
    truncate/crash machinery below; [write] only ever schedules it. *)
@@ -396,8 +406,7 @@ let write t ~rank ~time ~off data =
         w_iv = Interval.of_len off len;
         w_data = Bytes.copy data;
         w_live = true;
-        pub_commit = ev_first_after (evl t.commits rank) time;
-        pub_close = ev_first_after (evl t.closes rank) time;
+        pub = pub_of t ~rank time;
       }
     in
     if t.log_n = Array.length t.log then begin
@@ -409,117 +418,96 @@ let write t ~rank ~time ~off data =
     t.log_n <- t.log_n + 1;
     t.live <- t.live + 1;
     index_write t w;
-    (* A write already published on arrival (its rank committed at a later
-       timestamp before this record was inserted — e.g. a burst-buffer
-       drain replaying an old extent) would have to fold into the middle
-       of a settled base: invalidate the affected caches instead. *)
-    List.iter
-      (fun c ->
-        if c.c_valid then
-          match c.c_mode with
-          | M_commit ->
-            if w.pub_commit <> unpublished then c.c_valid <- false
-          | M_session ->
-            if w.pub_close <> unpublished then c.c_valid <- false
-          | M_eventual delay ->
-            let pub = w.w_time + delay in
-            (* The pending queue must stay ascending in publish time; an
-               out-of-order arrival (old-timestamped replay) falls back to
-               a rebuild, as does one that would fold mid-base. *)
-            if pub <= c.c_folded_pub then c.c_valid <- false
-            else if c.c_pending <> [] && pub < c.c_pend_pub then
-              c.c_valid <- false
-            else begin
-              c.c_pending <- c.c_pending @ [ w ];
-              c.c_pend_pub <- pub
-            end)
-      t.caches;
-    if w.pub_commit = unpublished then
-      unpub_insert (unpub t.unpub_commit rank) w;
-    if w.pub_close = unpublished then
-      unpub_insert (unpub t.unpub_close rank) w;
+    let c = t.cache in
+    (match t.sem with
+    | Strong -> ()
+    | Commit | Session ->
+      (* A write already published on arrival (its rank committed at a
+         later timestamp before this record was inserted — e.g. a
+         burst-buffer drain replaying an old extent) would have to fold
+         into the middle of a settled base: invalidate the cache
+         instead. *)
+      if w.pub <> unpublished then c.c_valid <- false
+      else unpub_insert (unpub t rank) w
+    | Eventual _ ->
+      (* The pending queue must stay ascending in publish time; an
+         out-of-order arrival (old-timestamped replay) falls back to a
+         rebuild, as does one that would fold mid-base. *)
+      if c.c_valid then
+        if w.pub <= c.c_folded_pub then c.c_valid <- false
+        else if c.c_pending <> [] && w.pub < c.c_pend_pub then
+          c.c_valid <- false
+        else begin
+          c.c_pending <- c.c_pending @ [ w ];
+          c.c_pend_pub <- w.pub
+        end);
     if off + len > t.size then t.size <- off + len;
     fold_eventual t
   end
 
+(* A publishing event of [rank] at [time]: record it and publish the
+   writes it releases.  An event out of clock order makes the recorded
+   publish times imprecise until [recompute_pubs] runs. *)
+let publishing_event t ~rank ~time =
+  if not (ev_push (evl t.events rank) time) then begin
+    t.monotonic <- false;
+    invalidate_cache t
+  end
+  else publish t ~rank ~time
+
 let commit t ~rank ~time =
   bump_watermark t time;
-  if not (ev_push (evl t.commits rank) time) then begin
-    t.monotonic <- false;
-    invalidate_caches t
-  end
-  else publish t ~kind:`Commit ~rank ~time;
+  (match t.sem with
+  | Commit -> publishing_event t ~rank ~time
+  | Strong | Session | Eventual _ -> ());
   fold_eventual t
 
 let session_open t ~rank ~time =
   bump_watermark t time;
-  ignore (ev_push (evl t.opens rank) time);
+  (match t.sem with
+  | Session -> ignore (ev_push (evl t.opens rank) time)
+  | Strong | Commit | Eventual _ -> ());
   fold_eventual t
 
+(* A close also publishes under commit semantics (cf. Section 3.2: "a
+   close() call usually also has the effect of a commit"). *)
 let session_close t ~rank ~time =
   bump_watermark t time;
-  if not (ev_push (evl t.closes rank) time) then begin
-    t.monotonic <- false;
-    invalidate_caches t
-  end
-  else publish t ~kind:`Close ~rank ~time;
-  (* A close also publishes under commit semantics (cf. Section 3.2: "a
-     close() call usually also has the effect of a commit"). *)
-  if not (ev_push (evl t.commits rank) time) then begin
-    t.monotonic <- false;
-    invalidate_caches t
-  end
-  else publish t ~kind:`Commit ~rank ~time;
+  (match t.sem with
+  | Commit | Session -> publishing_event t ~rank ~time
+  | Strong | Eventual _ -> ());
   fold_eventual t
-
-(* Publish time of [w] under [semantics]; [unpublished] when the
-   publishing operation has not happened. *)
-let pub_time ~semantics w =
-  match (semantics : Consistency.t) with
-  | Strong -> w.w_time
-  | Commit -> w.pub_commit
-  | Session -> w.pub_close
-  | Eventual { delay } -> w.w_time + delay
 
 (* Does [rank] observe write [w] at [time]?  Mirrors the reference model:
    own writes always; lamination publishes everything once reached;
    session readers additionally need an open after the writer's close. *)
-let visible t ~semantics ~rank ~time w =
-  w.w_rank = rank
-  || (match t.laminated_at with Some tl -> tl <= time | None -> false)
+let visible t ~rank ~time w =
+  w.w_rank = rank || laminated_by t time
   ||
-  match (semantics : Consistency.t) with
+  match t.sem with
   | Strong -> true
-  | Commit -> w.pub_commit <= time
+  | Commit | Eventual _ -> w.pub <= time
   | Session ->
-    w.pub_close <> unpublished
-    && ev_exists_in (evl t.opens rank) ~after:w.pub_close ~upto:time
-  | Eventual _ -> pub_time ~semantics w <= time
+    w.pub <> unpublished
+    && ev_exists_in (evl t.opens rank) ~after:w.pub ~upto:time
 
 (* When [w] takes effect from this reader's point of view: own writes at
    issue time; laminated files restore issue order; otherwise the publish
    time. *)
-let effective_time t ~semantics ~rank w =
-  if w.w_rank = rank then w.w_time
-  else if t.laminated_at <> None then w.w_time
-  else pub_time ~semantics w
+let effective_time t ~rank w =
+  if w.w_rank = rank || t.laminated_at <> None then w.w_time else w.pub
 
 type read_result = { data : bytes; stale_bytes : int }
 
 (* Full pub-field recomputation, for histories whose event clock went
    backwards (the reference model allows it, so we must too). *)
 let recompute_pubs t =
-  Hashtbl.reset t.unpub_commit;
-  Hashtbl.reset t.unpub_close;
+  Hashtbl.reset t.unpub;
   for i = 0 to t.log_n - 1 do
     let w = t.log.(i) in
     if w.w_live then begin
-      w.pub_commit <- ev_first_after (evl t.commits w.w_rank) w.w_time;
-      w.pub_close <- ev_first_after (evl t.closes w.w_rank) w.w_time;
-      if w.pub_commit = unpublished then
-        unpub_insert (unpub t.unpub_commit w.w_rank) w;
-      if w.pub_close = unpublished then
-        unpub_insert (unpub t.unpub_close w.w_rank) w
+      w.pub <- pub_of t ~rank:w.w_rank w.w_time;
+      if w.pub = unpublished then unpub_insert (unpub t w.w_rank) w
     end
   done;
   t.monotonic <- true
@@ -536,7 +524,7 @@ let reindex t =
     let w = t.log.(i) in
     if w.w_live then index_write t w
   done;
-  invalidate_caches t;
+  invalidate_cache t;
   if Obs.enabled () then Obs.incr "fs.extent.reindexes"
 
 (* Superstep-boundary canonicalization for domain-parallel runs: when two
@@ -602,70 +590,53 @@ let add_crash_stats a b =
     torn_bytes = a.torn_bytes + b.torn_bytes;
   }
 
-(* Is [w] durable at crash time [time]?  The engine's durability rule: a
-   write persists once the operation that publishes it has executed. *)
-let persisted t ~semantics ~time w =
-  (match t.laminated_at with Some tl -> tl <= time | None -> false)
+(* Is a write issued at [issued] and published at [pub] durable at
+   [time]?  The engine's durability rule: a write persists once the
+   operation that publishes it has executed (strong: on arrival). *)
+let durable t ~issued ~pub ~time =
+  laminated_by t time
   ||
-  match (semantics : Consistency.t) with
-  | Strong -> w.w_time < time
-  | Commit -> w.pub_commit <= time
-  | Session -> w.pub_close <= time
-  | Eventual _ -> pub_time ~semantics w <= time
+  match t.sem with
+  | Strong -> issued < time
+  | Commit | Session | Eventual _ -> pub <= time
+
+let persisted t ~time w = durable t ~issued:w.w_time ~pub:w.pub ~time
 
 (* {!persisted}'s rule for a copy of a write kept outside the log (a
-   client journal's or a host-side log's): the publishing event is looked
-   up in the rank's commit and close history. *)
-let settled t ~semantics ~rank ~issued ~time =
-  let published tbl =
-    match Hashtbl.find_opt tbl rank with
-    | Some l -> ev_first_after l issued <= time
-    | None -> false
-  in
-  (match t.laminated_at with Some tl -> tl <= time | None -> false)
-  ||
-  match (semantics : Consistency.t) with
-  | Strong -> issued < time
-  | Commit -> published t.commits
-  | Session -> published t.closes
-  | Eventual { delay } -> issued + delay <= time
+   client journal's or a host-side log's): the publish time is looked up
+   in the rank's publishing events. *)
+let settled t ~rank ~issued ~time =
+  durable t ~issued ~pub:(pub_of t ~rank issued) ~time
 
 (* The candidate non-durable writes, walked instead of the full log when
-   the engine's pending index is exact: under commit/session semantics on
-   a monotone clock, every publish time ever assigned is <= the crash
-   time, so the non-persisted writes are exactly the unpublished lists. *)
-let crash_candidates t ~semantics ~time =
-  let pending_of tbl =
-    Hashtbl.fold (fun _ l acc -> List.rev_append !l acc) tbl []
-    |> List.filter (fun w -> w.w_live)
-    |> List.sort (fun a b -> compare a.w_seq b.w_seq)
-  in
-  match (semantics : Consistency.t) with
-  | Commit when t.monotonic && time >= t.watermark ->
-    Some (pending_of t.unpub_commit)
-  | Session when t.monotonic && time >= t.watermark ->
-    Some (pending_of t.unpub_close)
+   the pending index is exact: under commit/session semantics on a
+   monotone clock, every publish time ever assigned is <= the crash time,
+   so the non-persisted writes are exactly the unpublished lists. *)
+let crash_candidates t ~time =
+  match t.sem with
+  | (Commit | Session) when t.monotonic && time >= t.watermark ->
+    Some
+      (Hashtbl.fold (fun _ l acc -> List.rev_append !l acc) t.unpub []
+      |> List.filter (fun w -> w.w_live)
+      |> List.sort (fun a b -> compare a.w_seq b.w_seq))
   | _ -> None
 
-let crash t ~semantics ~time ~stripe_size ~keep_stripes =
+let crash t ~time ~stripe_size ~keep_stripes =
   if not t.monotonic then recompute_pubs t;
   let stats = ref no_crash_stats in
-  let lam_all =
-    match t.laminated_at with Some tl -> tl <= time | None -> false
-  in
   (* Per rank, the newest unpersisted write is possibly in flight at the
      crash instant: it tears at a stripe boundary, while every older
      unpersisted write is lost outright. *)
   let pending =
-    if lam_all then []
+    if laminated_by t time then []
     else
-      match crash_candidates t ~semantics ~time with
-      | Some ws -> List.filter (fun w -> not (persisted t ~semantics ~time w)) ws
+      match crash_candidates t ~time with
+      | Some ws -> List.filter (fun w -> not (persisted t ~time w)) ws
       | None ->
         let acc = ref [] in
         for i = t.log_n - 1 downto 0 do
           let w = t.log.(i) in
-          if w.w_live && not (persisted t ~semantics ~time w) then
+          if w.w_live && not (persisted t ~time w) then
             acc := w :: !acc
         done;
         !acc
@@ -750,8 +721,7 @@ let append_raw t ~rank ~time iv data =
       w_iv = iv;
       w_data = data;
       w_live = true;
-      pub_commit = ev_first_after (evl t.commits rank) time;
-      pub_close = ev_first_after (evl t.closes rank) time;
+      pub = pub_of t ~rank time;
     }
   in
   if t.log_n = Array.length t.log then begin
@@ -763,12 +733,9 @@ let append_raw t ~rank ~time iv data =
   t.log_n <- t.log_n + 1;
   t.live <- t.live + 1
 
-let crash_target t ~semantics ~time ~stripe_size ~server_count ~target =
+let crash_target t ~time ~stripe_size ~server_count ~target =
   if not t.monotonic then recompute_pubs t;
-  let lam_all =
-    match t.laminated_at with Some tl -> tl <= time | None -> false
-  in
-  if lam_all then (no_crash_stats, [])
+  if laminated_by t time then (no_crash_stats, [])
   else begin
     let stats = ref no_crash_stats in
     let ranks = Hashtbl.create 8 in
@@ -777,7 +744,7 @@ let crash_target t ~semantics ~time ~stripe_size ~server_count ~target =
     let n = t.log_n in
     for i = 0 to n - 1 do
       let w = t.log.(i) in
-      if w.w_live && not (persisted t ~semantics ~time w) then begin
+      if w.w_live && not (persisted t ~time w) then begin
         (* Partition the extent into stripe chunks, dropping those whose
            chunk lands on the failed target and merging the contiguous
            survivors.  All [Bytes.sub] pieces are taken before any
@@ -884,9 +851,9 @@ let stale_between req oracle_pieces vis_pieces =
 
 (* The reference algorithm over the live log, with O(1)/O(log) visibility
    and effective-time lookups instead of list scans.  Used for every case
-   the settled caches cannot express; also the bit-for-bit specification
+   the settled cache cannot express; also the bit-for-bit specification
    the fast path must match. *)
-let read_slow t ~local_order ~semantics ~rank ~time ~off ~len =
+let read_slow t ~local_order ~rank ~time ~off ~len =
   if Obs.enabled () then Obs.incr "fs.extent.slow_reads";
   if not t.monotonic then recompute_pubs t;
   let req = Interval.of_len off len in
@@ -916,13 +883,13 @@ let read_slow t ~local_order ~semantics ~rank ~time ~off ~len =
       incr live_i;
       let s = !live_i in
       paint any_seq s w;
-      if visible t ~semantics ~rank ~time w then
+      if visible t ~rank ~time w then
         let key =
-          if local_order then (effective_time t ~semantics ~rank w, w.w_time, s)
+          if local_order then (effective_time t ~rank w, w.w_time, s)
           else
             (* BurstFS mode: no single-process ordering; ties on effective
                time break in reverse issue order. *)
-            (effective_time t ~semantics ~rank:(-2) w, -w.w_time, -s)
+            (effective_time t ~rank:(-2) w, -w.w_time, -s)
         in
         keyed := (key, w) :: !keyed
     end
@@ -939,11 +906,11 @@ let read_slow t ~local_order ~semantics ~rank ~time ~off ~len =
   done;
   { data; stale_bytes = !stale }
 
-(* Strong-consistency (and laminated-file) fast path: the [strong] index
-   alone answers both content and identity. *)
-let read_strong t ~off ~len =
-  let req = Interval.of_len off len in
-  let data = Bytes.make len '\000' in
+(* The [strong] index's bytes for [req]: the strong-consistency (and
+   laminated-file) view, with the winning segments. *)
+let strong_view t req =
+  let off = req.Interval.lo in
+  let data = Bytes.make (Interval.length req) '\000' in
   let vis = Extmap.query req t.strong in
   List.iter
     (fun (iv, seq) ->
@@ -954,69 +921,36 @@ let read_strong t ~off ~len =
         (iv.Interval.lo - off)
         (Interval.length iv))
     vis;
-  let stale = stale_between req (Extmap.query req t.oracle) vis in
-  { data; stale_bytes = stale }
+  (data, vis)
 
-(* Relaxed-engine settled caches ------------------------------------------ *)
+(* Strong-consistency (and laminated-file) fast path: the [strong] index
+   alone answers both content and identity. *)
+let read_strong t ~off ~len =
+  if Obs.enabled () then Obs.incr "fs.extent.fast_reads";
+  let req = Interval.of_len off len in
+  let data, vis = strong_view t req in
+  { data; stale_bytes = stale_between req (Extmap.query req t.oracle) vis }
 
-let mode_of (semantics : Consistency.t) =
-  match semantics with
-  | Commit -> M_commit
-  | Session -> M_session
-  | Eventual { delay } -> M_eventual delay
-  | Strong -> assert false
+(* Relaxed-engine settled cache ------------------------------------------- *)
 
-let get_cache t mode =
-  match List.find_opt (fun c -> c.c_mode = mode) t.caches with
-  | Some c -> c
-  | None ->
-    let c =
-      {
-        c_mode = mode;
-        c_valid = false;
-        c_base = Bytes.empty;
-        c_base_len = 0;
-        c_base_seq = Extmap.empty;
-        c_folded_pub = min_int;
-        c_pending = [];
-        c_pend_pub = min_int;
-      }
-    in
-    t.caches <- c :: t.caches;
-    c
-
-(* Rebuild a settled base from scratch: fold every published live write in
-   (publish, issue, seq) order — the globally-sorted epoch sequence the
+(* Rebuild the settled base from scratch: fold every published live write
+   in (publish, issue, seq) order — the globally-sorted epoch sequence the
    incremental folds approximate one event at a time. *)
-let rebuild_cache t c =
+let rebuild_cache t =
   if not t.monotonic then recompute_pubs t;
-  let pub_of w =
-    match c.c_mode with
-    | M_commit -> w.pub_commit
-    | M_session -> w.pub_close
-    | M_eventual delay -> w.w_time + delay
-  in
+  let c = t.cache in
+  let eventual = match t.sem with Eventual _ -> true | _ -> false in
   let published = ref [] and pending = ref [] in
   for i = t.log_n - 1 downto 0 do
     let w = t.log.(i) in
-    if w.w_live then begin
-      let pub = pub_of w in
-      let folded =
-        match c.c_mode with
-        | M_eventual _ -> pub <= t.watermark
-        | _ -> pub <> unpublished
-      in
-      if folded then published := (pub, w) :: !published
-      else
-        match c.c_mode with
-        | M_eventual _ -> pending := w :: !pending
-        | _ -> ()
-    end
+    if w.w_live then
+      if if eventual then w.pub <= t.watermark else w.pub <> unpublished
+      then published := w :: !published
+      else if eventual then pending := w :: !pending
   done;
   let published =
     List.sort
-      (fun (pa, a) (pb, b) ->
-        compare (pa, a.w_time, a.w_seq) (pb, b.w_time, b.w_seq))
+      (fun a b -> compare (a.pub, a.w_time, a.w_seq) (b.pub, b.w_time, b.w_seq))
       !published
   in
   c.c_base <- Bytes.empty;
@@ -1024,9 +958,9 @@ let rebuild_cache t c =
   c.c_base_seq <- Extmap.empty;
   c.c_folded_pub <- min_int;
   List.iter
-    (fun (pub, w) ->
+    (fun w ->
       base_paint c w;
-      c.c_folded_pub <- pub)
+      c.c_folded_pub <- w.pub)
     published;
   let pending =
     (* Ascending (w_time, seq) = ascending publish time for a fixed delay. *)
@@ -1035,9 +969,7 @@ let rebuild_cache t c =
   in
   c.c_pending <- pending;
   c.c_pend_pub <-
-    (match (c.c_mode, List.rev pending) with
-    | M_eventual delay, w :: _ -> w.w_time + delay
-    | _ -> min_int);
+    (match List.rev pending with w :: _ -> w.pub | [] -> min_int);
   c.c_valid <- true;
   if Obs.enabled () then Obs.incr "fs.extent.rebuilds"
 
@@ -1050,11 +982,11 @@ let rebuild_cache t c =
    for it, not at the publish time the base folded them at). *)
 let fast_ok t c ~rank ~time ~off ~len =
   t.monotonic && c.c_valid
-  && (match c.c_mode with
-     | M_commit | M_eventual _ -> c.c_folded_pub <= time
-     | M_session ->
+  && (match t.sem with
+     | Session ->
        c.c_folded_pub = min_int
-       || ev_exists_in (evl t.opens rank) ~after:c.c_folded_pub ~upto:time)
+       || ev_exists_in (evl t.opens rank) ~after:c.c_folded_pub ~upto:time
+     | Strong | Commit | Eventual _ -> c.c_folded_pub <= time)
   && (not t.multi_ranges
      || not (Hashtbl.mem t.writer_set rank)
      || not
@@ -1065,7 +997,7 @@ let fast_ok t c ~rank ~time ~off ~len =
 (* Fast path: copy the settled base range and overlay the few still-pending
    extents visible to this reader, merged per byte by the reader's full
    effective-order key. *)
-let read_fast t c ~semantics ~rank ~time ~off ~len =
+let read_fast t c ~rank ~time ~off ~len =
   if Obs.enabled () then Obs.incr "fs.extent.fast_reads";
   let req = Interval.of_len off len in
   let data = Bytes.make len '\000' in
@@ -1073,19 +1005,11 @@ let read_fast t c ~semantics ~rank ~time ~off ~len =
   if n > 0 then Bytes.blit c.c_base off data 0 n;
   let base_pieces = Extmap.query req c.c_base_seq in
   let overlay =
-    match c.c_mode with
-    | M_commit -> (
-      match Hashtbl.find_opt t.unpub_commit rank with
-      | Some l -> !l
-      | None -> [])
-    | M_session -> (
-      match Hashtbl.find_opt t.unpub_close rank with
-      | Some l -> !l
-      | None -> [])
-    | M_eventual delay ->
-      List.filter
-        (fun w -> w.w_rank = rank || w.w_time + delay <= time)
-        c.c_pending
+    match t.sem with
+    | Eventual _ ->
+      List.filter (fun w -> w.w_rank = rank || w.pub <= time) c.c_pending
+    | Strong | Commit | Session -> (
+      match Hashtbl.find_opt t.unpub rank with Some l -> !l | None -> [])
   in
   let overlay = List.filter (fun w -> Interval.overlaps req w.w_iv) overlay in
   let vis_pieces =
@@ -1093,7 +1017,7 @@ let read_fast t c ~semantics ~rank ~time ~off ~len =
     else begin
       let key seq =
         let w = t.log.(seq) in
-        (effective_time t ~semantics ~rank w, w.w_time, w.w_seq)
+        (effective_time t ~rank w, w.w_time, w.w_seq)
       in
       let pm =
         List.fold_left
@@ -1127,35 +1051,44 @@ let read_fast t c ~semantics ~rank ~time ~off ~len =
   let stale = stale_between req (Extmap.query req t.oracle) vis_pieces in
   { data; stale_bytes = stale }
 
-let read ?(local_order = true) t ~semantics ~rank ~time ~off ~len =
-  let len = max 0 (min len (max 0 (t.size - off))) in
+(* Requested length clipped to the file: reads past the size return the
+   in-range prefix. *)
+let clip t ~off ~len = max 0 (min len (max 0 (t.size - off)))
+
+let read ?(local_order = true) t ~rank ~time ~off ~len =
+  let len = clip t ~off ~len in
   if len = 0 then { data = Bytes.create 0; stale_bytes = 0 }
   else if not local_order then
     (* BurstFS mode reverses same-publish ties, which no per-byte-max index
        expresses: always take the (accelerated) log walk. *)
-    read_slow t ~local_order:false ~semantics ~rank ~time ~off ~len
+    read_slow t ~local_order:false ~rank ~time ~off ~len
   else
     match t.laminated_at with
     | Some tl when tl <= time ->
       (* Lamination restores issue order for everyone: the strong index is
          exact. *)
-      if Obs.enabled () then Obs.incr "fs.extent.fast_reads";
       read_strong t ~off ~len
-    | Some _ -> read_slow t ~local_order:true ~semantics ~rank ~time ~off ~len
+    | Some _ -> read_slow t ~local_order:true ~rank ~time ~off ~len
     | None -> (
-      match (semantics : Consistency.t) with
-      | Strong ->
-        if Obs.enabled () then Obs.incr "fs.extent.fast_reads";
-        read_strong t ~off ~len
-      | _ ->
-        let c = get_cache t (mode_of semantics) in
-        if not c.c_valid then rebuild_cache t c;
+      match t.sem with
+      | Strong -> read_strong t ~off ~len
+      | Commit | Session | Eventual _ ->
+        let c = t.cache in
+        if not c.c_valid then rebuild_cache t;
         if fast_ok t c ~rank ~time ~off ~len then
-          read_fast t c ~semantics ~rank ~time ~off ~len
-        else read_slow t ~local_order:true ~semantics ~rank ~time ~off ~len)
+          read_fast t c ~rank ~time ~off ~len
+        else read_slow t ~local_order:true ~rank ~time ~off ~len)
+
+let oracle t ~off ~len =
+  let len = clip t ~off ~len in
+  if len = 0 then Bytes.create 0
+  else begin
+    if Obs.enabled () then Obs.incr "fs.extent.fast_reads";
+    fst (strong_view t (Interval.of_len off len))
+  end
 
 (* Concurrency: during a domain-parallel run every public operation —
-   reads included, since they rebuild caches and recompute pub fields —
+   reads included, since they rebuild the cache and recompute pub fields —
    serializes on the per-file lock.  Legacy runs take one branch.  The
    wrappers shadow the plain implementations; no implementation calls
    another through its public name, so the (non-reentrant) lock is taken
@@ -1178,15 +1111,16 @@ let session_close t ~rank ~time =
 
 let laminate t ~time = locked t (fun () -> laminate t ~time)
 
-let settled t ~semantics ~rank ~issued ~time =
-  locked t (fun () -> settled t ~semantics ~rank ~issued ~time)
+let settled t ~rank ~issued ~time =
+  locked t (fun () -> settled t ~rank ~issued ~time)
 
-let crash t ~semantics ~time ~stripe_size ~keep_stripes =
-  locked t (fun () -> crash t ~semantics ~time ~stripe_size ~keep_stripes)
+let crash t ~time ~stripe_size ~keep_stripes =
+  locked t (fun () -> crash t ~time ~stripe_size ~keep_stripes)
 
-let crash_target t ~semantics ~time ~stripe_size ~server_count ~target =
-  locked t (fun () ->
-      crash_target t ~semantics ~time ~stripe_size ~server_count ~target)
+let crash_target t ~time ~stripe_size ~server_count ~target =
+  locked t (fun () -> crash_target t ~time ~stripe_size ~server_count ~target)
 
-let read ?local_order t ~semantics ~rank ~time ~off ~len =
-  locked t (fun () -> read ?local_order t ~semantics ~rank ~time ~off ~len)
+let read ?local_order t ~rank ~time ~off ~len =
+  locked t (fun () -> read ?local_order t ~rank ~time ~off ~len)
+
+let oracle t ~off ~len = locked t (fun () -> oracle t ~off ~len)

@@ -1,10 +1,13 @@
 (** Per-file write history and visibility resolution.
 
     A regular file is stored not as a flat byte array but as the full log of
-    write extents, together with the commit / session events of every
-    process.  A read is answered by composing the writes that are {e visible}
-    to the reading process under the active consistency semantics
-    ({!Consistency.t}); the same read also reports how many of the requested
+    write extents, together with the publishing events (commits, closes)
+    and session opens of every process.  Each file interprets one
+    consistency engine ({!Consistency.t}), fixed when it is created, and
+    records only what that engine reads: one publish time per write and
+    one list of publishing events per process.  A read is answered by
+    composing the writes that are {e visible} to the reading process under
+    that engine; the same read also reports how many of the requested
     bytes are {e stale} — covered by a newer write that is not yet visible.
     Staleness is what turns a "potential conflict" of the paper into an
     observable wrong read, so it is the ground truth the trace-analysis
@@ -12,7 +15,8 @@
 
 type t
 
-val create : unit -> t
+val create : Consistency.t -> t
+(** An empty file under the given consistency engine. *)
 
 val size : t -> int
 (** Current file size: the high-water mark of all writes and truncations.
@@ -35,11 +39,11 @@ type read_result = {
 }
 
 val read :
-  ?local_order:bool ->
-  t -> semantics:Consistency.t -> rank:int -> time:int -> off:int -> len:int ->
+  ?local_order:bool -> t -> rank:int -> time:int -> off:int -> len:int ->
   read_result
-(** Resolve a read of [len] bytes at [off] as seen by [rank] at [time].
-    Reads past the current size return the in-range prefix.
+(** Resolve a read of [len] bytes at [off] as seen by [rank] at [time]
+    under the file's engine.  Reads past the current size return the
+    in-range prefix.
 
     [local_order] (default true) is the single-process guarantee of
     Section 3.5: a process's own overlapping writes take effect in issue
@@ -49,11 +53,19 @@ val read :
     read following two writes from the same process could return the value
     of either write". *)
 
+val oracle : t -> off:int -> len:int -> bytes
+(** The bytes a strongly-consistent PFS would return for the range: every
+    write in issue order, whatever the file's engine.  The ground truth
+    staged reads are compared against; no stale count is computed.  Reads
+    past the current size return the in-range prefix. *)
+
 val commit : t -> rank:int -> time:int -> unit
-(** Record a commit (fsync/fdatasync/lamination) by [rank]. *)
+(** Record a commit (fsync/fdatasync) by [rank].  Only commit semantics
+    publishes on it. *)
 
 val session_open : t -> rank:int -> time:int -> unit
-(** Record the start of a session ([open]) by [rank]. *)
+(** Record the start of a session ([open]) by [rank].  Only session
+    semantics reads opens. *)
 
 val session_close : t -> rank:int -> time:int -> unit
 (** Record the end of a session ([close]) by [rank].  A close also counts
@@ -78,14 +90,10 @@ val no_crash_stats : crash_stats
 val add_crash_stats : crash_stats -> crash_stats -> crash_stats
 
 val crash :
-  t ->
-  semantics:Consistency.t ->
-  time:int ->
-  stripe_size:int ->
-  keep_stripes:(total:int -> int) ->
+  t -> time:int -> stripe_size:int -> keep_stripes:(total:int -> int) ->
   crash_stats
-(** [crash t ~semantics ~time ~stripe_size ~keep_stripes] applies the
-    crash-time durability rules of the consistency engine to the write
+(** [crash t ~time ~stripe_size ~keep_stripes] applies the crash-time
+    durability rules of the file's consistency engine to the write
     history, as of a whole-job crash at [time]:
 
     - a write {e persisted} under the engine's rules survives whole.  Under
@@ -106,11 +114,10 @@ val crash :
     Session/commit event history survives — it describes operations that
     completed before the crash. *)
 
-val settled :
-  t -> semantics:Consistency.t -> rank:int -> issued:int -> time:int -> bool
+val settled : t -> rank:int -> issued:int -> time:int -> bool
 (** Is a write [rank] issued at [issued] persisted as of [time]?  The rule
-    {!crash} applies, asked of the file's commit and close history instead
-    of a logged write: strong persists on arrival; commit once [rank]
+    {!crash} applies, asked of the file's publishing events instead of a
+    logged write: strong persists on arrival; commit once [rank]
     committed or closed after the write, by [time]; session once it
     closed; eventual once the propagation delay elapsed.  Lamination
     persists everything.  Host-side logs use it to tell which retained
@@ -118,14 +125,13 @@ val settled :
 
 val crash_target :
   t ->
-  semantics:Consistency.t ->
   time:int ->
   stripe_size:int ->
   server_count:int ->
   target:int ->
   crash_stats * int list
-(** [crash_target t ~semantics ~time ~stripe_size ~server_count ~target]
-    drops the volatile (non-persisted, under the same per-engine rules as
+(** [crash_target t ~time ~stripe_size ~server_count ~target] drops the
+    volatile (non-persisted, under the same per-engine rules as
     {!crash}) bytes stored on one failed storage target: every stripe chunk
     of every unpersisted live write whose chunk maps to [target] under the
     round-robin layout.  A write losing all of its chunks is lost outright;

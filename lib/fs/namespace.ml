@@ -14,7 +14,11 @@ type node =
   | File of Fdata.t * meta
   | Dir of (string, node) Hashtbl.t * meta
 
-type t = { root : (string, node) Hashtbl.t; mu : Mutex.t }
+type t = {
+  sem : Consistency.t;  (* the engine every file is created with *)
+  root : (string, node) Hashtbl.t;
+  mu : Mutex.t;
+}
 
 exception Not_found_path of string
 exception Exists of string
@@ -23,7 +27,7 @@ exception Is_a_directory of string
 exception Not_empty of string
 exception Invalid_rename of string
 
-let create () = { root = Hashtbl.create 16; mu = Mutex.create () }
+let create sem = { sem; root = Hashtbl.create 16; mu = Mutex.create () }
 
 let fresh_meta time = { mtime = time; ctime = time; atime = time }
 
@@ -84,7 +88,7 @@ let create_file t ~time path =
   | Some (File (fd, _)) -> fd
   | Some (Dir _) -> raise (Exists path)
   | None ->
-    let fd = Fdata.create () in
+    let fd = Fdata.create t.sem in
     Hashtbl.replace tbl leaf (File (fd, fresh_meta time));
     fd
 

@@ -28,8 +28,9 @@ exception Invalid_rename of string
 (** Raised by {!rename} when the destination lies inside the source's
     own subtree (POSIX [EINVAL]). *)
 
-val create : unit -> t
-(** A namespace containing only the root directory. *)
+val create : Consistency.t -> t
+(** A namespace containing only the root directory; its files are created
+    under the given consistency engine. *)
 
 val lookup_file : t -> string -> Fdata.t
 (** File payload at a path. Raises {!Not_found_path} / {!Is_a_directory}. *)

@@ -42,7 +42,7 @@ let create ?stripe ?(lock_granularity = 1 lsl 20) ?(local_order = true)
   {
     semantics;
     local_order;
-    namespace = Namespace.create ();
+    namespace = Namespace.create semantics;
     stripe;
     lockmgr = Lockmgr.create ~granularity:lock_granularity;
     targets = Target.create ~mds_shards ~count:stripe.Stripe.server_count ();
@@ -138,8 +138,7 @@ let do_read t ~time ~rank path ~off ~len =
     account_stripe t (Interval.of_len off len)
   end;
   let result =
-    Fdata.read ~local_order:t.local_order fd ~semantics:t.semantics ~rank
-      ~time ~off ~len
+    Fdata.read ~local_order:t.local_order fd ~rank ~time ~off ~len
   in
   Domctx.add t.reads 1;
   Domctx.add t.bytes_read (Bytes.length result.Fdata.data);
@@ -218,9 +217,7 @@ let file_size t path = Fdata.size (Namespace.lookup_file t.namespace path)
 
 let settled t ~rank ~path ~issued ~time =
   (not (Namespace.exists t.namespace path))
-  || Fdata.settled
-       (Namespace.lookup_file t.namespace path)
-       ~semantics:t.semantics ~rank ~issued ~time
+  || Fdata.settled (Namespace.lookup_file t.namespace path) ~rank ~issued ~time
 
 type stats = {
   reads : int;
@@ -264,7 +261,7 @@ let crash t ~time ?(keep_stripes = fun ~total:_ -> 0) () =
     (fun (acc, per_file) path ->
       let fd = Namespace.lookup_file t.namespace path in
       let s =
-        Fdata.crash fd ~semantics:t.semantics ~time ~stripe_size ~keep_stripes
+        Fdata.crash fd ~time ~stripe_size ~keep_stripes
       in
       if s.Fdata.lost_bytes > 0 then
         Obs.incr ~by:s.Fdata.lost_bytes "fs.crash_lost_bytes";
@@ -288,8 +285,7 @@ let fail_target t ~time ?(failover = false) target =
       (fun (acc, per_file, ranks) path ->
         let fd = Namespace.lookup_file t.namespace path in
         let s, rs =
-          Fdata.crash_target fd ~semantics:t.semantics ~time ~stripe_size
-            ~server_count ~target
+          Fdata.crash_target fd ~time ~stripe_size ~server_count ~target
         in
         if s.Fdata.lost_bytes > 0 then
           Obs.incr ~by:s.Fdata.lost_bytes "fs.target.lost_bytes";
@@ -323,15 +319,10 @@ let evict_client t ~client = Lockmgr.evict_client t.lockmgr ~client
 let observer_rank = -1
 
 let read_oracle t path ~off ~len =
-  let fd = Namespace.lookup_file t.namespace path in
-  let r =
-    Fdata.read fd ~semantics:Consistency.Strong ~rank:observer_rank
-      ~time:max_int ~off ~len
-  in
-  r.Fdata.data
+  Fdata.oracle (Namespace.lookup_file t.namespace path) ~off ~len
 
 let read_back t ~time path =
   let fd = Namespace.lookup_file t.namespace path in
   Fdata.session_open fd ~rank:observer_rank ~time;
-  Fdata.read ~local_order:t.local_order fd ~semantics:t.semantics
-    ~rank:observer_rank ~time:(time + 1) ~off:0 ~len:(Fdata.size fd)
+  Fdata.read ~local_order:t.local_order fd ~rank:observer_rank
+    ~time:(time + 1) ~off:0 ~len:(Fdata.size fd)

@@ -12,153 +12,120 @@ module Target = Hpcfs_fs.Target
 
 let b s = Bytes.of_string s
 
-let read_str fd ~semantics ~rank ~time ~off ~len =
-  Bytes.to_string (Fdata.read fd ~semantics ~rank ~time ~off ~len).Fdata.data
+let read_str fd ~rank ~time ~off ~len =
+  Bytes.to_string (Fdata.read fd ~rank ~time ~off ~len).Fdata.data
 
 (* Fdata ------------------------------------------------------------------ *)
 
 let test_fdata_write_read_strong () =
-  let fd = Fdata.create () in
+  let fd = Fdata.create Consistency.Strong in
   Fdata.write fd ~rank:0 ~time:1 ~off:0 (b "hello");
   Alcotest.(check string) "read back" "hello"
-    (read_str fd ~semantics:Consistency.Strong ~rank:1 ~time:2 ~off:0 ~len:5);
+    (read_str fd ~rank:1 ~time:2 ~off:0 ~len:5);
   Alcotest.(check int) "size" 5 (Fdata.size fd)
 
 let test_fdata_overwrite_order () =
-  let fd = Fdata.create () in
+  let fd = Fdata.create Consistency.Strong in
   Fdata.write fd ~rank:0 ~time:1 ~off:0 (b "aaaa");
   Fdata.write fd ~rank:1 ~time:2 ~off:2 (b "bb");
   Alcotest.(check string) "later write wins" "aabb"
-    (read_str fd ~semantics:Consistency.Strong ~rank:2 ~time:3 ~off:0 ~len:4)
+    (read_str fd ~rank:2 ~time:3 ~off:0 ~len:4)
 
 let test_fdata_unwritten_is_zero () =
-  let fd = Fdata.create () in
+  let fd = Fdata.create Consistency.Strong in
   Fdata.write fd ~rank:0 ~time:1 ~off:4 (b "x");
   let s =
-    read_str fd ~semantics:Consistency.Strong ~rank:0 ~time:2 ~off:0 ~len:5
+    read_str fd ~rank:0 ~time:2 ~off:0 ~len:5
   in
   Alcotest.(check string) "hole is zero" "\000\000\000\000x" s
 
 let test_fdata_read_own_writes_any_semantics () =
   List.iter
     (fun semantics ->
-      let fd = Fdata.create () in
+      let fd = Fdata.create semantics in
       Fdata.write fd ~rank:3 ~time:1 ~off:0 (b "mine");
       Alcotest.(check string) "own write visible" "mine"
-        (read_str fd ~semantics ~rank:3 ~time:2 ~off:0 ~len:4))
+        (read_str fd ~rank:3 ~time:2 ~off:0 ~len:4))
     [ Consistency.Strong; Consistency.Commit; Consistency.Session;
       Consistency.Eventual { delay = 1000 } ]
 
 let test_fdata_commit_visibility () =
-  let fd = Fdata.create () in
+  let fd = Fdata.create Consistency.Commit in
   Fdata.write fd ~rank:0 ~time:1 ~off:0 (b "data");
-  let before =
-    Fdata.read fd ~semantics:Consistency.Commit ~rank:1 ~time:2 ~off:0 ~len:4
-  in
+  let before = Fdata.read fd ~rank:1 ~time:2 ~off:0 ~len:4 in
   Alcotest.(check int) "stale before commit" 4 before.Fdata.stale_bytes;
   Fdata.commit fd ~rank:0 ~time:3;
-  let after =
-    Fdata.read fd ~semantics:Consistency.Commit ~rank:1 ~time:4 ~off:0 ~len:4
-  in
+  let after = Fdata.read fd ~rank:1 ~time:4 ~off:0 ~len:4 in
   Alcotest.(check int) "visible after commit" 0 after.Fdata.stale_bytes;
   Alcotest.(check string) "contents" "data" (Bytes.to_string after.Fdata.data)
 
 let test_fdata_session_visibility () =
-  let fd = Fdata.create () in
+  let fd = Fdata.create Consistency.Session in
   Fdata.session_open fd ~rank:0 ~time:0;
   Fdata.write fd ~rank:0 ~time:1 ~off:0 (b "data");
   Fdata.session_close fd ~rank:0 ~time:2;
   (* Reader whose open precedes the writer's close: not visible. *)
   Fdata.session_open fd ~rank:1 ~time:1;
-  let stale =
-    Fdata.read fd ~semantics:Consistency.Session ~rank:1 ~time:3 ~off:0 ~len:4
-  in
+  let stale = Fdata.read fd ~rank:1 ~time:3 ~off:0 ~len:4 in
   Alcotest.(check int) "open-before-close: stale" 4 stale.Fdata.stale_bytes;
   (* Reader that re-opens after the close: visible. *)
   Fdata.session_open fd ~rank:1 ~time:4;
-  let fresh =
-    Fdata.read fd ~semantics:Consistency.Session ~rank:1 ~time:5 ~off:0 ~len:4
-  in
+  let fresh = Fdata.read fd ~rank:1 ~time:5 ~off:0 ~len:4 in
   Alcotest.(check int) "close-to-open: visible" 0 fresh.Fdata.stale_bytes
 
 let test_fdata_session_fsync_not_enough () =
-  let fd = Fdata.create () in
+  let fd = Fdata.create Consistency.Session in
   Fdata.write fd ~rank:0 ~time:1 ~off:0 (b "data");
   Fdata.commit fd ~rank:0 ~time:2;
   Fdata.session_open fd ~rank:1 ~time:3;
-  let r =
-    Fdata.read fd ~semantics:Consistency.Session ~rank:1 ~time:4 ~off:0 ~len:4
-  in
+  let r = Fdata.read fd ~rank:1 ~time:4 ~off:0 ~len:4 in
   Alcotest.(check int) "fsync does not publish under session" 4
     r.Fdata.stale_bytes
 
 let test_fdata_eventual_delay () =
-  let fd = Fdata.create () in
+  let fd = Fdata.create (Consistency.Eventual { delay = 5 }) in
   Fdata.write fd ~rank:0 ~time:10 ~off:0 (b "x");
-  let early =
-    Fdata.read fd ~semantics:(Consistency.Eventual { delay = 5 }) ~rank:1
-      ~time:12 ~off:0 ~len:1
-  in
+  let early = Fdata.read fd ~rank:1 ~time:12 ~off:0 ~len:1 in
   Alcotest.(check int) "not yet propagated" 1 early.Fdata.stale_bytes;
-  let late =
-    Fdata.read fd ~semantics:(Consistency.Eventual { delay = 5 }) ~rank:1
-      ~time:15 ~off:0 ~len:1
-  in
+  let late = Fdata.read fd ~rank:1 ~time:15 ~off:0 ~len:1 in
   Alcotest.(check int) "propagated" 0 late.Fdata.stale_bytes
 
 let test_fdata_eventual_delay_edges () =
-  let fd = Fdata.create () in
+  let fd = Fdata.create (Consistency.Eventual { delay = 5 }) in
   Fdata.write fd ~rank:0 ~time:10 ~off:0 (b "x");
   (* Visibility is inclusive: the write is published at exactly
      write_time + delay, not one tick later. *)
-  let boundary =
-    Fdata.read fd ~semantics:(Consistency.Eventual { delay = 5 }) ~rank:1
-      ~time:15 ~off:0 ~len:1
-  in
+  let boundary = Fdata.read fd ~rank:1 ~time:15 ~off:0 ~len:1 in
   Alcotest.(check int) "visible at exactly write_time + delay" 0
     boundary.Fdata.stale_bytes;
-  let just_before =
-    Fdata.read fd ~semantics:(Consistency.Eventual { delay = 5 }) ~rank:1
-      ~time:14 ~off:0 ~len:1
-  in
+  let just_before = Fdata.read fd ~rank:1 ~time:14 ~off:0 ~len:1 in
   Alcotest.(check int) "hidden one tick earlier" 1
     just_before.Fdata.stale_bytes
 
 let test_fdata_eventual_delay_zero () =
   (* delay = 0 degenerates to strong consistency: same contents, never
      stale, even for a read issued at the write's own timestamp. *)
-  let fd = Fdata.create () in
+  let fd = Fdata.create (Consistency.Eventual { delay = 0 }) in
   Fdata.write fd ~rank:0 ~time:7 ~off:0 (b "abc");
-  let r =
-    Fdata.read fd ~semantics:(Consistency.Eventual { delay = 0 }) ~rank:1
-      ~time:7 ~off:0 ~len:3
-  in
+  let r = Fdata.read fd ~rank:1 ~time:7 ~off:0 ~len:3 in
   Alcotest.(check string) "contents" "abc" (Bytes.to_string r.Fdata.data);
   Alcotest.(check int) "never stale" 0 r.Fdata.stale_bytes;
-  let strong =
-    Fdata.read fd ~semantics:Consistency.Strong ~rank:1 ~time:7 ~off:0 ~len:3
-  in
+  let strong = Fdata.oracle fd ~off:0 ~len:3 in
   Alcotest.(check string) "identical to strong"
-    (Bytes.to_string strong.Fdata.data)
+    (Bytes.to_string strong)
     (Bytes.to_string r.Fdata.data)
 
 let test_fdata_eventual_laminate_already_visible () =
   (* Laminating a file whose writes have already propagated must change
      nothing: reads stay correct, and the only new effect is read-only
      enforcement. *)
-  let fd = Fdata.create () in
+  let fd = Fdata.create (Consistency.Eventual { delay = 2 }) in
   Fdata.write fd ~rank:0 ~time:1 ~off:0 (b "done");
-  let before =
-    Fdata.read fd ~semantics:(Consistency.Eventual { delay = 2 }) ~rank:1
-      ~time:10 ~off:0 ~len:4
-  in
+  let before = Fdata.read fd ~rank:1 ~time:10 ~off:0 ~len:4 in
   Alcotest.(check int) "already visible pre-lamination" 0
     before.Fdata.stale_bytes;
   Fdata.laminate fd ~time:11;
-  let after =
-    Fdata.read fd ~semantics:(Consistency.Eventual { delay = 2 }) ~rank:1
-      ~time:12 ~off:0 ~len:4
-  in
+  let after = Fdata.read fd ~rank:1 ~time:12 ~off:0 ~len:4 in
   Alcotest.(check string) "contents unchanged" "done"
     (Bytes.to_string after.Fdata.data);
   Alcotest.(check int) "still not stale" 0 after.Fdata.stale_bytes;
@@ -167,7 +134,7 @@ let test_fdata_eventual_laminate_already_visible () =
       Fdata.write fd ~rank:0 ~time:13 ~off:0 (b "z"))
 
 let test_fdata_waw_reorder_under_session () =
-  let fd = Fdata.create () in
+  let fd = Fdata.create Consistency.Session in
   (* Rank 5 writes first but closes last: under session semantics its stale
      value takes effect after rank 2's newer write. *)
   Fdata.write fd ~rank:5 ~time:1 ~off:0 (b "old");
@@ -175,43 +142,35 @@ let test_fdata_waw_reorder_under_session () =
   Fdata.session_close fd ~rank:2 ~time:3;
   Fdata.session_close fd ~rank:5 ~time:4;
   Fdata.session_open fd ~rank:9 ~time:5;
-  let r =
-    Fdata.read fd ~semantics:Consistency.Session ~rank:9 ~time:6 ~off:0 ~len:3
-  in
+  let r = Fdata.read fd ~rank:9 ~time:6 ~off:0 ~len:3 in
   Alcotest.(check string) "close order wins" "old" (Bytes.to_string r.Fdata.data);
   Alcotest.(check bool) "reorder flagged stale" true (r.Fdata.stale_bytes > 0);
   (* The same history under strong semantics returns the newest write. *)
-  let strong =
-    Fdata.read fd ~semantics:Consistency.Strong ~rank:9 ~time:6 ~off:0 ~len:3
-  in
+  let strong = Fdata.oracle fd ~off:0 ~len:3 in
   Alcotest.(check string) "strong keeps issue order" "new"
-    (Bytes.to_string strong.Fdata.data)
+    (Bytes.to_string strong)
 
 let test_fdata_truncate () =
-  let fd = Fdata.create () in
+  let fd = Fdata.create Consistency.Strong in
   Fdata.write fd ~rank:0 ~time:1 ~off:0 (b "abcdef");
   Fdata.truncate fd ~time:2 3;
   Alcotest.(check int) "size after truncate" 3 (Fdata.size fd);
   Alcotest.(check string) "kept prefix" "abc"
-    (read_str fd ~semantics:Consistency.Strong ~rank:0 ~time:3 ~off:0 ~len:10);
+    (read_str fd ~rank:0 ~time:3 ~off:0 ~len:10);
   Fdata.truncate fd ~time:4 0;
   Alcotest.(check int) "empty" 0 (Fdata.size fd);
   Alcotest.(check int) "no writes left" 0 (Fdata.write_count fd)
 
 let test_fdata_lamination () =
-  let fd = Fdata.create () in
+  let fd = Fdata.create Consistency.Commit in
   Fdata.write fd ~rank:0 ~time:1 ~off:0 (b "pub");
   (* Not visible under commit semantics (no commit)... *)
-  let before =
-    Fdata.read fd ~semantics:Consistency.Commit ~rank:1 ~time:2 ~off:0 ~len:3
-  in
+  let before = Fdata.read fd ~rank:1 ~time:2 ~off:0 ~len:3 in
   Alcotest.(check int) "hidden before lamination" 3 before.Fdata.stale_bytes;
   (* ...but lamination publishes everything at once. *)
   Fdata.laminate fd ~time:3;
   Alcotest.(check bool) "laminated" true (Fdata.is_laminated fd);
-  let after =
-    Fdata.read fd ~semantics:Consistency.Commit ~rank:1 ~time:4 ~off:0 ~len:3
-  in
+  let after = Fdata.read fd ~rank:1 ~time:4 ~off:0 ~len:3 in
   Alcotest.(check int) "visible after lamination" 0 after.Fdata.stale_bytes;
   Alcotest.(check string) "content" "pub" (Bytes.to_string after.Fdata.data);
   (* The file is now permanently read-only. *)
@@ -220,25 +179,24 @@ let test_fdata_lamination () =
       Fdata.write fd ~rank:0 ~time:5 ~off:0 (b "x"))
 
 let test_fdata_lamination_restores_issue_order () =
-  let fd = Fdata.create () in
+  let fd = Fdata.create Consistency.Session in
   Fdata.write fd ~rank:5 ~time:1 ~off:0 (b "old");
   Fdata.write fd ~rank:2 ~time:2 ~off:0 (b "new");
   Fdata.laminate fd ~time:3;
-  let r =
-    Fdata.read fd ~semantics:Consistency.Session ~rank:9 ~time:4 ~off:0 ~len:3
-  in
+  let r = Fdata.read fd ~rank:9 ~time:4 ~off:0 ~len:3 in
   Alcotest.(check string) "issue order after lamination" "new"
     (Bytes.to_string r.Fdata.data)
 
 let test_fdata_double_lamination () =
   (* A second lamination must not move the publication point: the file
      stays published from the first one on, in both models. *)
-  let fd = Fdata.create () and fr = Hpcfs_fs.Fdata_ref.create () in
+  let fd = Fdata.create Consistency.Commit
+  and fr = Hpcfs_fs.Fdata_ref.create () in
   Fdata.write fd ~rank:0 ~time:1 ~off:0 (b "abcd");
   Hpcfs_fs.Fdata_ref.write fr ~rank:0 ~time:1 ~off:0 (b "abcd");
   let check label =
     let r =
-      Fdata.read fd ~semantics:Consistency.Commit ~rank:1 ~time:7 ~off:0 ~len:4
+      Fdata.read fd ~rank:1 ~time:7 ~off:0 ~len:4
     and rr =
       Hpcfs_fs.Fdata_ref.read fr ~semantics:Consistency.Commit ~rank:1 ~time:7
         ~off:0 ~len:4
@@ -267,20 +225,17 @@ let test_pfs_laminate () =
   Alcotest.(check int) "published despite the delay" 0 r.Fdata.stale_bytes
 
 let test_fdata_burstfs_no_local_order () =
-  let fd = Fdata.create () in
+  let fd = Fdata.create Consistency.Commit in
   (* Two same-process writes between commits: BurstFS may apply either
      last; the model applies them adversarially (reversed). *)
   Fdata.write fd ~rank:0 ~time:1 ~off:0 (b "first");
   Fdata.write fd ~rank:0 ~time:2 ~off:0 (b "secnd");
   Fdata.commit fd ~rank:0 ~time:3;
-  let ordered =
-    Fdata.read fd ~semantics:Consistency.Commit ~rank:1 ~time:4 ~off:0 ~len:5
-  in
+  let ordered = Fdata.read fd ~rank:1 ~time:4 ~off:0 ~len:5 in
   Alcotest.(check string) "ordered PFS returns the newest" "secnd"
     (Bytes.to_string ordered.Fdata.data);
   let burst =
-    Fdata.read ~local_order:false fd ~semantics:Consistency.Commit ~rank:1
-      ~time:4 ~off:0 ~len:5
+    Fdata.read ~local_order:false fd ~rank:1 ~time:4 ~off:0 ~len:5
   in
   Alcotest.(check string) "BurstFS-like returns the other" "first"
     (Bytes.to_string burst.Fdata.data);
@@ -299,7 +254,7 @@ let test_pfs_burstfs_mode () =
 (* Namespace -------------------------------------------------------------- *)
 
 let test_namespace_tree () =
-  let ns = Namespace.create () in
+  let ns = Namespace.create Consistency.Strong in
   Namespace.mkdir ns ~time:1 "/a";
   Namespace.mkdir ns ~time:2 "/a/b";
   ignore (Namespace.create_file ns ~time:3 "/a/b/f");
@@ -310,7 +265,7 @@ let test_namespace_tree () =
     (Namespace.all_files ns)
 
 let test_namespace_errors () =
-  let ns = Namespace.create () in
+  let ns = Namespace.create Consistency.Strong in
   Namespace.mkdir ns ~time:1 "/d";
   Alcotest.check_raises "mkdir exists" (Namespace.Exists "/d") (fun () ->
       Namespace.mkdir ns ~time:2 "/d");
@@ -324,7 +279,7 @@ let test_namespace_errors () =
   Alcotest.(check bool) "gone" false (Namespace.exists ns "/d")
 
 let test_namespace_rename () =
-  let ns = Namespace.create () in
+  let ns = Namespace.create Consistency.Strong in
   Namespace.mkdir ns ~time:1 "/x";
   let fd = Namespace.create_file ns ~time:2 "/x/old" in
   Fdata.write fd ~rank:0 ~time:3 ~off:0 (b "keep");
@@ -334,7 +289,7 @@ let test_namespace_rename () =
   Alcotest.(check int) "payload moved" 4 (Fdata.size fd')
 
 let test_namespace_rename_onto_existing () =
-  let ns = Namespace.create () in
+  let ns = Namespace.create Consistency.Strong in
   Namespace.mkdir ns ~time:1 "/x";
   let fd = Namespace.create_file ns ~time:2 "/x/a" in
   Fdata.write fd ~rank:0 ~time:2 ~off:0 (b "new");
@@ -370,7 +325,7 @@ let test_namespace_rename_onto_existing () =
     (Namespace.exists ns "/x/e/child")
 
 let test_namespace_rename_into_own_subtree () =
-  let ns = Namespace.create () in
+  let ns = Namespace.create Consistency.Strong in
   Namespace.mkdir ns ~time:1 "/a";
   Namespace.mkdir ns ~time:2 "/a/b";
   (* Moving a directory under itself would orphan the subtree (EINVAL). *)
@@ -387,7 +342,7 @@ let test_namespace_rename_into_own_subtree () =
   Alcotest.(check bool) "still there" true (Namespace.is_dir ns "/a/b")
 
 let test_namespace_rename_dir_across_parents () =
-  let ns = Namespace.create () in
+  let ns = Namespace.create Consistency.Strong in
   Namespace.mkdir ns ~time:1 "/src";
   Namespace.mkdir ns ~time:2 "/dst";
   Namespace.mkdir ns ~time:3 "/src/sub";
@@ -405,7 +360,7 @@ let test_namespace_rename_dir_across_parents () =
     (Namespace.readdir ns "/src")
 
 let test_namespace_readdir_after_unlink () =
-  let ns = Namespace.create () in
+  let ns = Namespace.create Consistency.Strong in
   Namespace.mkdir ns ~time:1 "/d";
   List.iter
     (fun n -> ignore (Namespace.create_file ns ~time:2 ("/d/" ^ n)))
@@ -420,7 +375,7 @@ let test_namespace_readdir_after_unlink () =
     (Namespace.readdir ns "/d")
 
 let test_namespace_stat () =
-  let ns = Namespace.create () in
+  let ns = Namespace.create Consistency.Strong in
   let fd = Namespace.create_file ns ~time:5 "/f" in
   Fdata.write fd ~rank:0 ~time:6 ~off:0 (b "123");
   Namespace.touch_mtime ns ~time:7 "/f";
@@ -728,7 +683,7 @@ let qcheck_fdata_strong_matches_flat =
   QCheck.Test.make ~name:"fdata strong equals flat array model" ~count:200
     QCheck.(small_list (tup3 (int_bound 3) (int_bound 50) (int_bound 20)))
     (fun ops ->
-      let fd = Fdata.create () in
+      let fd = Fdata.create Consistency.Strong in
       let flat = Bytes.make 100 '\000' in
       let maxhi = ref 0 in
       List.iteri
@@ -739,10 +694,7 @@ let qcheck_fdata_strong_matches_flat =
           Bytes.blit data 0 flat off len;
           maxhi := max !maxhi (off + len))
         ops;
-      let r =
-        Fdata.read fd ~semantics:Consistency.Strong ~rank:9 ~time:1000 ~off:0
-          ~len:!maxhi
-      in
+      let r = Fdata.read fd ~rank:9 ~time:1000 ~off:0 ~len:!maxhi in
       Bytes.to_string r.Fdata.data = Bytes.sub_string flat 0 !maxhi)
 
 let suite =

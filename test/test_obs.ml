@@ -247,20 +247,16 @@ let test_extent_section () =
   Obs.with_sink sink (fun () ->
       (* Drive a real publish + read so the counters come from the extent
          store itself, not hand-rolled Obs.incr calls. *)
-      let fd = Hpcfs_fs.Fdata.create () in
+      let fd = Hpcfs_fs.Fdata.create Hpcfs_fs.Consistency.Commit in
       Hpcfs_fs.Fdata.write fd ~rank:0 ~time:1 ~off:0
         (Bytes.make 64 'a');
       Hpcfs_fs.Fdata.commit fd ~rank:0 ~time:2;
-      ignore
-        (Hpcfs_fs.Fdata.read fd ~semantics:Hpcfs_fs.Consistency.Commit
-           ~rank:1 ~time:3 ~off:0 ~len:64);
+      ignore (Hpcfs_fs.Fdata.read fd ~rank:1 ~time:3 ~off:0 ~len:64);
       (* A second publish folds into the now-built cache: a compaction. *)
       Hpcfs_fs.Fdata.write fd ~rank:0 ~time:4 ~off:32
         (Bytes.make 64 'b');
       Hpcfs_fs.Fdata.commit fd ~rank:0 ~time:5;
-      ignore
-        (Hpcfs_fs.Fdata.read fd ~semantics:Hpcfs_fs.Consistency.Commit
-           ~rank:1 ~time:6 ~off:0 ~len:96));
+      ignore (Hpcfs_fs.Fdata.read fd ~rank:1 ~time:6 ~off:0 ~len:96));
   match App_report.extent_section sink with
   | None -> Alcotest.fail "expected an extent-store section"
   | Some (title, kvs) ->
