@@ -89,7 +89,7 @@ let ms ns = ns /. 1e6
    degradations pay the PFS price the ack dodged. *)
 let run_mode ~nranks semantics mode =
   let body = body_of ack_spec in
-  let engine = Validation.sem_name semantics in
+  let engine = Consistency.to_string semantics in
   match mode with
   | Direct ->
     let r = Runner.run ~semantics ~nprocs:nranks body in

@@ -133,7 +133,7 @@ let run_cell ~wl ~engine ~mds_shards (entry : Registry.entry) =
 let csv_line c =
   Printf.sprintf "%s,%s,%d,%d,%d,%d,%d,%d,%d,%d,%d,%.3f,%d,%d,%d,%.0f,%.0f"
     c.wl
-    (Bench_perf.engine_name c.engine)
+    (Consistency.key c.engine)
     c.mds_shards bench_nprocs c.stats_issued (creates c.md) c.md.Md.server_ops
     c.md.Md.server_makespan c.md.Md.client_makespan c.md.Md.cache_hits
     c.md.Md.cache_misses (Md.hit_ratio c.md) c.md.Md.stale_stats
@@ -142,7 +142,7 @@ let csv_line c =
 let cells c =
   [
     c.wl;
-    Bench_perf.engine_name c.engine;
+    Consistency.key c.engine;
     string_of_int c.mds_shards;
     string_of_int c.md.Md.server_ops;
     string_of_int (Md.makespan c.md);
@@ -241,7 +241,7 @@ let metadata () =
       Bench_perf.record_metadata
         ~name:
           (Printf.sprintf "metadata/%s/%s/shards=%d" c.wl
-             (Bench_perf.engine_name c.engine)
+             (Consistency.key c.engine)
              c.mds_shards)
         ~creates_per_s:c.creates_per_s ~stats_per_s:c.stats_per_s
         ~hit_ratio:(Md.hit_ratio c.md) ~stale_stats:c.md.Md.stale_stats)

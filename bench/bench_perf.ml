@@ -329,12 +329,6 @@ let time_reads read_at reads =
   let m1 = Gc.minor_words () in
   ((t1 -. t0) *. 1e9 /. float_of_int reads, (m1 -. m0) /. float_of_int reads)
 
-let engine_name = function
-  | Consistency.Strong -> "strong"
-  | Consistency.Commit -> "commit"
-  | Consistency.Session -> "session"
-  | Consistency.Eventual _ -> "eventual"
-
 let readpath () =
   section
     "Read path: extent store (epoch compaction) vs reference log repaint";
@@ -394,10 +388,10 @@ let readpath () =
               reads
           in
           let ens, _ = extent and rns, _ = reference in
-          let name = Printf.sprintf "readpath/%s/%d" (engine_name sem) n in
+          let name = Printf.sprintf "readpath/%s/%d" (Consistency.key sem) n in
           Table.add_row t
             [
-              "readpath/" ^ engine_name sem;
+              "readpath/" ^ Consistency.key sem;
               string_of_int n;
               Printf.sprintf "%.0f" ens;
               Printf.sprintf "%.0f" rns;

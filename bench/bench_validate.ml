@@ -20,12 +20,6 @@ module Sharing = Hpcfs_core.Sharing
 module Table = Hpcfs_util.Table
 open Bench_common
 
-let semantics_name = function
-  | Consistency.Strong -> "strong"
-  | Consistency.Commit -> "commit"
-  | Consistency.Session -> "session"
-  | Consistency.Eventual _ -> "eventual"
-
 let validate () =
   section
     (Printf.sprintf
@@ -65,7 +59,7 @@ let validate () =
       Table.add_row t
         [
           Registry.label entry;
-          semantics_name verdict.Recommend.semantics;
+          Consistency.key verdict.Recommend.semantics;
           cell strong;
           cell commit;
           cell session;

@@ -6,15 +6,7 @@ module Tier = Hpcfs_bb.Tier
 module Wal = Hpcfs_wal.Wal
 module Obs = Hpcfs_obs.Obs
 
-let sem_key = function
-  | Consistency.Strong -> "strong"
-  | Consistency.Commit -> "commit"
-  | Consistency.Session -> "session"
-  | Consistency.Eventual _ -> "eventual"
-
-let sem_name = function
-  | Consistency.Eventual { delay } -> Printf.sprintf "eventual:%d" delay
-  | s -> sem_key s
+let sem_name = Consistency.to_string
 
 type outcome = {
   semantics : Consistency.t;
@@ -39,7 +31,7 @@ let final_digests result =
 
 let run_against ~reference_digests ~nprocs ?(local_order = true) ?tier ?wal
     ?faults model body =
-  Obs.span Obs.T_core ("validate." ^ sem_key model) @@ fun () ->
+  Obs.span Obs.T_core ("validate." ^ Consistency.key model) @@ fun () ->
   let result =
     Runner.run ~semantics:model ~local_order ~nprocs ?tier ?wal ?faults body
   in
@@ -96,7 +88,7 @@ let crash_report ?obs ?(nprocs = 64)
     let reference_digests = final_digests reference in
     List.map
       (fun model ->
-        Obs.span Obs.T_core ("faults." ^ sem_key model) @@ fun () ->
+        Obs.span Obs.T_core ("faults." ^ Consistency.key model) @@ fun () ->
         let result =
           Runner.run ~semantics:model ~nprocs ?tier ?wal ~faults:plan body
         in
@@ -116,7 +108,8 @@ let crash_report ?obs ?(nprocs = 64)
           | Some o -> o
           | None -> assert false (* a plan was given *)
         in
-        Hpcfs_fault.Report.row_of_outcome ~app ~semantics:(sem_name model)
+        Hpcfs_fault.Report.row_of_outcome ~app
+          ~semantics:(Consistency.to_string model)
           ~post_files:(List.length reference_digests) ~post_corrupted outcome)
       semantics
   in

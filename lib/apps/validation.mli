@@ -21,8 +21,9 @@ val correct : outcome -> bool
 (** No stale reads and no corrupted files. *)
 
 val sem_name : Hpcfs_fs.Consistency.t -> string
-(** Short engine label: ["strong"], ["commit"], ["session"] or
-    ["eventual:<delay>"]. *)
+(** {!Hpcfs_fs.Consistency.to_string}: ["strong"], ["commit"], ["session"]
+    or ["eventual:<delay>"].  Kept under this name for the e2ebench
+    harness. *)
 
 val final_digests : Runner.result -> (string * Digest.t) list
 (** Digest of the final contents of every regular file, read back as a

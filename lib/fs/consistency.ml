@@ -16,6 +16,16 @@ let name = function
 
 let pp ppf t = Format.pp_print_string ppf (name t)
 
+let key = function
+  | Strong -> "strong"
+  | Commit -> "commit"
+  | Session -> "session"
+  | Eventual _ -> "eventual"
+
+let to_string = function
+  | Eventual { delay } -> Printf.sprintf "eventual:%d" delay
+  | t -> key t
+
 let default_eventual_delay = 16
 
 (* Engine specs as they appear on CLIs and in sweep grids: [strong],

@@ -32,6 +32,14 @@ val name : t -> string
 
 val pp : Format.formatter -> t -> unit
 
+val key : t -> string
+(** The engine's short name: ["strong"], ["commit"], ["session"] or
+    ["eventual"] (any delay).  Metric and span names are built from it. *)
+
+val to_string : t -> string
+(** {!key}, with the delay for eventual (["eventual:N"]); {!of_string}
+    parses it back. *)
+
 val default_eventual_delay : int
 (** Propagation delay assumed when an eventual spec gives none (16). *)
 

@@ -25,12 +25,6 @@ type t = {
   stale_bytes : Domctx.counter;
 }
 
-let sem_key = function
-  | Consistency.Strong -> "strong"
-  | Consistency.Commit -> "commit"
-  | Consistency.Session -> "session"
-  | Consistency.Eventual _ -> "eventual"
-
 let create ?stripe ?(lock_granularity = 1 lsl 20) ?(local_order = true)
     ?(mds_shards = 1) semantics =
   let stripe =
@@ -38,7 +32,7 @@ let create ?stripe ?(lock_granularity = 1 lsl 20) ?(local_order = true)
     | Some s -> s
     | None -> Stripe.create ~stripe_size:(1 lsl 20) ~server_count:8
   in
-  let key = sem_key semantics in
+  let key = Consistency.key semantics in
   {
     semantics;
     local_order;

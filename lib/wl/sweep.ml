@@ -82,7 +82,7 @@ let run ?(progress = fun _ -> ()) ?(seed = 42) ?domains (g : grid) =
                     (fun (pname, plan) ->
                       progress
                         (Printf.sprintf "%s ranks=%d %s %s %s" wname nprocs
-                           (Validation.sem_name engine) tname pname);
+                           (Consistency.to_string engine) tname pname);
                       let t0 = Sys.time () in
                       let result =
                         Runner.run ~semantics:engine ~local_order:true ~nprocs
@@ -113,7 +113,7 @@ let run ?(progress = fun _ -> ()) ?(seed = 42) ?domains (g : grid) =
                       {
                         ranks = nprocs;
                         workload = wname;
-                        engine = Validation.sem_name engine;
+                        engine = Consistency.to_string engine;
                         tier = tname;
                         plan = pname;
                         xy = Sharing.xy_name sharing.Sharing.xy;

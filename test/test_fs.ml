@@ -666,6 +666,25 @@ let test_consistency_strength_order () =
   Alcotest.(check bool) "session > eventual" true
     (compare_strength Session (Eventual { delay = 0 }) > 0)
 
+let test_consistency_to_string_round_trip () =
+  List.iter
+    (fun e ->
+      let s = Consistency.to_string e in
+      Alcotest.(check bool) (s ^ " parses back") true
+        (Consistency.of_string s = Ok e))
+    [
+      Consistency.Strong;
+      Consistency.Commit;
+      Consistency.Session;
+      Consistency.Eventual { delay = Consistency.default_eventual_delay };
+      Consistency.Eventual { delay = 0 };
+      Consistency.Eventual { delay = 250 };
+    ];
+  Alcotest.(check string) "eventual names its delay" "eventual:7"
+    (Consistency.to_string (Consistency.Eventual { delay = 7 }));
+  Alcotest.(check string) "key drops the delay" "eventual"
+    (Consistency.key (Consistency.Eventual { delay = 7 }))
+
 let test_consistency_table1 () =
   Alcotest.(check int) "four categories" 4 (List.length Consistency.table1);
   Alcotest.(check bool) "lustre is strong" true
@@ -757,6 +776,8 @@ let suite =
     Alcotest.test_case "consistency strength order" `Quick
       test_consistency_strength_order;
     Alcotest.test_case "consistency table 1" `Quick test_consistency_table1;
+    Alcotest.test_case "consistency to_string round trip" `Quick
+      test_consistency_to_string_round_trip;
     QCheck_alcotest.to_alcotest qcheck_fdata_strong_matches_flat;
     QCheck_alcotest.to_alcotest qcheck_stripe_split_reconcatenates;
   ]

@@ -76,7 +76,7 @@ let qcheck_wal_differential =
               in
               let fail msg =
                 QCheck.Test.fail_reportf "%s under %s: %s" label
-                  (Validation.sem_name semantics)
+                  (Consistency.to_string semantics)
                   msg
               in
               if
