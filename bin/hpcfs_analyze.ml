@@ -753,9 +753,13 @@ let faults_cmd =
        let* semantics = Consistency.list_of_string sem_spec in
        let tier, wal = tier_config tier ranks_per_node in
        with_obs obs_dir @@ fun obs ->
-       let rows =
-         Validation.crash_report ~nprocs:ranks ~semantics ?tier ?wal
-           ~app:(Registry.label entry) ~plan entry.Registry.body
+       let* rows =
+         match
+           Validation.crash_report ~nprocs:ranks ~semantics ?tier ?wal
+             ~app:(Registry.label entry) ~plan entry.Registry.body
+         with
+         | rows -> Ok rows
+         | exception Fault_plan.Invalid msg -> Error msg
        in
        Format.printf "fault plan: %a (seed %d)@.@." Fault_plan.pp plan
          plan_seed;

@@ -362,6 +362,18 @@ let run ?obs ?(semantics = Hpcfs_fs.Consistency.Strong) ?(local_order = true)
   let go () =
     Hpcfs_hdf5.Hdf5.reset_registries ();
     let pfs = Pfs.create ~local_order ~mds_shards semantics in
+    (* A plan naming a target or shard this PFS lacks is refused before
+       anything runs. *)
+    Option.iter
+      (fun plan ->
+        let targets = Pfs.targets pfs in
+        match
+          Plan.check plan ~targets:(Target.count targets)
+            ~mds_shards:(Target.mds_shards targets)
+        with
+        | Ok () -> ()
+        | Error msg -> raise (Plan.Invalid msg))
+      faults;
     let mds = Md.create pfs in
     let collector = Collector.create () in
     let tier, wal, backend = staging ~tier ~wal pfs in

@@ -82,7 +82,9 @@ val run :
     the body re-runs with [env.attempt] incremented and the logical clock
     continued past the crash.  Without a plan this parameter costs
     nothing: the execution path and all output are identical to a run
-    built before the fault subsystem existed.
+    built before the fault subsystem existed.  A plan naming a storage
+    target or MDS shard the PFS lacks raises {!Hpcfs_fault.Plan.Invalid}
+    before the simulation starts.
 
     With [?obs], the given telemetry sink is installed for the duration of
     the run (and restored afterwards), so every instrumented layer records

@@ -99,6 +99,27 @@ let event_to_string = function
 
 let to_string t = String.concat ";" (List.map event_to_string t.events)
 
+exception Invalid of string
+
+let check t ~targets ~mds_shards =
+  let in_range head key k ~what n =
+    if k < n then Ok ()
+    else
+      Error
+        (Printf.sprintf "%s: %s=%d out of range (%s: 0-%d)" head key k what
+           (n - 1))
+  in
+  List.fold_left
+    (fun acc e ->
+      Result.bind acc (fun () ->
+          match e with
+          | Ost_fail { target; _ } ->
+            in_range "ostfail" "target" target ~what:"storage targets" targets
+          | Mds_fail { shard = Some k; _ } ->
+            in_range "mdsfail" "shard" k ~what:"MDS shards" mds_shards
+          | _ -> Ok ()))
+    (Ok ()) t.events
+
 let ( let* ) = Result.bind
 
 (* Parse errors name the offending token and what the grammar accepts at
@@ -174,18 +195,24 @@ let parse_event spec =
         Option.to_result ~none:"ostfail: missing target=K" (get "target")
       in
       let* at = Option.to_result ~none:"ostfail: missing t=T" (get "t") in
-      Ok
-        (Ost_fail
-           {
-             target;
-             at;
-             recover = get "recover";
-             failover =
-               (match get "failover" with Some v -> v <> 0 | None -> false);
-           })
+      if target < 0 then
+        Error (Printf.sprintf "ostfail: target must be >= 0, got %d" target)
+      else
+        Ok
+          (Ost_fail
+             {
+               target;
+               at;
+               recover = get "recover";
+               failover =
+                 (match get "failover" with Some v -> v <> 0 | None -> false);
+             })
     | "mdsfail" ->
       let* at = Option.to_result ~none:"mdsfail: missing t=T" (get "t") in
-      Ok (Mds_fail { at; recover = get "recover"; shard = get "shard" })
+      (match get "shard" with
+      | Some k when k < 0 ->
+        Error (Printf.sprintf "mdsfail: shard must be >= 0, got %d" k)
+      | shard -> Ok (Mds_fail { at; recover = get "recover"; shard }))
     | _ ->
       let* bytes =
         Option.to_result ~none:"logcap: missing bytes=B" (get "bytes")

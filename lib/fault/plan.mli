@@ -86,7 +86,18 @@ val of_string : ?name:string -> ?seed:int -> string -> (t, string) result
     [mdsfail:t=T[,shard=K][,recover=D]],
     [logfail:count=K[,node=N][,after=T]] and
     [logcap:bytes=B] (shorthand: [logcap=B]).  Unknown event names and
-    unknown keys are errors; messages name the offending token and the
-    accepted alternatives for the event being parsed. *)
+    unknown keys are errors, as are a negative [target] or [shard];
+    messages name the offending token and the accepted alternatives for
+    the event being parsed.  Whether a target or shard exists depends on
+    the PFS, so {!check} tests that separately. *)
+
+exception Invalid of string
+(** A plan that parses but does not fit the PFS it is run against (see
+    {!check}); the message is in {!of_string}'s style. *)
+
+val check : t -> targets:int -> mds_shards:int -> (unit, string) result
+(** Does every event name a storage target below [targets] and an MDS
+    shard below [mds_shards]?  The error names the first event that does
+    not, e.g. ["ostfail: target=99 out of range (storage targets: 0-7)"]. *)
 
 val pp : Format.formatter -> t -> unit

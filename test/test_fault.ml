@@ -97,6 +97,36 @@ let test_plan_parse_error_messages () =
   err "logcap:bytes=0" "logcap: bytes must be positive";
   err "logcap=x" "logcap: bytes: not an integer: \"x\""
 
+let test_plan_target_and_shard_range () =
+  (* A negative target or shard is a parse error; one the PFS lacks is
+     refused by Runner.run before the body runs, with the same kind of
+     message instead of an exception from the target table. *)
+  let err spec expected =
+    match Plan.of_string spec with
+    | Ok _ -> Alcotest.fail ("expected parse error: " ^ spec)
+    | Error e -> Alcotest.(check string) spec expected e
+  in
+  err "ostfail:target=-1,t=10" "ostfail: target must be >= 0, got -1";
+  err "mdsfail:t=10,shard=-2" "mdsfail: shard must be >= 0, got -2";
+  let plan spec =
+    match Plan.of_string spec with Ok p -> p | Error e -> Alcotest.fail e
+  in
+  Alcotest.(check bool) "last target and shard fit" true
+    (Plan.check
+       (plan "ostfail:target=7,t=10;mdsfail:t=20,shard=1")
+       ~targets:8 ~mds_shards:2
+    = Ok ());
+  let refused spec expected =
+    let ran = ref false in
+    Alcotest.check_raises spec (Plan.Invalid expected) (fun () ->
+        ignore
+          (Runner.run ~nprocs:2 ~faults:(plan spec) (fun _ -> ran := true)));
+    Alcotest.(check bool) (spec ^ ": body never ran") false !ran
+  in
+  refused "ostfail:target=99,t=10"
+    "ostfail: target=99 out of range (storage targets: 0-7)";
+  refused "mdsfail:t=10,shard=7" "mdsfail: shard=7 out of range (MDS shards: 0-0)"
+
 let test_plan_constructors () =
   let plan =
     Plan.make ~name:"p" ~seed:7
@@ -662,6 +692,8 @@ let suite =
     Alcotest.test_case "plan spec roundtrip" `Quick test_plan_roundtrip;
     Alcotest.test_case "plan parse error messages" `Quick
       test_plan_parse_error_messages;
+    Alcotest.test_case "plan target and shard range" `Quick
+      test_plan_target_and_shard_range;
     Alcotest.test_case "plan constructors" `Quick test_plan_constructors;
     Alcotest.test_case "crash differentiates engines" `Quick
       test_crash_differentiates_engines;
