@@ -366,13 +366,10 @@ let run ?obs ?(semantics = Hpcfs_fs.Consistency.Strong) ?(local_order = true)
        anything runs. *)
     Option.iter
       (fun plan ->
-        let targets = Pfs.targets pfs in
-        match
-          Plan.check plan ~targets:(Target.count targets)
-            ~mds_shards:(Target.mds_shards targets)
-        with
-        | Ok () -> ()
-        | Error msg -> raise (Plan.Invalid msg))
+        let tg = Pfs.targets pfs in
+        Plan.check plan ~targets:(Target.count tg)
+          ~mds_shards:(Target.mds_shards tg)
+        |> Result.iter_error (fun msg -> raise (Plan.Invalid msg)))
       faults;
     let mds = Md.create pfs in
     let collector = Collector.create () in

@@ -102,23 +102,19 @@ let to_string t = String.concat ";" (List.map event_to_string t.events)
 exception Invalid of string
 
 let check t ~targets ~mds_shards =
-  let in_range head key k ~what n =
-    if k < n then Ok ()
-    else
-      Error
-        (Printf.sprintf "%s: %s=%d out of range (%s: 0-%d)" head key k what
-           (n - 1))
+  let out_of_range head key k what n =
+    Some
+      (Printf.sprintf "%s: %s=%d out of range (%s: 0-%d)" head key k what
+         (n - 1))
   in
-  List.fold_left
-    (fun acc e ->
-      Result.bind acc (fun () ->
-          match e with
-          | Ost_fail { target; _ } ->
-            in_range "ostfail" "target" target ~what:"storage targets" targets
-          | Mds_fail { shard = Some k; _ } ->
-            in_range "mdsfail" "shard" k ~what:"MDS shards" mds_shards
-          | _ -> Ok ()))
-    (Ok ()) t.events
+  t.events
+  |> List.find_map (function
+       | Ost_fail { target; _ } when target >= targets ->
+         out_of_range "ostfail" "target" target "storage targets" targets
+       | Mds_fail { shard = Some k; _ } when k >= mds_shards ->
+         out_of_range "mdsfail" "shard" k "MDS shards" mds_shards
+       | _ -> None)
+  |> Option.fold ~none:(Ok ()) ~some:Result.error
 
 let ( let* ) = Result.bind
 
@@ -149,7 +145,11 @@ let int_fields head kvs =
     (fun acc (k, v) ->
       let* acc = acc in
       let* v = Spec.parse_int head k v in
-      Ok ((k, v) :: acc))
+      (* Targets and shards are indexes; whether one exists depends on
+         the PFS ({!check}), but a negative one never does. *)
+      if v < 0 && (k = "target" || k = "shard") then
+        Error (Printf.sprintf "%s: %s must be >= 0, got %d" head k v)
+      else Ok ((k, v) :: acc))
     (Ok []) (List.rev kvs)
 
 let parse_event spec =
@@ -195,24 +195,18 @@ let parse_event spec =
         Option.to_result ~none:"ostfail: missing target=K" (get "target")
       in
       let* at = Option.to_result ~none:"ostfail: missing t=T" (get "t") in
-      if target < 0 then
-        Error (Printf.sprintf "ostfail: target must be >= 0, got %d" target)
-      else
-        Ok
-          (Ost_fail
-             {
-               target;
-               at;
-               recover = get "recover";
-               failover =
-                 (match get "failover" with Some v -> v <> 0 | None -> false);
-             })
+      Ok
+        (Ost_fail
+           {
+             target;
+             at;
+             recover = get "recover";
+             failover =
+               (match get "failover" with Some v -> v <> 0 | None -> false);
+           })
     | "mdsfail" ->
       let* at = Option.to_result ~none:"mdsfail: missing t=T" (get "t") in
-      (match get "shard" with
-      | Some k when k < 0 ->
-        Error (Printf.sprintf "mdsfail: shard must be >= 0, got %d" k)
-      | shard -> Ok (Mds_fail { at; recover = get "recover"; shard }))
+      Ok (Mds_fail { at; recover = get "recover"; shard = get "shard" })
     | _ ->
       let* bytes =
         Option.to_result ~none:"logcap: missing bytes=B" (get "bytes")

@@ -204,19 +204,19 @@ let size t = t.size
 
 let write_count t = t.live
 
-let evl tbl rank =
+let find_or_add tbl rank make =
   match Hashtbl.find_opt tbl rank with
   | Some l -> l
   | None ->
-    let l = evlist () in
+    let l = make () in
     Hashtbl.add tbl rank l;
     l
 
+let evl tbl rank = find_or_add tbl rank evlist
+
 (* The earliest lamination wins: a later one cannot un-publish the file. *)
 let laminate t ~time =
-  match t.laminated_at with
-  | Some tl when tl <= time -> ()
-  | _ -> t.laminated_at <- Some time
+  t.laminated_at <- Some (min time (Option.value t.laminated_at ~default:time))
 
 let is_laminated t = t.laminated_at <> None
 
@@ -285,13 +285,7 @@ let unpub_insert lref w =
   in
   lref := ins !lref
 
-let unpub t rank =
-  match Hashtbl.find_opt t.unpub rank with
-  | Some l -> l
-  | None ->
-    let l = ref [] in
-    Hashtbl.add t.unpub rank l;
-    l
+let unpub t rank = find_or_add t.unpub rank (fun () -> ref [])
 
 (* Grow a cache's base buffer to cover [hi] bytes. *)
 let base_reserve c hi =
@@ -392,6 +386,31 @@ let note_parallel_write t ~rank =
     end
   end
 
+(* Append a live record to the log with a fresh seq.  Only [write] indexes
+   it; the torn-write pieces crash_target appends are left to its
+   [reindex]. *)
+let append_raw t ~rank ~time iv data =
+  let w =
+    {
+      w_seq = t.log_n;
+      w_rank = rank;
+      w_time = time;
+      w_iv = iv;
+      w_data = data;
+      w_live = true;
+      pub = pub_of t ~rank time;
+    }
+  in
+  if t.log_n = Array.length t.log then begin
+    let a = Array.make (2 * t.log_n) w in
+    Array.blit t.log 0 a 0 t.log_n;
+    t.log <- a
+  end;
+  t.log.(t.log_n) <- w;
+  t.log_n <- t.log_n + 1;
+  t.live <- t.live + 1;
+  w
+
 let write t ~rank ~time ~off data =
   if is_laminated t then invalid_arg "Fdata.write: file is laminated";
   let len = Bytes.length data in
@@ -399,24 +418,8 @@ let write t ~rank ~time ~off data =
     bump_watermark t time;
     note_parallel_write t ~rank;
     let w =
-      {
-        w_seq = t.log_n;
-        w_rank = rank;
-        w_time = time;
-        w_iv = Interval.of_len off len;
-        w_data = Bytes.copy data;
-        w_live = true;
-        pub = pub_of t ~rank time;
-      }
+      append_raw t ~rank ~time (Interval.of_len off len) (Bytes.copy data)
     in
-    if t.log_n = Array.length t.log then begin
-      let a = Array.make (2 * t.log_n) w in
-      Array.blit t.log 0 a 0 t.log_n;
-      t.log <- a
-    end;
-    t.log.(t.log_n) <- w;
-    t.log_n <- t.log_n + 1;
-    t.live <- t.live + 1;
     index_write t w;
     let c = t.cache in
     (match t.sem with
@@ -457,16 +460,12 @@ let publishing_event t ~rank ~time =
 
 let commit t ~rank ~time =
   bump_watermark t time;
-  (match t.sem with
-  | Commit -> publishing_event t ~rank ~time
-  | Strong | Session | Eventual _ -> ());
+  if t.sem = Commit then publishing_event t ~rank ~time;
   fold_eventual t
 
 let session_open t ~rank ~time =
   bump_watermark t time;
-  (match t.sem with
-  | Session -> ignore (ev_push (evl t.opens rank) time)
-  | Strong | Commit | Eventual _ -> ());
+  if t.sem = Session then ignore (ev_push (evl t.opens rank) time);
   fold_eventual t
 
 (* A close also publishes under commit semantics (cf. Section 3.2: "a
@@ -710,29 +709,6 @@ let crash t ~time ~stripe_size ~keep_stripes =
   if pending <> [] then reindex t;
   !stats
 
-(* Insert a raw record carrying a surviving piece of a torn write: original
-   rank and issue time, fresh seq.  Callers must [reindex] afterwards. *)
-let append_raw t ~rank ~time iv data =
-  let w =
-    {
-      w_seq = t.log_n;
-      w_rank = rank;
-      w_time = time;
-      w_iv = iv;
-      w_data = data;
-      w_live = true;
-      pub = pub_of t ~rank time;
-    }
-  in
-  if t.log_n = Array.length t.log then begin
-    let a = Array.make (2 * t.log_n) w in
-    Array.blit t.log 0 a 0 t.log_n;
-    t.log <- a
-  end;
-  t.log.(t.log_n) <- w;
-  t.log_n <- t.log_n + 1;
-  t.live <- t.live + 1
-
 let crash_target t ~time ~stripe_size ~server_count ~target =
   if not t.monotonic then recompute_pubs t;
   if laminated_by t time then (no_crash_stats, [])
@@ -807,7 +783,7 @@ let crash_target t ~time ~stripe_size ~server_count ~target =
       end
     done;
     List.iter
-      (fun (rank, time, iv, data) -> append_raw t ~rank ~time iv data)
+      (fun (rank, time, iv, data) -> ignore (append_raw t ~rank ~time iv data))
       (List.rev !appended);
     if !changed then reindex t;
     let affected =

@@ -42,10 +42,9 @@ let push tbl rank time =
 let times tbl rank =
   match Hashtbl.find_opt tbl rank with Some l -> !l | None -> []
 
+(* The earliest lamination wins: a later one cannot un-publish the file. *)
 let laminate t ~time =
-  match t.laminated_at with
-  | Some tl when tl <= time -> ()
-  | _ -> t.laminated_at <- Some time
+  t.laminated_at <- Some (min time (Option.value t.laminated_at ~default:time))
 
 let is_laminated t = t.laminated_at <> None
 

@@ -14,11 +14,8 @@ type node =
   | File of Fdata.t * meta
   | Dir of (string, node) Hashtbl.t * meta
 
-type t = {
-  sem : Consistency.t;  (* the engine every file is created with *)
-  root : (string, node) Hashtbl.t;
-  mu : Mutex.t;
-}
+(* [sem]: the consistency engine every file is created with. *)
+type t = { sem : Consistency.t; root : (string, node) Hashtbl.t; mu : Mutex.t }
 
 exception Not_found_path of string
 exception Exists of string
