@@ -200,6 +200,43 @@ let test_registry_completeness () =
     (Registry.find "flash-fbs" <> None);
   Alcotest.(check bool) "unknown lookup" true (Registry.find "nonesuch" = None)
 
+(* The payload bytes every app model and DSL workload writes: byte [i] of
+   [payload ~len env tag] is [(tag + rank + i) land 0xff], at lengths
+   around the 256-byte period and tags around the byte wrap.  Rank bodies
+   may run on worker domains, so each rank only collects its buffers; the
+   assertions run after [Runner.run] returns. *)
+let test_payload_bytes () =
+  let nprocs = 3 in
+  let lens = [ 0; 1; 255; 256; 257; 512; 4096; 4097 ]
+  and tags = [ 0; 1; 254; 255; 256; 1000003 ] in
+  let seen = Array.make nprocs [] in
+  ignore
+    (Runner.run ~nprocs (fun env ->
+         let r = Hpcfs_apps.App_common.rank env in
+         seen.(r) <-
+           List.concat_map
+             (fun len ->
+               List.map
+                 (fun tag ->
+                   (len, tag, Hpcfs_apps.App_common.payload ~len env tag))
+                 tags)
+             lens));
+  Array.iteri
+    (fun rank bufs ->
+      Alcotest.(check int) "one buffer per (len, tag)"
+        (List.length lens * List.length tags)
+        (List.length bufs);
+      List.iter
+        (fun (len, tag, b) ->
+          Alcotest.(check int) "length" len (Bytes.length b);
+          for i = 0 to len - 1 do
+            if Bytes.get b i <> Char.chr ((tag + rank + i) land 0xff) then
+              Alcotest.failf "rank %d len %d tag %d: byte %d is %d" rank len
+                tag i (Char.code (Bytes.get b i))
+          done)
+        bufs)
+    seen
+
 let suite =
   let table3_cases =
     List.map
@@ -238,4 +275,5 @@ let suite =
       Alcotest.test_case "BurstFS exception" `Slow test_burstfs_exception;
       Alcotest.test_case "registry completeness" `Quick
         test_registry_completeness;
+      Alcotest.test_case "payload bytes" `Quick test_payload_bytes;
     ]
