@@ -108,15 +108,16 @@ let ev_exists_in l ~after ~upto =
 (* Settled cache of a relaxed engine.  [c_base] holds the published bytes,
    folded in effective-time order up to [c_folded_pub]; [c_base_seq]
    records which write owns each settled byte.  Under eventual, writes
-   whose delay has not expired by the event-clock watermark wait in
-   [c_pending] (ascending publish time).  Strong files never build it. *)
+   whose delay has not expired by the event-clock watermark wait in the
+   FIFO [c_pending] (ascending publish time).  Strong files never build
+   it. *)
 type cache = {
   mutable c_valid : bool;
   mutable c_base : bytes;
   mutable c_base_len : int;
   mutable c_base_seq : int Extmap.t;
   mutable c_folded_pub : int;  (* min_int when nothing folded *)
-  mutable c_pending : write_rec list;  (* Eventual only; ascending pub *)
+  c_pending : write_rec Queue.t;  (* Eventual only; ascending pub *)
   mutable c_pend_pub : int;  (* publish time of the last queued pending *)
 }
 
@@ -137,9 +138,10 @@ type t = {
   mutable writers : int Extmap.t;  (* owning rank, or [multi_writer] *)
   mutable multi_ranges : bool;  (* any multi-writer segment exists *)
   writer_set : (int, unit) Hashtbl.t;  (* ranks that ever wrote *)
-  (* Unpublished writes per rank, ascending (w_time, seq); the "pending
-     overlay" of the reader's own extents, and the candidate set crash
-     reconciliation walks instead of the full log.  Commit/session only. *)
+  (* Unpublished writes per rank, newest (w_time, seq) first; the
+     "pending overlay" of the reader's own extents, and the candidate set
+     crash reconciliation walks instead of the full log.  Commit/session
+     only. *)
   unpub : (int, write_rec list ref) Hashtbl.t;
   cache : cache;
   mutable watermark : int;  (* max event/write time seen (event clock) *)
@@ -189,7 +191,7 @@ let create sem =
         c_base_len = 0;
         c_base_seq = Extmap.empty;
         c_folded_pub = min_int;
-        c_pending = [];
+        c_pending = Queue.create ();
         c_pend_pub = min_int;
       };
     watermark = min_int;
@@ -234,10 +236,12 @@ let pub_of t ~rank time =
     | Some l -> ev_first_after l time
     | None -> unpublished)
 
-(* Strong-order comparison between two writes: (w_time, seq). *)
-let strong_wins t a_seq b_seq =
-  let a = t.log.(a_seq) and b = t.log.(b_seq) in
-  compare (a.w_time, a.w_seq) (b.w_time, b.w_seq) > 0
+(* Strong order between two writes: (w_time, seq). *)
+let strong_cmp a b =
+  if a.w_time <> b.w_time then compare a.w_time b.w_time
+  else compare a.w_seq b.w_seq
+
+let strong_wins t a_seq b_seq = strong_cmp t.log.(a_seq) t.log.(b_seq) > 0
 
 let invalidate_cache t = t.cache.c_valid <- false
 
@@ -273,21 +277,21 @@ let index_write t w =
         ~wins:(fun old _ -> old <> w.w_rank)
         w.w_iv w.w_rank t.writers
 
-(* Sorted insert into an unpublished list, ascending (w_time, seq).  The
-   common case appends at the tail (monotone clock), so walk from the
-   head is fine for the short per-rank pending lists. *)
+(* Sorted insert into an unpublished list, newest (w_time, seq) first.  A
+   write on a monotone clock is the newest and conses at the head; an
+   out-of-order one (an old-timestamped replay) walks past only the
+   writes newer than it. *)
 let unpub_insert lref w =
   let rec ins = function
-    | [] -> [ w ]
-    | x :: rest as l ->
-      if (x.w_time, x.w_seq) <= (w.w_time, w.w_seq) then x :: ins rest
-      else w :: l
+    | x :: rest when strong_cmp x w > 0 -> x :: ins rest
+    | l -> w :: l
   in
   lref := ins !lref
 
 let unpub t rank = find_or_add t.unpub rank (fun () -> ref [])
 
-(* Grow a cache's base buffer to cover [hi] bytes. *)
+(* Grow a cache's base buffer to cover [hi] bytes (incremental folds;
+   a rebuild presizes the buffer instead). *)
 let base_reserve c hi =
   if hi > Bytes.length c.c_base then begin
     let cap = max hi (max 64 (2 * Bytes.length c.c_base)) in
@@ -327,16 +331,17 @@ let fold_epoch c ~pub ws =
     end
   end
 
-(* Writes of [rank] published by an event at [time]: pop the (w_time <
-   time) prefix of the rank's pending list, stamp their publish time, and
-   compact them into the cache. *)
+(* Writes of [rank] published by an event at [time]: split the rank's
+   newest-first pending list after its (w_time >= time) head, which stays
+   pending, stamp the rest with their publish time, and compact them into
+   the cache in ascending (w_time, seq) order. *)
 let publish t ~rank ~time =
   let lref = unpub t rank in
   let rec split acc = function
-    | w :: rest when w.w_time < time -> split (w :: acc) rest
-    | rest -> (List.rev acc, rest)
+    | w :: rest when w.w_time >= time -> split (w :: acc) rest
+    | older -> (List.rev acc, List.rev older)
   in
-  let published, pending = split [] !lref in
+  let pending, published = split [] !lref in
   lref := pending;
   List.iter (fun w -> w.pub <- time) published;
   if t.cache.c_valid then fold_epoch t.cache ~pub:time published
@@ -349,18 +354,20 @@ let fold_eventual t =
   | Eventual _ when c.c_valid ->
     (* Fold runs of equal publish time as one epoch (several ranks writing
        in the same tick expire together). *)
-    let rec go = function
-      | w :: rest when w.pub <= t.watermark ->
-        let rec take acc = function
-          | x :: r when x.pub = w.pub -> take (x :: acc) r
-          | r -> (List.rev acc, r)
-        in
-        let batch, rest' = take [ w ] rest in
-        fold_epoch c ~pub:w.pub batch;
-        go rest'
-      | rest -> c.c_pending <- rest
+    let q = c.c_pending in
+    let rec take pub acc =
+      match Queue.peek_opt q with
+      | Some x when x.pub = pub -> take pub (Queue.pop q :: acc)
+      | _ -> List.rev acc
     in
-    go c.c_pending
+    let rec go () =
+      match Queue.peek_opt q with
+      | Some w when w.pub <= t.watermark ->
+        fold_epoch c ~pub:w.pub (take w.pub []);
+        go ()
+      | _ -> ()
+    in
+    go ()
   | _ -> ()
 
 (* Forward reference: canonicalization needs [reindex], defined with the
@@ -438,10 +445,10 @@ let write t ~rank ~time ~off data =
          rebuild, as does one that would fold mid-base. *)
       if c.c_valid then
         if w.pub <= c.c_folded_pub then c.c_valid <- false
-        else if c.c_pending <> [] && w.pub < c.c_pend_pub then
-          c.c_valid <- false
+        else if (not (Queue.is_empty c.c_pending)) && w.pub < c.c_pend_pub
+        then c.c_valid <- false
         else begin
-          c.c_pending <- c.c_pending @ [ w ];
+          Queue.push w c.c_pending;
           c.c_pend_pub <- w.pub
         end);
     if off + len > t.size then t.size <- off + len;
@@ -911,25 +918,29 @@ let read_strong t ~off ~len =
 
 (* Rebuild the settled base from scratch: fold every published live write
    in (publish, issue, seq) order — the globally-sorted epoch sequence the
-   incremental folds approximate one event at a time. *)
+   incremental folds approximate one event at a time.  The base is
+   allocated once, at the largest extent end among the published writes. *)
 let rebuild_cache t =
   if not t.monotonic then recompute_pubs t;
   let c = t.cache in
   let eventual = match t.sem with Eventual _ -> true | _ -> false in
-  let published = ref [] and pending = ref [] in
+  let published = ref [] and pending = ref [] and hi = ref 0 in
   for i = t.log_n - 1 downto 0 do
     let w = t.log.(i) in
     if w.w_live then
       if if eventual then w.pub <= t.watermark else w.pub <> unpublished
-      then published := w :: !published
+      then begin
+        published := w :: !published;
+        hi := max !hi w.w_iv.Interval.hi
+      end
       else if eventual then pending := w :: !pending
   done;
   let published =
     List.sort
-      (fun a b -> compare (a.pub, a.w_time, a.w_seq) (b.pub, b.w_time, b.w_seq))
+      (fun a b -> if a.pub <> b.pub then compare a.pub b.pub else strong_cmp a b)
       !published
   in
-  c.c_base <- Bytes.empty;
+  c.c_base <- Bytes.make !hi '\000';
   c.c_base_len <- 0;
   c.c_base_seq <- Extmap.empty;
   c.c_folded_pub <- min_int;
@@ -938,14 +949,10 @@ let rebuild_cache t =
       base_paint c w;
       c.c_folded_pub <- w.pub)
     published;
-  let pending =
-    (* Ascending (w_time, seq) = ascending publish time for a fixed delay. *)
-    List.sort (fun a b -> compare (a.w_time, a.w_seq) (b.w_time, b.w_seq))
-      !pending
-  in
-  c.c_pending <- pending;
-  c.c_pend_pub <-
-    (match List.rev pending with w :: _ -> w.pub | [] -> min_int);
+  (* Ascending (w_time, seq) = ascending publish time for a fixed delay. *)
+  Queue.clear c.c_pending;
+  List.iter (fun w -> Queue.push w c.c_pending) (List.sort strong_cmp !pending);
+  c.c_pend_pub <- Queue.fold (fun _ w -> w.pub) min_int c.c_pending;
   c.c_valid <- true;
   if Obs.enabled () then Obs.incr "fs.extent.rebuilds"
 
@@ -983,7 +990,9 @@ let read_fast t c ~rank ~time ~off ~len =
   let overlay =
     match t.sem with
     | Eventual _ ->
-      List.filter (fun w -> w.w_rank = rank || w.pub <= time) c.c_pending
+      Queue.fold
+        (fun acc w -> if w.w_rank = rank || w.pub <= time then w :: acc else acc)
+        [] c.c_pending
     | Strong | Commit | Session -> (
       match Hashtbl.find_opt t.unpub rank with Some l -> !l | None -> [])
   in
