@@ -53,15 +53,21 @@ let grow s file hi = if hi > size s file then Hashtbl.replace s.sizes file hi
 
 let push s raw = if not (Interval.is_empty raw.r_iv) then s.emit raw
 
+(* An implicit-offset access at the descriptor's position: a position
+   seeked so far that the extent would end past [max_int] is unresolvable
+   (the record itself passed {!Record.check_extent}), so it is skipped. *)
 let data s r op state count =
   let off = if state.append then size s state.file else state.pos in
-  (match op with
-  | Access.Write -> grow s state.file (off + count)
-  | Access.Read -> ());
-  state.pos <- off + count;
-  push s
-    { r_time = r.Record.time; r_rank = r.Record.rank; r_file = state.file;
-      r_iv = Interval.of_len off count; r_op = op; r_func = r.Record.func }
+  if off > max_int - count then s.skipped <- s.skipped + 1
+  else begin
+    (match op with
+    | Access.Write -> grow s state.file (off + count)
+    | Access.Read -> ());
+    state.pos <- off + count;
+    push s
+      { r_time = r.Record.time; r_rank = r.Record.rank; r_file = state.file;
+        r_iv = Interval.of_len off count; r_op = op; r_func = r.Record.func }
+  end
 
 let explicit s r op file off count =
   (match op with

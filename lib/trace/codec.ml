@@ -390,6 +390,11 @@ let decode_record d =
       Result.map Option.some (Varint.read_signed d.chunk)
     else Ok None
   in
+  let* () =
+    match Record.check_extent ~offset ~count with
+    | Ok () -> Ok ()
+    | Error e -> Error (Printf.sprintf "record %d: %s" (d.total + 1) e)
+  in
   let rec read_args n acc =
     if n = 0 then Ok (List.rev acc)
     else

@@ -75,7 +75,9 @@ val decoder : in_channel -> (decoder, string) result
 val next : decoder -> (Record.t option, string) result
 (** The next record, [None] at a clean end of trace (trailer verified,
     no trailing bytes).  Truncation, checksum mismatches and malformed
-    payloads are reported as [Error] naming the offending chunk. *)
+    payloads are reported as [Error] naming the offending chunk; a record
+    whose extent {!Record.check_extent} refuses, as [Error] naming the
+    chunk and the record's 1-based position in the trace. *)
 
 val decoded : decoder -> int
 (** Records decoded so far. *)

@@ -141,6 +141,13 @@ let parse_int s =
   | Some v -> Ok v
   | None -> Error (Printf.sprintf "not an integer: %S" s)
 
+let check_extent ~offset ~count =
+  match (offset, count) with
+  | _, Some c when c < 0 -> Error (Printf.sprintf "negative count %d" c)
+  | Some o, Some c when o > max_int - c ->
+    Error (Printf.sprintf "offset %d + count %d overflows" o c)
+  | _ -> Ok ()
+
 let of_line line =
   match String.split_on_char '\t' line with
   | time :: rank :: layer :: origin :: func :: file :: fd :: offset :: count
@@ -159,6 +166,7 @@ let of_line line =
     let* fd = parse_opt parse_int fd in
     let* offset = parse_opt parse_int offset in
     let* count = parse_opt parse_int count in
+    let* () = check_extent ~offset ~count in
     let* args =
       List.fold_left
         (fun acc kv ->

@@ -53,8 +53,14 @@ val to_line : t -> string
     keys is escaped as [\=], so any record round-trips through
     {!of_line}. *)
 
+val check_extent : offset:int option -> count:int option -> (unit, string) result
+(** Refuse an extent the analysis cannot represent: a negative [count],
+    or an [offset + count] above [max_int]. *)
+
 val of_line : string -> (t, string) result
-(** Parse a line produced by {!to_line}, undoing the field escaping. *)
+(** Parse a line produced by {!to_line}, undoing the field escaping.
+    Fails on a malformed field and on an extent {!check_extent}
+    refuses. *)
 
 val pp : Format.formatter -> t -> unit
 

@@ -133,12 +133,14 @@ let adversarial_records =
       ~args:[ ("flags", "O_CREAT|O_TRUNC"); ("mode=rw", "a=b") ]
       ();
     sample ~time:(-12) ~rank:0 ~func:"" ~args:[ ("", "") ] ();
-    (* Time runs backwards across ranks (skew-adjusted traces do this). *)
+    (* Time runs backwards across ranks (skew-adjusted traces do this).
+       The offset and the count each reach [max_int], in extents that
+       still end within it. *)
     sample ~time:2 ~rank:1 ~layer:Record.L_mpiio ~origin:Record.O_mpi
-      ~func:"MPI_File_write_at" ~file:"/shared" ~offset:max_int ~count:max_int
+      ~func:"MPI_File_write_at" ~file:"/shared" ~offset:max_int ~count:0
       ();
     sample ~time:3 ~rank:1 ~layer:Record.L_hdf5 ~origin:Record.O_hdf5
-      ~func:"H5Dwrite" ~offset:0 ~count:0 ();
+      ~func:"H5Dwrite" ~offset:0 ~count:max_int ();
     sample ~time:1 ~rank:2 ~func:"pwrite" ~file:"/shared" ~offset:(max_int - 1)
       ~fd:0 ();
     sample ~time:4 ~rank:2 ~func:"pwrite" ~file:"/shared" ~offset:1 ~fd:0
@@ -207,15 +209,21 @@ let qcheck_codec_roundtrip =
       return (sample ~time ~rank ~func ?file ?fd ?offset ?count
                 ~args:[ (key, value) ] ()))
   in
+  (* Records whose extent ends past [max_int] are refused on decode; the
+     others must round-trip exactly. *)
+  let load_back records =
+    with_temp @@ fun path ->
+    ignore (write_binary ~chunk_records:3 records path);
+    Tracefile.load path
+  in
   QCheck.Test.make ~name:"binary codec roundtrip, adversarial records"
     ~count:100
     (QCheck.make QCheck.Gen.(list_size (int_bound 20) record_gen))
     (fun records ->
-      with_temp @@ fun path ->
-      ignore (write_binary ~chunk_records:3 records path);
-      match Tracefile.load path with
-      | Ok decoded -> decoded = records
-      | Error _ -> false)
+      let valid = List.filter Test_trace.extent_fits records in
+      load_back valid = Ok valid
+      && (List.length valid = List.length records
+         || Result.is_error (load_back records)))
 
 (* Corruption --------------------------------------------------------------- *)
 
@@ -464,6 +472,81 @@ let test_stream_from_binary_file () =
   Alcotest.(check bool) "streamed summary equals analyze" true
     (Report.finish s = expected)
 
+(* Malformed extents --------------------------------------------------------- *)
+
+(* An open, then a data record whose extent no int can hold: a negative
+   count, or an offset + count past [max_int].  Both formats refuse the
+   second record with an error naming it, and the streaming analysis stops
+   on that error instead of raising. *)
+let bad_extents =
+  let opened =
+    sample ~time:1 ~func:"open" ~file:"/f" ~fd:3
+      ~args:[ ("flags", "O_CREAT|O_WRONLY") ]
+      ()
+  in
+  [
+    ( "negative count",
+      [
+        opened;
+        sample ~time:2 ~func:"pwrite" ~file:"/f" ~fd:3 ~offset:0 ~count:(-5) ();
+      ] );
+    ( "overflowing extent",
+      [
+        opened;
+        sample ~time:2 ~func:"pwrite" ~file:"/f" ~fd:3 ~offset:max_int
+          ~count:5 ();
+      ] );
+  ]
+
+let test_bad_extents_refused () =
+  List.iter
+    (fun (what, records) ->
+      let text = Tracefile.to_string records in
+      (match Tracefile.of_string text with
+      | Error msg ->
+        (* Line 1 is the header comment. *)
+        Alcotest.(check bool) (what ^ ": text error names line 3") true
+          (contains msg "line 3")
+      | Ok _ -> Alcotest.failf "%s: text trace accepted" what);
+      let stream_error path =
+        let s = Report.stream ~nprocs:2 () in
+        match Tracefile.iter path ~f:(Report.feed s) with
+        | Error msg -> msg
+        | Ok _ -> Alcotest.failf "%s: stream accepted %s" what path
+      in
+      (with_temp @@ fun path ->
+       write_file path text;
+       Alcotest.(check bool) (what ^ ": text stream error names line 3") true
+         (contains (stream_error path) "line 3"));
+      with_temp @@ fun path ->
+      ignore (write_binary records path);
+      expect_load_error ~substring:"record 2" path (what ^ ": binary");
+      Alcotest.(check bool) (what ^ ": binary stream error names record 2")
+        true
+        (contains (stream_error path) "record 2"))
+    bad_extents
+
+let test_seek_past_max_int_skipped () =
+  (* A descriptor seeked to [max_int], then written: each record is well
+     formed, but the implied extent ends past [max_int].  The analysis
+     skips it rather than raising. *)
+  let records =
+    [
+      sample ~time:1 ~func:"open" ~file:"/f" ~fd:3
+        ~args:[ ("flags", "O_CREAT|O_WRONLY") ]
+        ();
+      sample ~time:2 ~func:"lseek" ~file:"/f" ~fd:3 ~offset:max_int
+        ~args:[ ("whence", "SEEK_SET") ]
+        ();
+      sample ~time:3 ~func:"write" ~file:"/f" ~fd:3 ~count:5 ();
+    ]
+  in
+  let s = Report.stream ~nprocs:1 () in
+  List.iter (Report.feed s) records;
+  let summary = Report.finish s in
+  Alcotest.(check int) "skipped" 1 summary.Report.skipped;
+  Alcotest.(check int) "no data access" 0 summary.Report.access_count
+
 let suite =
   [
     Alcotest.test_case "varint roundtrip" `Quick test_varint_roundtrip;
@@ -495,4 +578,7 @@ let suite =
       test_stream_from_binary_file;
     QCheck_alcotest.to_alcotest qcheck_varint_roundtrip;
     QCheck_alcotest.to_alcotest qcheck_codec_roundtrip;
+    Alcotest.test_case "bad extents refused" `Quick test_bad_extents_refused;
+    Alcotest.test_case "seek past max_int skipped" `Quick
+      test_seek_past_max_int_skipped;
   ]

@@ -12,6 +12,14 @@ let sample ?(time = 1) ?(rank = 0) ?(func = "write") ?file ?fd ?offset ?count
   Record.make ~time ~rank ~layer:Record.L_posix ~origin:Record.O_app ~func
     ?file ?fd ?offset ?count ~args ()
 
+(* Does a record's extent fit in an int: a non-negative count whose end
+   does not pass [max_int]?  Parsers refuse the records that fail. *)
+let extent_fits r =
+  match (r.Record.offset, r.Record.count) with
+  | _, Some c when c < 0 -> false
+  | Some o, Some c -> o <= max_int - c
+  | _ -> true
+
 let test_roundtrip_line () =
   let r =
     sample ~time:42 ~rank:7 ~func:"pwrite" ~file:"/out/data" ~fd:5 ~offset:100
@@ -225,12 +233,21 @@ let test_roundtrip_equals_in_key () =
   | Error e -> Alcotest.fail e
 
 let test_roundtrip_extreme_values () =
-  (* Zero-length accesses and offsets at the integer edge must survive. *)
+  (* Zero-length accesses and offsets and counts at the integer edge must
+     survive, as long as the extent ends within [max_int]; one that ends
+     past it is refused. *)
   check_roundtrip
     (sample ~func:"pwrite" ~file:"/f" ~fd:0 ~offset:0 ~count:0 ());
   check_roundtrip
-    (sample ~func:"pread" ~file:"/f" ~fd:max_int ~offset:max_int
-       ~count:max_int ());
+    (sample ~func:"pread" ~file:"/f" ~fd:max_int ~offset:max_int ~count:0 ());
+  check_roundtrip
+    (sample ~func:"pread" ~file:"/f" ~fd:max_int ~offset:0 ~count:max_int ());
+  Alcotest.(check bool) "extent past max_int refused" true
+    (Result.is_error
+       (Record.of_line
+          (Record.to_line
+             (sample ~func:"pread" ~file:"/f" ~fd:0 ~offset:max_int
+                ~count:max_int ()))));
   check_roundtrip (sample ~time:max_int ~rank:0 ~func:"w" ());
   (* An empty function name and an empty argument value. *)
   check_roundtrip (sample ~func:"" ~args:[ ("k", "") ] ())
@@ -260,8 +277,8 @@ let qcheck_record_roundtrip_adversarial =
           ()
       in
       match Record.of_line (Record.to_line r) with
-      | Ok r' -> r = r'
-      | Error _ -> false)
+      | Ok r' -> extent_fits r && r = r'
+      | Error _ -> not (extent_fits r))
 
 let qcheck_record_roundtrip =
   let gen =
