@@ -7,7 +7,8 @@ val rank : Runner.env -> int
 val is_rank0 : Runner.env -> bool
 
 val payload : ?len:int -> Runner.env -> int -> bytes
-(** Deterministic rank- and tag-dependent buffer contents. *)
+(** Deterministic rank- and tag-dependent buffer contents: byte [i] is
+    [(tag + rank + i) land 0xff]. *)
 
 val compute : Runner.env -> unit
 (** One synchronized computation step (a barrier): separates I/O phases
