@@ -119,10 +119,10 @@ let run_tiered ~nranks policy =
   in
   let charge_stalls () =
     let s = Tier.stats tier in
-    let fresh = s.Tier.stalled_bytes - !stalled in
+    let fresh = s.Tier.core.stalled_bytes - !stalled in
     if fresh > 0 then begin
       lat := !lat +. (float fresh *. pfs_byte_ns);
-      stalled := s.Tier.stalled_bytes
+      stalled := s.Tier.core.stalled_bytes
     end
   in
   let payload = Bytes.make chunk 'x' in
@@ -192,9 +192,9 @@ let run_tiered ~nranks policy =
     write_ms;
     read_ms = !lat /. 1e6;
     backlog;
-    stalls = s.Tier.drain_stalls;
-    stalled_bytes = s.Tier.stalled_bytes;
-    peak = s.Tier.peak_occupancy;
+    stalls = s.Tier.core.stalls;
+    stalled_bytes = s.Tier.core.stalled_bytes;
+    peak = s.Tier.core.peak_occupancy;
     hits = s.Tier.cache_hits;
     misses = s.Tier.cache_misses;
   }

@@ -412,5 +412,13 @@ let run ?obs ?(semantics = Hpcfs_fs.Consistency.Strong) ?(local_order = true)
   in
   match obs with None -> go () | Some sink -> Obs.with_sink sink go
 
+(* In a tiered run the application observes the tier's composite reads,
+   not the raw PFS reads underneath them, so staleness is the tier's. *)
+let stale_reads (r : result) =
+  match (r.tier, r.wal) with
+  | Some t, _ -> (Tier.stats t).Tier.core.stale_reads
+  | None, Some w -> (Wal.stats w).Wal.core.stale_reads
+  | None, None -> r.stats.Pfs.stale_reads
+
 let rank_prng env =
   Prng.create ((env.seed * 1_000_003) + Sched.self ())

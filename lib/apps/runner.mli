@@ -107,5 +107,10 @@ val run :
     boundary), so faulted legacy expectations stay on the legacy
     scheduler; pass [?domains] explicitly to fault a parallel run. *)
 
+val stale_reads : result -> int
+(** Application reads that observed at least one stale byte: the tier's
+    composite reads in a tiered run ([?tier] or [?wal]), else the PFS
+    reads. *)
+
 val rank_prng : env -> Hpcfs_util.Prng.t
 (** Deterministic per-rank generator (distinct stream per rank and seed). *)

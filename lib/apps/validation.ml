@@ -2,8 +2,6 @@ module Consistency = Hpcfs_fs.Consistency
 module Pfs = Hpcfs_fs.Pfs
 module Namespace = Hpcfs_fs.Namespace
 module Fdata = Hpcfs_fs.Fdata
-module Tier = Hpcfs_bb.Tier
-module Wal = Hpcfs_wal.Wal
 module Obs = Hpcfs_obs.Obs
 
 let sem_name = Consistency.to_string
@@ -43,17 +41,9 @@ let run_against ~reference_digests ~nprocs ?(local_order = true) ?tier ?wal
         if digest_a = digest_b then acc else acc + 1)
       0 reference_digests digests
   in
-  (* In a tiered run the application observes the tier's composite reads,
-     not the raw PFS reads underneath them, so staleness is the tier's. *)
-  let stale_reads =
-    match (result.Runner.tier, result.Runner.wal) with
-    | Some t, _ -> (Tier.stats t).Tier.stale_reads
-    | None, Some w -> (Wal.stats w).Wal.stale_reads
-    | None, None -> result.Runner.stats.Pfs.stale_reads
-  in
   {
     semantics = model;
-    stale_reads;
+    stale_reads = Runner.stale_reads result;
     corrupted_files = corrupted;
     files = List.length digests;
   }

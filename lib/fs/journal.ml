@@ -131,17 +131,17 @@ type stats = {
 }
 
 let stats t =
-  let c = Staging.counts t.core in
+  let c = Staging.stats t.core in
   let outstanding_writes, outstanding_bytes = outstanding t in
   {
     recorded = t.recorded;
-    recorded_bytes = c.staged_bytes.n;
+    recorded_bytes = c.staged_bytes;
     retries = t.retries;
     giveups = t.giveups;
     backoff_ticks = t.backoff_ticks;
     parked_writes = t.parked_writes;
     replayed_writes = t.replayed_writes;
-    replayed_bytes = c.drained_bytes.n;
+    replayed_bytes = c.drained_bytes;
     outstanding_writes;
     outstanding_bytes;
   }

@@ -113,7 +113,6 @@ let create ~prefix ~staged ~drained ~fault ~events:(drain_event, stall_event)
   }
 
 let pfs t = t.pfs
-let counts t = t.c
 let occupancy t = t.occupancy
 
 let node_of_rank t rank =
@@ -399,6 +398,48 @@ let read t path ~off ~len ~serve =
     t.c.stale_bytes <- t.c.stale_bytes + stale
   end;
   { Fdata.data; stale_bytes = stale }
+
+(* Statistics --------------------------------------------------------------- *)
+
+type stats = {
+  writes : int;
+  reads : int;
+  bytes_written : int;
+  bytes_read : int;
+  staged_bytes : int;
+  drained_bytes : int;
+  stalls : int;
+  stalled_bytes : int;
+  faults : int;
+  retries : int;
+  backoff_ticks : int;
+  aborts : int;
+  target_down : int;
+  peak_occupancy : int;
+  stale_reads : int;
+  stale_bytes : int;
+}
+
+let stats t =
+  let c = t.c in
+  {
+    writes = c.writes.n;
+    reads = c.reads.n;
+    bytes_written = c.bytes_written.n;
+    bytes_read = c.bytes_read.n;
+    staged_bytes = c.staged_bytes.n;
+    drained_bytes = c.drained_bytes.n;
+    stalls = c.stalls.n;
+    stalled_bytes = c.stalled_bytes.n;
+    faults = c.faults.n;
+    retries = c.retries.n;
+    backoff_ticks = c.backoff_ticks.n;
+    aborts = c.aborts.n;
+    target_down = c.target_down.n;
+    peak_occupancy = c.peak_occupancy;
+    stale_reads = c.stale_reads;
+    stale_bytes = c.stale_bytes;
+  }
 
 (* Concurrency and the backend facade -------------------------------------- *)
 

@@ -212,27 +212,32 @@ type counter = private { name : string; mutable n : int }
 val counter : string -> counter
 val bump : counter -> int -> unit
 
-type counts = private {
-  writes : counter;
-  reads : counter;
-  bytes_written : counter;
-  bytes_read : counter;
-  staged_bytes : counter;
-  drained_bytes : counter;
-  stalls : counter;
-  stalled_bytes : counter;
-  faults : counter;
-  retries : counter;
-  backoff_ticks : counter;
-  aborts : counter;
-  target_down : counter;  (** Replays refused by a down storage target. *)
-  mutable peak_occupancy : int;
-  mutable stale_reads : int;
-  mutable stale_bytes : int;
+type stats = {
+  writes : int;
+  reads : int;
+  bytes_written : int;  (** Bytes the application wrote through the log. *)
+  bytes_read : int;
+  staged_bytes : int;  (** Bytes that entered the store. *)
+  drained_bytes : int;  (** Bytes {!replay} moved into the PFS. *)
+  stalls : int;
+      (** Synchronous drains a caller waited for (close/fsync flushes,
+          capacity evictions). *)
+  stalled_bytes : int;  (** Bytes drained inside stalls. *)
+  faults : int;  (** Failed attempts of the admission loop. *)
+  retries : int;  (** Retry attempts after failures. *)
+  backoff_ticks : int;  (** Total backoff delay accounted. *)
+  aborts : int;  (** Admissions abandoned after the retry budget. *)
+  target_down : int;
+      (** Replays refused by a down storage target; the record stays
+          pending for a later pass. *)
+  peak_occupancy : int;  (** High-water mark of pending bytes. *)
+  stale_reads : int;  (** Reads returning at least one stale byte. *)
+  stale_bytes : int;
 }
+(** A snapshot of the core's counters; the obs counters carry the same
+    numbers live. *)
 
-val counts : t -> counts
-(** The live counters (they keep moving with the tier). *)
+val stats : t -> stats
 
 val laminated : Pfs.t -> string -> bool
 (** The file exists and is laminated (read-only, published). *)

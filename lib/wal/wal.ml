@@ -482,80 +482,49 @@ let pp_check ppf r =
 (* Statistics --------------------------------------------------------------- *)
 
 type stats = {
-  writes : int;
-  reads : int;
-  bytes_written : int;
-  bytes_read : int;
-  appended_bytes : int;
-  drained_bytes : int;
+  core : Staging.stats;
   flushes : int;
-  stalls : int;
-  stalled_bytes : int;
-  peak_occupancy : int;
-  stale_reads : int;
-  stale_bytes : int;
   writethrough_writes : int;
   writethrough_bytes : int;
-  log_faults : int;
-  log_retries : int;
-  log_backoff_ticks : int;
-  log_aborts : int;
-  drain_target_down : int;
   crash_lost_bytes : int;
   crash_torn_bytes : int;
   recovered_bytes : int;
 }
 
-let stats t =
-  let c = Staging.counts t.core in
+let stats (t : t) =
   {
-    writes = c.writes.n;
-    reads = c.reads.n;
-    bytes_written = c.bytes_written.n;
-    bytes_read = c.bytes_read.n;
-    appended_bytes = c.staged_bytes.n;
-    drained_bytes = c.drained_bytes.n;
+    core = Staging.stats t.core;
     flushes = t.s_flushes;
-    stalls = c.stalls.n;
-    stalled_bytes = c.stalled_bytes.n;
-    peak_occupancy = c.peak_occupancy;
-    stale_reads = c.stale_reads;
-    stale_bytes = c.stale_bytes;
     writethrough_writes = t.writethrough.n;
     writethrough_bytes = t.writethrough_bytes.n;
-    log_faults = c.faults.n;
-    log_retries = c.retries.n;
-    log_backoff_ticks = c.backoff_ticks.n;
-    log_aborts = c.aborts.n;
-    drain_target_down = c.target_down.n;
     crash_lost_bytes = t.crash_lost.n;
     crash_torn_bytes = t.crash_torn.n;
     recovered_bytes = t.recovered.n;
   }
 
 let pp_stats ppf s =
+  let c = s.core in
   Format.fprintf ppf
     "@[<v>writes: %d (%d B)  reads: %d (%d B)@,\
      appended: %d B  replayed: %d B  backlog never replayed: %d B@,\
      flush stalls: %d (%d B)  peak log occupancy: %d B  stale reads: %d (%d B)"
-    s.writes s.bytes_written s.reads s.bytes_read s.appended_bytes
-    s.drained_bytes
-    (s.appended_bytes - s.drained_bytes)
-    s.stalls s.stalled_bytes s.peak_occupancy s.stale_reads s.stale_bytes;
+    c.writes c.bytes_written c.reads c.bytes_read c.staged_bytes
+    c.drained_bytes
+    (c.staged_bytes - c.drained_bytes)
+    c.stalls c.stalled_bytes c.peak_occupancy c.stale_reads c.stale_bytes;
   (* Fault counters appear only when faults were injected, so fault-free
      output never changes shape. *)
-  if s.log_faults > 0 || s.writethrough_writes > 0 then
+  if c.faults > 0 || s.writethrough_writes > 0 then
     Format.fprintf ppf
       "@,log faults: %d (%d retries, %d backoff ticks, %d aborts)  \
        write-through: %d (%d B)"
-      s.log_faults s.log_retries s.log_backoff_ticks s.log_aborts
-      s.writethrough_writes s.writethrough_bytes;
+      c.faults c.retries c.backoff_ticks c.aborts s.writethrough_writes
+      s.writethrough_bytes;
   if s.crash_lost_bytes > 0 || s.crash_torn_bytes > 0 || s.recovered_bytes > 0
   then
     Format.fprintf ppf
       "@,crash lost: %d B  torn: %d B  recovered by replay: %d B"
       s.crash_lost_bytes s.crash_torn_bytes s.recovered_bytes;
-  if s.drain_target_down > 0 then
-    Format.fprintf ppf "@,replays refused by down target: %d"
-      s.drain_target_down;
+  if c.target_down > 0 then
+    Format.fprintf ppf "@,replays refused by down target: %d" c.target_down;
   Format.fprintf ppf "@]"

@@ -135,25 +135,15 @@ val set_cap_override : t -> int option -> unit
 (** {1 Statistics} *)
 
 type stats = {
-  writes : int;
-  reads : int;
-  bytes_written : int;
-  bytes_read : int;
-  appended_bytes : int;  (** Bytes acknowledged at log-append time. *)
-  drained_bytes : int;  (** Bytes replayed into the PFS. *)
+  core : Hpcfs_fs.Staging.stats;
+      (** The staging core's counters: [staged_bytes] were acknowledged at
+          log-append time, [drained_bytes] replayed into the PFS, [stalls]
+          are synchronous replays a caller waited for, and the admission
+          counters ([faults], [retries], [backoff_ticks], [aborts]) count
+          injected log-device append failures. *)
   flushes : int;  (** fsync/close log-flush watermark bumps. *)
-  stalls : int;  (** Synchronous replays a caller waited for. *)
-  stalled_bytes : int;
-  peak_occupancy : int;
-  stale_reads : int;
-  stale_bytes : int;
   writethrough_writes : int;  (** Writes degraded to direct PFS writes. *)
   writethrough_bytes : int;
-  log_faults : int;  (** Injected log-device append failures. *)
-  log_retries : int;
-  log_backoff_ticks : int;
-  log_aborts : int;  (** Appends that exhausted their retry budget. *)
-  drain_target_down : int;  (** Replays refused by a down target. *)
   crash_lost_bytes : int;
   crash_torn_bytes : int;
   recovered_bytes : int;  (** Bytes re-replayed after a failure. *)

@@ -1,6 +1,4 @@
 module Consistency = Hpcfs_fs.Consistency
-module Pfs = Hpcfs_fs.Pfs
-module Tier = Hpcfs_bb.Tier
 module Runner = Hpcfs_apps.Runner
 module Validation = Hpcfs_apps.Validation
 module Report = Hpcfs_core.Report
@@ -105,11 +103,6 @@ let run ?(progress = fun _ -> ()) ?(seed = 42) ?domains (g : grid) =
                             | Some _ | None -> acc + 1)
                           0 reference_digests
                       in
-                      let stale_reads =
-                        match result.Runner.tier with
-                        | Some t -> (Tier.stats t).Tier.stale_reads
-                        | None -> result.Runner.stats.Pfs.stale_reads
-                      in
                       {
                         ranks = nprocs;
                         workload = wname;
@@ -122,7 +115,7 @@ let run ?(progress = fun _ -> ()) ?(seed = 42) ?domains (g : grid) =
                         session_matrix =
                           matrix (Report.session_summary report);
                         commit_matrix = matrix (Report.commit_summary report);
-                        stale_reads;
+                        stale_reads = Runner.stale_reads result;
                         corrupted;
                         files = List.length reference_digests;
                         wall_s;

@@ -69,9 +69,9 @@ let test_sync_close_drains () =
   Tier.close_file tier ~time:3 ~rank:0 "/f";
   Alcotest.(check int) "buffer empty after close" 0 (Tier.occupancy tier);
   let st = Tier.stats tier in
-  Alcotest.(check int) "drained" 6 st.Tier.drained_bytes;
-  Alcotest.(check int) "the close stalled" 1 st.Tier.drain_stalls;
-  Alcotest.(check int) "stalled bytes" 6 st.Tier.stalled_bytes;
+  Alcotest.(check int) "drained" 6 st.Tier.core.drained_bytes;
+  Alcotest.(check int) "the close stalled" 1 st.Tier.core.stalls;
+  Alcotest.(check int) "stalled bytes" 6 st.Tier.core.stalled_bytes;
   (* The drain replayed the write with its original timestamp, so a
      session reader that reopens sees exactly what a direct run shows. *)
   ignore (Pfs.open_file pfs ~time:4 ~rank:1 "/f");
@@ -92,8 +92,9 @@ let test_async_drain () =
     (Tier.occupancy tier);
   Tier.close_file tier ~time:41 ~rank:0 "/f";
   let st = Tier.stats tier in
-  Alcotest.(check int) "close flushed the remainder" 36 st.Tier.drained_bytes;
-  Alcotest.(check int) "only the remainder stalled" 4 st.Tier.stalled_bytes
+  Alcotest.(check int) "close flushed the remainder" 36
+    st.Tier.core.drained_bytes;
+  Alcotest.(check int) "only the remainder stalled" 4 st.Tier.core.stalled_bytes
 
 let test_on_laminate_defers () =
   let pfs, tier = make ~policy:Drain.On_laminate () in
@@ -106,7 +107,7 @@ let test_on_laminate_defers () =
   Alcotest.(check int) "stage-out drained all" 0 (Tier.occupancy tier);
   let st = Tier.stats tier in
   Alcotest.(check int) "stage-out bytes" 6 st.Tier.stage_out_bytes;
-  Alcotest.(check int) "no stall recorded" 0 st.Tier.drain_stalls;
+  Alcotest.(check int) "no stall recorded" 0 st.Tier.core.stalls;
   (* Laminated: globally visible without reopening, and read-only. *)
   let r = Pfs.read pfs ~time:5 ~rank:3 "/f" ~off:0 ~len:6 in
   Alcotest.(check string) "published to everyone" "secret" (str r.Fdata.data);
@@ -122,9 +123,10 @@ let test_capacity_eviction () =
   (* 12 > 8: the oldest extent was force-drained to make room. *)
   Alcotest.(check int) "under capacity" 6 (Tier.occupancy tier);
   let st = Tier.stats tier in
-  Alcotest.(check int) "eviction stalled" 1 st.Tier.drain_stalls;
-  Alcotest.(check int) "oldest extent evicted" 6 st.Tier.stalled_bytes;
-  Alcotest.(check int) "peak saw the first write only" 6 st.Tier.peak_occupancy
+  Alcotest.(check int) "eviction stalled" 1 st.Tier.core.stalls;
+  Alcotest.(check int) "oldest extent evicted" 6 st.Tier.core.stalled_bytes;
+  Alcotest.(check int) "peak saw the first write only" 6
+    st.Tier.core.peak_occupancy
 
 let test_stage_in () =
   let pfs, tier = make () in
@@ -188,8 +190,8 @@ let test_staleness_accounting () =
   let r = Tier.read tier ~time:5 ~rank:2 "/f" ~off:0 ~len:4 in
   Alcotest.(check int) "all four bytes stale" 4 r.Fdata.stale_bytes;
   let st = Tier.stats tier in
-  Alcotest.(check int) "stale read counted" 1 st.Tier.stale_reads;
-  Alcotest.(check int) "stale bytes counted" 4 st.Tier.stale_bytes;
+  Alcotest.(check int) "stale read counted" 1 st.Tier.core.stale_reads;
+  Alcotest.(check int) "stale bytes counted" 4 st.Tier.core.stale_bytes;
   (* After publication the same read is clean. *)
   Tier.stage_out tier ~time:6 "/f";
   ignore (Tier.open_file tier ~time:7 ~rank:2 "/f");
@@ -328,11 +330,11 @@ let test_drain_retry_then_success () =
   Alcotest.(check int) "backlog empty" 0 (Tier.occupancy tier);
   Alcotest.(check int) "data on the PFS" 8 (Pfs.file_size pfs "/ck");
   let st = Tier.stats tier in
-  Alcotest.(check int) "two injected faults" 2 st.Tier.drain_faults;
-  Alcotest.(check int) "two retries" 2 st.Tier.drain_retries;
+  Alcotest.(check int) "two injected faults" 2 st.Tier.core.faults;
+  Alcotest.(check int) "two retries" 2 st.Tier.core.retries;
   Alcotest.(check bool) "backoff accounted" true
-    (st.Tier.drain_backoff_ticks >= 8 + 16);
-  Alcotest.(check int) "no aborts" 0 st.Tier.drain_aborts;
+    (st.Tier.core.backoff_ticks >= 8 + 16);
+  Alcotest.(check int) "no aborts" 0 st.Tier.core.aborts;
   (* The same counters are mirrored into the telemetry registry, and the
      backlog gauge returned to zero. *)
   Alcotest.(check int) "obs faults" 2 (Obs.find_counter sink "bb.drain_faults");
@@ -354,11 +356,11 @@ let test_drain_abort_keeps_extent () =
   Alcotest.(check int) "extent still staged" 8 (Tier.occupancy tier);
   Alcotest.(check int) "nothing reached the PFS" 0 (Pfs.file_size pfs "/ck");
   let st = Tier.stats tier in
-  Alcotest.(check bool) "abort recorded" true (st.Tier.drain_aborts >= 1);
+  Alcotest.(check bool) "abort recorded" true (st.Tier.core.aborts >= 1);
   Alcotest.(check int)
     "faults = retries + aborts"
-    (st.Tier.drain_retries + st.Tier.drain_aborts)
-    st.Tier.drain_faults;
+    (st.Tier.core.retries + st.Tier.core.aborts)
+    st.Tier.core.faults;
   (* Clearing the fault and draining again recovers the data — nothing was
      lost, only delayed. *)
   Tier.set_fault tier None;

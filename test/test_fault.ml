@@ -685,7 +685,7 @@ let test_tiered_drain_faults () =
       | Some t -> Hpcfs_bb.Tier.stats t
       | None -> Alcotest.fail "tiered run has a tier"
     in
-    Alcotest.(check int) "tier counted them too" 2 st.Hpcfs_bb.Tier.drain_faults
+    Alcotest.(check int) "tier counted them too" 2 st.Hpcfs_bb.Tier.core.faults
 
 let suite =
   [

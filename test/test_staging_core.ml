@@ -256,7 +256,7 @@ let test_stale_accounting () =
     let w = Wal.create (Pfs.create semantics) in
     let got = stale_script (Wal.backend w) in
     let s = Wal.stats w in
-    (got, s.Wal.stale_reads, s.Wal.stale_bytes)
+    (got, s.Wal.core.stale_reads, s.Wal.core.stale_bytes)
   in
   let bb semantics =
     let config =
@@ -266,7 +266,7 @@ let test_stale_accounting () =
     let t = Tier.create ~config (Pfs.create semantics) in
     let got = stale_script (Tier.backend t) in
     let s = Tier.stats t in
-    (got, s.Tier.stale_reads, s.Tier.stale_bytes)
+    (got, s.Tier.core.stale_reads, s.Tier.core.stale_bytes)
   in
   check "wal commit" ~per_read:[ 0; 8; 4; 16; 0; 0; 16 ] ~reads:4 ~bytes:44
     (wal Consistency.Commit);

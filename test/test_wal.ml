@@ -112,7 +112,7 @@ let test_strong_no_staleness () =
   Alcotest.(check int) "direct path is staleness-free" 0
     direct.Runner.stats.Pfs.stale_reads;
   Alcotest.(check int) "WAL path is staleness-free" 0
-    (wal_stats walled).Wal.stale_reads;
+    (wal_stats walled).Wal.core.stale_reads;
   Alcotest.(check bool) "and both converge to the same bytes" true
     (Validation.final_digests direct = Validation.final_digests walled)
 
@@ -143,7 +143,7 @@ let test_ostfail_mid_drain () =
     (Validation.final_digests reference = Validation.final_digests faulted);
   let s = wal_stats faulted in
   Alcotest.(check bool) "drains were refused by the down target" true
-    (s.Wal.drain_target_down > 0);
+    (s.Wal.core.target_down > 0);
   let c = wal_check faulted in
   Alcotest.(check int) "no bytes lost" 0 c.Wal.lost_bytes;
   Alcotest.(check int) "no bytes torn" 0 c.Wal.torn_bytes;
@@ -229,14 +229,14 @@ let test_logfail_writethrough () =
       ~wal:Wal.default_config ~faults:plan body
   in
   let s = wal_stats faulted in
-  Alcotest.(check int) "all planned faults fired" 10 s.Wal.log_faults;
+  Alcotest.(check int) "all planned faults fired" 10 s.Wal.core.faults;
   Alcotest.(check int) "two appends exhausted their budget" 2
-    s.Wal.log_aborts;
+    s.Wal.core.aborts;
   Alcotest.(check int) "both degraded to write-through" 2
     s.Wal.writethrough_writes;
-  Alcotest.(check int) "four retries per exhausted append" 8 s.Wal.log_retries;
+  Alcotest.(check int) "four retries per exhausted append" 8 s.Wal.core.retries;
   Alcotest.(check bool) "backoff delay was accounted" true
-    (s.Wal.log_backoff_ticks > 0);
+    (s.Wal.core.backoff_ticks > 0);
   Alcotest.(check bool) "write-through preserved the final bytes" true
     (Validation.final_digests reference = Validation.final_digests faulted);
   (match faulted.Runner.faults with
@@ -255,9 +255,9 @@ let test_logcap_stalls () =
   in
   let s = wal_stats faulted in
   Alcotest.(check bool) "a full log forces synchronous replay" true
-    (s.Wal.stalls > 0);
+    (s.Wal.core.stalls > 0);
   Alcotest.(check bool) "capacity never exceeds the planned cap" true
-    (s.Wal.peak_occupancy <= 256);
+    (s.Wal.core.peak_occupancy <= 256);
   Alcotest.(check bool) "capped run still converges to the reference" true
     (Validation.final_digests reference = Validation.final_digests faulted)
 
