@@ -18,11 +18,4 @@ let describe = function
 let default_async =
   Async { bandwidth_bytes_per_tick = 65536; drain_interval = 32 }
 
-let of_string s =
-  match String.lowercase_ascii s with
-  | "sync-close" | "sync_on_close" | "sync" -> Some Sync_on_close
-  | "async" -> Some default_async
-  | "laminate" | "on-laminate" | "on_laminate" -> Some On_laminate
-  | _ -> None
-
 let pp ppf t = Format.pp_print_string ppf (describe t)

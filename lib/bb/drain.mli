@@ -38,8 +38,4 @@ val name : t -> string
 val describe : t -> string
 (** One-line human-readable description including parameters. *)
 
-val of_string : string -> t option
-(** Parse {!name} output; ["async"] gets the default parameters
-    (64 KiB/tick, interval 32). *)
-
 val pp : Format.formatter -> t -> unit

@@ -34,11 +34,6 @@ let crash_count t =
   List.length
     (List.filter (function Rank_crash _ -> true | _ -> false) t.events)
 
-let has_target_failures t =
-  List.exists
-    (function Ost_fail _ | Mds_fail _ -> true | _ -> false)
-    t.events
-
 let has_log_events t =
   List.exists
     (function Log_fail _ | Log_cap _ -> true | _ -> false)

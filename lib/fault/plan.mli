@@ -65,11 +65,6 @@ val log_cap : int -> event
 
 val crash_count : t -> int
 
-val has_target_failures : t -> bool
-(** Does the plan contain any [Ost_fail]/[Mds_fail] event?  (Gates the
-    client journal: without one, runs stay byte-identical to a build with
-    no failure domain.) *)
-
 val has_log_events : t -> bool
 (** Does the plan contain any [Log_fail]/[Log_cap] event?  (Gates the WAL
     fault hook the same way.) *)

@@ -183,11 +183,3 @@ let counters t =
     messages = (2 * t.acquisitions) + (2 * t.revocations);
     hits = t.hits;
   }
-
-let reset t =
-  Hashtbl.reset t.blocks;
-  Hashtbl.reset t.pending;
-  t.reg_epoch <- -1;
-  t.acquisitions <- 0;
-  t.revocations <- 0;
-  t.hits <- 0

@@ -42,5 +42,3 @@ val evict_client : t -> client:int -> int
     grants recalled. *)
 
 val counters : t -> counters
-
-val reset : t -> unit

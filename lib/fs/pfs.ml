@@ -234,15 +234,6 @@ let stats (t : t) =
     locks = Lockmgr.counters t.lockmgr;
   }
 
-let reset_stats (t : t) =
-  Domctx.reset t.reads;
-  Domctx.reset t.writes;
-  Domctx.reset t.bytes_read;
-  Domctx.reset t.bytes_written;
-  Domctx.reset t.stale_reads;
-  Domctx.reset t.stale_bytes;
-  Lockmgr.reset t.lockmgr
-
 (* Whole-job crash at [time]: every file loses its pending (unpublished)
    write buffers according to the active consistency engine; per-rank
    in-flight writes tear at this PFS's stripe boundaries.  [keep_stripes]

@@ -80,7 +80,6 @@ type stats = {
 }
 
 val stats : t -> stats
-val reset_stats : t -> unit
 
 val crash :
   t ->

@@ -3,11 +3,6 @@ module Domctx = Hpcfs_util.Domctx
 
 type state = Up | Degraded | Down
 
-let state_name = function
-  | Up -> "up"
-  | Degraded -> "degraded"
-  | Down -> "down"
-
 exception Target_down of { target : int; time : int }
 exception Mds_down of { time : int }
 

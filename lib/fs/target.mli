@@ -17,9 +17,6 @@
 
 type state = Up | Degraded | Down
 
-val state_name : state -> string
-(** ["up"], ["degraded"], ["down"]. *)
-
 exception Target_down of { target : int; time : int }
 (** Raised by data-path operations whose extent touches a [Down] target. *)
 

@@ -96,7 +96,6 @@ let set_logical_clock f = logical := f
 let clear_logical_clock () = logical := fun () -> 0
 let set_wall_clock f = wall := f
 let logical_now () = !logical ()
-let wall_now () = !wall ()
 
 (* Instrumentation --------------------------------------------------------- *)
 

@@ -85,7 +85,6 @@ val set_logical_clock : (unit -> int) -> unit
 val clear_logical_clock : unit -> unit
 val set_wall_clock : (unit -> float) -> unit
 val logical_now : unit -> int
-val wall_now : unit -> float
 
 (** {2 Instrumentation points}
 

@@ -12,10 +12,6 @@ type 'a t = (int * 'a) IMap.t
 
 let empty = IMap.empty
 
-let is_empty = IMap.is_empty
-
-let cardinal = IMap.cardinal
-
 (* Remove all coverage of [lo, hi), keeping the parts of straddling
    segments that lie outside the range. *)
 let carve lo hi m =
@@ -85,16 +81,3 @@ let set_max ~wins (iv : Interval.t) v m =
     let m = set iv v m in
     List.fold_left (fun m (piece, old) -> set piece old m) m keep
   end
-
-(* Drop everything at or past [len]; trim the straddler. *)
-let truncate len m = carve len max_int m
-
-let iter f m = IMap.iter (fun lo (hi, v) -> f (Interval.make lo hi) v) m
-
-let fold f m acc = IMap.fold (fun lo (hi, v) acc -> f (Interval.make lo hi) v acc) m acc
-
-(* Total bytes covered by segments satisfying [p] inside [iv]. *)
-let covered_bytes ?(p = fun _ -> true) iv m =
-  List.fold_left
-    (fun n (piece, v) -> if p v then n + Interval.length piece else n)
-    0 (query iv m)

@@ -8,10 +8,6 @@
 type 'a t
 
 val empty : 'a t
-val is_empty : 'a t -> bool
-
-val cardinal : 'a t -> int
-(** Number of segments (not bytes). *)
 
 val set : Interval.t -> 'a -> 'a t -> 'a t
 (** Overwrite the range with one value, splitting any overlapped
@@ -25,13 +21,3 @@ val set_max : wins:('a -> 'a -> bool) -> Interval.t -> 'a -> 'a t -> 'a t
 val query : Interval.t -> 'a t -> (Interval.t * 'a) list
 (** Segments intersecting the range, clipped to it, in ascending offset
     order.  Uncovered gaps are absent. *)
-
-val truncate : int -> 'a t -> 'a t
-(** Drop all coverage at or beyond the given length. *)
-
-val iter : (Interval.t -> 'a -> unit) -> 'a t -> unit
-val fold : (Interval.t -> 'a -> 'b -> 'b) -> 'a t -> 'b -> 'b
-
-val covered_bytes : ?p:('a -> bool) -> Interval.t -> 'a t -> int
-(** Bytes of the range covered by segments whose value satisfies [p]
-    (default: any segment). *)

@@ -25,10 +25,6 @@ let int_in g lo hi =
   assert (lo <= hi);
   lo + int g (hi - lo + 1)
 
-let float g bound =
-  let v = Int64.to_float (Int64.shift_right_logical (bits64 g) 11) in
-  bound *. (v /. 9007199254740992.0)
-
 let bool g = Int64.logand (bits64 g) 1L = 1L
 
 let shuffle g a =

@@ -23,9 +23,6 @@ val int : t -> int -> int
 val int_in : t -> int -> int -> int
 (** [int_in g lo hi] is uniform in [\[lo, hi\]] inclusive. Requires [lo <= hi]. *)
 
-val float : t -> float -> float
-(** [float g bound] is uniform in [\[0, bound)]. *)
-
 val bool : t -> bool
 (** Fair coin flip. *)
 
