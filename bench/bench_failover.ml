@@ -66,10 +66,10 @@ let failover () =
         in
         let dt = Unix.gettimeofday () -. t0 in
         let runs = float_of_int (List.length semantics) in
-        Bench_perf.record_scenario
+        Bench_perf.record
           ~name:("failover/" ^ mode)
-          ~ns:(dt *. 1e9 /. runs)
-          ~allocs:((Gc.minor_words () -. m0) /. runs);
+          (Bench_perf.per_op ~ns:(dt *. 1e9 /. runs)
+             ~allocs:((Gc.minor_words () -. m0) /. runs));
         rows)
       modes
   in

@@ -97,9 +97,9 @@ let scale_cell () =
   Printf.printf "shard steps: [%s]  max/min imbalance %.2f  wall %.1fs\n"
     (String.concat "; " (List.map string_of_int steps))
     imbalance dt;
-  Bench_perf.record_scenario
+  Bench_perf.record
     ~name:(Printf.sprintf "sweep/scale/ranks=%d/domains=%d" ranks domains)
-    ~ns:(dt *. 1e9) ~allocs:0.
+    (Bench_perf.per_op ~ns:(dt *. 1e9) ~allocs:0.)
 
 let sweep () =
   Bench_common.section "What-if sweep: workload grid across engines";
@@ -123,16 +123,18 @@ let sweep () =
       (List.map (fun r -> (Sweep.row_cells r, Sweep.row_csv r)) rows)
   in
   Printf.printf "\nsweep matrix written to %s\n" path;
-  Bench_perf.record_scenario ~name:"sweep/cell" ~ns:(dt *. 1e9 /. cells)
-    ~allocs:((Gc.minor_words () -. m0) /. cells);
+  Bench_perf.record ~name:"sweep/cell"
+    (Bench_perf.per_op ~ns:(dt *. 1e9 /. cells)
+       ~allocs:((Gc.minor_words () -. m0) /. cells));
   List.iter
     (fun (wname, _) ->
       let ws = List.filter (fun r -> r.Sweep.workload = wname) rows in
       let total = List.fold_left (fun a r -> a +. r.Sweep.wall_s) 0. ws in
-      Bench_perf.record_scenario
+      Bench_perf.record
         ~name:("sweep/" ^ wname)
-        ~ns:(total *. 1e9 /. float_of_int (List.length ws))
-        ~allocs:0.)
+        (Bench_perf.per_op
+           ~ns:(total *. 1e9 /. float_of_int (List.length ws))
+           ~allocs:0.))
     grid.Sweep.workloads;
   scale_cell ();
   Bench_perf.write_bench_json ()
