@@ -18,6 +18,8 @@ module Prng = Hpcfs_util.Prng
 module Posix = Hpcfs_posix.Posix
 module Runner = Hpcfs_apps.Runner
 module Validation = Hpcfs_apps.Validation
+module Registry = Hpcfs_apps.Registry
+module Mpi = Hpcfs_mpi.Mpi
 
 let s = Bytes.of_string
 
@@ -687,6 +689,27 @@ let test_tiered_drain_faults () =
     in
     Alcotest.(check int) "tier counted them too" 2 st.Hpcfs_bb.Tier.core.faults
 
+(* The MPI event log of a crash-restarted run is every attempt's log in
+   attempt order; the restart clock continues past the crash, so the
+   concatenation stays in time order.  Pinned at 8 ranks under a crash
+   of rank 1 at its fifth I/O call with a restart. *)
+let test_faulted_event_log () =
+  let plan = Result.get_ok (Plan.of_string "crash:rank=1,io=5,restart=64") in
+  let time = function
+    | Mpi.E_send { time; _ } | Mpi.E_recv { time; _ } -> time
+    | Mpi.E_barrier { enter; _ } | Mpi.E_coll { enter; _ } -> enter
+  in
+  List.iter
+    (fun (app, expected) ->
+      let entry = Option.get (Registry.find app) in
+      let result = Runner.run ~nprocs:8 ~faults:plan entry.Registry.body in
+      let events = result.Runner.events in
+      Alcotest.(check int) (app ^ ": events") expected (List.length events);
+      let times = List.map time events in
+      Alcotest.(check (list int)) (app ^ ": non-decreasing in time")
+        (List.stable_sort Int.compare times) times)
+    [ ("FLASH-fbs", 34_943); ("pF3D-IO", 36) ]
+
 let suite =
   [
     Alcotest.test_case "plan spec roundtrip" `Quick test_plan_roundtrip;
@@ -724,4 +747,5 @@ let suite =
       test_runner_mds_failure;
     Alcotest.test_case "target crash report rows + determinism" `Quick
       test_target_crash_report_rows;
+    Alcotest.test_case "faulted event log" `Quick test_faulted_event_log;
   ]

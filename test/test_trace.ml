@@ -300,6 +300,63 @@ let qcheck_record_roundtrip =
       | Ok r' -> r = r'
       | Error _ -> false)
 
+(* [Collector.records] against its specification: the stable sort by
+   (run epoch, time) of the emission order.  Scripts emit into one slot or
+   several ([Domctx.set_slot]) and across run epochs
+   ([Domctx.next_run_epoch]), in time order or not.  Times are unique
+   within an epoch across slots (a slot-tagged key), as the schedulers
+   guarantee; they repeat across epochs and within a slot. *)
+module Domctx = Hpcfs_util.Domctx
+
+let qcheck_collector_records_merge =
+  let gen =
+    QCheck.Gen.(
+      let* ordered = bool in
+      let* slots = oneofl [ 1; 4 ] in
+      let segment =
+        let* s = list_size (int_bound 20) (pair (int_bound (slots - 1)) (int_bound 30)) in
+        return (if ordered then List.stable_sort (fun (_, a) (_, b) -> compare a b) s else s)
+      in
+      list_size (int_range 1 3) segment)
+  in
+  let print segs =
+    String.concat " | "
+      (List.map
+         (fun seg ->
+           String.concat " "
+             (List.map (fun (k, t) -> Printf.sprintf "%d@%d" t k) seg))
+         segs)
+  in
+  QCheck.Test.make ~name:"collector records merge by (epoch, time)" ~count:300
+    (QCheck.make ~print gen) (fun segments ->
+      let c = Collector.create () in
+      let emitted = ref [] and idx = ref 0 in
+      Fun.protect
+        ~finally:(fun () -> Domctx.set_slot 0)
+        (fun () ->
+          List.iteri
+            (fun i seg ->
+              if i > 0 then Domctx.next_run_epoch ();
+              List.iter
+                (fun (k, base) ->
+                  let time = (base * Domctx.max_slots) + k in
+                  Domctx.set_slot k;
+                  Collector.emit c (sample ~time ~rank:!idx ());
+                  emitted := (Domctx.run_epoch (), time, !idx) :: !emitted;
+                  incr idx)
+                seg)
+            segments);
+      let expected =
+        List.stable_sort
+          (fun (e1, t1, _) (e2, t2, _) -> compare (e1, t1) (e2, t2))
+          (List.rev !emitted)
+        |> List.map (fun (_, t, i) -> (t, i))
+      in
+      let got =
+        List.map (fun r -> (r.Record.time, r.Record.rank)) (Collector.records c)
+      in
+      got = expected)
+
 let suite =
   [
     Alcotest.test_case "line roundtrip" `Quick test_roundtrip_line;
@@ -327,4 +384,5 @@ let suite =
       test_roundtrip_extreme_values;
     QCheck_alcotest.to_alcotest qcheck_record_roundtrip;
     QCheck_alcotest.to_alcotest qcheck_record_roundtrip_adversarial;
+    QCheck_alcotest.to_alcotest qcheck_collector_records_merge;
   ]
