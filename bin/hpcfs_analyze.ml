@@ -217,6 +217,11 @@ let exits_of_result = function
     prerr_endline msg;
     exit 1
 
+(* An output file the user named: an unwritable path is reported like any
+   other error (exit 1), with the message naming the path. *)
+let write_file write =
+  match write () with () -> Ok () | exception Sys_error msg -> Error msg
+
 (* observability ------------------------------------------------------------ *)
 
 let obs_arg =
@@ -437,43 +442,50 @@ let run_cmd =
   let run app workload ranks trace_path format tier ranks_per_node mds_shards
       domains obs_dir =
     exits_of_result
-      (Result.map
-         (fun entry ->
-           let tier, wal = tier_config tier ranks_per_node in
-           with_obs obs_dir @@ fun obs ->
-           let result =
-             Runner.run ~nprocs:ranks ?tier ?wal ~mds_shards ?domains
-               entry.Registry.body
+      (let ( let* ) = Result.bind in
+       let* entry = find_app ?workload app in
+       let tier, wal = tier_config tier ranks_per_node in
+       with_obs obs_dir @@ fun obs ->
+       let result =
+         Runner.run ~nprocs:ranks ?tier ?wal ~mds_shards ?domains
+           entry.Registry.body
+       in
+       Printf.printf "ran %s on %d ranks: %d trace records\n"
+         (Registry.label entry) ranks
+         (List.length result.Runner.records);
+       Option.iter
+         (fun t ->
+           Format.printf "burst-buffer tier (%s):@.%a@."
+             (Drain.name (Tier.config t).Tier.policy)
+             Tier.pp_stats (Tier.stats t))
+         result.Runner.tier;
+       Option.iter
+         (fun w ->
+           Format.printf "write-ahead log tier (%d B/tick replay):@.%a@."
+             (Wal.config w).Wal.bandwidth_bytes_per_tick
+             Wal.pp_stats (Wal.stats w))
+         result.Runner.wal;
+       let* () =
+         match trace_path with
+         | Some path ->
+           let* () =
+             write_file (fun () ->
+                 Tracefile.save ~format path result.Runner.records)
            in
-           Printf.printf "ran %s on %d ranks: %d trace records\n"
-             (Registry.label entry) ranks
-             (List.length result.Runner.records);
-           Option.iter
-             (fun t ->
-               Format.printf "burst-buffer tier (%s):@.%a@."
-                 (Drain.name (Tier.config t).Tier.policy)
-                 Tier.pp_stats (Tier.stats t))
-             result.Runner.tier;
-           Option.iter
-             (fun w ->
-               Format.printf "write-ahead log tier (%d B/tick replay):@.%a@."
-                 (Wal.config w).Wal.bandwidth_bytes_per_tick
-                 Wal.pp_stats (Wal.stats w))
-             result.Runner.wal;
-           (match trace_path with
-           | Some path ->
-             Tracefile.save ~format path result.Runner.records;
-             Printf.printf "trace written to %s\n" path
-           | None ->
-             let report = Report.analyze ~nprocs:ranks result.Runner.records in
-             Report.pp_summary Format.std_formatter report);
-           Option.iter
-             (fun (dir, sink) ->
-               save_obs ~dir ~app:(Registry.label entry) ~nprocs:ranks
-                 ~extra:(result_extras result) ~records:result.Runner.records
-                 sink)
-             obs)
-         (find_app ?workload app))
+           Printf.printf "trace written to %s\n" path;
+           Ok ()
+         | None ->
+           let report = Report.analyze ~nprocs:ranks result.Runner.records in
+           Report.pp_summary Format.std_formatter report;
+           Ok ()
+       in
+       Option.iter
+         (fun (dir, sink) ->
+           save_obs ~dir ~app:(Registry.label entry) ~nprocs:ranks
+             ~extra:(result_extras result) ~records:result.Runner.records
+             sink)
+         obs;
+       Ok ())
   in
   let doc = "Run an application model and capture (or analyze) its trace." in
   Cmd.v (Cmd.info "run" ~doc)
@@ -778,13 +790,18 @@ let faults_cmd =
        Format.printf "fault plan: %a (seed %d)@.@." Fault_plan.pp plan
          plan_seed;
        Fault_report.pp Format.std_formatter rows;
-       Option.iter
-         (fun path ->
-           let oc = open_out path in
-           output_string oc (Fault_report.to_csv rows);
-           close_out oc;
-           Printf.printf "\nreport written to %s\n" path)
-         csv_path;
+       let* () =
+         match csv_path with
+         | Some path ->
+           let* () =
+             write_file (fun () ->
+                 Out_channel.with_open_text path (fun oc ->
+                     output_string oc (Fault_report.to_csv rows)))
+           in
+           Printf.printf "\nreport written to %s\n" path;
+           Ok ()
+         | None -> Ok ()
+       in
        Option.iter
          (fun (dir, sink) ->
            mkdir_p dir;
@@ -817,76 +834,78 @@ let stats_cmd =
   let run app workload ranks tier ranks_per_node mds_shards trace_path format
       obs_dir =
     exits_of_result
-      (Result.map
-         (fun entry ->
-           let tier, wal = tier_config tier ranks_per_node in
-           let sink = Obs.create () in
-           let result =
-             Obs.with_sink sink (fun () ->
-                 let result =
-                   Runner.run ~nprocs:ranks ?tier ?wal ~mds_shards
-                     entry.Registry.body
-                 in
-                 ignore (Report.analyze ~nprocs:ranks result.Runner.records);
-                 (* Saved inside the sink's scope so the codec's
-                    [trace.codec.*] counters land in the registry below. *)
-                 Option.iter
-                   (fun path ->
+      (let ( let* ) = Result.bind in
+       let* entry = find_app ?workload app in
+       let tier, wal = tier_config tier ranks_per_node in
+       let sink = Obs.create () in
+       let result, saved =
+         Obs.with_sink sink (fun () ->
+             let result =
+               Runner.run ~nprocs:ranks ?tier ?wal ~mds_shards
+                 entry.Registry.body
+             in
+             ignore (Report.analyze ~nprocs:ranks result.Runner.records);
+             (* Saved inside the sink's scope so the codec's
+                [trace.codec.*] counters land in the registry below. *)
+             let saved =
+               match trace_path with
+               | Some path ->
+                 write_file (fun () ->
                      Tracefile.save ~format path result.Runner.records)
-                   trace_path;
-                 result)
-           in
-           Option.iter (Printf.printf "trace written to %s\n") trace_path;
-           let spans = Obs.span_summary sink in
-           if spans <> [] then begin
-             let t = Table.create [ "span"; "calls"; "ticks"; "wall (s)" ] in
-             List.iter
-               (fun (name, calls, ticks, wall) ->
-                 Table.add_row t
-                   [
-                     name;
-                     string_of_int calls;
-                     string_of_int ticks;
-                     Printf.sprintf "%.6f" wall;
-                   ])
-               spans;
-             Table.print t;
-             print_newline ()
-           end;
-           (* Per-operation metadata counts from the trace, then the
-              metadata service's own accounting (shards, cache). *)
-           let counts =
-             Metadata_report.inventory_counts result.Runner.records
-           in
-           if counts <> [] then begin
-             let t = Table.create [ "metadata op"; "calls" ] in
-             List.iter
-               (fun (op, n) -> Table.add_row t [ op; string_of_int n ])
-               counts;
+               | None -> Ok ()
+             in
+             (result, saved))
+       in
+       let* () = saved in
+       Option.iter (Printf.printf "trace written to %s\n") trace_path;
+       let spans = Obs.span_summary sink in
+       if spans <> [] then begin
+         let t = Table.create [ "span"; "calls"; "ticks"; "wall (s)" ] in
+         List.iter
+           (fun (name, calls, ticks, wall) ->
              Table.add_row t
-               [ "total"; string_of_int (Metadata_report.total counts) ];
-             Table.print t;
-             print_newline ()
-           end;
-           let md = result.Runner.md in
-           Printf.printf
-             "metadata service : %d server ops on %d shard(s), makespan %d \
-              (server %d, clients %d)\n\
-              stat cache       : %d hits, %d misses (ratio %.3f), %d stale \
-              stats, %d stale dirlists\n\n"
-             md.Md.server_ops
-             (List.length md.Md.shard_ops)
-             (Md.makespan md) md.Md.server_makespan md.Md.client_makespan
-             md.Md.cache_hits md.Md.cache_misses (Md.hit_ratio md)
-             md.Md.stale_stats md.Md.stale_dents;
-           print_string (Export_metrics.to_prometheus sink);
-           Option.iter
-             (fun dir ->
-               save_obs ~dir ~app:(Registry.label entry) ~nprocs:ranks
-                 ~extra:(result_extras result) ~records:result.Runner.records
-                 sink)
-             obs_dir)
-         (find_app ?workload app))
+               [
+                 name;
+                 string_of_int calls;
+                 string_of_int ticks;
+                 Printf.sprintf "%.6f" wall;
+               ])
+           spans;
+         Table.print t;
+         print_newline ()
+       end;
+       (* Per-operation metadata counts from the trace, then the
+          metadata service's own accounting (shards, cache). *)
+       let counts = Metadata_report.inventory_counts result.Runner.records in
+       if counts <> [] then begin
+         let t = Table.create [ "metadata op"; "calls" ] in
+         List.iter
+           (fun (op, n) -> Table.add_row t [ op; string_of_int n ])
+           counts;
+         Table.add_row t
+           [ "total"; string_of_int (Metadata_report.total counts) ];
+         Table.print t;
+         print_newline ()
+       end;
+       let md = result.Runner.md in
+       Printf.printf
+         "metadata service : %d server ops on %d shard(s), makespan %d \
+          (server %d, clients %d)\n\
+          stat cache       : %d hits, %d misses (ratio %.3f), %d stale \
+          stats, %d stale dirlists\n\n"
+         md.Md.server_ops
+         (List.length md.Md.shard_ops)
+         (Md.makespan md) md.Md.server_makespan md.Md.client_makespan
+         md.Md.cache_hits md.Md.cache_misses (Md.hit_ratio md)
+         md.Md.stale_stats md.Md.stale_dents;
+       print_string (Export_metrics.to_prometheus sink);
+       Option.iter
+         (fun dir ->
+           save_obs ~dir ~app:(Registry.label entry) ~nprocs:ranks
+             ~extra:(result_extras result) ~records:result.Runner.records
+             sink)
+         obs_dir;
+       Ok ())
   in
   let doc =
     "Run a configuration with telemetry enabled and print the metric \

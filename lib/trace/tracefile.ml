@@ -44,10 +44,17 @@ let sniff_is_binary ic =
   seek_in ic 0;
   is_binary
 
+(* A path that opens but cannot be read (a directory, say) fails at the
+   first read; that is an [Error] naming the path too, like a failed open. *)
 let with_in path f =
   match open_in_bin path with
   | exception Sys_error e -> Error e
-  | ic -> Fun.protect ~finally:(fun () -> close_in_noerr ic) (fun () -> f ic)
+  | ic -> (
+    match
+      Fun.protect ~finally:(fun () -> close_in_noerr ic) (fun () -> f ic)
+    with
+    | result -> result
+    | exception Sys_error e -> Error (Printf.sprintf "%s: %s" path e))
 
 let detect_format path =
   with_in path (fun ic -> Ok (if sniff_is_binary ic then Binary else Text))

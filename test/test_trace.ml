@@ -149,6 +149,25 @@ let test_tracefile_bad_line () =
       (String.length msg >= 6 && String.sub msg 0 6 = "line 2")
   | Ok _ -> Alcotest.fail "expected error"
 
+(* A path that opens but cannot be read is an [Error] naming the path,
+   from every reader, never a [Sys_error] escaping to the caller. *)
+let test_tracefile_unreadable_path () =
+  let dir = Filename.get_temp_dir_name () in
+  let dst = Filename.temp_file "hpcfs" ".trace" in
+  let names_dir what = function
+    | Ok _ -> Alcotest.failf "%s: expected an error" what
+    | Error msg ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s names the path (%s)" what msg)
+        true
+        (String.starts_with ~prefix:dir msg)
+  in
+  names_dir "detect_format" (Tracefile.detect_format dir);
+  names_dir "iter" (Tracefile.iter dir ~f:ignore);
+  names_dir "load" (Tracefile.load dir);
+  names_dir "convert" (Tracefile.convert ~src:dir ~dst Tracefile.Binary);
+  Sys.remove dst
+
 let test_skew_alignment () =
   (* Rank r's clock is shifted by 10*r; aligning on the barrier exit should
      restore cross-rank order. *)
@@ -371,6 +390,8 @@ let suite =
     Alcotest.test_case "tracefile roundtrip" `Quick test_tracefile_roundtrip;
     Alcotest.test_case "tracefile save/load" `Quick test_tracefile_save_load;
     Alcotest.test_case "tracefile bad line" `Quick test_tracefile_bad_line;
+    Alcotest.test_case "tracefile unreadable path" `Quick
+      test_tracefile_unreadable_path;
     Alcotest.test_case "collector unordered emit" `Quick
       test_collector_unordered_emit;
     Alcotest.test_case "skew alignment" `Quick test_skew_alignment;
