@@ -49,7 +49,7 @@ let () =
   Printf.printf "all conflicts are HDF5 metadata rewrites: %b\n" in_metadata;
 
   (* The conflicts are race-free: FLASH's own barriers order them. *)
-  let hb = Happens_before.build ~nprocs result.Runner.events in
+  let hb = Happens_before.build ~nprocs (Lazy.force result.Runner.events) in
   Printf.printf "every cross-process conflict is synchronized by MPI: %b\n\n"
     (Happens_before.race_free hb report.Report.session_conflicts);
 

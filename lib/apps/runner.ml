@@ -18,7 +18,7 @@ module Md = Hpcfs_md.Service
 
 type result = {
   records : Hpcfs_trace.Record.t list;
-  events : Mpi.event list;
+  events : Mpi.event list Lazy.t;
   stats : Pfs.stats;
   md : Md.stats;
   pfs : Pfs.t;
@@ -121,7 +121,7 @@ let run_faulted ~domains ~nprocs ~seed ~cb_nodes ~pfs ~mds ~collector ~tier
       | None -> base_backend
       | Some j -> Journal.wrap j base_backend)
   in
-  let events = ref [] in
+  let comms = ref [] in
   let crashes = ref [] in
   let restarts = ref 0 in
   let target_records = ref [] in
@@ -228,7 +228,7 @@ let run_faulted ~domains ~nprocs ~seed ~cb_nodes ~pfs ~mds ~collector ~tier
         `Crashed (rank, time, io_index)
       | Target.Mds_down { time } -> `Mds_down time
     in
-    events := !events @ Mpi.events comm;
+    comms := comm :: !comms;
     match status with
     | `Done -> ()
     | `Crashed (rank, time, io_index) ->
@@ -315,7 +315,9 @@ let run_faulted ~domains ~nprocs ~seed ~cb_nodes ~pfs ~mds ~collector ~tier
   let wal_check =
     Option.map (fun w -> Obs.span Obs.T_fs "fsck" (fun () -> Wal.check w)) wal
   in
-  ( !events,
+  (* Each attempt's log in attempt order, sorted only if someone asks. *)
+  let attempts = List.rev !comms in
+  ( lazy (List.concat_map Mpi.events attempts),
     {
       Injector.o_plan = plan;
       o_crashes = List.rev !crashes;
@@ -396,7 +398,7 @@ let run ?obs ?(semantics = Hpcfs_fs.Consistency.Strong) ?(local_order = true)
                 body env;
                 Mpi.barrier comm));
         epilogue_drain ~tier ~wal;
-        (Mpi.events comm, None)
+        (lazy (Mpi.events comm), None)
     in
     {
       records = Collector.records collector;

@@ -4,8 +4,11 @@
 
 type result = {
   records : Hpcfs_trace.Record.t list;  (** The trace, in time order. *)
-  events : Hpcfs_mpi.Mpi.event list;
-      (** Communication log (all attempts concatenated, under faults). *)
+  events : Hpcfs_mpi.Mpi.event list Lazy.t;
+      (** Communication log in time order (all attempts concatenated, in
+          attempt order, under faults), forced on demand: sorting it costs
+          O(n log n) in the run's MPI events, so a run whose caller never
+          forces it never sorts it. *)
   stats : Hpcfs_fs.Pfs.stats;
   md : Hpcfs_md.Service.stats;
       (** Metadata-path statistics: per-shard load, cache hit/staleness

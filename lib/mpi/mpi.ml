@@ -262,4 +262,4 @@ let events c =
   let all =
     c.log :: Array.to_list c.logs |> List.concat_map (fun l -> l)
   in
-  List.sort (fun a b -> compare (event_time a) (event_time b)) all
+  List.sort (fun a b -> Int.compare (event_time a) (event_time b)) all

@@ -76,20 +76,35 @@ let finish t =
 let spill_path t =
   match t.backend with Memory _ -> None | Disk d -> Some d.config.path
 
+(* Is a newest-first accumulation list already in (epoch, time) order,
+   i.e. is every entry at or after its successor? *)
+let rec newest_first_ordered = function
+  | ((e1 : int), r1) :: ((e2, r2) :: _ as rest) ->
+    (e1 > e2 || (e1 = e2 && r1.Record.time >= r2.Record.time))
+    && newest_first_ordered rest
+  | [ _ ] | [] -> true
+
 (* Merge the per-slot lists.  Within one run epoch every timestamp is
    unique, so sorting by time is a total order there no matter how many
    domains emitted.  Across epochs (restart attempts of a faulted run)
    times can collide, so the sort key leads with the epoch: attempts
    stay in emission order, as the single-domain scheduler interleaves
-   them.  Legacy runs put everything in slot 0 under one epoch, where
-   the stable sort preserves the accumulation order exactly as before. *)
+   them.
+
+   A single-domain run emits into slot 0 alone, in time order, so one
+   pass confirms the order and one reversal yields the trace: the list a
+   stable sort would return, since a stable sort keeps ties (within a
+   slot) in emission order.  OCaml's [List.stable_sort] is not adaptive,
+   so it is only paid for several slots (a parallel run) or an
+   out-of-order emission. *)
 let memory_records slots =
-  let all = Array.to_list slots |> List.concat_map List.rev in
-  List.stable_sort
-    (fun (e1, r1) (e2, r2) ->
-      if e1 <> e2 then compare e1 e2 else Record.compare_time r1 r2)
-    all
-  |> List.map snd
+  match List.filter (fun l -> l <> []) (Array.to_list slots) with
+  | [ l ] when newest_first_ordered l -> List.rev_map snd l
+  | nonempty ->
+    List.concat_map List.rev nonempty
+    |> List.stable_sort (fun (e1, r1) (e2, r2) ->
+           if e1 <> e2 then Int.compare e1 e2 else Record.compare_time r1 r2)
+    |> List.map snd
 
 let iter t ~f =
   match t.backend with
@@ -101,11 +116,8 @@ let iter t ~f =
     | Error e ->
       failwith (Printf.sprintf "Collector: spill file %s: %s" d.config.path e))
 
-(* Simulator layers emit with monotonically increasing logical timestamps,
-   so reversing the accumulation list already restores time order; the
-   stable sort makes the documented ordering hold for any emission order
-   (e.g. records replayed from several per-rank files) and costs one
-   merge pass on already-sorted input. *)
+(* A spill file holds arrival order, which a parallel run interleaves, so
+   the records read back from it always go through the sort. *)
 let records t =
   match t.backend with
   | Memory m -> memory_records m.slots

@@ -204,4 +204,4 @@ let pp ppf t =
       | None -> ())
     t.count
 
-let compare_time a b = compare a.time b.time
+let compare_time a b = Int.compare a.time b.time

@@ -703,7 +703,7 @@ let test_faulted_event_log () =
     (fun (app, expected) ->
       let entry = Option.get (Registry.find app) in
       let result = Runner.run ~nprocs:8 ~faults:plan entry.Registry.body in
-      let events = result.Runner.events in
+      let events = Lazy.force result.Runner.events in
       Alcotest.(check int) (app ^ ": events") expected (List.length events);
       let times = List.map time events in
       Alcotest.(check (list int)) (app ^ ": non-decreasing in time")

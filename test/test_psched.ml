@@ -263,7 +263,7 @@ let run_app ?faults ?semantics ~domains body =
   let result = Runner.run ?faults ?semantics ~nprocs:8 ~domains body in
   let report = Report.analyze ~nprocs:8 result.Runner.records in
   ( result.Runner.records,
-    result.Runner.events,
+    Lazy.force result.Runner.events,
     Format.asprintf "%a" Report.pp_summary report )
 
 let test_app_trace_identical () =
