@@ -6,6 +6,7 @@ module Collector = Hpcfs_trace.Collector
 module Opclass = Hpcfs_trace.Opclass
 module Tracefile = Hpcfs_trace.Tracefile
 module Skew = Hpcfs_trace.Skew
+module Domctx = Hpcfs_util.Domctx
 
 let sample ?(time = 1) ?(rank = 0) ?(func = "write") ?file ?fd ?offset ?count
     ?(args = []) () =
@@ -325,16 +326,18 @@ let qcheck_record_roundtrip =
    ([Domctx.next_run_epoch]), in time order or not.  Times are unique
    within an epoch across slots (a slot-tagged key), as the schedulers
    guarantee; they repeat across epochs and within a slot. *)
-module Domctx = Hpcfs_util.Domctx
-
 let qcheck_collector_records_merge =
   let gen =
     QCheck.Gen.(
       let* ordered = bool in
       let* slots = oneofl [ 1; 4 ] in
       let segment =
-        let* s = list_size (int_bound 20) (pair (int_bound (slots - 1)) (int_bound 30)) in
-        return (if ordered then List.stable_sort (fun (_, a) (_, b) -> compare a b) s else s)
+        let* s =
+          list_size (int_bound 20) (pair (int_bound (slots - 1)) (int_bound 30))
+        in
+        return
+          (if ordered then List.stable_sort (fun (_, a) (_, b) -> compare a b) s
+           else s)
       in
       list_size (int_range 1 3) segment)
   in
