@@ -12,6 +12,8 @@ module Sharing = Hpcfs_core.Sharing
 module Conflict = Hpcfs_core.Conflict
 module Happens_before = Hpcfs_core.Happens_before
 module Consistency = Hpcfs_fs.Consistency
+module Pattern = Hpcfs_core.Pattern
+module Recommend = Hpcfs_core.Recommend
 
 let nprocs = 16
 
@@ -202,6 +204,186 @@ let test_registry_completeness () =
     (Registry.find "flash-fbs" <> None);
   Alcotest.(check bool) "unknown lookup" true (Registry.find "nonesuch" = None)
 
+(* One line per configuration at 16 ranks pins what the study reports:
+   the session and commit conflict-class matrices, the sharing and local
+   pattern, each engine's validation outcome (stale reads / corrupted
+   files), the recommendation, and the cross-process session and commit
+   conflicts with how many of them the MPI happens-before order covers.
+   Timestamps and the global pattern are left out: they follow the
+   scheduler's tick accounting, not the study's results. *)
+let pin_engines =
+  Consistency.[ Strong; Commit; Session; Eventual { delay = 8 } ]
+
+let pin_line entry =
+  let result, report = report_of entry in
+  let flags (s : Conflict.summary) =
+    String.concat ""
+      (List.map
+         (fun n -> if n > 0 then "1" else "0")
+         [ s.Conflict.waw_s; s.waw_d; s.raw_s; s.raw_d ])
+  in
+  let hb = Happens_before.build ~nprocs (Lazy.force result.Runner.events) in
+  let cross conflicts =
+    let d = List.filter (fun c -> c.Conflict.scope = Conflict.Diff) conflicts in
+    Printf.sprintf "%d (%d ordered)" (List.length d)
+      (List.length (List.filter (Happens_before.conflict_synchronized hb) d))
+  in
+  let m = report.Report.local_mix in
+  let outcomes =
+    Validation.validate ~nprocs ~semantics:pin_engines entry.Registry.body
+    |> List.map (fun o ->
+           Printf.sprintf "%s %s %d/%d"
+             (Validation.sem_name o.Validation.semantics)
+             (if Validation.correct o then "ok" else "BAD")
+             o.Validation.stale_reads o.Validation.corrupted_files)
+  in
+  Printf.sprintf
+    "%s: classes session %s commit %s; %s %s; local %d/%d/%d; %s; \
+     recommend %s; cross session %s, commit %s"
+    (Registry.label entry)
+    (flags (Report.session_summary report))
+    (flags (Report.commit_summary report))
+    (Sharing.xy_name report.Report.sharing.Sharing.xy)
+    (Sharing.structure_name report.Report.sharing.Sharing.structure)
+    m.Pattern.consecutive m.Pattern.monotonic m.Pattern.random
+    (String.concat ", " outcomes)
+    (Recommend.describe report.Report.verdict)
+    (cross report.Report.session_conflicts)
+    (cross report.Report.commit_conflicts)
+
+let expected_pin =
+  [
+    "FLASH-fbs: classes session 1100 commit 0000; M-1 strided cyclic;\
+     \ local 0/2765/1005;\
+     \ strong ok 0/0, commit ok 0/0, session BAD 0/5, eventual:8 ok 0/0;\
+     \ recommend commit consistency;\
+     \ cross session 215 (215 ordered), commit 0 (0 ordered)";
+    "ENZO: classes session 0010 commit 0010; N-N consecutive;\
+     \ local 80/64/64;\
+     \ strong ok 0/0, commit ok 0/0, session ok 0/0, eventual:8 ok 0/0;\
+     \ recommend session consistency (requires same-process ordering, i.e. not BurstFS);\
+     \ cross session 0 (0 ordered), commit 0 (0 ordered)";
+    "NWChem: classes session 1010 commit 1010; N-N consecutive;\
+     \ local 416/80/192;\
+     \ strong ok 0/0, commit ok 0/0, session ok 0/0, eventual:8 ok 0/0;\
+     \ recommend session consistency (requires same-process ordering, i.e. not BurstFS);\
+     \ cross session 0 (0 ordered), commit 0 (0 ordered)";
+    "pF3D-IO: classes session 0010 commit 0010; N-N consecutive;\
+     \ local 528/0/16;\
+     \ strong ok 0/0, commit ok 0/0, session ok 0/0, eventual:8 ok 0/0;\
+     \ recommend session consistency (requires same-process ordering, i.e. not BurstFS);\
+     \ cross session 0 (0 ordered), commit 0 (0 ordered)";
+    "MACSio: classes session 1000 commit 1000; N-M strided;\
+     \ local 0/32/64;\
+     \ strong ok 0/0, commit ok 0/0, session ok 0/0, eventual:8 ok 0/0;\
+     \ recommend session consistency (requires same-process ordering, i.e. not BurstFS);\
+     \ cross session 0 (0 ordered), commit 0 (0 ordered)";
+    "GAMESS: classes session 1000 commit 1000; M-M consecutive;\
+     \ local 44/8/12;\
+     \ strong ok 0/0, commit ok 0/0, session ok 0/0, eventual:8 ok 0/0;\
+     \ recommend session consistency (requires same-process ordering, i.e. not BurstFS);\
+     \ cross session 0 (0 ordered), commit 0 (0 ordered)";
+    "LAMMPS-ADIOS: classes session 1000 commit 1000; M-M consecutive;\
+     \ local 87/4/5;\
+     \ strong ok 0/0, commit ok 0/0, session ok 0/0, eventual:8 ok 0/0;\
+     \ recommend session consistency (requires same-process ordering, i.e. not BurstFS);\
+     \ cross session 0 (0 ordered), commit 0 (0 ordered)";
+    "LAMMPS-NetCDF: classes session 1000 commit 1000; 1-1 consecutive;\
+     \ local 2/4/5;\
+     \ strong ok 0/0, commit ok 0/0, session ok 0/0, eventual:8 ok 0/0;\
+     \ recommend session consistency (requires same-process ordering, i.e. not BurstFS);\
+     \ cross session 0 (0 ordered), commit 0 (0 ordered)";
+    "LAMMPS-HDF5: classes session 0000 commit 0000; 1-1 consecutive;\
+     \ local 82/2/3;\
+     \ strong ok 0/0, commit ok 0/0, session ok 0/0, eventual:8 ok 0/0;\
+     \ recommend session consistency;\
+     \ cross session 0 (0 ordered), commit 0 (0 ordered)";
+    "LAMMPS-MPI-IO: classes session 0000 commit 0000; M-1 strided;\
+     \ local 1/29/0;\
+     \ strong ok 0/0, commit ok 0/0, session ok 0/0, eventual:8 ok 0/0;\
+     \ recommend session consistency;\
+     \ cross session 0 (0 ordered), commit 0 (0 ordered)";
+    "LAMMPS-POSIX: classes session 0000 commit 0000; 1-1 consecutive;\
+     \ local 80/0/0;\
+     \ strong ok 0/0, commit ok 0/0, session ok 0/0, eventual:8 ok 0/0;\
+     \ recommend session consistency;\
+     \ cross session 0 (0 ordered), commit 0 (0 ordered)";
+    "MILC-QCD-Serial: classes session 0000 commit 0000;\
+     \ 1-1 consecutive; local 64/0/0;\
+     \ strong ok 0/0, commit ok 0/0, session ok 0/0, eventual:8 ok 0/0;\
+     \ recommend session consistency;\
+     \ cross session 0 (0 ordered), commit 0 (0 ordered)";
+    "ParaDiS-HDF5: classes session 0000 commit 0000; N-1 strided;\
+     \ local 0/48/5;\
+     \ strong ok 0/0, commit ok 0/0, session ok 0/0, eventual:8 ok 0/0;\
+     \ recommend session consistency;\
+     \ cross session 0 (0 ordered), commit 0 (0 ordered)";
+    "ParaDiS-POSIX: classes session 0000 commit 0000; N-1 strided;\
+     \ local 1/47/0;\
+     \ strong ok 0/0, commit ok 0/0, session ok 0/0, eventual:8 ok 0/0;\
+     \ recommend session consistency;\
+     \ cross session 0 (0 ordered), commit 0 (0 ordered)";
+    "VASP: classes session 0000 commit 0000; N-1 consecutive;\
+     \ local 30/15/0;\
+     \ strong ok 0/0, commit ok 0/0, session ok 0/0, eventual:8 ok 0/0;\
+     \ recommend session consistency;\
+     \ cross session 0 (0 ordered), commit 0 (0 ordered)";
+    "LBANN: classes session 0000 commit 0000; N-1 consecutive;\
+     \ local 1024/0/0;\
+     \ strong ok 0/0, commit ok 0/0, session ok 0/0, eventual:8 ok 0/0;\
+     \ recommend session consistency;\
+     \ cross session 0 (0 ordered), commit 0 (0 ordered)";
+    "QMCPACK: classes session 0000 commit 0000; 1-1 consecutive;\
+     \ local 30/4/4;\
+     \ strong ok 0/0, commit ok 0/0, session ok 0/0, eventual:8 ok 0/0;\
+     \ recommend session consistency;\
+     \ cross session 0 (0 ordered), commit 0 (0 ordered)";
+    "Nek5000: classes session 0000 commit 0000; 1-1 consecutive;\
+     \ local 160/0/0;\
+     \ strong ok 0/0, commit ok 0/0, session ok 0/0, eventual:8 ok 0/0;\
+     \ recommend session consistency;\
+     \ cross session 0 (0 ordered), commit 0 (0 ordered)";
+    "GTC: classes session 0000 commit 0000; 1-1 consecutive;\
+     \ local 52/0/0;\
+     \ strong ok 0/0, commit ok 0/0, session ok 0/0, eventual:8 ok 0/0;\
+     \ recommend session consistency;\
+     \ cross session 0 (0 ordered), commit 0 (0 ordered)";
+    "Chombo: classes session 0000 commit 0000; N-1 strided;\
+     \ local 0/48/5;\
+     \ strong ok 0/0, commit ok 0/0, session ok 0/0, eventual:8 ok 0/0;\
+     \ recommend session consistency;\
+     \ cross session 0 (0 ordered), commit 0 (0 ordered)";
+    "HACC-IO-MPI-IO: classes session 0000 commit 0000;\
+     \ N-N consecutive; local 144/0/0;\
+     \ strong ok 0/0, commit ok 0/0, session ok 0/0, eventual:8 ok 0/0;\
+     \ recommend session consistency;\
+     \ cross session 0 (0 ordered), commit 0 (0 ordered)";
+    "HACC-IO-POSIX: classes session 0000 commit 0000; N-N consecutive;\
+     \ local 144/0/0;\
+     \ strong ok 0/0, commit ok 0/0, session ok 0/0, eventual:8 ok 0/0;\
+     \ recommend session consistency;\
+     \ cross session 0 (0 ordered), commit 0 (0 ordered)";
+    "VPIC-IO: classes session 0000 commit 0000; M-1 strided cyclic;\
+     \ local 0/52/6;\
+     \ strong ok 0/0, commit ok 0/0, session ok 0/0, eventual:8 ok 0/0;\
+     \ recommend session consistency;\
+     \ cross session 0 (0 ordered), commit 0 (0 ordered)";
+    "FLASH-nofbs: classes session 1100 commit 0000; N-1 strided;\
+     \ local 0/825/145;\
+     \ strong ok 0/0, commit ok 0/0, session BAD 0/5, eventual:8 ok 0/0;\
+     \ recommend commit consistency;\
+     \ cross session 215 (215 ordered), commit 0 (0 ordered)";
+    "MILC-QCD-Parallel: classes session 0000 commit 0000; N-1 strided;\
+     \ local 4/252/0;\
+     \ strong ok 0/0, commit ok 0/0, session ok 0/0, eventual:8 ok 0/0;\
+     \ recommend session consistency;\
+     \ cross session 0 (0 ordered), commit 0 (0 ordered)";
+  ]
+
+let test_paper_pin () =
+  Alcotest.(check (list string)) "25 configurations at 16 ranks" expected_pin
+    (List.map pin_line Registry.all)
+
 (* The payload bytes every app model and DSL workload writes: byte [i] of
    [payload ~len env tag] is [(tag + rank + i) land 0xff], at lengths
    around the 256-byte period and tags around the byte wrap.  Rank bodies
@@ -278,4 +460,5 @@ let suite =
       Alcotest.test_case "registry completeness" `Quick
         test_registry_completeness;
       Alcotest.test_case "payload bytes" `Quick test_payload_bytes;
+      Alcotest.test_case "paper pin at 16 ranks" `Quick test_paper_pin;
     ]

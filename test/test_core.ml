@@ -14,6 +14,8 @@ module Sharing = Hpcfs_core.Sharing
 module Metadata_report = Hpcfs_core.Metadata_report
 module Happens_before = Hpcfs_core.Happens_before
 module Recommend = Hpcfs_core.Recommend
+module Mpi = Hpcfs_mpi.Mpi
+module Sched = Hpcfs_sim.Sched
 
 (* Record builders ---------------------------------------------------------- *)
 
@@ -636,6 +638,66 @@ let test_hb_same_rank () =
   Alcotest.(check bool) "no time travel" false
     (Happens_before.ordered hb ~r1:0 ~t1:2 ~r2:0 ~t2:1)
 
+(* Collectives, from a real 4-rank run: each rank draws one tick before
+   the collective (its write) and one after it (its read).  [ordered]
+   asks whether [writer]'s write happens-before [reader]'s read. *)
+let hb_around_collective coll =
+  let nprocs = 4 in
+  let comm = Mpi.world () in
+  let write = Array.make nprocs 0 and read = Array.make nprocs 0 in
+  Sched.run ~nprocs (fun r ->
+      write.(r) <- Sched.tick ();
+      coll comm r;
+      read.(r) <- Sched.tick ());
+  let hb = Happens_before.build ~nprocs (Mpi.events comm) in
+  let ordered ~writer ~reader =
+    Happens_before.ordered hb ~r1:writer ~t1:write.(writer) ~r2:reader
+      ~t2:read.(reader)
+  in
+  (nprocs, ordered)
+
+let test_hb_allreduce_orders_everyone () =
+  let nprocs, ordered =
+    hb_around_collective (fun comm r ->
+        ignore (Mpi.allreduce comm Mpi.Sum r))
+  in
+  for writer = 0 to nprocs - 1 do
+    for reader = 0 to nprocs - 1 do
+      if writer <> reader then
+        Alcotest.(check bool)
+          (Printf.sprintf "write on %d before read on %d" writer reader)
+          true (ordered ~writer ~reader)
+    done
+  done
+
+let gather_root = 2
+
+let hb_around_gather () =
+  hb_around_collective (fun comm r ->
+      ignore (Mpi.gather comm ~root:gather_root (Mpi.P_int r)))
+
+let test_hb_gather_orders_into_root () =
+  let nprocs, ordered = hb_around_gather () in
+  for writer = 0 to nprocs - 1 do
+    if writer <> gather_root then
+      Alcotest.(check bool)
+        (Printf.sprintf "write on %d before root read" writer)
+        true
+        (ordered ~writer ~reader:gather_root)
+  done
+
+(* MPI_Gather lets a non-root return before the root has entered, so the
+   root's earlier work is not ordered before a non-root's later work. *)
+let test_hb_gather_not_out_of_root () =
+  let nprocs, ordered = hb_around_gather () in
+  for reader = 0 to nprocs - 1 do
+    if reader <> gather_root then
+      Alcotest.(check bool)
+        (Printf.sprintf "root write not before read on %d" reader)
+        false
+        (ordered ~writer:gather_root ~reader)
+  done
+
 (* Recommend ------------------------------------------------------------------ *)
 
 let test_recommend_session_when_clean () =
@@ -728,6 +790,11 @@ let suite =
     Alcotest.test_case "hb: send/recv" `Quick test_hb_send_recv_orders;
     Alcotest.test_case "hb: barrier" `Quick test_hb_barrier_orders_everyone;
     Alcotest.test_case "hb: same rank" `Quick test_hb_same_rank;
+    Alcotest.test_case "hb: allreduce" `Quick test_hb_allreduce_orders_everyone;
+    Alcotest.test_case "hb: gather into root" `Quick
+      test_hb_gather_orders_into_root;
+    Alcotest.test_case "hb: gather not out of root" `Quick
+      test_hb_gather_not_out_of_root;
     Alcotest.test_case "recommend: session" `Quick test_recommend_session_when_clean;
     Alcotest.test_case "recommend: commit" `Quick
       test_recommend_commit_for_cross_process;
