@@ -438,6 +438,51 @@ let scaling_cell ~ranks ~domains =
   in
   (seconds, records, supersteps, imbalance_x1000)
 
+(* The collective cell: FLASH-fbs, whose checkpoints are collective HDF5
+   writes (each MPI-IO call gathers every rank's extent), on the legacy
+   single-domain scheduler.  [mpi.sends] counts the messages left once
+   collectives are rendezvous (MPI-IO's two-phase exchange); [sim.rounds]
+   counts scheduler rounds, each of which polls every rank. *)
+let flash_scaling ~small =
+  section "Rank scaling: FLASH-fbs collective HDF5 writes, legacy scheduler";
+  let entry = Option.get (Hpcfs_apps.Registry.find "FLASH-fbs") in
+  let counter sink name =
+    try Obs.find_counter sink name with Not_found -> 0
+  in
+  let t =
+    Table.create
+      ~aligns:[ Table.Right; Table.Right; Table.Right; Table.Right ]
+      [ "ranks"; "seconds"; "mpi.sends"; "sim.rounds" ]
+  in
+  List.iter
+    (fun ranks ->
+      let sink = Obs.create () in
+      let t0 = Unix.gettimeofday () in
+      ignore
+        (Obs.with_sink sink (fun () ->
+             Runner.run ~nprocs:ranks entry.Hpcfs_apps.Registry.body));
+      let seconds = Unix.gettimeofday () -. t0 in
+      let sends = counter sink "mpi.sends"
+      and rounds = counter sink "sim.rounds" in
+      Table.add_row t
+        [
+          string_of_int ranks;
+          Printf.sprintf "%.3f" seconds;
+          string_of_int sends;
+          string_of_int rounds;
+        ];
+      record
+        ~name:(Printf.sprintf "rank_scaling/flash_fbs/ranks=%d/domains=1" ranks)
+        [
+          ("ranks", string_of_int ranks);
+          ("domains", "1");
+          ("seconds", Printf.sprintf "%.3f" seconds);
+          ("mpi.sends", string_of_int sends);
+          ("sim.rounds", string_of_int rounds);
+        ])
+    (if small then [ 64; 256 ] else [ 64; 256; 1_024 ]);
+  Table.print t
+
 let rank_scaling () =
   section "Rank scaling: superstep-parallel scheduler, fpp write workload";
   let small =
@@ -506,4 +551,5 @@ let rank_scaling () =
     "(speedup is relative to domains=1 at the same rank count.  Domains\n\
     \ beyond the core count add coordination cost without parallel work;\n\
     \ the cores field in BENCH_PERF.json records what this host offered.)\n";
+  flash_scaling ~small;
   write_bench_json ()

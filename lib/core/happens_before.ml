@@ -6,42 +6,57 @@ type t = { nprocs : int; per_rank : clocked array array }
 
 let join a b = Array.mapi (fun i x -> max x b.(i)) a
 
-(* Atomic items the vector-clock pass processes: a barrier is split into an
-   enter event (publishes the rank's clock into the generation's join set)
-   and an exit event (absorbs the join of every participant's enter clock),
-   so that work preceding any rank's enter happens-before work following any
-   rank's exit. *)
+(* Atomic items the vector-clock pass processes.  A message is a send
+   and a receive, matched per channel in FIFO order; the channel
+   [(src, dst, tag)] is folded into one int.  A barrier or a collective
+   is split into an enter item, which publishes the rank's clock into its
+   invocation's join set, and an exit item, which absorbs the join of
+   every participant's enter clock when the exit is ordered after all
+   entries: on every rank for a barrier, an allgather or an allreduce, on
+   the root only for a gather (MPI lets a non-root leave a gather before
+   the root enters).  Join sets are numbered [2 * gen] for barrier
+   generation [gen] and [2 * seq + 1] for collective number [seq]. *)
 type item =
-  | I_send of { src : int; dst : int; tag : int; time : int }
-  | I_recv of { src : int; dst : int; tag : int; time : int }
-  | I_bar_enter of { rank : int; gen : int; time : int }
-  | I_bar_exit of { rank : int; gen : int; time : int }
+  | I_send of { chan : int; src : int; time : int }
+  | I_recv of { chan : int; dst : int; time : int }
+  | I_enter of { set : int; rank : int; time : int }
+  | I_exit of { set : int; rank : int; absorb : bool; time : int }
 
 let item_time = function
   | I_send { time; _ } | I_recv { time; _ }
-  | I_bar_enter { time; _ } | I_bar_exit { time; _ } ->
+  | I_enter { time; _ } | I_exit { time; _ } ->
     time
 
+module Itbl = Hashtbl.Make (Int)
+
 let build ~nprocs events =
+  let chan ~src ~dst ~tag = (((tag * nprocs) + src) * nprocs) + dst in
   let items =
     List.concat_map
       (fun e ->
         match e with
-        | Mpi.E_send { src; dst; tag; time } -> [ I_send { src; dst; tag; time } ]
-        | Mpi.E_recv { src; dst; tag; time } -> [ I_recv { src; dst; tag; time } ]
+        | Mpi.E_send { src; dst; tag; time } ->
+          [ I_send { chan = chan ~src ~dst ~tag; src; time } ]
+        | Mpi.E_recv { src; dst; tag; time } ->
+          [ I_recv { chan = chan ~src ~dst ~tag; dst; time } ]
         | Mpi.E_barrier { rank; gen; enter; exit } ->
-          [ I_bar_enter { rank; gen; time = enter };
-            I_bar_exit { rank; gen; time = exit } ]
-        | Mpi.E_coll _ -> [])
+          let set = 2 * gen in
+          [ I_enter { set; rank; time = enter };
+            I_exit { set; rank; absorb = true; time = exit } ]
+        | Mpi.E_coll { rank; seq; root; enter; exit; _ } ->
+          let set = (2 * seq) + 1 in
+          let absorb =
+            match root with None -> true | Some root -> root = rank
+          in
+          [ I_enter { set; rank; time = enter };
+            I_exit { set; rank; absorb; time = exit } ])
       events
-    |> List.sort (fun a b -> compare (item_time a) (item_time b))
+    |> List.sort (fun a b -> Int.compare (item_time a) (item_time b))
   in
   let vcs = Array.init nprocs (fun _ -> Array.make nprocs 0) in
   let out = Array.make nprocs [] in
-  let msgs : (int * int * int, int array Queue.t) Hashtbl.t =
-    Hashtbl.create 64
-  in
-  let barrier_enters : (int, int array) Hashtbl.t = Hashtbl.create 16 in
+  let msgs : int array Queue.t Itbl.t = Itbl.create 64 in
+  let enters : int array Itbl.t = Itbl.create 16 in
   let record rank point =
     out.(rank) <- { point; vc = Array.copy vcs.(rank) } :: out.(rank)
   in
@@ -49,39 +64,40 @@ let build ~nprocs events =
   List.iter
     (fun item ->
       match item with
-      | I_send { src; dst; tag; time } ->
+      | I_send { chan; src; time } ->
         advance src;
         let q =
-          match Hashtbl.find_opt msgs (src, dst, tag) with
+          match Itbl.find_opt msgs chan with
           | Some q -> q
           | None ->
             let q = Queue.create () in
-            Hashtbl.add msgs (src, dst, tag) q;
+            Itbl.add msgs chan q;
             q
         in
         Queue.push (Array.copy vcs.(src)) q;
         record src time
-      | I_recv { src; dst; tag; time } ->
+      | I_recv { chan; dst; time } ->
         let incoming =
-          match Hashtbl.find_opt msgs (src, dst, tag) with
+          match Itbl.find_opt msgs chan with
           | Some q when not (Queue.is_empty q) -> Queue.pop q
           | Some _ | None -> Array.make nprocs 0
         in
         vcs.(dst) <- join vcs.(dst) incoming;
         advance dst;
         record dst time
-      | I_bar_enter { rank; gen; time } ->
+      | I_enter { set; rank; time } ->
         advance rank;
-        (match Hashtbl.find_opt barrier_enters gen with
-        | Some j -> Hashtbl.replace barrier_enters gen (join j vcs.(rank))
-        | None -> Hashtbl.add barrier_enters gen (Array.copy vcs.(rank)));
+        (match Itbl.find_opt enters set with
+        | Some j -> Itbl.replace enters set (join j vcs.(rank))
+        | None -> Itbl.add enters set (Array.copy vcs.(rank)));
         record rank time
-      | I_bar_exit { rank; gen; time } ->
-        (* Every enter of this generation precedes every exit, so the join
+      | I_exit { set; rank; absorb; time } ->
+        (* Every enter of an invocation precedes every exit, so the join
            set is complete by the time the first exit is processed. *)
-        (match Hashtbl.find_opt barrier_enters gen with
-        | Some j -> vcs.(rank) <- join vcs.(rank) j
-        | None -> ());
+        (if absorb then
+           match Itbl.find_opt enters set with
+           | Some j -> vcs.(rank) <- join vcs.(rank) j
+           | None -> ());
         advance rank;
         record rank time)
     items;

@@ -5,9 +5,11 @@
     that every cross-process conflict pair is ordered by program
     synchronization.  This module implements that check in general: vector
     clocks are computed over the MPI event log (program order, send→recv
-    edges, and barrier joins; collectives are covered by their constituent
-    messages and barriers), and a conflict is {e synchronized} when the
-    earlier operation happens-before the later one. *)
+    edges, barrier joins, and collective joins built from the [E_coll]
+    records: every rank's entry precedes every rank's exit of an allgather
+    or allreduce, and the root's exit of a gather), and a conflict is
+    {e synchronized} when the earlier operation happens-before the later
+    one. *)
 
 type t
 

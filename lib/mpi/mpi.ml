@@ -12,35 +12,44 @@ type event =
   | E_send of { src : int; dst : int; tag : int; time : int }
   | E_recv of { src : int; dst : int; tag : int; time : int }
   | E_barrier of { rank : int; gen : int; enter : int; exit : int }
-  | E_coll of { rank : int; name : string; seq : int; enter : int; exit : int }
+  | E_coll of {
+      rank : int;
+      name : string;
+      seq : int;
+      root : int option;
+      enter : int;
+      exit : int;
+    }
+
+(* A rendezvous point.  [arrivals] only ever grows, so the wake predicate
+   [arrivals >= n * (k + 1)] of a rank's k-th arrival is monotone;
+   [seen.(r)] (ranks touch only their own slot) counts rank r's
+   arrivals. *)
+type rendezvous = { arrivals : int Atomic.t; mutable seen : int array }
 
 type comm = {
   mutable size : int option;
   mailboxes : (int * int * int, payload Queue.t) Hashtbl.t;
   mu : Mutex.t; (* guards mailboxes (table and queues) in parallel runs *)
-  bar_gen : int ref;
-  bar_count : int ref;
-  (* Parallel-run barrier state: [bar_arrivals] only ever grows, so the
-     wake predicate [arrivals >= n * (generation + 1)] is monotone, and
-     [bar_seen.(r)] (ranks touch only their own slot) counts how many
-     barriers rank r has entered. *)
-  bar_arrivals : int Atomic.t;
-  mutable bar_seen : int array;
-  mutable coll_seq : int array; (* per-rank collective sequence numbers *)
+  bar : rendezvous;
+  coll : rendezvous;
+  (* The collectives' deposit slots: two rows of one slot per rank, used
+     alternately by collective sequence number parity. *)
+  mutable slots : payload array array;
   mutable log : event list;
   logs : event list array; (* per-domain logs of a parallel run *)
 }
+
+let rendezvous () = { arrivals = Atomic.make 0; seen = [||] }
 
 let world () =
   {
     size = None;
     mailboxes = Hashtbl.create 64;
     mu = Mutex.create ();
-    bar_gen = ref 0;
-    bar_count = ref 0;
-    bar_arrivals = Atomic.make 0;
-    bar_seen = [||];
-    coll_seq = [||];
+    bar = rendezvous ();
+    coll = rendezvous ();
+    slots = [| [||]; [||] |];
     log = [];
     logs = Array.make Domctx.max_slots [];
   }
@@ -50,8 +59,12 @@ let world () =
    runner before a domain-parallel simulation starts. *)
 let prepare c ~nprocs =
   c.size <- Some nprocs;
-  if Array.length c.coll_seq <> nprocs then c.coll_seq <- Array.make nprocs 0;
-  if Array.length c.bar_seen <> nprocs then c.bar_seen <- Array.make nprocs 0
+  List.iter
+    (fun rv ->
+      if Array.length rv.seen <> nprocs then rv.seen <- Array.make nprocs 0)
+    [ c.bar; c.coll ];
+  if Array.length c.slots.(0) <> nprocs then
+    c.slots <- Array.init 2 (fun _ -> Array.make nprocs P_unit)
 
 let size c =
   match c.size with
@@ -62,7 +75,6 @@ let size c =
     n
 
 let rank _c = Sched.self ()
-let wtime () = Sched.now ()
 
 let log_event c e =
   if Domctx.parallel () then begin
@@ -70,10 +82,6 @@ let log_event c e =
     c.logs.(k) <- e :: c.logs.(k)
   end
   else c.log <- e :: c.log
-
-(* Internal tag used by collective implementations; per-channel queues are
-   FIFO, so one tag suffices for any sequence of collectives. *)
-let coll_tag = -1
 
 let locked c f = Domctx.locked c.mu f
 
@@ -111,77 +119,57 @@ let recv c ~src ~tag =
   log_event c (E_recv { src; dst; tag; time });
   payload
 
+(* Arrive at [rv] and block until every rank has arrived as often as this
+   one; returns this rank's arrival number (from 0).  Under the legacy
+   scheduler the last arriver continues inline.  Under the parallel one
+   every rank, the last included, suspends and resumes at the next
+   superstep boundary, so exit ticks depend neither on arrival order nor
+   on how ranks are sharded across domains. *)
+let arrive rv ~n ~rank =
+  let k = rv.seen.(rank) in
+  rv.seen.(rank) <- k + 1;
+  let target = n * (k + 1) in
+  let arrived = Atomic.fetch_and_add rv.arrivals 1 + 1 in
+  if arrived < target || Domctx.parallel () then
+    Sched.wait_until (fun () -> Atomic.get rv.arrivals >= target);
+  k
+
 let barrier c =
   let n = size c in
   let r = rank c in
   let enter = Sched.tick () in
-  let gen =
-    if Domctx.parallel () then begin
-      (* Every rank (the last arriver included) suspends and resumes at
-         the next superstep boundary, so barrier exit ticks do not depend
-         on arrival order or on how ranks are sharded across domains. *)
-      let g = c.bar_seen.(r) in
-      c.bar_seen.(r) <- g + 1;
-      Atomic.incr c.bar_arrivals;
-      Sched.wait_until (fun () -> Atomic.get c.bar_arrivals >= n * (g + 1));
-      g
-    end
-    else begin
-      let gen = !(c.bar_gen) in
-      incr c.bar_count;
-      if !(c.bar_count) = n then begin
-        c.bar_count := 0;
-        incr c.bar_gen
-      end
-      else Sched.wait_until (fun () -> !(c.bar_gen) > gen);
-      gen
-    end
-  in
+  let gen = arrive c.bar ~n ~rank:r in
   let exit = Sched.tick () in
   Obs.incr "mpi.barriers";
   Obs.observe "mpi.barrier_wait_ticks" (float_of_int (exit - enter));
   Obs.span_at (Obs.T_rank r) ~t0:enter ~t1:exit "barrier";
   log_event c (E_barrier { rank = r; gen; enter; exit })
 
-let with_coll c name body =
+(* Every collective is one rendezvous: each rank deposits its value in
+   its slot of row [seq land 1], arrives, and once all have arrived
+   [finish] reads the whole row.  Two rows suffice: a rank reaches
+   collective seq + 2 only after every rank has arrived at seq + 1, so
+   after every rank has finished reading row seq. *)
+let collective c name ?root value finish =
+  let n = size c in
   let r = rank c in
-  ignore (size c);
-  let seq = c.coll_seq.(r) in
-  c.coll_seq.(r) <- seq + 1;
   let enter = Sched.tick () in
-  let result = body () in
+  let row = c.slots.(c.coll.seen.(r) land 1) in
+  row.(r) <- value;
+  let seq = arrive c.coll ~n ~rank:r in
+  let result = finish row in
   let exit = Sched.tick () in
   Obs.incr "mpi.collectives";
   Obs.span_at (Obs.T_rank r) ~t0:enter ~t1:exit name;
-  log_event c (E_coll { rank = r; name; seq; enter; exit });
+  log_event c (E_coll { rank = r; name; seq; root; enter; exit });
   result
 
-(* Inner (unlogged) collective bodies, shared by the public operations. *)
+let gather c ~root value =
+  if root < 0 || root >= size c then invalid_arg "Mpi.gather: bad root";
+  collective c "gather" ~root value (fun row ->
+      if rank c = root then Some (Array.copy row) else None)
 
-let bcast_inner c ~root value =
-  let r = rank c and n = size c in
-  if r = root then begin
-    for dst = 0 to n - 1 do
-      if dst <> root then send c ~dst ~tag:coll_tag value
-    done;
-    value
-  end
-  else recv c ~src:root ~tag:coll_tag
-
-let gather_inner c ~root value =
-  let r = rank c and n = size c in
-  if r = root then begin
-    let out = Array.make n P_unit in
-    out.(root) <- value;
-    for src = 0 to n - 1 do
-      if src <> root then out.(src) <- recv c ~src ~tag:coll_tag
-    done;
-    Some out
-  end
-  else begin
-    send c ~dst:root ~tag:coll_tag value;
-    None
-  end
+let allgather c value = collective c "allgather" value Array.copy
 
 type reduce_op = Sum | Max | Min
 
@@ -192,64 +180,13 @@ let int_of_payload = function
   | P_int v -> v
   | P_unit | P_ints _ | P_bytes _ -> invalid_arg "Mpi: expected P_int"
 
-let reduce_inner c ~root op value =
-  match gather_inner c ~root (P_int value) with
-  | Some values ->
-    let acc = ref (int_of_payload values.(0)) in
-    for i = 1 to Array.length values - 1 do
-      acc := apply_op op !acc (int_of_payload values.(i))
-    done;
-    Some !acc
-  | None -> None
-
-(* Public collectives: inner body wrapped in an E_coll log record. *)
-
-let bcast c ~root value = with_coll c "bcast" (fun () -> bcast_inner c ~root value)
-
-let gather c ~root value =
-  with_coll c "gather" (fun () -> gather_inner c ~root value)
-
-let allgather c value =
-  with_coll c "allgather" (fun () ->
-      let r = rank c and n = size c in
-      for dst = 0 to n - 1 do
-        if dst <> r then send c ~dst ~tag:coll_tag value
-      done;
-      let out = Array.make n P_unit in
-      out.(r) <- value;
-      for src = 0 to n - 1 do
-        if src <> r then out.(src) <- recv c ~src ~tag:coll_tag
-      done;
-      out)
-
-let reduce c ~root op value =
-  with_coll c "reduce" (fun () -> reduce_inner c ~root op value)
-
 let allreduce c op value =
-  with_coll c "allreduce" (fun () ->
-      let partial = reduce_inner c ~root:0 op value in
-      let final =
-        match partial with
-        | Some v -> bcast_inner c ~root:0 (P_int v)
-        | None -> bcast_inner c ~root:0 P_unit
-      in
-      int_of_payload final)
-
-let scatter c ~root values =
-  with_coll c "scatter" (fun () ->
-      let r = rank c and n = size c in
-      if r = root then begin
-        match values with
-        | None -> invalid_arg "Mpi.scatter: root must supply values"
-        | Some vs ->
-          if Array.length vs <> n then
-            invalid_arg "Mpi.scatter: need one value per rank";
-          for dst = 0 to n - 1 do
-            if dst <> root then send c ~dst ~tag:coll_tag vs.(dst)
-          done;
-          vs.(root)
-      end
-      else recv c ~src:root ~tag:coll_tag)
+  collective c "allreduce" (P_int value) (fun row ->
+      let acc = ref (int_of_payload row.(0)) in
+      for i = 1 to Array.length row - 1 do
+        acc := apply_op op !acc (int_of_payload row.(i))
+      done;
+      !acc)
 
 let event_time = function
   | E_send { time; _ } | E_recv { time; _ } -> time

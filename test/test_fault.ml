@@ -708,7 +708,7 @@ let test_faulted_event_log () =
       let times = List.map time events in
       Alcotest.(check (list int)) (app ^ ": non-decreasing in time")
         (List.stable_sort Int.compare times) times)
-    [ ("FLASH-fbs", 34_943); ("pF3D-IO", 36) ]
+    [ ("FLASH-fbs", 8_959); ("pF3D-IO", 36) ]
 
 let suite =
   [

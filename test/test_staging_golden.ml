@@ -124,7 +124,7 @@ stale reads: 36 (8424 B)
 writes: 120 (29184 B)  reads: 80 (17408 B)
 staged: 29184 B  drained: 29184 B  backlog never drained: 0 B
 stage-in: 0 B  stage-out: 0 B
-cache hits/misses: 52/28  drain stalls: 21 (21504 B)  peak occupancy: 4032 B
+cache hits/misses: 52/28  drain stalls: 22 (21760 B)  peak occupancy: 4032 B
 stale reads: 36 (8424 B)
   bb.bytes_read=17408
   bb.bytes_written=29184
@@ -133,8 +133,8 @@ stale reads: 36 (8424 B)
   bb.drained_bytes=29184
   bb.reads=80
   bb.staged_bytes=29184
-  bb.stalled_bytes=21504
-  bb.stalls=21
+  bb.stalled_bytes=21760
+  bb.stalls=22
   bb.writes=120
 == bb laminate
 writes: 120 (29184 B)  reads: 80 (17408 B)
@@ -153,33 +153,33 @@ stale reads: 31 (7149 B)
 == wal strong
 writes: 120 (29184 B)  reads: 80 (17408 B)
 appended: 29184 B  replayed: 29184 B  backlog never replayed: 0 B
-flush stalls: 29 (26112 B)  peak log occupancy: 1024 B  stale reads: 0 (0 B)
+flush stalls: 30 (26176 B)  peak log occupancy: 1024 B  stale reads: 0 (0 B)
 wal-fsck: 4 files, 4 clean, 0 recovered, 0 corrupted
   wal.appended_bytes=29184
   wal.bytes_read=17408
   wal.bytes_written=29184
   wal.drained_bytes=29184
   wal.reads=80
-  wal.stalled_bytes=26112
-  wal.stalls=29
+  wal.stalled_bytes=26176
+  wal.stalls=30
   wal.writes=120
 == wal commit
 writes: 120 (29184 B)  reads: 80 (17408 B)
 appended: 29184 B  replayed: 29184 B  backlog never replayed: 0 B
-flush stalls: 21 (21504 B)  peak log occupancy: 4032 B  stale reads: 21 (4032 B)
+flush stalls: 22 (21760 B)  peak log occupancy: 4032 B  stale reads: 21 (4032 B)
 wal-fsck: 4 files, 4 clean, 0 recovered, 0 corrupted
   wal.appended_bytes=29184
   wal.bytes_read=17408
   wal.bytes_written=29184
   wal.drained_bytes=29184
   wal.reads=80
-  wal.stalled_bytes=21504
-  wal.stalls=21
+  wal.stalled_bytes=21760
+  wal.stalls=22
   wal.writes=120
 == wal session
 writes: 120 (29184 B)  reads: 80 (17408 B)
 appended: 29184 B  replayed: 29184 B  backlog never replayed: 0 B
-flush stalls: 0 (0 B)  peak log occupancy: 7168 B  stale reads: 48 (10917 B)
+flush stalls: 0 (0 B)  peak log occupancy: 7360 B  stale reads: 48 (10917 B)
 wal-fsck: 4 files, 4 clean, 0 recovered, 0 corrupted
   wal.appended_bytes=29184
   wal.bytes_read=17408
@@ -190,7 +190,7 @@ wal-fsck: 4 files, 4 clean, 0 recovered, 0 corrupted
 == wal eventual:8
 writes: 120 (29184 B)  reads: 80 (17408 B)
 appended: 29184 B  replayed: 29184 B  backlog never replayed: 0 B
-flush stalls: 0 (0 B)  peak log occupancy: 7168 B  stale reads: 21 (4032 B)
+flush stalls: 0 (0 B)  peak log occupancy: 7360 B  stale reads: 21 (4032 B)
 wal-fsck: 4 files, 4 clean, 0 recovered, 0 corrupted
   wal.appended_bytes=29184
   wal.bytes_read=17408
@@ -200,35 +200,38 @@ wal-fsck: 4 files, 4 clean, 0 recovered, 0 corrupted
   wal.writes=120
 == bb async crash
 writes: 240 (58368 B)  reads: 103 (21824 B)
-staged: 58368 B  drained: 56640 B  backlog never drained: 1728 B
+staged: 58368 B  drained: 43776 B  backlog never drained: 14592 B
 stage-in: 0 B  stage-out: 0 B
-cache hits/misses: 75/28  drain stalls: 35 (35840 B)  peak occupancy: 8192 B
+cache hits/misses: 75/28  drain stalls: 22 (21760 B)  peak occupancy: 29184 B
 stale reads: 36 (8424 B)
-drain faults: 3 (3 retries, 61 backoff ticks, 0 aborts)  crash lost: 1728 B
-drains refused by down target: 81
-  crash rank=2 bb_lost=1728 wal_lost=0 wal_torn=0
+drain faults: 3 (3 retries, 61 backoff ticks, 0 aborts)  crash lost: 14592 B
+drains refused by down target: 250
+  crash rank=2 bb_lost=14592 wal_lost=0 wal_torn=0
   bb.bytes_read=21824
   bb.bytes_written=58368
   bb.cache_hits=75
   bb.cache_misses=28
-  bb.crash_lost_bytes=1728
+  bb.crash_lost_bytes=14592
   bb.drain_backoff_ticks=61
   bb.drain_faults=3
   bb.drain_retries=3
-  bb.drain_target_down=81
-  bb.drained_bytes=56640
+  bb.drain_target_down=250
+  bb.drained_bytes=43776
   bb.reads=103
   bb.staged_bytes=58368
-  bb.stalled_bytes=35840
-  bb.stalls=35
+  bb.stalled_bytes=21760
+  bb.stalls=22
   bb.writes=240
 == wal commit crash
 writes: 240 (58368 B)  reads: 103 (21824 B)
-appended: 58368 B  replayed: 56640 B  backlog never replayed: 1728 B
-flush stalls: 35 (35840 B)  peak log occupancy: 8192 B  stale reads: 21 (4032 B)
-crash lost: 2112 B  torn: 192 B  recovered by replay: 2304 B
-replays refused by down target: 9
-wal-fsck: 4 files, 3 clean, 0 recovered, 1 corrupted; 2304 B replayed from the log; 2112 B lost, 192 B torn
+appended: 58368 B  replayed: 56064 B  backlog never replayed: 2304 B
+flush stalls: 22 (21760 B)  peak log occupancy: 29184 B  stale reads: 21 (4032 B)
+crash lost: 2112 B  torn: 192 B  recovered by replay: 26880 B
+replays refused by down target: 34
+wal-fsck: 4 files, 0 clean, 3 recovered, 1 corrupted; 26880 B replayed from the log; 2112 B lost, 192 B torn
+  /wl/workload/ckpt-0001   recovered recovered=8192B lost=0B torn=0B
+  /wl/workload/ckpt-0002   recovered recovered=8192B lost=0B torn=0B
+  /wl/workload/ckpt-0003   recovered recovered=8192B lost=0B torn=0B
   /wl/workload/live        corrupted recovered=2304B lost=2112B torn=192B
   crash rank=2 bb_lost=0 wal_lost=2112 wal_torn=192
   wal.appended_bytes=58368
@@ -236,32 +239,32 @@ wal-fsck: 4 files, 3 clean, 0 recovered, 1 corrupted; 2304 B replayed from the l
   wal.bytes_written=58368
   wal.crash_lost_bytes=2112
   wal.crash_torn_bytes=192
-  wal.drain_target_down=9
-  wal.drained_bytes=56640
+  wal.drain_target_down=34
+  wal.drained_bytes=56064
   wal.reads=103
-  wal.recovered_bytes=2304
-  wal.stalled_bytes=35840
-  wal.stalls=35
+  wal.recovered_bytes=26880
+  wal.stalled_bytes=21760
+  wal.stalls=22
   wal.writes=240
 == wal session logfail
 writes: 120 (29184 B)  reads: 80 (17408 B)
 appended: 28928 B  replayed: 28928 B  backlog never replayed: 0 B
-flush stalls: 38 (17472 B)  peak log occupancy: 4096 B  stale reads: 48 (10917 B)
+flush stalls: 30 (15424 B)  peak log occupancy: 4096 B  stale reads: 48 (10917 B)
 log faults: 7 (6 retries, 195 backoff ticks, 1 aborts)  write-through: 1 (256 B)
 wal-fsck: 4 files, 4 clean, 0 recovered, 0 corrupted
   wal.appended_bytes=28928
   wal.bytes_read=17408
   wal.bytes_written=29184
   wal.drained_bytes=28928
-  wal.evicted_bytes=17472
-  wal.evictions=38
+  wal.evicted_bytes=15424
+  wal.evictions=30
   wal.log_aborts=1
   wal.log_backoff_ticks=195
   wal.log_faults=7
   wal.log_retries=6
   wal.reads=80
-  wal.stalled_bytes=17472
-  wal.stalls=38
+  wal.stalled_bytes=15424
+  wal.stalls=30
   wal.writes=120
   wal.writethrough=1
   wal.writethrough_bytes=256|}
