@@ -156,9 +156,9 @@ let burstfs () =
         let s = Report.session_summary run.report in
         let same = s.Conflict.waw_s + s.Conflict.raw_s in
         let normal =
-          List.find
-            (fun o -> o.Validation.semantics = Consistency.Commit)
-            (Validation.validate ~nprocs entry.Registry.body)
+          List.hd
+            (Validation.validate ~nprocs ~semantics:[ Consistency.Commit ]
+               entry.Registry.body)
         in
         let burst = Validation.validate_burstfs ~nprocs entry.Registry.body in
         let cell o =

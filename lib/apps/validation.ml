@@ -27,86 +27,85 @@ let final_digests result =
       (path, Digest.bytes r.Fdata.data))
     files
 
-let run_against ~reference_digests ~nprocs ?(local_order = true) ?tier ?wal
-    ?faults model body =
-  Obs.span Obs.T_core ("validate." ^ Consistency.key model) @@ fun () ->
-  let result =
-    Runner.run ~semantics:model ~local_order ~nprocs ?tier ?wal ?faults body
-  in
-  let digests = final_digests result in
-  let corrupted =
-    List.fold_left2
-      (fun acc (path_a, digest_a) (path_b, digest_b) ->
-        assert (path_a = path_b);
-        if digest_a = digest_b then acc else acc + 1)
-      0 reference_digests digests
-  in
+let reference_run ?seed ?domains ~nprocs body =
+  Runner.run ~semantics:Consistency.Strong ~nprocs ?seed ?domains body
+
+(* By path: a crash without restart can leave reference files missing
+   from the candidate, which counts as corruption like a differing
+   digest. *)
+let outcome_of ~reference model result =
+  let digests = Hashtbl.of_seq (List.to_seq (final_digests result)) in
+  let differs (path, d) = Hashtbl.find_opt digests path <> Some d in
   {
     semantics = model;
     stale_reads = Runner.stale_reads result;
-    corrupted_files = corrupted;
-    files = List.length digests;
+    corrupted_files = List.length (List.filter differs reference);
+    files = List.length reference;
   }
 
-let validate ?obs ?(nprocs = 64)
-    ?(semantics = [ Consistency.Strong; Consistency.Commit; Consistency.Session ])
-    ?tier ?wal ?faults body =
-  let go () =
-    let reference =
-      Obs.span Obs.T_core "validate.reference" (fun () ->
-          Runner.run ~semantics:Consistency.Strong ~nprocs body)
-    in
-    let reference_digests = final_digests reference in
-    List.map
-      (fun model ->
-        run_against ~reference_digests ~nprocs ?tier ?wal ?faults model body)
-      semantics
-  in
+let run_against ~reference ~nprocs ?local_order ?tier ?wal ?faults model body
+    =
+  Obs.span Obs.T_core ("validate." ^ Consistency.key model) @@ fun () ->
+  outcome_of ~reference model
+    (Runner.run ~semantics:model ?local_order ~nprocs ?tier ?wal ?faults body)
+
+let engines = [ Consistency.Strong; Consistency.Commit; Consistency.Session ]
+
+let with_obs obs go =
   match obs with None -> go () | Some sink -> Obs.with_sink sink go
+
+let validate ?obs ?(nprocs = 64) ?(semantics = engines) ?tier ?wal ?faults
+    body =
+  with_obs obs @@ fun () ->
+  (* The reference is the direct, unfaulted strong candidate: its outcome
+     is taken here, so the reference run is unreachable while the other
+     candidates run. *)
+  let reference, strong =
+    let r =
+      Obs.span Obs.T_core "validate.reference" (fun () ->
+          reference_run ~nprocs body)
+    in
+    let d = final_digests r in
+    ( d,
+      {
+        semantics = Consistency.Strong;
+        stale_reads = Runner.stale_reads r;
+        corrupted_files = 0;
+        files = List.length d;
+      } )
+  in
+  let direct = Option.(is_none tier && is_none wal && is_none faults) in
+  List.map
+    (function
+      | Consistency.Strong when direct -> strong
+      | model ->
+        run_against ~reference ~nprocs ?tier ?wal ?faults model body)
+    semantics
 
 (* Crash-consistency report: the same app and fault plan, once per
    consistency engine, each compared after recovery against the fault-free
    strong reference. *)
-let crash_report ?obs ?(nprocs = 64)
-    ?(semantics = [ Consistency.Strong; Consistency.Commit; Consistency.Session ])
-    ?tier ?wal ~app ~plan body =
-  let go () =
-    let reference =
-      Obs.span Obs.T_core "faults.reference" (fun () ->
-          Runner.run ~semantics:Consistency.Strong ~nprocs body)
-    in
-    let reference_digests = final_digests reference in
-    List.map
-      (fun model ->
-        Obs.span Obs.T_core ("faults." ^ Consistency.key model) @@ fun () ->
-        let result =
-          Runner.run ~semantics:model ~nprocs ?tier ?wal ~faults:plan body
-        in
-        let digests = final_digests result in
-        (* A crash without restart can leave files missing entirely, so
-           compare by path rather than zipping the lists. *)
-        let post_corrupted =
-          List.fold_left
-            (fun acc (path, ref_digest) ->
-              match List.assoc_opt path digests with
-              | Some d when d = ref_digest -> acc
-              | Some _ | None -> acc + 1)
-            0 reference_digests
-        in
-        let outcome =
-          match result.Runner.faults with
-          | Some o -> o
-          | None -> assert false (* a plan was given *)
-        in
-        Hpcfs_fault.Report.row_of_outcome ~app
-          ~semantics:(Consistency.to_string model)
-          ~post_files:(List.length reference_digests) ~post_corrupted outcome)
-      semantics
+let crash_report ?obs ?(nprocs = 64) ?(semantics = engines) ?tier ?wal ~app
+    ~plan body =
+  with_obs obs @@ fun () ->
+  let reference =
+    final_digests
+      (Obs.span Obs.T_core "faults.reference" (fun () ->
+           reference_run ~nprocs body))
   in
-  match obs with None -> go () | Some sink -> Obs.with_sink sink go
+  List.map
+    (fun model ->
+      Obs.span Obs.T_core ("faults." ^ Consistency.key model) @@ fun () ->
+      let result =
+        Runner.run ~semantics:model ~nprocs ?tier ?wal ~faults:plan body
+      in
+      let o = outcome_of ~reference model result in
+      Hpcfs_fault.Report.row_of_outcome ~app
+        ~semantics:(Consistency.to_string model) ~post_files:o.files
+        ~post_corrupted:o.corrupted_files
+        (Option.get result.Runner.faults))
+    semantics
 
 let validate_burstfs ?(nprocs = 64) body =
-  let reference = Runner.run ~semantics:Consistency.Strong ~nprocs body in
-  let reference_digests = final_digests reference in
-  run_against ~reference_digests ~nprocs ~local_order:false Consistency.Commit
-    body
+  let reference = final_digests (reference_run ~nprocs body) in
+  run_against ~reference ~nprocs ~local_order:false Consistency.Commit body

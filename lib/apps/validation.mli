@@ -6,15 +6,18 @@
     the same application model under each model and compare what is read —
     both the reads the application itself performed (stale bytes) and the
     final contents of every file as seen by a fresh observer, against the
-    strong-consistency ground truth. *)
+    strong-consistency ground truth.  Every check here and in
+    {!Hpcfs_wl.Sweep} compares with one {!reference_run} through one
+    {!outcome_of}. *)
 
 type outcome = {
   semantics : Hpcfs_fs.Consistency.t;
   stale_reads : int;
       (** Application reads that observed at least one stale byte. *)
   corrupted_files : int;
-      (** Files whose final contents differ from the strong-semantics run. *)
-  files : int;  (** Total files compared. *)
+      (** Reference files missing from this run or whose final contents
+          differ. *)
+  files : int;  (** The reference's file count. *)
 }
 
 val correct : outcome -> bool
@@ -29,6 +32,19 @@ val final_digests : Runner.result -> (string * Digest.t) list
 (** Digest of the final contents of every regular file, read back as a
     fresh post-run observer — the comparison basis used by {!validate}
     and by the sweep engine. *)
+
+val reference_run :
+  ?seed:int -> ?domains:int -> nprocs:int -> (Runner.env -> unit) ->
+  Runner.result
+(** The reference: [body] fault-free and direct under strong semantics,
+    with single-process write order kept. *)
+
+val outcome_of :
+  reference:(string * Digest.t) list -> Hpcfs_fs.Consistency.t ->
+  Runner.result -> outcome
+(** Compare a run under the given semantics with the reference's
+    {!final_digests}, by path: a reference file the run lacks (a crash
+    without restart) or holds with another digest is corrupted. *)
 
 val validate :
   ?obs:Hpcfs_obs.Obs.sink ->
@@ -51,8 +67,13 @@ val validate :
     [?wal] does the same for the write-ahead-logging tier (at most one of
     the two, as in {!Runner.run}).
 
-    With [?obs], the sink is installed for the whole validation and each
-    per-semantics run appears as a [validate.<semantics>] span.
+    Without [?tier], [?wal] and [?faults], the [Strong] candidate is the
+    reference run itself (its stale reads, nothing corrupted): no
+    simulation is repeated.
+
+    With [?obs], the sink is installed for the whole validation: the
+    reference is a [validate.reference] span, each candidate run a
+    [validate.<semantics>] span (none for a strong one so reused).
 
     With [?faults], the fault plan is injected into every candidate run
     (the strong reference stays fault-free), so the outcomes measure what

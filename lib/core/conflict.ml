@@ -58,9 +58,6 @@ let classify ?(mode = Annotated) semantics (first, second) =
 let of_pairs ?mode semantics pairs =
   List.filter_map (classify ?mode semantics) pairs
 
-let detect ?mode semantics accesses =
-  of_pairs ?mode semantics (Overlap.detect accesses)
-
 type summary = { waw_s : int; waw_d : int; raw_s : int; raw_d : int }
 
 let empty_summary = { waw_s = 0; waw_d = 0; raw_s = 0; raw_d = 0 }

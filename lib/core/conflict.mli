@@ -41,9 +41,6 @@ val of_pairs : ?mode:mode -> semantics -> Overlap.pair list -> t list
 (** Filter and classify overlapping pairs into conflicts.  Default mode is
     [Annotated]. *)
 
-val detect : ?mode:mode -> semantics -> Access.t list -> t list
-(** [Overlap.detect] composed with {!of_pairs}. *)
-
 type summary = { waw_s : int; waw_d : int; raw_s : int; raw_d : int }
 
 val empty_summary : summary

@@ -23,14 +23,6 @@ let of_summaries ~session:session_summary ~commit:commit_summary =
   in
   { semantics; session_summary; commit_summary; needs_local_order }
 
-let analyze accesses =
-  let pairs = Overlap.detect accesses in
-  of_summaries
-    ~session:
-      (Conflict.summarize (Conflict.of_pairs Conflict.Session_semantics pairs))
-    ~commit:
-      (Conflict.summarize (Conflict.of_pairs Conflict.Commit_semantics pairs))
-
 let describe v =
   Printf.sprintf "%s%s" (Consistency.name v.semantics)
     (if v.needs_local_order then

@@ -15,12 +15,9 @@ type verdict = {
           single-process write order (BurstFS does not). *)
 }
 
-val analyze : Access.t list -> verdict
-(** Run both conflict detections and derive the weakest safe semantics. *)
-
 val of_summaries :
   session:Conflict.summary -> commit:Conflict.summary -> verdict
-(** The decision procedure alone, on already-computed conflict summaries
-    (the streaming analysis path accumulates them without pair lists). *)
+(** The decision procedure on the session and commit conflict summaries
+    of one trace. *)
 
 val describe : verdict -> string

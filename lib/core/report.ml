@@ -49,7 +49,9 @@ let analyze ~nprocs records =
   in
   let verdict =
     Obs.span Obs.T_core "analyze.recommend" (fun () ->
-        Recommend.analyze accesses)
+        Recommend.of_summaries
+          ~session:(Conflict.summarize session_conflicts)
+          ~commit:(Conflict.summarize commit_conflicts))
   in
   {
     nprocs;
@@ -67,8 +69,8 @@ let analyze ~nprocs records =
     verdict;
   }
 
-let session_summary t = Conflict.summarize t.session_conflicts
-let commit_summary t = Conflict.summarize t.commit_conflicts
+let session_summary t = t.verdict.Recommend.session_summary
+let commit_summary t = t.verdict.Recommend.commit_summary
 
 type summary = {
   nprocs : int;

@@ -53,25 +53,14 @@ let matrix (s : Conflict.summary) =
     s.Conflict.raw_s s.Conflict.raw_d
 
 let run ?(progress = fun _ -> ()) ?(seed = 42) ?domains (g : grid) =
-  (* One fault-free strong reference per (workload, scale), shared by
-     every engine/tier/plan cell that compares against it. *)
-  let refs = Hashtbl.create 8 in
-  let reference name w nprocs =
-    match Hashtbl.find_opt refs (name, nprocs) with
-    | Some d -> d
-    | None ->
-      let r =
-        Runner.run ~semantics:Consistency.Strong ~nprocs ~seed ?domains
-          (Compile.body w)
-      in
-      let d = Validation.final_digests r in
-      Hashtbl.replace refs (name, nprocs) d;
-      d
-  in
   List.concat_map
     (fun nprocs ->
       List.concat_map
         (fun (wname, w) ->
+          let body = Compile.body w in
+          (* One fault-free strong reference per (workload, scale); a
+             strong, direct, unplanned first cell is that run. *)
+          let reference = ref None in
           List.concat_map
             (fun engine ->
               List.concat_map
@@ -84,24 +73,25 @@ let run ?(progress = fun _ -> ()) ?(seed = 42) ?domains (g : grid) =
                       let t0 = Sys.time () in
                       let result =
                         Runner.run ~semantics:engine ~local_order:true ~nprocs
-                          ~seed ?domains ?tier ?faults:plan (Compile.body w)
+                          ~seed ?domains ?tier ?faults:plan body
                       in
                       let wall_s = Sys.time () -. t0 in
                       let report =
                         Report.analyze ~nprocs result.Runner.records
                       in
                       let sharing = report.Report.sharing in
-                      let digests = Validation.final_digests result in
-                      let reference_digests = reference wname w nprocs in
-                      (* Compare by path: a crashed cell can leave files
-                         missing entirely, which counts as corruption. *)
-                      let corrupted =
-                        List.fold_left
-                          (fun acc (path, ref_digest) ->
-                            match List.assoc_opt path digests with
-                            | Some d when d = ref_digest -> acc
-                            | Some _ | None -> acc + 1)
-                          0 reference_digests
+                      if !reference = None then
+                        reference :=
+                          Some
+                            (Validation.final_digests
+                               (match (engine, tier, plan) with
+                               | Consistency.Strong, None, None -> result
+                               | _ ->
+                                 Validation.reference_run ~seed ?domains
+                                   ~nprocs body));
+                      let o =
+                        Validation.outcome_of
+                          ~reference:(Option.get !reference) engine result
                       in
                       {
                         ranks = nprocs;
@@ -115,9 +105,9 @@ let run ?(progress = fun _ -> ()) ?(seed = 42) ?domains (g : grid) =
                         session_matrix =
                           matrix (Report.session_summary report);
                         commit_matrix = matrix (Report.commit_summary report);
-                        stale_reads = Runner.stale_reads result;
-                        corrupted;
-                        files = List.length reference_digests;
+                        stale_reads = o.Validation.stale_reads;
+                        corrupted = o.Validation.corrupted_files;
+                        files = o.Validation.files;
                         wall_s;
                       })
                     g.plans)

@@ -51,8 +51,10 @@ val run :
     (default 42); [domains] runs every cell (references included) on the
     superstep-parallel scheduler, which leaves rows unchanged — traces
     are bit-identical across domain counts — but scales the wall clock.
-    The strong fault-free reference of each (workload, ranks) pair is run
-    once and shared by the cells that compare against it. *)
+    The strong fault-free reference of each (workload, ranks) pair
+    ({!Hpcfs_apps.Validation.reference_run}) is run once and shared by the
+    cells that compare against it; when the pair's first cell is the
+    strong, direct, unplanned one, that cell's run is the reference. *)
 
 val csv_header : string
 

@@ -700,11 +700,22 @@ let test_hb_gather_not_out_of_root () =
 
 (* Recommend ------------------------------------------------------------------ *)
 
+(* Both conflict detections on one access list, then the decision
+   procedure — what [Report.analyze] does on a whole trace. *)
+let recommend accesses =
+  let pairs = Overlap.detect accesses in
+  let summary semantics =
+    Conflict.summarize (Conflict.of_pairs semantics pairs)
+  in
+  Recommend.of_summaries
+    ~session:(summary Conflict.Session_semantics)
+    ~commit:(summary Conflict.Commit_semantics)
+
 let test_recommend_session_when_clean () =
   let accesses =
     [ acc ~rank:0 ~time:1 ~lo:0 ~len:10 (); acc ~rank:1 ~time:2 ~lo:20 ~len:10 () ]
   in
-  let v = Recommend.analyze accesses in
+  let v = recommend accesses in
   Alcotest.(check bool) "session suffices" true
     (v.Recommend.semantics = Hpcfs_fs.Consistency.Session);
   Alcotest.(check bool) "no local ordering needed" false
@@ -714,21 +725,21 @@ let test_recommend_commit_for_cross_process () =
   (* Cross-process WAW healed by the writer's commit, not by close/open. *)
   let w1 = acc ~rank:0 ~time:1 ~lo:0 ~len:10 ~t_commit:2 ~t_close:max_int () in
   let w2 = acc ~rank:1 ~time:5 ~lo:0 ~len:10 ~t_commit:6 ~t_close:max_int () in
-  let v = Recommend.analyze [ w1; w2 ] in
+  let v = recommend [ w1; w2 ] in
   Alcotest.(check bool) "commit recommended" true
     (v.Recommend.semantics = Hpcfs_fs.Consistency.Commit)
 
 let test_recommend_strong_when_uncommitted_cross () =
   let w1 = acc ~rank:0 ~time:1 ~lo:0 ~len:10 () in
   let w2 = acc ~rank:1 ~time:5 ~lo:0 ~len:10 () in
-  let v = Recommend.analyze [ w1; w2 ] in
+  let v = recommend [ w1; w2 ] in
   Alcotest.(check bool) "strong required" true
     (v.Recommend.semantics = Hpcfs_fs.Consistency.Strong)
 
 let test_recommend_session_with_local_note () =
   let w1 = acc ~rank:0 ~time:1 ~lo:0 ~len:10 () in
   let w2 = acc ~rank:0 ~time:5 ~lo:0 ~len:10 () in
-  let v = Recommend.analyze [ w1; w2 ] in
+  let v = recommend [ w1; w2 ] in
   Alcotest.(check bool) "session (same-process only)" true
     (v.Recommend.semantics = Hpcfs_fs.Consistency.Session);
   Alcotest.(check bool) "needs local order" true v.Recommend.needs_local_order

@@ -18,6 +18,8 @@ module Wal = Hpcfs_wal.Wal
 module Workload = Hpcfs_wl.Workload
 module Compile = Hpcfs_wl.Compile
 module Sweep = Hpcfs_wl.Sweep
+module Obs = Hpcfs_obs.Obs
+module Fault_report = Hpcfs_fault.Report
 
 (* A deliberately session-unsafe application: rank 0 writes, rank 1 reads
    the same bytes after a barrier but without any close/open in between.
@@ -220,6 +222,73 @@ let test_tiered_stale_reads_are_the_tiers () =
         row.Sweep.stale_reads)
     (Sweep.run grid)
 
+(* A crash without restart leaves reference files missing from the
+   candidate.  [validate ~faults] and [crash_report] share one by-path
+   comparison, so they agree on what is corrupted — including files the
+   crash kept from ever being written. *)
+let test_crashed_validate_matches_crash_report () =
+  let plan = Result.get_ok (Plan.of_string "crash:rank=1,io=3") in
+  List.iter
+    (fun app ->
+      let entry = Option.get (Registry.find app) in
+      let outcomes =
+        Validation.validate ~nprocs:8 ~faults:plan entry.Registry.body
+      in
+      let rows =
+        Validation.crash_report ~nprocs:8 ~app ~plan entry.Registry.body
+      in
+      List.iter2
+        (fun o row ->
+          let label = app ^ " " ^ Validation.sem_name o.Validation.semantics in
+          Alcotest.(check int) (label ^ " corrupted")
+            row.Fault_report.r_post_corrupted o.Validation.corrupted_files;
+          Alcotest.(check int) (label ^ " files")
+            row.Fault_report.r_post_files o.Validation.files)
+        outcomes rows)
+    [ "MACSio"; "FLASH-fbs"; "HACC-IO-POSIX" ]
+
+(* The direct, unfaulted strong candidate is taken from the reference run:
+   its outcome must be what an explicit strong run of the configuration
+   gives. *)
+let test_strong_outcome_is_the_reference_run () =
+  let nprocs = 8 in
+  List.iter
+    (fun entry ->
+      let label = Registry.label entry in
+      let o =
+        List.hd
+          (Validation.validate ~nprocs ~semantics:[ Consistency.Strong ]
+             entry.Registry.body)
+      in
+      let r =
+        Runner.run ~semantics:Consistency.Strong ~nprocs entry.Registry.body
+      in
+      Alcotest.(check int) (label ^ " stale reads") (Runner.stale_reads r)
+        o.Validation.stale_reads;
+      Alcotest.(check int) (label ^ " files")
+        (List.length (Validation.final_digests r))
+        o.Validation.files;
+      Alcotest.(check int) (label ^ " corrupted") 0 o.Validation.corrupted_files)
+    Registry.all
+
+(* Strong plus commit is two simulations, not three: the reference run is
+   the strong candidate, and only commit gets a span of its own. *)
+let test_strong_candidate_runs_no_simulation () =
+  let sink = Obs.create () in
+  let outcomes =
+    Validation.validate ~obs:sink ~nprocs:2
+      ~semantics:[ Consistency.Strong; Consistency.Commit ]
+      commit_safe
+  in
+  Alcotest.(check int) "two outcomes" 2 (List.length outcomes);
+  let count name =
+    List.length
+      (List.filter (fun sp -> sp.Obs.sp_name = name) (Obs.spans sink))
+  in
+  Alcotest.(check int) "simulate spans" 2 (count "simulate");
+  Alcotest.(check int) "validate.strong spans" 0 (count "validate.strong");
+  Alcotest.(check int) "validate.commit spans" 1 (count "validate.commit")
+
 let suite =
   [
     Alcotest.test_case "stale session read detected" `Quick
@@ -235,4 +304,10 @@ let suite =
       test_crash_restart_reuses_output_dir;
     Alcotest.test_case "tiered stale reads are the tier's" `Quick
       test_tiered_stale_reads_are_the_tiers;
+    Alcotest.test_case "crashed validate matches crash report" `Quick
+      test_crashed_validate_matches_crash_report;
+    Alcotest.test_case "strong outcome is the reference run" `Quick
+      test_strong_outcome_is_the_reference_run;
+    Alcotest.test_case "strong candidate runs no simulation" `Quick
+      test_strong_candidate_runs_no_simulation;
   ]
