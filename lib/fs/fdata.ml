@@ -3,15 +3,17 @@
    The old implementation (kept as {!Fdata_ref}) repainted the entire write
    log on every read: O(history) per read, the wall checkpoint-heavy
    workloads hit.  This version keeps the log but never walks it on the
-   common read path.  Three always-current segment indexes answer reads in
+   common read path.  Two always-current structures answer reads in
    O(log E + bytes):
 
-   - [oracle]: per byte, the newest write in *insertion* order — the
-     identity a strongly-consistent PFS would return, used for staleness
-     accounting;
-   - [strong]: per byte, the winning write under strong-consistency
-     ordering (max (w_time, seq)), which also serves laminated files and
-     {!oracle};
+   - one segment index ([index]) whose segments each carry three fields
+     per byte range: the newest write in *insertion* order (the identity a
+     strongly-consistent PFS would return, used for staleness
+     accounting), the winning write under strong-consistency ordering
+     (max (w_time, seq), which also serves laminated files and
+     {!oracle}), and the owning rank or [multi_writer].  A write updates
+     all three with one query, one carve and one add per run of equal
+     segments; an append past every segment needs only the add;
    - a *base* cache for a relaxed engine: a settled byte buffer plus
      segment index holding everything already published, folded in
      effective-time (epoch) order as publishing events arrive — the
@@ -121,6 +123,11 @@ type cache = {
   mutable c_pend_pub : int;  (* publish time of the last queued pending *)
 }
 
+(* One segment of the per-file index: the insertion-order winner, the
+   strong-order winner (both seqs) and the owning rank, or [multi_writer]
+   once two ranks wrote the range. *)
+type seg = { s_issue : int; s_strong : int; s_writer : int }
+
 type t = {
   sem : Consistency.t;
   mutable log : write_rec array;
@@ -132,10 +139,7 @@ type t = {
          closes under session, none under strong/eventual *)
   opens : (int, evlist) Hashtbl.t;  (* session only *)
   mutable laminated_at : int option;
-  (* Segment indexes (rebuilt wholesale after truncate/crash). *)
-  mutable oracle : int Extmap.t;  (* insertion-order winner (seq) *)
-  mutable strong : int Extmap.t;  (* strong-order winner (seq) *)
-  mutable writers : int Extmap.t;  (* owning rank, or [multi_writer] *)
+  mutable index : seg Extmap.t;  (* rebuilt wholesale after truncate/crash *)
   mutable multi_ranges : bool;  (* any multi-writer segment exists *)
   writer_set : (int, unit) Hashtbl.t;  (* ranks that ever wrote *)
   (* Unpublished writes per rank, newest (w_time, seq) first; the
@@ -178,9 +182,7 @@ let create sem =
     events = Hashtbl.create 8;
     opens = Hashtbl.create 8;
     laminated_at = None;
-    oracle = Extmap.empty;
-    strong = Extmap.empty;
-    writers = Extmap.empty;
+    index = Extmap.empty;
     multi_ranges = false;
     writer_set = Hashtbl.create 8;
     unpub = Hashtbl.create 8;
@@ -251,31 +253,33 @@ let invalidate_cache t = t.cache.c_valid <- false
    (commits/closes, flagged by [ev_push]) force pub recomputation. *)
 let bump_watermark t time = if time > t.watermark then t.watermark <- time
 
-(* Insert one write into the always-on indexes. *)
+(* Insert one write into the always-on index: it becomes the issue-order
+   winner everywhere, the strong-order winner wherever it beats the
+   current one, and the owner of its gaps; a range another rank owns
+   becomes [multi_writer].  Pieces the write wins outright share one
+   segment value, so they merge into one segment. *)
 let index_write t w =
   Hashtbl.replace t.writer_set w.w_rank ();
-  t.oracle <- Extmap.set w.w_iv w.w_seq t.oracle;
-  t.strong <-
-    Extmap.set_max ~wins:(fun old _ -> not (strong_wins t w.w_seq old))
-      w.w_iv w.w_seq t.strong;
-  let pieces = Extmap.query w.w_iv t.writers in
-  let covered =
-    List.fold_left (fun n (iv, _) -> n + Interval.length iv) 0 pieces
-  in
-  List.iter
-    (fun (iv, r) ->
-      if r <> w.w_rank && r <> multi_writer then begin
-        t.writers <- Extmap.set iv multi_writer t.writers;
-        t.multi_ranges <- true
-      end)
-    pieces;
-  if covered < Interval.length w.w_iv then
-    (* Claim the gaps (and re-claiming owned pieces is harmless): write the
-       rank everywhere no other rank already owns the bytes. *)
-    t.writers <-
-      Extmap.set_max
-        ~wins:(fun old _ -> old <> w.w_rank)
-        w.w_iv w.w_rank t.writers
+  let seq = w.w_seq and rank = w.w_rank in
+  let fresh = { s_issue = seq; s_strong = seq; s_writer = rank } in
+  t.index <-
+    Extmap.update w.w_iv
+      (function
+        | None -> fresh
+        | Some old ->
+          let s_strong =
+            if strong_wins t seq old.s_strong then seq else old.s_strong
+          in
+          let s_writer =
+            if old.s_writer = rank then rank
+            else begin
+              t.multi_ranges <- true;
+              multi_writer
+            end
+          in
+          if s_strong = seq && s_writer = rank then fresh
+          else { s_issue = seq; s_strong; s_writer })
+      t.index
 
 (* Sorted insert into an unpublished list, newest (w_time, seq) first.  A
    write on a monotone clock is the newest and conses at the head; an
@@ -520,9 +524,7 @@ let recompute_pubs t =
 
 (* Rebuild every index from the live log (after truncate/crash). *)
 let reindex t =
-  t.oracle <- Extmap.empty;
-  t.strong <- Extmap.empty;
-  t.writers <- Extmap.empty;
+  t.index <- Extmap.empty;
   t.multi_ranges <- false;
   Hashtbl.reset t.writer_set;
   recompute_pubs t;
@@ -559,22 +561,28 @@ let canonicalize t =
 
 let () = canonicalize_ref := canonicalize
 
+(* A truncate that drops or cuts no write (one to the current size or
+   beyond, as HDF5 issues at every close) leaves every index exact: only
+   the size moves, and unwritten bytes already read as zeros. *)
 let truncate t ~time:_ len =
+  let cut = ref false in
   for i = 0 to t.log_n - 1 do
     let w = t.log.(i) in
     if w.w_live then
       if w.w_iv.Interval.lo >= len then begin
         w.w_live <- false;
-        t.live <- t.live - 1
+        t.live <- t.live - 1;
+        cut := true
       end
       else if w.w_iv.Interval.hi > len then begin
         let keep = len - w.w_iv.Interval.lo in
         w.w_iv <- Interval.make w.w_iv.Interval.lo len;
-        w.w_data <- Bytes.sub w.w_data 0 keep
+        w.w_data <- Bytes.sub w.w_data 0 keep;
+        cut := true
       end
   done;
   t.size <- len;
-  reindex t
+  if !cut then reindex t
 
 (* Crash consistency ------------------------------------------------------ *)
 
@@ -802,11 +810,13 @@ let crash_target t ~time ~stripe_size ~server_count ~target =
 (* Reads ------------------------------------------------------------------ *)
 
 (* Count bytes where the issue-order winner differs from the visible
-   winner, walking the two clipped segment lists in one pass. *)
-let stale_between req oracle_pieces vis_pieces =
+   winner, walking the two clipped segment lists (the index's, projected
+   to the issue-order field, and the visible seqs) in one pass. *)
+let stale_between req index_pieces vis_pieces =
   let lo = req.Interval.lo and hi = req.Interval.hi in
   let stale = ref 0 in
-  let ap = ref oracle_pieces and vp = ref vis_pieces in
+  let ap = ref (List.map (fun (iv, s) -> (iv, s.s_issue)) index_pieces)
+  and vp = ref vis_pieces in
   let pos = ref lo in
   let seg_at pieces pos =
     (* Value covering [pos] (if any) and the next boundary after [pos]. *)
@@ -889,30 +899,33 @@ let read_slow t ~local_order ~rank ~time ~off ~len =
   done;
   { data; stale_bytes = !stale }
 
-(* The [strong] index's bytes for [req]: the strong-consistency (and
-   laminated-file) view, with the winning segments. *)
+(* The index's strong-order bytes for [req] — the strong-consistency (and
+   laminated-file) view — and the bytes whose issue-order winner differs,
+   from one query. *)
 let strong_view t req =
   let off = req.Interval.lo in
   let data = Bytes.make (Interval.length req) '\000' in
-  let vis = Extmap.query req t.strong in
-  List.iter
-    (fun (iv, seq) ->
-      let w = t.log.(seq) in
-      Bytes.blit w.w_data
-        (iv.Interval.lo - w.w_iv.Interval.lo)
-        data
-        (iv.Interval.lo - off)
-        (Interval.length iv))
-    vis;
-  (data, vis)
+  let stale =
+    List.fold_left
+      (fun stale (iv, s) ->
+        let w = t.log.(s.s_strong) in
+        let n = Interval.length iv in
+        Bytes.blit w.w_data
+          (iv.Interval.lo - w.w_iv.Interval.lo)
+          data
+          (iv.Interval.lo - off)
+          n;
+        if s.s_issue <> s.s_strong then stale + n else stale)
+      0 (Extmap.query req t.index)
+  in
+  (data, stale)
 
-(* Strong-consistency (and laminated-file) fast path: the [strong] index
-   alone answers both content and identity. *)
+(* Strong-consistency (and laminated-file) fast path: the index's strong
+   field answers content, its issue field identity. *)
 let read_strong t ~off ~len =
   if Obs.enabled () then Obs.incr "fs.extent.fast_reads";
-  let req = Interval.of_len off len in
-  let data, vis = strong_view t req in
-  { data; stale_bytes = stale_between req (Extmap.query req t.oracle) vis }
+  let data, stale_bytes = strong_view t (Interval.of_len off len) in
+  { data; stale_bytes }
 
 (* Relaxed-engine settled cache ------------------------------------------- *)
 
@@ -974,8 +987,8 @@ let fast_ok t c ~rank ~time ~off ~len =
      || not (Hashtbl.mem t.writer_set rank)
      || not
           (List.exists
-             (fun (_, r) -> r = multi_writer)
-             (Extmap.query (Interval.of_len off len) t.writers)))
+             (fun (_, s) -> s.s_writer = multi_writer)
+             (Extmap.query (Interval.of_len off len) t.index)))
 
 (* Fast path: copy the settled base range and overlay the few still-pending
    extents visible to this reader, merged per byte by the reader's full
@@ -1015,9 +1028,11 @@ let read_fast t c ~rank ~time ~off ~len =
             match Interval.intersect req w.w_iv with
             | None -> pm
             | Some iv ->
-              Extmap.set_max
-                ~wins:(fun old candidate -> key old > key candidate)
-                iv w.w_seq pm)
+              Extmap.update iv
+                (function
+                  | Some old when key old > key w.w_seq -> old
+                  | _ -> w.w_seq)
+                pm)
           pm overlay
       in
       let pieces = Extmap.query req pm in
@@ -1033,7 +1048,7 @@ let read_fast t c ~rank ~time ~off ~len =
       pieces
     end
   in
-  let stale = stale_between req (Extmap.query req t.oracle) vis_pieces in
+  let stale = stale_between req (Extmap.query req t.index) vis_pieces in
   { data; stale_bytes = stale }
 
 (* Requested length clipped to the file: reads past the size return the

@@ -3,7 +3,8 @@
     The segment index underlying the PFS simulator's extent store (and the
     shape UnifyFS/BurstFS use server-side for write segments).  All
     operations split segments straddling the request's boundaries, so each
-    costs O(log n + segments touched). *)
+    costs O(log n + segments touched).  A range that starts at or past the
+    last segment's end (an append) touches no segment at all. *)
 
 type 'a t
 
@@ -13,10 +14,11 @@ val set : Interval.t -> 'a -> 'a t -> 'a t
 (** Overwrite the range with one value, splitting any overlapped
     segments.  Empty intervals are a no-op. *)
 
-val set_max : wins:('a -> 'a -> bool) -> Interval.t -> 'a -> 'a t -> 'a t
-(** Like {!set}, but an existing segment keeps its value wherever
-    [wins old new_] holds.  With [wins] comparing write keys this yields a
-    per-byte maximum-key index that is independent of insertion order. *)
+val update : Interval.t -> ('a option -> 'a) -> 'a t -> 'a t
+(** [update iv f m] replaces every byte of [iv]: a clipped existing
+    segment holding [old] gets [f (Some old)], an uncovered gap gets
+    [f None].  Neighbouring pieces whose new values are physically equal
+    become one segment.  Empty intervals are a no-op. *)
 
 val query : Interval.t -> 'a t -> (Interval.t * 'a) list
 (** Segments intersecting the range, clipped to it, in ascending offset
