@@ -155,12 +155,9 @@ let burstfs () =
         let run = run_of entry in
         let s = Report.session_summary run.report in
         let same = s.Conflict.waw_s + s.Conflict.raw_s in
-        let normal =
-          List.hd
-            (Validation.validate ~nprocs ~semantics:[ Consistency.Commit ]
-               entry.Registry.body)
+        let normal, burst =
+          Validation.validate_burstfs ~nprocs entry.Registry.body
         in
-        let burst = Validation.validate_burstfs ~nprocs entry.Registry.body in
         let cell o =
           if Validation.correct o then "correct"
           else

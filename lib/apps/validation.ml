@@ -108,4 +108,6 @@ let crash_report ?obs ?(nprocs = 64) ?(semantics = engines) ?tier ?wal ~app
 
 let validate_burstfs ?(nprocs = 64) body =
   let reference = final_digests (reference_run ~nprocs body) in
-  run_against ~reference ~nprocs ~local_order:false Consistency.Commit body
+  let run = run_against ~reference ~nprocs in
+  let commit = run Consistency.Commit body in
+  (commit, run ~local_order:false Consistency.Commit body)

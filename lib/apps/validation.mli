@@ -95,7 +95,9 @@ val crash_report :
     One {!Hpcfs_fault.Report.row} per engine, in the order given — fully
     deterministic for a fixed (app, nprocs, plan) triple. *)
 
-val validate_burstfs : ?nprocs:int -> (Runner.env -> unit) -> outcome
-(** Run under commit semantics {e without} the single-process
-    write-ordering guarantee — the BurstFS exception of Section 6.3 — and
-    compare against the strong run. *)
+val validate_burstfs :
+  ?nprocs:int -> (Runner.env -> unit) -> outcome * outcome
+(** The BurstFS exception of Section 6.3: run under commit semantics with
+    and {e without} the single-process write-ordering guarantee, and
+    compare both against one strong reference run.  Returns the (commit
+    PFS, BurstFS-like) outcomes. *)

@@ -173,9 +173,13 @@ let test_burstfs_exception () =
     match Registry.find name with
     | None -> Alcotest.fail ("missing entry " ^ name)
     | Some entry ->
-      let o = Validation.validate_burstfs ~nprocs entry.Registry.body in
+      let commit, burst =
+        Validation.validate_burstfs ~nprocs entry.Registry.body
+      in
+      Alcotest.(check bool) (name ^ " on a commit PFS") true
+        (Validation.correct commit);
       Alcotest.(check bool) (name ^ " on BurstFS-like PFS") expect_ok
-        (Validation.correct o)
+        (Validation.correct burst)
   in
   check "NWChem" false;
   check "GAMESS" false;
