@@ -29,7 +29,8 @@ val write : t -> rank:int -> time:int -> off:int -> bytes -> unit
 val truncate : t -> time:int -> int -> unit
 (** [truncate t ~time len] discards write history beyond [len] and sets the
     size.  Truncation is modeled as a strongly-consistent metadata
-    operation. *)
+    operation.  One that drops or cuts no write (to the size or beyond)
+    only moves the size: bytes past the old size read as zeros. *)
 
 type read_result = {
   data : bytes;  (** Bytes visible to the reader; unwritten bytes are 0. *)
@@ -56,7 +57,7 @@ val read :
 val oracle : t -> off:int -> len:int -> bytes
 (** The bytes a strongly-consistent PFS would return for the range: every
     write in issue order, whatever the file's engine.  The ground truth
-    staged reads are compared against; no stale count is computed.  Reads
+    staged reads are compared against; no stale count is returned.  Reads
     past the current size return the in-range prefix. *)
 
 val commit : t -> rank:int -> time:int -> unit
