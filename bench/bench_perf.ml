@@ -247,7 +247,7 @@ let perf_tables_vs_annotated () =
 (* Read path: extent store vs reference log repaint ------------------------ *)
 
 module Fdata = Hpcfs_fs.Fdata
-module Fdata_ref = Hpcfs_fs.Fdata_ref
+module Fdata_ref = Hpcfs_oracle.Fdata_ref
 module Consistency = Hpcfs_fs.Consistency
 
 (* One deterministic history applied to both implementations: 16 writer

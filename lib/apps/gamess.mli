@@ -1,7 +1,4 @@
-(** GAMESS model: a subset of ranks maintaining scratch integral files
-    (M-M; WAW-S from record-0 rewrites). *)
+(** GAMESS model: a subset of ranks, one in every four, maintaining scratch
+    integral files (M-M; WAW-S from record-0 rewrites). *)
 
 val run : Runner.env -> unit
-
-val io_stride : int
-(** One of every [io_stride] ranks performs I/O. *)

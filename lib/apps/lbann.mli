@@ -2,6 +2,3 @@
     reads the whole dataset (N-1; locally consecutive, globally random). *)
 
 val run : Runner.env -> unit
-
-val dataset : string
-(** Path of the staged input file. *)

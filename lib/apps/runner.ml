@@ -88,8 +88,8 @@ let epilogue_drain ~tier ~wal =
       Obs.span Obs.T_bb "epilogue-drain" (fun () -> ignore (Wal.drain_all w)))
     wal
 
-let run_faulted ~domains ~nprocs ~seed ~cb_nodes ~pfs ~mds ~collector ~tier
-    ~wal ~backend:base_backend ~plan body =
+let run_faulted ~domains ~nprocs ~seed ~pfs ~mds ~collector ~tier ~wal
+    ~backend:base_backend ~plan body =
   let inj = Injector.create plan in
   Option.iter
     (fun t ->
@@ -202,7 +202,7 @@ let run_faulted ~domains ~nprocs ~seed ~cb_nodes ~pfs ~mds ~collector ~tier
     if attempt > 0 then Md.reset_clients mds;
     let posix = Posix.make_ctx_backend ~mds backend collector in
     let comm = Mpi.world () in
-    let mpiio = Mpiio.make_ctx ~cb_nodes posix comm in
+    let mpiio = Mpiio.make_ctx posix comm in
     prepare_parallel ~domains ~nprocs ~comm ~posix ~mpiio ~inj:(Some inj);
     let env = { comm; posix; mpiio; tier; nprocs; seed; attempt } in
     let status =
@@ -332,8 +332,8 @@ let run_faulted ~domains ~nprocs ~seed ~cb_nodes ~pfs ~mds ~collector ~tier
     } )
 
 let run ?obs ?(semantics = Hpcfs_fs.Consistency.Strong) ?(local_order = true)
-    ?(nprocs = 64) ?(seed = 42) ?(cb_nodes = 6) ?(mds_shards = 1) ?tier ?wal
-    ?faults ?domains body =
+    ?(nprocs = 64) ?(seed = 42) ?(mds_shards = 1) ?tier ?wal ?faults ?domains
+    body =
   (match (tier, wal) with
   | Some _, Some _ ->
     invalid_arg "Runner.run: give at most one of ?tier and ?wal"
@@ -380,14 +380,14 @@ let run ?obs ?(semantics = Hpcfs_fs.Consistency.Strong) ?(local_order = true)
       match faults with
       | Some plan ->
         let events, outcome =
-          run_faulted ~domains ~nprocs ~seed ~cb_nodes ~pfs ~mds ~collector
-            ~tier ~wal ~backend ~plan body
+          run_faulted ~domains ~nprocs ~seed ~pfs ~mds ~collector ~tier ~wal
+            ~backend ~plan body
         in
         (events, Some outcome)
       | None ->
         let posix = Posix.make_ctx_backend ~mds backend collector in
         let comm = Mpi.world () in
-        let mpiio = Mpiio.make_ctx ~cb_nodes posix comm in
+        let mpiio = Mpiio.make_ctx posix comm in
         prepare_parallel ~domains ~nprocs ~comm ~posix ~mpiio ~inj:None;
         let env = { comm; posix; mpiio; tier; nprocs; seed; attempt = 0 } in
         Obs.span Obs.T_sched "simulate"

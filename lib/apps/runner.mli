@@ -44,7 +44,6 @@ val run :
   ?local_order:bool ->
   ?nprocs:int ->
   ?seed:int ->
-  ?cb_nodes:int ->
   ?mds_shards:int ->
   ?tier:Hpcfs_bb.Tier.config ->
   ?wal:Hpcfs_wal.Wal.config ->

@@ -33,7 +33,6 @@ val create : ?config:config -> Hpcfs_fs.Pfs.t -> t
 (** A tier staging onto [pfs].  The tier does not own the PFS: callers may
     keep reading it directly (e.g. for post-run validation). *)
 
-val pfs : t -> Hpcfs_fs.Pfs.t
 val config : t -> config
 
 val node_of_rank : t -> int -> int

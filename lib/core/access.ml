@@ -14,17 +14,9 @@ type t = {
   t_close : int;
 }
 
-let op_name = function Read -> "read" | Write -> "write"
-
 let is_write a = a.op = Write
 
 let compare_start a b =
   match Interval.compare_lo a.iv b.iv with
   | 0 -> compare a.time b.time
   | c -> c
-
-let compare_time a b = compare a.time b.time
-
-let pp ppf a =
-  Format.fprintf ppf "@[<h>%d r%d %s %s %a@]" a.time a.rank (op_name a.op)
-    a.file Interval.pp a.iv

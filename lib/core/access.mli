@@ -31,13 +31,7 @@ type t = {
           [max_int] if none follows. *)
 }
 
-val op_name : op -> string
-
 val is_write : t -> bool
 
 val compare_start : t -> t -> int
 (** Order by interval start then time — the sort of Algorithm 1. *)
-
-val compare_time : t -> t -> int
-
-val pp : Format.formatter -> t -> unit

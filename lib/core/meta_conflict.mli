@@ -30,12 +30,6 @@ type t = {
   kind : kind;
 }
 
-val is_mutation : string -> bool
-(** Does this POSIX function mutate the namespace? *)
-
-val is_observation : string -> bool
-(** Does this POSIX function observe the namespace? *)
-
 val detect : Hpcfs_trace.Record.t list -> t list
 (** Cross-process potential metadata conflicts, in timestamp order of the
     earlier operation. Same-process pairs are not reported (every PFS

@@ -3,11 +3,6 @@ module Opclass = Hpcfs_trace.Opclass
 
 type issuer = By_mpi | By_hdf5 | By_app
 
-let issuer_name = function
-  | By_mpi -> "MPI"
-  | By_hdf5 -> "HDF5"
-  | By_app -> "App"
-
 type usage = (string * issuer list) list
 
 let issuer_of_origin = function

@@ -8,8 +8,6 @@
 
 type issuer = By_mpi | By_hdf5 | By_app
 
-val issuer_name : issuer -> string
-
 type usage = (string * issuer list) list
 (** Monitored operations actually used, with the (sorted, de-duplicated)
     issuers of each; operations never used are absent. *)

@@ -133,21 +133,6 @@ let detect_merge accesses =
     (fun file_accesses -> scan_sorted (merge_by_rank file_accesses))
     (group_by_file accesses)
 
-let detect_naive accesses =
-  List.concat_map
-    (fun file_accesses ->
-      let arr = Array.of_list file_accesses in
-      let n = Array.length arr in
-      let pairs = ref [] in
-      for i = 0 to n - 1 do
-        for j = i + 1 to n - 1 do
-          if Interval.overlaps arr.(i).Access.iv arr.(j).Access.iv then
-            pairs := by_time arr.(i) arr.(j) :: !pairs
-        done
-      done;
-      !pairs)
-    (group_by_file accesses)
-
 let rank_matrix ~nprocs pairs =
   let m = Array.make_matrix nprocs nprocs 0 in
   List.iter

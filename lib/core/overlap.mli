@@ -21,19 +21,11 @@ val detect_merge : Access.t list -> pair list
     through a binary min-heap of stream heads, so each element costs
     O(log ranks) rather than O(ranks). *)
 
-val detect_naive : Access.t list -> pair list
-(** Reference O(n^2) implementation for property testing. *)
-
-val merge_by_rank : Access.t list -> Access.t array
-(** Offset-sort one file's accesses by k-way merging its per-rank
-    streams (the heap merge behind {!detect_merge}), exposed so
-    streaming analysis can reuse it per file. *)
-
 val iter_file_pairs : Access.t list -> f:(pair -> unit) -> unit
 (** Stream the overlapping pairs of {e one} file's accesses to [f]
-    without building the pair list — Algorithm 1's scan over
-    {!merge_by_rank} order.  The bounded-memory analysis path feeds each
-    pair straight into the conflict summaries. *)
+    without building the pair list — Algorithm 1's scan over the
+    per-rank k-way merge of {!detect_merge}.  The bounded-memory analysis
+    path feeds each pair straight into the conflict summaries. *)
 
 val rank_matrix : nprocs:int -> pair list -> int array array
 (** [rank_matrix ~nprocs pairs] is the table [P] of Algorithm 1:

@@ -15,8 +15,6 @@ val add : mix -> mix -> mix
 (** Pointwise sum — mixes of disjoint streams combine additively, which
     is what lets the streaming analysis fold them per file. *)
 
-val total : mix -> int
-
 val percentages : mix -> float * float * float
 (** (consecutive, monotonic, random), each in [0, 100]. *)
 

@@ -49,7 +49,6 @@ type t = {
   mutable storage_hook : (time:int -> storage_action -> unit) option;
   io_counts : (int, int ref) Hashtbl.t;
   mu : Mutex.t; (* guards the shared tallies during a parallel run *)
-  mutable injected_crashes : int;
   injected_drain_faults : int ref;
   injected_log_faults : int ref;
 }
@@ -127,12 +126,9 @@ let create plan =
     storage_hook = None;
     io_counts = Hashtbl.create 8;
     mu = Mutex.create ();
-    injected_crashes = 0;
     injected_drain_faults = ref 0;
     injected_log_faults = ref 0;
   }
-
-let plan t = t.plan
 
 let locked t f = Domctx.locked t.mu f
 
@@ -210,10 +206,8 @@ let io_count t rank =
     r
 
 let fire t c ~rank ~time =
-  (* [c_fired] has a single writer (events name one rank); the shared
-     tally needs the lock. *)
+  (* [c_fired] has a single writer: events name one rank. *)
   c.c_fired <- true;
-  locked t (fun () -> t.injected_crashes <- t.injected_crashes + 1);
   Obs.incr "fault.crashes";
   Obs.event Obs.T_sched
     ~args:[ ("rank", string_of_int rank); ("time", string_of_int time) ]
@@ -283,7 +277,6 @@ let log_fault t =
   device_fault t t.log_events ~injected:t.injected_log_faults
     ~metric:"fault.log_faults"
 
-let injected_crashes t = t.injected_crashes
 let injected_drain_faults t = !(t.injected_drain_faults)
 let injected_log_faults t = !(t.injected_log_faults)
 

@@ -15,7 +15,6 @@ exception Crashed of { rank : int; time : int; io_index : int }
 type t
 
 val create : Plan.t -> t
-val plan : t -> Plan.t
 
 val prepare : t -> nprocs:int -> unit
 (** Pre-populate the per-rank I/O counters for ranks [0..nprocs-1].
@@ -73,7 +72,6 @@ val restart_delay_of : t -> rank:int -> int option
 (** Restart delay of the most recently fired crash of [rank]; [None]
     when the plan leaves the job down. *)
 
-val injected_crashes : t -> int
 val injected_drain_faults : t -> int
 val injected_log_faults : t -> int
 

@@ -14,8 +14,6 @@ let name = function
   | Session -> "session consistency"
   | Eventual _ -> "eventual consistency"
 
-let pp ppf t = Format.pp_print_string ppf (name t)
-
 let key = function
   | Strong -> "strong"
   | Commit -> "commit"

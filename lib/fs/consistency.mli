@@ -30,8 +30,6 @@ val compare_strength : t -> t -> int
 val name : t -> string
 (** Human-readable category name, e.g. ["session consistency"]. *)
 
-val pp : Format.formatter -> t -> unit
-
 val key : t -> string
 (** The engine's short name: ["strong"], ["commit"], ["session"] or
     ["eventual"] (any delay).  Metric and span names are built from it. *)

@@ -1,10 +1,10 @@
 (* Per-file data as an incremental extent store.
 
-   The old implementation (kept as {!Fdata_ref}) repainted the entire write
-   log on every read: O(history) per read, the wall checkpoint-heavy
-   workloads hit.  This version keeps the log but never walks it on the
-   common read path.  Two always-current structures answer reads in
-   O(log E + bytes):
+   The old implementation (kept test-side as [Fdata_ref] in test/oracle/)
+   repainted the entire write log on every read: O(history) per read, the
+   wall checkpoint-heavy workloads hit.  This version keeps the log but
+   never walks it on the common read path.  Two always-current structures
+   answer reads in O(log E + bytes):
 
    - one segment index ([index]) whose segments each carry three fields
      per byte range: the newest write in *insertion* order (the identity a
@@ -374,13 +374,59 @@ let fold_eventual t =
     go ()
   | _ -> ()
 
-(* Forward reference: canonicalization needs [reindex], defined with the
-   truncate/crash machinery below; [write] only ever schedules it. *)
-let canonicalize_ref : (t -> unit) ref = ref (fun _ -> ())
+(* Full pub-field recomputation, for histories whose event clock went
+   backwards (the reference model allows it, so we must too). *)
+let recompute_pubs t =
+  Hashtbl.reset t.unpub;
+  for i = 0 to t.log_n - 1 do
+    let w = t.log.(i) in
+    if w.w_live then begin
+      w.pub <- pub_of t ~rank:w.w_rank w.w_time;
+      if w.pub = unpublished then unpub_insert (unpub t w.w_rank) w
+    end
+  done;
+  t.monotonic <- true
+
+(* Rebuild every index from the live log (after truncate/crash). *)
+let reindex t =
+  t.index <- Extmap.empty;
+  t.multi_ranges <- false;
+  Hashtbl.reset t.writer_set;
+  recompute_pubs t;
+  for i = 0 to t.log_n - 1 do
+    let w = t.log.(i) in
+    if w.w_live then index_write t w
+  done;
+  invalidate_cache t;
+  if Obs.enabled () then Obs.incr "fs.extent.reindexes"
+
+(* Superstep-boundary canonicalization for domain-parallel runs: when two
+   or more ranks wrote this file inside one superstep, their log arrival
+   order depends on domain scheduling.  Re-sort the whole log by
+   (w_time, w_rank, lo, hi) — a total order: ticks are unique per rank,
+   and same-tick records (one striped op split into pieces) have disjoint
+   intervals — renumber w_seq, and rebuild every index.  Runs
+   single-threaded at the boundary; afterwards all derived state is
+   independent of how the superstep's writes interleaved. *)
+let canonicalize t =
+  let sub = Array.sub t.log 0 t.log_n in
+  Array.sort
+    (fun a b ->
+      compare
+        (a.w_time, a.w_rank, a.w_iv.Interval.lo, a.w_iv.Interval.hi)
+        (b.w_time, b.w_rank, b.w_iv.Interval.lo, b.w_iv.Interval.hi))
+    sub;
+  Array.blit sub 0 t.log 0 t.log_n;
+  for i = 0 to t.log_n - 1 do
+    t.log.(i).w_seq <- i
+  done;
+  reindex t;
+  t.dirty <- false;
+  if Obs.enabled () then Obs.incr "fs.extent.canonicalizations"
 
 (* Same-superstep multi-rank write detection.  Called under the file
    lock; schedules a boundary canonicalization exactly once per dirty
-   superstep (see [canonicalize] below). *)
+   superstep (see [canonicalize] above). *)
 let note_parallel_write t ~rank =
   if Domctx.parallel () then begin
     let ss = Domctx.superstep () in
@@ -392,7 +438,7 @@ let note_parallel_write t ~rank =
       t.epoch_rank <- -2;
       if not t.dirty then begin
         t.dirty <- true;
-        Domctx.at_boundary (fun () -> !canonicalize_ref t)
+        Domctx.at_boundary (fun () -> canonicalize t)
       end
     end
   end
@@ -508,58 +554,6 @@ let effective_time t ~rank w =
   if w.w_rank = rank || t.laminated_at <> None then w.w_time else w.pub
 
 type read_result = { data : bytes; stale_bytes : int }
-
-(* Full pub-field recomputation, for histories whose event clock went
-   backwards (the reference model allows it, so we must too). *)
-let recompute_pubs t =
-  Hashtbl.reset t.unpub;
-  for i = 0 to t.log_n - 1 do
-    let w = t.log.(i) in
-    if w.w_live then begin
-      w.pub <- pub_of t ~rank:w.w_rank w.w_time;
-      if w.pub = unpublished then unpub_insert (unpub t w.w_rank) w
-    end
-  done;
-  t.monotonic <- true
-
-(* Rebuild every index from the live log (after truncate/crash). *)
-let reindex t =
-  t.index <- Extmap.empty;
-  t.multi_ranges <- false;
-  Hashtbl.reset t.writer_set;
-  recompute_pubs t;
-  for i = 0 to t.log_n - 1 do
-    let w = t.log.(i) in
-    if w.w_live then index_write t w
-  done;
-  invalidate_cache t;
-  if Obs.enabled () then Obs.incr "fs.extent.reindexes"
-
-(* Superstep-boundary canonicalization for domain-parallel runs: when two
-   or more ranks wrote this file inside one superstep, their log arrival
-   order depends on domain scheduling.  Re-sort the whole log by
-   (w_time, w_rank, lo, hi) — a total order: ticks are unique per rank,
-   and same-tick records (one striped op split into pieces) have disjoint
-   intervals — renumber w_seq, and rebuild every index.  Runs
-   single-threaded at the boundary; afterwards all derived state is
-   independent of how the superstep's writes interleaved. *)
-let canonicalize t =
-  let sub = Array.sub t.log 0 t.log_n in
-  Array.sort
-    (fun a b ->
-      compare
-        (a.w_time, a.w_rank, a.w_iv.Interval.lo, a.w_iv.Interval.hi)
-        (b.w_time, b.w_rank, b.w_iv.Interval.lo, b.w_iv.Interval.hi))
-    sub;
-  Array.blit sub 0 t.log 0 t.log_n;
-  for i = 0 to t.log_n - 1 do
-    t.log.(i).w_seq <- i
-  done;
-  reindex t;
-  t.dirty <- false;
-  if Obs.enabled () then Obs.incr "fs.extent.canonicalizations"
-
-let () = canonicalize_ref := canonicalize
 
 (* A truncate that drops or cuts no write (one to the current size or
    beyond, as HDF5 issues at every close) leaves every index exact: only

@@ -25,8 +25,7 @@ type t = {
   stale_bytes : Domctx.counter;
 }
 
-let create ?stripe ?(lock_granularity = 1 lsl 20) ?(local_order = true)
-    ?(mds_shards = 1) semantics =
+let create ?stripe ?(local_order = true) ?(mds_shards = 1) semantics =
   let stripe =
     match stripe with
     | Some s -> s
@@ -38,7 +37,7 @@ let create ?stripe ?(lock_granularity = 1 lsl 20) ?(local_order = true)
     local_order;
     namespace = Namespace.create semantics;
     stripe;
-    lockmgr = Lockmgr.create ~granularity:lock_granularity;
+    lockmgr = Lockmgr.create ~granularity:(1 lsl 20);
     targets = Target.create ~mds_shards ~count:stripe.Stripe.server_count ();
     m_read = "fs.reads." ^ key;
     m_write = "fs.writes." ^ key;

@@ -12,14 +12,14 @@
 type t
 
 val create :
-  ?stripe:Stripe.t -> ?lock_granularity:int -> ?local_order:bool ->
-  ?mds_shards:int -> Consistency.t -> t
-(** [lock_granularity] (default 1 MiB) is used only under strong
-    semantics, where accesses are accounted against the lock manager.
-    [local_order] (default true) is the single-process write-ordering
-    guarantee; disable it to model BurstFS (Section 3.5).  [mds_shards]
-    (default 1) is the number of directory-partitioned metadata shards
-    in the failure domain (see {!Shardmap} and {!Target}). *)
+  ?stripe:Stripe.t -> ?local_order:bool -> ?mds_shards:int -> Consistency.t ->
+  t
+(** Under strong semantics, accesses are accounted against a lock manager
+    with 1 MiB lock granularity.  [local_order] (default true) is the
+    single-process write-ordering guarantee; disable it to model BurstFS
+    (Section 3.5).  [mds_shards] (default 1) is the number of
+    directory-partitioned metadata shards in the failure domain (see
+    {!Shardmap} and {!Target}). *)
 
 val semantics : t -> Consistency.t
 val namespace : t -> Namespace.t

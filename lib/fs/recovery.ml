@@ -60,18 +60,3 @@ let check journal ~time =
     recovered = count Recovered;
     corrupted = count Corrupted;
   }
-
-let pp ppf r =
-  Format.fprintf ppf "fsck: %d files, %d clean, %d recovered, %d corrupted"
-    (List.length r.files) r.clean r.recovered r.corrupted;
-  if r.replayed_bytes > 0 then
-    Format.fprintf ppf "; %d B replayed" r.replayed_bytes;
-  if r.lost_bytes > 0 then
-    Format.fprintf ppf "; %d writes (%d B) lost" r.lost_writes r.lost_bytes;
-  List.iter
-    (fun f ->
-      if f.f_verdict <> Clean then
-        Format.fprintf ppf "@.  %-24s %-9s replayed=%dB outstanding=%dB"
-          f.f_path (verdict_name f.f_verdict) f.f_replayed_bytes
-          f.f_outstanding_bytes)
-    r.files

@@ -41,5 +41,3 @@ val check : Journal.t -> time:int -> report
     gives up on what still cannot land ({!Journal.mark_lost}), and
     classifies every file in the namespace (files never journaled are
     [Clean]). *)
-
-val pp : Format.formatter -> report -> unit

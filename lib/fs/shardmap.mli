@@ -13,9 +13,6 @@ val parent : string -> string
     top-level entries and for the root itself).  Empty components are
     ignored, matching {!Namespace} path normalization. *)
 
-val hash : string -> int
-(** 32-bit FNV-1a hash (non-negative). *)
-
 val shard : shards:int -> string -> int
 (** Owning shard of a path's parent directory, in [0 .. shards-1].
     Always 0 when [shards <= 1]. *)

@@ -55,7 +55,6 @@ let create ?(mds_shards = 1) ~count () =
 let count t = t.count
 let all_up t = t.all_up
 let mds_shards t = Array.length t.mds
-let mds_up t = Array.for_all (fun s -> s = Up) t.mds
 
 let mds_state t k =
   if k < 0 || k >= Array.length t.mds then

@@ -41,15 +41,8 @@ val all_up : t -> bool
 (** True iff every target is [Up] and the MDS is up — the single load the
     fault-free hot path checks before skipping all per-extent work. *)
 
-val mds_up : t -> bool
-(** True iff every metadata shard is [Up]. *)
-
 val mds_shards : t -> int
 (** Number of metadata shards (1 = legacy single MDS). *)
-
-val mds_state : t -> int -> state
-(** State of metadata shard [k].  Raises [Invalid_argument] for a bad
-    shard index. *)
 
 val mds_available : t -> int -> bool
 (** [Up] or [Degraded]. *)

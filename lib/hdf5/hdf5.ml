@@ -311,15 +311,6 @@ let read ds ~off len =
       Mpiio.read_at m ~origin:Record.O_hdf5 fh ~off:(ds.info.data_off + off) len
     | B_posix _ -> assert false)
 
-let read_collective ds ~off len =
-  check_bounds ds ~off len;
-  emit ds.file ~func:"H5Dread" ~offset:off ~count:len ();
-  match (ds.file.handle, ds.file.backend) with
-  | H_mpiio fh, B_mpiio m ->
-    Mpiio.read_at_all m ~origin:Record.O_hdf5 fh ~off:(ds.info.data_off + off)
-      len
-  | _ -> invalid_arg "Hdf5.read_collective: requires the MPI-IO backend"
-
 let attr_off file name =
   match reg_locked (fun () -> Hashtbl.find_opt attr_registry (file.name, name)) with
   | Some off -> off

@@ -68,8 +68,6 @@ val write_collective : dataset -> off:int -> bytes -> unit
 val read : dataset -> off:int -> int -> bytes
 (** [H5Dread] independent. *)
 
-val read_collective : dataset -> off:int -> int -> bytes
-
 val write_attribute : file -> string -> bytes -> unit
 (** [H5Awrite]: small immediate metadata write into the header region (used
     by applications that update attributes mid-run). *)

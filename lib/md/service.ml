@@ -72,9 +72,6 @@ let create pfs =
     rejected = 0;
   }
 
-let semantics t = t.semantics
-let shards t = t.shards
-
 let cache_of t client =
   match Hashtbl.find_opt t.caches client with
   | Some c -> c

@@ -33,12 +33,6 @@ val create : Hpcfs_fs.Pfs.t -> t
 (** Shard count and consistency engine are taken from the PFS
     ([Pfs.mds_shards] / [Pfs.semantics]). *)
 
-val semantics : t -> Hpcfs_fs.Consistency.t
-val shards : t -> int
-
-val shard_of : t -> string -> int
-(** Owning shard of a path (by its parent directory). *)
-
 (** {1 Lookups}
 
     Served from [client]'s cache when the engine allows; otherwise a

@@ -288,4 +288,3 @@ let read_at_all ctx ?(origin = Record.O_app) fh ~off len =
 let comm ctx = ctx.comm
 let posix_ctx ctx = ctx.posix
 let posix_fd ctx fh = my_fd fh ctx
-let path fh = fh.path

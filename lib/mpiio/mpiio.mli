@@ -72,5 +72,3 @@ val posix_ctx : ctx -> Hpcfs_posix.Posix.ctx
 
 val posix_fd : ctx -> fh -> int
 (** Underlying POSIX descriptor of this rank's open of the file. *)
-
-val path : fh -> string

@@ -1,13 +1,5 @@
 type track = T_rank of int | T_fs | T_bb | T_sched | T_mpi | T_core
 
-let track_name = function
-  | T_rank r -> Printf.sprintf "rank %d" r
-  | T_fs -> "FS"
-  | T_bb -> "BB"
-  | T_sched -> "sched"
-  | T_mpi -> "MPI"
-  | T_core -> "analysis"
-
 type span = {
   sp_name : string;
   sp_track : track;

@@ -28,8 +28,6 @@ type track =
   | T_mpi  (** The communication substrate. *)
   | T_core  (** Offline analysis phases. *)
 
-val track_name : track -> string
-
 type span = {
   sp_name : string;
   sp_track : track;

@@ -36,17 +36,13 @@
 val magic : string
 (** The 12-byte file prefix, version byte included. *)
 
-val format_version : int
-
-val default_chunk_records : int
-
 (** {2 Encoding} *)
 
 type encoder
 
 val encoder : ?chunk_records:int -> out_channel -> encoder
 (** Write the magic and return a streaming encoder.  A chunk is flushed
-    every [chunk_records] records (default {!default_chunk_records}), so
+    every [chunk_records] records (default 4096), so
     encoder memory is bounded by one chunk regardless of trace length. *)
 
 val encode : encoder -> Record.t -> unit
@@ -70,14 +66,18 @@ type decoder
 
 val decoder : in_channel -> (decoder, string) result
 (** Check the magic and version.  Fails with a descriptive error on a
-    non-binary file or an unsupported version. *)
+    non-binary file or an unsupported version.  The channel must be
+    seekable: its length, taken here, bounds every chunk's promised
+    payload before the payload is allocated. *)
 
 val next : decoder -> (Record.t option, string) result
 (** The next record, [None] at a clean end of trace (trailer verified,
-    no trailing bytes).  Truncation, checksum mismatches and malformed
-    payloads are reported as [Error] naming the offending chunk; a record
-    whose extent {!Record.check_extent} refuses, as [Error] naming the
-    chunk and the record's 1-based position in the trace. *)
+    no trailing bytes).  Truncation (a payload longer than the rest of
+    the file included), checksum mismatches and malformed payloads (a
+    string id outside the chunk's table included) are reported as
+    [Error] naming the offending chunk; a record whose extent
+    {!Record.check_extent} refuses, as [Error] naming the chunk and the
+    record's 1-based position in the trace. *)
 
 val decoded : decoder -> int
 (** Records decoded so far. *)

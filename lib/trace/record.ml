@@ -184,24 +184,4 @@ let of_line line =
          args = List.rev args })
   | _ -> Error "too few fields"
 
-let pp ppf t =
-  Format.fprintf ppf "@[<h>%d r%d %s/%s %s%a%a%a%a@]" t.time t.rank
-    (layer_name t.layer) (origin_name t.origin) t.func
-    (fun ppf -> function
-      | Some f -> Format.fprintf ppf " %s" f
-      | None -> ())
-    t.file
-    (fun ppf -> function
-      | Some fd -> Format.fprintf ppf " fd=%d" fd
-      | None -> ())
-    t.fd
-    (fun ppf -> function
-      | Some o -> Format.fprintf ppf " off=%d" o
-      | None -> ())
-    t.offset
-    (fun ppf -> function
-      | Some c -> Format.fprintf ppf " cnt=%d" c
-      | None -> ())
-    t.count
-
 let compare_time a b = Int.compare a.time b.time

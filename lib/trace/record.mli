@@ -62,7 +62,5 @@ val of_line : string -> (t, string) result
     Fails on a malformed field and on an extent {!check_extent}
     refuses. *)
 
-val pp : Format.formatter -> t -> unit
-
 val compare_time : t -> t -> int
 (** Order by timestamp (unique within a run). *)

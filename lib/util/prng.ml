@@ -25,8 +25,6 @@ let int_in g lo hi =
   assert (lo <= hi);
   lo + int g (hi - lo + 1)
 
-let bool g = Int64.logand (bits64 g) 1L = 1L
-
 let shuffle g a =
   for i = Array.length a - 1 downto 1 do
     let j = int g (i + 1) in
@@ -34,7 +32,3 @@ let shuffle g a =
     a.(i) <- a.(j);
     a.(j) <- tmp
   done
-
-let choice g a =
-  assert (Array.length a > 0);
-  a.(int g (Array.length a))

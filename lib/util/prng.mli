@@ -23,11 +23,5 @@ val int : t -> int -> int
 val int_in : t -> int -> int -> int
 (** [int_in g lo hi] is uniform in [\[lo, hi\]] inclusive. Requires [lo <= hi]. *)
 
-val bool : t -> bool
-(** Fair coin flip. *)
-
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher-Yates shuffle. *)
-
-val choice : t -> 'a array -> 'a
-(** Uniformly chosen element. Requires a non-empty array. *)

@@ -1,11 +1,9 @@
 type align = Left | Right | Center
 
-type row = Cells of string list | Sep
-
 type t = {
   headers : string list;
   aligns : align array;
-  mutable rows : row list; (* reversed *)
+  mutable rows : string list list; (* reversed *)
   ncols : int;
 }
 
@@ -27,9 +25,7 @@ let add_row t cells =
     if n = t.ncols then cells
     else cells @ List.init (t.ncols - n) (fun _ -> "")
   in
-  t.rows <- Cells cells :: t.rows
-
-let add_sep t = t.rows <- Sep :: t.rows
+  t.rows <- cells :: t.rows
 
 let pad align width s =
   let n = String.length s in
@@ -49,7 +45,7 @@ let render t =
     List.iteri (fun i c -> widths.(i) <- max widths.(i) (String.length c)) cells
   in
   measure t.headers;
-  List.iter (function Cells c -> measure c | Sep -> ()) t.rows;
+  List.iter measure t.rows;
   let buf = Buffer.create 1024 in
   let rule () =
     Buffer.add_char buf '+';
@@ -73,7 +69,7 @@ let render t =
   rule ();
   line t.headers;
   rule ();
-  List.iter (function Cells c -> line c | Sep -> rule ()) (List.rev t.rows);
+  List.iter line (List.rev t.rows);
   rule ();
   Buffer.contents buf
 

@@ -15,9 +15,6 @@ val add_row : t -> string list -> unit
 (** Append a row. Rows shorter than the header are padded with empty cells;
     longer rows raise [Invalid_argument]. *)
 
-val add_sep : t -> unit
-(** Append a horizontal separator row. *)
-
 val render : t -> string
 (** Render with a header rule and outer borders. *)
 

@@ -45,7 +45,6 @@ val default_config : config
 
 val create : ?config:config -> Hpcfs_fs.Pfs.t -> t
 
-val pfs : t -> Hpcfs_fs.Pfs.t
 val config : t -> config
 
 val core : t -> Hpcfs_fs.Staging.t

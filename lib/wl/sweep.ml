@@ -52,7 +52,7 @@ let matrix (s : Conflict.summary) =
   Printf.sprintf "%d/%d/%d/%d" s.Conflict.waw_s s.Conflict.waw_d
     s.Conflict.raw_s s.Conflict.raw_d
 
-let run ?(progress = fun _ -> ()) ?(seed = 42) ?domains (g : grid) =
+let run ?(seed = 42) ?domains (g : grid) =
   List.concat_map
     (fun nprocs ->
       List.concat_map
@@ -67,9 +67,6 @@ let run ?(progress = fun _ -> ()) ?(seed = 42) ?domains (g : grid) =
                 (fun (tname, tier) ->
                   List.map
                     (fun (pname, plan) ->
-                      progress
-                        (Printf.sprintf "%s ranks=%d %s %s %s" wname nprocs
-                           (Consistency.to_string engine) tname pname);
                       let t0 = Sys.time () in
                       let result =
                         Runner.run ~semantics:engine ~local_order:true ~nprocs

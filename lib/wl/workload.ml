@@ -165,8 +165,6 @@ let rec phase_to_string = function
 
 let to_string t = String.concat ";" (List.map phase_to_string t.phases)
 
-let pp ppf t = Format.pp_print_string ppf (to_string t)
-
 (* Validation --------------------------------------------------------------- *)
 
 let ( let* ) = Result.bind

@@ -179,18 +179,7 @@ val to_string : t -> string
 (** Canonical spec (defaults omitted); [of_string (to_string w)] equals
     [w] up to the name. *)
 
-val pp : Format.formatter -> t -> unit
-
-(** {1 Accessors} *)
-
-val layout_name : layout -> string
-val order_name : order -> string
-val sync_name : sync -> string
-val meta_op_name : meta_op -> string
-
-val meta_layout_name : layout -> string
-(** ["shared-dir"] / ["fpp"] — in a metadata phase the layout names the
-    directory shape, not a file striping. *)
+(** {1 Checks} *)
 
 val validate : t -> (t, string) result
 (** Static checks beyond the grammar: at least one phase, positive sizes

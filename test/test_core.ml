@@ -8,6 +8,7 @@ module Access = Hpcfs_core.Access
 module Offsets = Hpcfs_core.Offsets
 module Eventtab = Hpcfs_core.Eventtab
 module Overlap = Hpcfs_core.Overlap
+module Overlap_ref = Hpcfs_oracle.Overlap_ref
 module Conflict = Hpcfs_core.Conflict
 module Pattern = Hpcfs_core.Pattern
 module Sharing = Hpcfs_core.Sharing
@@ -234,7 +235,8 @@ let norm pairs =
 let qcheck_algorithm1_matches_naive =
   QCheck.Test.make ~name:"Algorithm 1 equals naive O(n^2)" ~count:200
     (QCheck.make gen_accesses) (fun accesses ->
-      norm (Overlap.detect accesses) = norm (Overlap.detect_naive accesses))
+      norm (Overlap.detect accesses)
+      = norm (Overlap_ref.detect_naive accesses))
 
 let qcheck_merge_matches_sort =
   QCheck.Test.make ~name:"merge variant equals sort variant" ~count:200
@@ -248,7 +250,7 @@ let qcheck_all_detectors_agree =
     (QCheck.make gen_accesses) (fun accesses ->
       let d = norm (Overlap.detect accesses) in
       d = norm (Overlap.detect_merge accesses)
-      && d = norm (Overlap.detect_naive accesses))
+      && d = norm (Overlap_ref.detect_naive accesses))
 
 let test_rank_matrix_out_of_range () =
   let pairs =

@@ -6,6 +6,7 @@
    extent store must be bit-for-bit the same observable machine. *)
 
 open Hpcfs_fs
+module Fdata_ref = Hpcfs_oracle.Fdata_ref
 
 type op =
   | Write of int * int * int * int  (* rank, clock delta, off, len *)

@@ -4,6 +4,7 @@
 module Interval = Hpcfs_util.Interval
 module Consistency = Hpcfs_fs.Consistency
 module Fdata = Hpcfs_fs.Fdata
+module Fdata_ref = Hpcfs_oracle.Fdata_ref
 module Namespace = Hpcfs_fs.Namespace
 module Stripe = Hpcfs_fs.Stripe
 module Lockmgr = Hpcfs_fs.Lockmgr
@@ -252,29 +253,29 @@ let test_fdata_double_lamination () =
   (* A second lamination must not move the publication point: the file
      stays published from the first one on, in both models. *)
   let fd = Fdata.create Consistency.Commit
-  and fr = Hpcfs_fs.Fdata_ref.create () in
+  and fr = Fdata_ref.create () in
   Fdata.write fd ~rank:0 ~time:1 ~off:0 (b "abcd");
-  Hpcfs_fs.Fdata_ref.write fr ~rank:0 ~time:1 ~off:0 (b "abcd");
+  Fdata_ref.write fr ~rank:0 ~time:1 ~off:0 (b "abcd");
   let check label =
     let r =
       Fdata.read fd ~rank:1 ~time:7 ~off:0 ~len:4
     and rr =
-      Hpcfs_fs.Fdata_ref.read fr ~semantics:Consistency.Commit ~rank:1 ~time:7
+      Fdata_ref.read fr ~semantics:Consistency.Commit ~rank:1 ~time:7
         ~off:0 ~len:4
     in
     Alcotest.(check string) (label ^ ": data") "abcd"
       (Bytes.to_string r.Fdata.data);
     Alcotest.(check int) (label ^ ": stale") 0 r.Fdata.stale_bytes;
     Alcotest.(check string) (label ^ ": reference data") "abcd"
-      (Bytes.to_string rr.Hpcfs_fs.Fdata_ref.data);
+      (Bytes.to_string rr.Fdata_ref.data);
     Alcotest.(check int) (label ^ ": reference stale") 0
-      rr.Hpcfs_fs.Fdata_ref.stale_bytes
+      rr.Fdata_ref.stale_bytes
   in
   Fdata.laminate fd ~time:5;
-  Hpcfs_fs.Fdata_ref.laminate fr ~time:5;
+  Fdata_ref.laminate fr ~time:5;
   check "first lamination";
   Fdata.laminate fd ~time:10;
-  Hpcfs_fs.Fdata_ref.laminate fr ~time:10;
+  Fdata_ref.laminate fr ~time:10;
   check "second lamination"
 
 let test_pfs_laminate () =

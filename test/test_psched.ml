@@ -12,7 +12,7 @@ module Report = Hpcfs_core.Report
 module Consistency = Hpcfs_fs.Consistency
 module Workload = Hpcfs_wl.Workload
 module Compile = Hpcfs_wl.Compile
-module Wl_gen = Hpcfs_wl.Wl_gen
+module Wl_gen = Hpcfs_oracle.Wl_gen
 module Plan = Hpcfs_fault.Plan
 
 (* Scheduler semantics, per domain count --------------------------------- *)

@@ -16,7 +16,7 @@ module Runner = Hpcfs_apps.Runner
 module Validation = Hpcfs_apps.Validation
 module Workload = Hpcfs_wl.Workload
 module Compile = Hpcfs_wl.Compile
-module Wl_gen = Hpcfs_wl.Wl_gen
+module Wl_gen = Hpcfs_oracle.Wl_gen
 
 let engines =
   [

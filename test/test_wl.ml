@@ -6,7 +6,7 @@
 
 module Workload = Hpcfs_wl.Workload
 module Compile = Hpcfs_wl.Compile
-module Wl_gen = Hpcfs_wl.Wl_gen
+module Wl_gen = Hpcfs_oracle.Wl_gen
 module Sweep = Hpcfs_wl.Sweep
 module Registry = Hpcfs_apps.Registry
 module Runner = Hpcfs_apps.Runner
