@@ -152,40 +152,25 @@ let cells c =
     Printf.sprintf "%.0f" c.stats_per_s;
   ]
 
-(* One large cell on the superstep-parallel scheduler: the fpp storm at
-   10k ranks (1k under HPCFS_BENCH_SMALL) across 4 domains, reporting the
-   scheduler's per-shard step counters next to the modelled MDS load. *)
+(* One large cell: the fpp storm at 10k ranks (1k under
+   HPCFS_BENCH_SMALL), reporting the modelled MDS load and the wall time. *)
 let scale_cell () =
   let ranks = if small then 1_000 else 10_000 in
-  let domains = 4 and mds_shards = List.fold_left max 1 shard_counts in
-  section
-    (Printf.sprintf "Metadata scale cell: %d ranks across %d domains" ranks
-       domains);
-  let sink = Obs.create () in
+  let mds_shards = List.fold_left max 1 shard_counts in
+  section (Printf.sprintf "Metadata scale cell: %d ranks" ranks);
   let t0 = Unix.gettimeofday () in
   let result =
-    Obs.with_sink sink (fun () ->
-        Runner.run ~nprocs:ranks ~domains ~semantics:Consistency.Session
-          ~mds_shards fpp_storm.Registry.body)
+    Runner.run ~nprocs:ranks ~semantics:Consistency.Session ~mds_shards
+      fpp_storm.Registry.body
   in
   let dt = Unix.gettimeofday () -. t0 in
   let md = result.Runner.md in
-  let steps =
-    List.init domains (fun k ->
-        Obs.find_counter sink (Printf.sprintf "sim.shard.steps.%d" k))
-  in
-  let imbalance =
-    float_of_int (Obs.find_gauge sink "sim.shard.imbalance_x1000") /. 1000.
-  in
   Printf.printf
     "fpp-storm ranks=%d shards=%d: %d server ops, makespan %d, hit ratio \
-     %.2f\n"
-    ranks mds_shards md.Md.server_ops (Md.makespan md) (Md.hit_ratio md);
-  Printf.printf "shard steps: [%s]  max/min imbalance %.2f  wall %.1fs\n"
-    (String.concat "; " (List.map string_of_int steps))
-    imbalance dt;
+     %.2f, wall %.1fs\n"
+    ranks mds_shards md.Md.server_ops (Md.makespan md) (Md.hit_ratio md) dt;
   Bench_perf.record
-    ~name:(Printf.sprintf "metadata/scale/ranks=%d/domains=%d" ranks domains)
+    ~name:(Printf.sprintf "metadata/scale/ranks=%d" ranks)
     (Bench_perf.per_op ~ns:(dt *. 1e9) ~allocs:0.)
 
 let metadata () =

@@ -406,7 +406,7 @@ let scaling () =
     "(expected shape: realistic-trace time grows ~linearly with the access\n\
     \ count; the all-overlapping workload exhibits the quadratic worst case.)"
 
-(* Rank scaling under the domain-parallel scheduler ------------------------ *)
+(* Rank scaling --------------------------------------------------------------- *)
 
 module Runner = Hpcfs_apps.Runner
 module Workload = Hpcfs_wl.Workload
@@ -421,30 +421,19 @@ let scaling_workload =
   make ~name:"scale-fpp"
     [ write ~layout:File_per_process ~order:Consecutive ~block:4096 ~count:2 () ]
 
-(* One (ranks, domains) cell: wall seconds, trace size, and the shard
-   balance counters the parallel scheduler emits. *)
-let scaling_cell ~ranks ~domains =
-  let sink = Obs.create () in
+(* One rank-count cell: wall seconds and trace size. *)
+let scaling_cell ~ranks =
   let t0 = Unix.gettimeofday () in
-  let result =
-    Obs.with_sink sink (fun () ->
-        Runner.run ~nprocs:ranks ~domains (Wl_compile.body scaling_workload))
-  in
+  let result = Runner.run ~nprocs:ranks (Wl_compile.body scaling_workload) in
   let seconds = Unix.gettimeofday () -. t0 in
-  let records = List.length result.Runner.records in
-  let supersteps = Obs.find_counter sink "sim.supersteps" in
-  let imbalance_x1000 =
-    try Obs.find_gauge sink "sim.shard.imbalance_x1000" with Not_found -> 1000
-  in
-  (seconds, records, supersteps, imbalance_x1000)
+  (seconds, List.length result.Runner.records)
 
 (* The collective cell: FLASH-fbs, whose checkpoints are collective HDF5
-   writes (each MPI-IO call gathers every rank's extent), on the legacy
-   single-domain scheduler.  [mpi.sends] counts the messages left once
+   writes (each MPI-IO call gathers every rank's extent).  [mpi.sends] counts the messages left once
    collectives are rendezvous (MPI-IO's two-phase exchange); [sim.rounds]
    counts scheduler rounds, each of which polls every rank. *)
 let flash_scaling ~small =
-  section "Rank scaling: FLASH-fbs collective HDF5 writes, legacy scheduler";
+  section "Rank scaling: FLASH-fbs collective HDF5 writes";
   let entry = Option.get (Hpcfs_apps.Registry.find "FLASH-fbs") in
   let counter sink name =
     try Obs.find_counter sink name with Not_found -> 0
@@ -472,10 +461,9 @@ let flash_scaling ~small =
           string_of_int rounds;
         ];
       record
-        ~name:(Printf.sprintf "rank_scaling/flash_fbs/ranks=%d/domains=1" ranks)
+        ~name:(Printf.sprintf "rank_scaling/flash_fbs/ranks=%d" ranks)
         [
           ("ranks", string_of_int ranks);
-          ("domains", "1");
           ("seconds", Printf.sprintf "%.3f" seconds);
           ("mpi.sends", string_of_int sends);
           ("sim.rounds", string_of_int rounds);
@@ -484,7 +472,7 @@ let flash_scaling ~small =
   Table.print t
 
 let rank_scaling () =
-  section "Rank scaling: superstep-parallel scheduler, fpp write workload";
+  section "Rank scaling: fpp write workload";
   let small =
     match Sys.getenv_opt "HPCFS_BENCH_SMALL" with
     | Some ("1" | "true" | "yes") -> true
@@ -494,62 +482,31 @@ let rank_scaling () =
     if small then [ 100; 1_000; 10_000 ]
     else [ 1; 100; 1_000; 10_000; 100_000 ]
   in
-  let domain_counts = [ 1; 2; 4 ] in
-  let cores = Domain.recommended_domain_count () in
-  Printf.printf
-    "host has %d core(s) available; with fewer cores than domains the \
-     speedup\ncolumn measures superstep overhead, not parallelism.\n\n"
-    cores;
   let t =
     Table.create
-      ~aligns:
-        [ Table.Right; Table.Right; Table.Right; Table.Right; Table.Right;
-          Table.Right; Table.Right ]
-      [ "ranks"; "domains"; "seconds"; "records"; "records/s"; "imbalance";
-        "speedup" ]
+      ~aligns:[ Table.Right; Table.Right; Table.Right; Table.Right ]
+      [ "ranks"; "seconds"; "records"; "records/s" ]
   in
   List.iter
     (fun ranks ->
-      let base = ref nan in
-      List.iter
-        (fun domains ->
-          let seconds, records, supersteps, imbalance_x1000 =
-            scaling_cell ~ranks ~domains
-          in
-          if domains = 1 then base := seconds;
-          let speedup = !base /. seconds in
-          Table.add_row t
-            [
-              string_of_int ranks;
-              string_of_int domains;
-              Printf.sprintf "%.3f" seconds;
-              string_of_int records;
-              Printf.sprintf "%.0f" (float_of_int records /. seconds);
-              Printf.sprintf "%.2f" (float_of_int imbalance_x1000 /. 1000.);
-              Printf.sprintf "%.2fx" speedup;
-            ];
-          record
-            ~name:
-              (Printf.sprintf "rank_scaling/fpp_write/ranks=%d/domains=%d"
-                 ranks domains)
-            [
-              ("ranks", string_of_int ranks);
-              ("domains", string_of_int domains);
-              ("cores", string_of_int (Domain.recommended_domain_count ()));
-              ("seconds", Printf.sprintf "%.3f" seconds);
-              ("records", string_of_int records);
-              ( "records_per_s",
-                Printf.sprintf "%.0f" (float_of_int records /. seconds) );
-              ("supersteps", string_of_int supersteps);
-              ("shard_imbalance_x1000", string_of_int imbalance_x1000);
-              ("speedup_vs_domains1", Printf.sprintf "%.2f" speedup);
-            ])
-        domain_counts)
+      let seconds, records = scaling_cell ~ranks in
+      let per_s = Printf.sprintf "%.0f" (float_of_int records /. seconds) in
+      Table.add_row t
+        [
+          string_of_int ranks;
+          Printf.sprintf "%.3f" seconds;
+          string_of_int records;
+          per_s;
+        ];
+      record
+        ~name:(Printf.sprintf "rank_scaling/fpp_write/ranks=%d" ranks)
+        [
+          ("ranks", string_of_int ranks);
+          ("seconds", Printf.sprintf "%.3f" seconds);
+          ("records", string_of_int records);
+          ("records_per_s", per_s);
+        ])
     rank_points;
   Table.print t;
-  Printf.printf
-    "(speedup is relative to domains=1 at the same rank count.  Domains\n\
-    \ beyond the core count add coordination cost without parallel work;\n\
-    \ the cores field in BENCH_PERF.json records what this host offered.)\n";
   flash_scaling ~small;
   write_bench_json ()

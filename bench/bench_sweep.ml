@@ -59,16 +59,11 @@ let grid =
       (("none", None) :: (if small then [] else [ ("crash", Some crash) ]));
   }
 
-(* One large cell on the superstep-parallel scheduler: the fpp workload
-   at 10k ranks (1k under HPCFS_BENCH_SMALL) across 4 domains, reporting
-   the per-shard step counters the scheduler emits so the table shows how
-   evenly the rank shards were loaded. *)
+(* One large cell: the fpp workload at 10k ranks (1k under
+   HPCFS_BENCH_SMALL), reporting its rows and the wall time. *)
 let scale_cell () =
   let ranks = if small then 1_000 else 10_000 in
-  let domains = 4 in
-  Bench_common.section
-    (Printf.sprintf "Sweep scale cell: %d ranks across %d domains" ranks
-       domains);
+  Bench_common.section (Printf.sprintf "Sweep scale cell: %d ranks" ranks);
   let grid =
     { Sweep.default_grid with
       Sweep.ranks = [ ranks ];
@@ -76,29 +71,18 @@ let scale_cell () =
       engines = [ Consistency.Session ];
     }
   in
-  let sink = Hpcfs_obs.Obs.create () in
   let t0 = Unix.gettimeofday () in
-  let rows = Hpcfs_obs.Obs.with_sink sink (fun () -> Sweep.run ~domains grid) in
+  let rows = Sweep.run grid in
   let dt = Unix.gettimeofday () -. t0 in
-  let steps =
-    List.init domains (fun k ->
-        Hpcfs_obs.Obs.find_counter sink (Printf.sprintf "sim.shard.steps.%d" k))
-  in
-  let imbalance =
-    float_of_int (Hpcfs_obs.Obs.find_gauge sink "sim.shard.imbalance_x1000")
-    /. 1000.
-  in
   List.iter
     (fun r ->
       Printf.printf "%s ranks=%d engine=%s: %s sharing, %d stale reads\n"
         r.Sweep.workload r.Sweep.ranks r.Sweep.engine r.Sweep.xy
         r.Sweep.stale_reads)
     rows;
-  Printf.printf "shard steps: [%s]  max/min imbalance %.2f  wall %.1fs\n"
-    (String.concat "; " (List.map string_of_int steps))
-    imbalance dt;
+  Printf.printf "wall %.1fs\n" dt;
   Bench_perf.record
-    ~name:(Printf.sprintf "sweep/scale/ranks=%d/domains=%d" ranks domains)
+    ~name:(Printf.sprintf "sweep/scale/ranks=%d" ranks)
     (Bench_perf.per_op ~ns:(dt *. 1e9) ~allocs:0.)
 
 let sweep () =

@@ -36,8 +36,8 @@ let experiments =
       Bench_metadata.metadata );
     ("perf", "analysis micro-benchmarks", Bench_perf.perf);
     ( "ranks",
-      "rank scaling: superstep-parallel scheduler, 1 -> 100k ranks x \
-       domains; FLASH-fbs collectives, 64 -> 1024 ranks",
+      "rank scaling: fpp writes, 1 -> 100k ranks; FLASH-fbs collectives, \
+       64 -> 1024 ranks",
       Bench_perf.rank_scaling );
     ( "trace",
       "binary trace codec throughput and streaming analysis",

@@ -34,7 +34,7 @@ module Wl_compile = Hpcfs_wl.Compile
 
 open Cmdliner
 
-(* Counts (ranks, shards, domains, ranks per node) must be positive: a zero
+(* Counts (ranks, shards, ranks per node) must be positive: a zero
    is a usage error naming the flag, not an exception from the simulator. *)
 let positive_int =
   let parse s =
@@ -128,16 +128,6 @@ let mds_shards_arg =
      shards while a shared-directory storm funnels into one."
   in
   Arg.(value & opt positive_int 1 & info [ "mds-shards" ] ~docv:"K" ~doc)
-
-let domains_arg =
-  let doc =
-    "Shard ranks across $(docv) OCaml domains on the superstep-parallel \
-     scheduler.  The logical clock is merged deterministically at \
-     superstep boundaries, so the trace and the report are bit-identical \
-     for any domain count (including $(b,--domains 1)); omitting the flag \
-     runs the legacy single-domain scheduler."
-  in
-  Arg.(value & opt (some positive_int) None & info [ "domains" ] ~docv:"D" ~doc)
 
 (* Resolve the selection into the (at most one) tier config Runner.run
    accepts: burst-buffer or WAL, never both. *)
@@ -440,15 +430,14 @@ let format_arg =
 
 let run_cmd =
   let run app workload ranks trace_path format tier ranks_per_node mds_shards
-      domains obs_dir =
+      obs_dir =
     exits_of_result
       (let ( let* ) = Result.bind in
        let* entry = find_app ?workload app in
        let tier, wal = tier_config tier ranks_per_node in
        with_obs obs_dir @@ fun obs ->
        let result =
-         Runner.run ~nprocs:ranks ?tier ?wal ~mds_shards ?domains
-           entry.Registry.body
+         Runner.run ~nprocs:ranks ?tier ?wal ~mds_shards entry.Registry.body
        in
        Printf.printf "ran %s on %d ranks: %d trace records\n"
          (Registry.label entry) ranks
@@ -491,8 +480,7 @@ let run_cmd =
   Cmd.v (Cmd.info "run" ~doc)
     Term.(
       const run $ app_arg $ workload_arg $ ranks_arg $ trace_arg $ format_arg
-      $ tier_arg $ ranks_per_node_arg $ mds_shards_arg $ domains_arg
-      $ obs_arg)
+      $ tier_arg $ ranks_per_node_arg $ mds_shards_arg $ obs_arg)
 
 (* analyze ------------------------------------------------------------------ *)
 

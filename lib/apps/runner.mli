@@ -48,13 +48,13 @@ val run :
   ?tier:Hpcfs_bb.Tier.config ->
   ?wal:Hpcfs_wal.Wal.config ->
   ?faults:Hpcfs_fault.Plan.t ->
-  ?domains:int ->
   (env -> unit) ->
   result
 (** [run body] executes [body] on every rank (default 64 ranks, strong
     semantics, seed 42, 6 collective-buffering aggregators).  A barrier is
     executed before and after the body, mirroring the paper's
-    clock-alignment barrier.
+    clock-alignment barrier.  The ranks run on {!Hpcfs_sim.Sched}'s one
+    logical clock, so trace timestamp order is execution order.
 
     [mds_shards] (default 1) sets the number of directory-partitioned
     metadata shards; all POSIX metadata calls route through one shared
@@ -91,23 +91,7 @@ val run :
     With [?obs], the given telemetry sink is installed for the duration of
     the run (and restored afterwards), so every instrumented layer records
     into it; without it, whatever sink is already installed — usually none —
-    stays in effect.
-
-    With [?domains], the simulation runs on the superstep-parallel
-    scheduler ({!Hpcfs_sim.Psched}) with ranks sharded across that many
-    OCaml domains.  The logical clock is merged deterministically at
-    superstep boundaries, so for workloads whose cross-rank dependencies
-    flow through scheduler synchronization the trace, the event log and
-    all statistics are bit-identical for any domain count (including
-    [~domains:1]).  Without it the legacy single-domain scheduler runs,
-    byte-for-byte as before — unless the [HPCFS_DOMAINS] environment
-    variable supplies a default (an integer > 1; anything else is
-    ignored), which is how CI runs the whole tier-1 suite under the
-    parallel scheduler without touching any call site.  The env default
-    does not apply to faulted runs ([?faults] given): crash-abort
-    granularity differs between the schedulers (mid-round vs superstep
-    boundary), so faulted legacy expectations stay on the legacy
-    scheduler; pass [?domains] explicitly to fault a parallel run. *)
+    stays in effect. *)
 
 val stale_reads : result -> int
 (** Application reads that observed at least one stale byte: the tier's

@@ -27,8 +27,8 @@ let final_digests result =
       (path, Digest.bytes r.Fdata.data))
     files
 
-let reference_run ?seed ?domains ~nprocs body =
-  Runner.run ~semantics:Consistency.Strong ~nprocs ?seed ?domains body
+let reference_run ?seed ~nprocs body =
+  Runner.run ~semantics:Consistency.Strong ~nprocs ?seed body
 
 (* By path: a crash without restart can leave reference files missing
    from the candidate, which counts as corruption like a differing

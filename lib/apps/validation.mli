@@ -34,8 +34,7 @@ val final_digests : Runner.result -> (string * Digest.t) list
     and by the sweep engine. *)
 
 val reference_run :
-  ?seed:int -> ?domains:int -> nprocs:int -> (Runner.env -> unit) ->
-  Runner.result
+  ?seed:int -> nprocs:int -> (Runner.env -> unit) -> Runner.result
 (** The reference: [body] fault-free and direct under strong semantics,
     with single-process write order kept. *)
 

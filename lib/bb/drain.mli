@@ -35,7 +35,5 @@ val name : t -> string
 (** Short machine-readable name: ["sync-close"], ["async"],
     ["laminate"]. *)
 
-val describe : t -> string
-(** One-line human-readable description including parameters. *)
-
 val pp : Format.formatter -> t -> unit
+(** One-line human-readable description including parameters. *)

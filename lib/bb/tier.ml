@@ -264,9 +264,7 @@ end)
 
 (* Staging and publication -------------------------------------------------- *)
 
-
 let stage_in t ~time ~rank path =
-  Staging.locked t.core @@ fun () ->
   let size = Pfs.file_size (pfs t) path in
   let r = Staging.pfs_read t.core ~time ~rank path ~off:0 ~len:size in
   let node = get_node t (node_of_rank t rank) in
@@ -276,12 +274,10 @@ let stage_in t ~time ~rank path =
   n
 
 let laminate t ~time path =
-  Staging.locked t.core @@ fun () ->
   ignore (drain_for_file t ~time path);
   Pfs.laminate (pfs t) ~time path
 
 let stage_out t ~time path =
-  Staging.locked t.core @@ fun () ->
   let b = drain_for_file t ~time path in
   Staging.bump t.stage_out b;
   Pfs.laminate (pfs t) ~time path
@@ -289,15 +285,13 @@ let stage_out t ~time path =
 (* Every extent is attempted; an aborted one stays staged and the rest of
    the backlog, its own file included, still drains. *)
 let drain_all t ?(time = max_int) () =
-  Staging.locked t.core (fun () ->
-      Staging.drain_all t.core ~replay:(drain_extent t ~time))
+  Staging.drain_all t.core ~replay:(drain_extent t ~time)
 
 (* A node crash loses the node's undrained (dirty) staged bytes: they exist
    only in its local buffer, so they never reach the PFS.  Clean (drained)
    cached extents and snapshots are mere caches — also gone, but no data is
    lost with them. *)
 let crash_node t ~node:id ~time:_ =
-  Staging.locked t.core @@ fun () ->
   match Hashtbl.find_opt t.nodes id with
   | None -> 0
   | Some node ->

@@ -2,7 +2,6 @@ module Backend = Hpcfs_fs.Backend
 module Fdata = Hpcfs_fs.Fdata
 module Prng = Hpcfs_util.Prng
 module Obs = Hpcfs_obs.Obs
-module Domctx = Hpcfs_util.Domctx
 
 exception Crashed of { rank : int; time : int; io_index : int }
 
@@ -48,7 +47,6 @@ type t = {
   target_events : target_event list;
   mutable storage_hook : (time:int -> storage_action -> unit) option;
   io_counts : (int, int ref) Hashtbl.t;
-  mu : Mutex.t; (* guards the shared tallies during a parallel run *)
   injected_drain_faults : int ref;
   injected_log_faults : int ref;
 }
@@ -125,20 +123,10 @@ let create plan =
     target_events = List.rev targets;
     storage_hook = None;
     io_counts = Hashtbl.create 8;
-    mu = Mutex.create ();
     injected_drain_faults = ref 0;
     injected_log_faults = ref 0;
   }
 
-let locked t f = Domctx.locked t.mu f
-
-(* Pre-populate the per-rank I/O counters so no two ranks of a parallel
-   run race on first-touch insertion; each counter then has a single
-   writer (its rank).  Idempotent. *)
-let prepare t ~nprocs =
-  for r = 0 to nprocs - 1 do
-    if not (Hashtbl.mem t.io_counts r) then Hashtbl.add t.io_counts r (ref 0)
-  done
 let drain_prng t = t.drain_prng
 let retry_prng t = t.retry_prng
 let log_prng t = t.log_prng
@@ -253,7 +241,7 @@ let restart_delay_of t ~rank =
 
 (* Does one attempt on [node] fail?  The first matching planned event
    consumes one of its failures. *)
-let device_fault t events ~injected ~metric ~node ~time =
+let device_fault events ~injected ~metric ~node ~time =
   match
     List.find_opt
       (fun f ->
@@ -263,18 +251,17 @@ let device_fault t events ~injected ~metric ~node ~time =
   with
   | None -> false
   | Some f ->
-    locked t (fun () ->
-        f.f_left <- f.f_left - 1;
-        incr injected);
+    f.f_left <- f.f_left - 1;
+    incr injected;
     Obs.incr metric;
     true
 
 let drain_fault t =
-  device_fault t t.drains ~injected:t.injected_drain_faults
+  device_fault t.drains ~injected:t.injected_drain_faults
     ~metric:"fault.drain_faults"
 
 let log_fault t =
-  device_fault t t.log_events ~injected:t.injected_log_faults
+  device_fault t.log_events ~injected:t.injected_log_faults
     ~metric:"fault.log_faults"
 
 let injected_drain_faults t = !(t.injected_drain_faults)
@@ -282,46 +269,35 @@ let injected_log_faults t = !(t.injected_log_faults)
 
 (* Storage transitions fire before the operation (a write issued at or
    after the failure time must find the target already down), the
-   operation runs, then the post-op crash triggers are evaluated.
-
-   In a domain-parallel run the per-operation calls are skipped: firing a
-   transition from whichever rank's I/O happens to observe the clock
-   first would mutate shared target state mid-superstep and make the
-   outcome depend on the sharding.  Transitions then fire only from the
-   scheduler's [before_step] hook — single-threaded, at the superstep
-   boundary, still stamped with the *scheduled* time — so the observation
-   lag grows from one tick to at most one superstep. *)
-let advance_targets_io t ~time =
-  if not (Domctx.parallel ()) then advance_targets t ~time
-
+   operation runs, then the post-op crash triggers are evaluated. *)
 let wrap_backend t (b : Backend.t) =
   {
     b with
     Backend.open_file =
       (fun ~time ~rank ~create ~trunc path ->
-        advance_targets_io t ~time;
+        advance_targets t ~time;
         let size = b.Backend.open_file ~time ~rank ~create ~trunc path in
         after_io t ~rank ~time;
         size);
     close_file =
       (fun ~time ~rank path ->
-        advance_targets_io t ~time;
+        advance_targets t ~time;
         b.Backend.close_file ~time ~rank path;
         after_io t ~rank ~time);
     read =
       (fun ~time ~rank path ~off ~len ->
-        advance_targets_io t ~time;
+        advance_targets t ~time;
         let r = b.Backend.read ~time ~rank path ~off ~len in
         after_io t ~rank ~time;
         r);
     write =
       (fun ~time ~rank path ~off data ->
-        advance_targets_io t ~time;
+        advance_targets t ~time;
         b.Backend.write ~time ~rank path ~off data;
         after_io t ~rank ~time);
     fsync =
       (fun ~time ~rank path ->
-        advance_targets_io t ~time;
+        advance_targets t ~time;
         b.Backend.fsync ~time ~rank path;
         after_io t ~rank ~time);
   }

@@ -16,11 +16,6 @@ type t
 
 val create : Plan.t -> t
 
-val prepare : t -> nprocs:int -> unit
-(** Pre-populate the per-rank I/O counters for ranks [0..nprocs-1].
-    Required before a domain-parallel run so no two ranks race on
-    first-touch insertion; harmless otherwise. *)
-
 val wrap_backend : t -> Hpcfs_fs.Backend.t -> Hpcfs_fs.Backend.t
 (** Interpose on the data-plane calls (open/close/read/write/fsync):
     each call executes first, then is counted against the caller's

@@ -40,19 +40,15 @@ type row = {
   r_wal_torn_bytes : int;  (** The torn in-flight log append. *)
 }
 
-val survives : row -> bool
-(** The fault cost nothing: no pending data was lost or torn, no
-    burst-buffer bytes vanished, the client journal replayed everything it
-    parked, and fsck plus the post-run comparison found no corruption. *)
-
-val recovered : row -> bool
-(** The final file contents match the fault-free reference (the restart
-    re-wrote whatever the crash destroyed). *)
-
 val verdict : row -> string
 (** ["no-crash"], ["survives"], ["recovered"], or ["corrupted"].
     ["no-crash"] requires that no rank crashed {e and} no storage target
-    failed. *)
+    failed.  ["survives"]: the fault cost nothing — no pending data was
+    lost or torn, no burst-buffer bytes vanished, the client journal
+    replayed everything it parked, and fsck plus the post-run comparison
+    found no corruption.  ["recovered"]: the final file contents match
+    the fault-free reference (the restart re-wrote whatever the crash
+    destroyed). *)
 
 val row_of_outcome :
   app:string -> semantics:string -> post_files:int -> post_corrupted:int ->

@@ -42,16 +42,11 @@
 module Interval = Hpcfs_util.Interval
 module Extmap = Hpcfs_util.Extmap
 module Obs = Hpcfs_obs.Obs
-module Domctx = Hpcfs_util.Domctx
 
 let unpublished = max_int
 
 type write_rec = {
-  mutable w_seq : int;
-      (* insertion index; stable identity.  Mutable only for the
-         superstep-boundary canonicalization of domain-parallel runs,
-         which re-sorts the log into a schedule-independent order and
-         renumbers it. *)
+  w_seq : int;  (* insertion index; stable identity *)
   w_rank : int;
   w_time : int;
   mutable w_iv : Interval.t;
@@ -150,13 +145,6 @@ type t = {
   cache : cache;
   mutable watermark : int;  (* max event/write time seen (event clock) *)
   mutable monotonic : bool;  (* event clock never went backwards *)
-  (* Domain-parallel state: the per-file lock every public operation
-     takes while Domctx.parallel, and same-superstep multi-rank write
-     detection driving the boundary canonicalization. *)
-  fd_mu : Mutex.t;
-  mutable epoch : int;  (* superstep of the last parallel write *)
-  mutable epoch_rank : int;  (* its writer; -2 once two ranks collide *)
-  mutable dirty : bool;  (* canonicalization scheduled at the boundary *)
 }
 
 let multi_writer = min_int
@@ -198,10 +186,6 @@ let create sem =
       };
     watermark = min_int;
     monotonic = true;
-    fd_mu = Mutex.create ();
-    epoch = -1;
-    epoch_rank = -1;
-    dirty = false;
   }
 
 let size t = t.size
@@ -400,49 +384,6 @@ let reindex t =
   invalidate_cache t;
   if Obs.enabled () then Obs.incr "fs.extent.reindexes"
 
-(* Superstep-boundary canonicalization for domain-parallel runs: when two
-   or more ranks wrote this file inside one superstep, their log arrival
-   order depends on domain scheduling.  Re-sort the whole log by
-   (w_time, w_rank, lo, hi) — a total order: ticks are unique per rank,
-   and same-tick records (one striped op split into pieces) have disjoint
-   intervals — renumber w_seq, and rebuild every index.  Runs
-   single-threaded at the boundary; afterwards all derived state is
-   independent of how the superstep's writes interleaved. *)
-let canonicalize t =
-  let sub = Array.sub t.log 0 t.log_n in
-  Array.sort
-    (fun a b ->
-      compare
-        (a.w_time, a.w_rank, a.w_iv.Interval.lo, a.w_iv.Interval.hi)
-        (b.w_time, b.w_rank, b.w_iv.Interval.lo, b.w_iv.Interval.hi))
-    sub;
-  Array.blit sub 0 t.log 0 t.log_n;
-  for i = 0 to t.log_n - 1 do
-    t.log.(i).w_seq <- i
-  done;
-  reindex t;
-  t.dirty <- false;
-  if Obs.enabled () then Obs.incr "fs.extent.canonicalizations"
-
-(* Same-superstep multi-rank write detection.  Called under the file
-   lock; schedules a boundary canonicalization exactly once per dirty
-   superstep (see [canonicalize] above). *)
-let note_parallel_write t ~rank =
-  if Domctx.parallel () then begin
-    let ss = Domctx.superstep () in
-    if t.epoch <> ss then begin
-      t.epoch <- ss;
-      t.epoch_rank <- rank
-    end
-    else if t.epoch_rank <> rank && t.epoch_rank <> -2 then begin
-      t.epoch_rank <- -2;
-      if not t.dirty then begin
-        t.dirty <- true;
-        Domctx.at_boundary (fun () -> canonicalize t)
-      end
-    end
-  end
-
 (* Append a live record to the log with a fresh seq.  Only [write] indexes
    it; the torn-write pieces crash_target appends are left to its
    [reindex]. *)
@@ -473,7 +414,6 @@ let write t ~rank ~time ~off data =
   let len = Bytes.length data in
   if len > 0 then begin
     bump_watermark t time;
-    note_parallel_write t ~rank;
     let w =
       append_raw t ~rank ~time (Interval.of_len off len) (Bytes.copy data)
     in
@@ -1080,41 +1020,3 @@ let oracle t ~off ~len =
     if Obs.enabled () then Obs.incr "fs.extent.fast_reads";
     fst (strong_view t (Interval.of_len off len))
   end
-
-(* Concurrency: during a domain-parallel run every public operation —
-   reads included, since they rebuild the cache and recompute pub fields —
-   serializes on the per-file lock.  Legacy runs take one branch.  The
-   wrappers shadow the plain implementations; no implementation calls
-   another through its public name, so the (non-reentrant) lock is taken
-   at most once per call.  [size], [write_count] and [is_laminated] stay
-   lock-free: single-word reads. *)
-
-let locked t f = Domctx.locked t.fd_mu f
-
-let write t ~rank ~time ~off data =
-  locked t (fun () -> write t ~rank ~time ~off data)
-
-let truncate t ~time len = locked t (fun () -> truncate t ~time len)
-let commit t ~rank ~time = locked t (fun () -> commit t ~rank ~time)
-
-let session_open t ~rank ~time =
-  locked t (fun () -> session_open t ~rank ~time)
-
-let session_close t ~rank ~time =
-  locked t (fun () -> session_close t ~rank ~time)
-
-let laminate t ~time = locked t (fun () -> laminate t ~time)
-
-let settled t ~rank ~issued ~time =
-  locked t (fun () -> settled t ~rank ~issued ~time)
-
-let crash t ~time ~stripe_size ~keep_stripes =
-  locked t (fun () -> crash t ~time ~stripe_size ~keep_stripes)
-
-let crash_target t ~time ~stripe_size ~server_count ~target =
-  locked t (fun () -> crash_target t ~time ~stripe_size ~server_count ~target)
-
-let read ?local_order t ~rank ~time ~off ~len =
-  locked t (fun () -> read ?local_order t ~rank ~time ~off ~len)
-
-let oracle t ~off ~len = locked t (fun () -> oracle t ~off ~len)

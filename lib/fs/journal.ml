@@ -45,13 +45,8 @@ let create ?(retry = Backoff.default) ~prng pfs =
 
 let pfs t = Staging.pfs t.core
 
-(* The client-side log and retry accounting are shared by every rank of a
-   domain-parallel run; replay and inspection run single-threaded at
-   superstep boundaries and stay lock-free. *)
-let locked t f = Staging.locked t.core f
-
 let record t ~rank ~path ~time ~off data ~parked =
-  if Bytes.length data > 0 then locked t @@ fun () ->
+  if Bytes.length data > 0 then begin
     let r = Staging.append t.core ~time ~rank path ~off data in
     t.recorded <- t.recorded + 1;
     if parked then begin
@@ -59,6 +54,7 @@ let record t ~rank ~path ~time ~off data ~parked =
       Obs.incr "fs.retry.parked_writes"
     end
     else Staging.mark_applied t.core r
+  end
 
 (* Target [target] lost its volatile chunks: an applied record on it that
    the PFS had persisted needs nothing more; any other returns to the
@@ -159,19 +155,14 @@ let retrying t f =
     with
     | (Target.Target_down _ | Target.Mds_down _) as e ->
       if attempt < t.retry.Backoff.max_retries then begin
-        (* The backoff draw mutates the shared PRNG: lock it in parallel
-           runs.  Draw *order* across ranks is then scheduling-dependent,
-           so retry-tick accounting under a live target failure is outside
-           the parallel determinism contract (see DESIGN.md). *)
-        locked t (fun () ->
-            t.retries <- t.retries + 1;
-            t.backoff_ticks <-
-              t.backoff_ticks + Backoff.delay t.retry t.prng ~attempt);
+        t.retries <- t.retries + 1;
+        t.backoff_ticks <-
+          t.backoff_ticks + Backoff.delay t.retry t.prng ~attempt;
         Obs.incr "fs.retry.attempts";
         go (attempt + 1)
       end
       else begin
-        locked t (fun () -> t.giveups <- t.giveups + 1);
+        t.giveups <- t.giveups + 1;
         Obs.incr "fs.retry.giveups";
         Error e
       end
@@ -204,5 +195,5 @@ let wrap t (b : Backend.t) =
     truncate =
       (fun ~time path len ->
         ok_or_raise (retrying t (fun () -> b.Backend.truncate ~time path len));
-        locked t (fun () -> Staging.truncate t.core path len));
+        Staging.truncate t.core path len);
   }

@@ -1,6 +1,5 @@
 module Interval = Hpcfs_util.Interval
 module Obs = Hpcfs_obs.Obs
-module Domctx = Hpcfs_util.Domctx
 
 type mode = Read | Write
 
@@ -15,32 +14,18 @@ type counters = {
   hits : int;
 }
 
-(* A deferred lock operation of a domain-parallel run.  The block-state
-   machine below is order-dependent (a Write after a Read revokes, the
-   reverse upgrades), so concurrent ranks cannot apply operations
-   directly; each rank appends to its own queue and the superstep
-   boundary replays them client-major — an order that does not depend on
-   how ranks were sharded across domains. *)
-type dop =
-  | D_access of string * mode * Interval.t
-  | D_release of string
-
 type t = {
   granularity : int;
   blocks : (string * int, owner) Hashtbl.t; (* (file, block index) -> owner *)
   mutable acquisitions : int;
   mutable revocations : int;
   mutable hits : int;
-  mu : Mutex.t;
-  pending : (int, dop list ref) Hashtbl.t; (* client -> ops, newest first *)
-  mutable reg_epoch : int; (* superstep the boundary flush is registered for *)
 }
 
 let create ~granularity =
   if granularity <= 0 then invalid_arg "Lockmgr.create: granularity";
   { granularity; blocks = Hashtbl.create 256; acquisitions = 0;
-    revocations = 0; hits = 0; mu = Mutex.create ();
-    pending = Hashtbl.create 64; reg_epoch = -1 }
+    revocations = 0; hits = 0 }
 
 let blocks_of t iv =
   let first = iv.Interval.lo / t.granularity in
@@ -61,7 +46,7 @@ let hit t =
   t.hits <- t.hits + 1;
   Obs.incr "fs.lock.hits"
 
-let apply_access t ~file ~client mode iv =
+let access t ~file ~client mode iv =
   if not (Interval.is_empty iv) then
     List.iter
       (fun b ->
@@ -104,7 +89,7 @@ let apply_access t ~file ~client mode iv =
           end)
       (blocks_of t iv)
 
-let apply_release t ~file ~client =
+let release_client t ~file ~client =
   let to_remove = ref [] in
   Hashtbl.iter
     (fun ((f, _) as key) owner ->
@@ -118,44 +103,6 @@ let apply_release t ~file ~client =
         | Writer _ | Readers _ -> ())
     t.blocks;
   List.iter (fun (key, _) -> Hashtbl.remove t.blocks key) !to_remove
-
-(* Replay the deferred queues, clients ascending, each client's ops in
-   its program order.  Runs single-threaded at the superstep boundary. *)
-let flush t =
-  let clients =
-    Hashtbl.fold (fun c _ acc -> c :: acc) t.pending []
-    |> List.sort Int.compare
-  in
-  List.iter
-    (fun client ->
-      let ops = List.rev !(Hashtbl.find t.pending client) in
-      List.iter
-        (function
-          | D_access (file, mode, iv) -> apply_access t ~file ~client mode iv
-          | D_release file -> apply_release t ~file ~client)
-        ops)
-    clients;
-  Hashtbl.reset t.pending
-
-let defer t ~client op =
-  Mutex.lock t.mu;
-  (match Hashtbl.find_opt t.pending client with
-  | Some r -> r := op :: !r
-  | None -> Hashtbl.add t.pending client (ref [ op ]));
-  let ss = Domctx.superstep () in
-  if t.reg_epoch <> ss then begin
-    t.reg_epoch <- ss;
-    Domctx.at_boundary (fun () -> flush t)
-  end;
-  Mutex.unlock t.mu
-
-let access t ~file ~client mode iv =
-  if Domctx.parallel () then defer t ~client (D_access (file, mode, iv))
-  else apply_access t ~file ~client mode iv
-
-let release_client t ~file ~client =
-  if Domctx.parallel () then defer t ~client (D_release file)
-  else apply_release t ~file ~client
 
 let evict_client t ~client =
   let evicted = ref 0 in

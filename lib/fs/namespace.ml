@@ -15,7 +15,7 @@ type node =
   | Dir of (string, node) Hashtbl.t * meta
 
 (* [sem]: the consistency engine every file is created with. *)
-type t = { sem : Consistency.t; root : (string, node) Hashtbl.t; mu : Mutex.t }
+type t = { sem : Consistency.t; root : (string, node) Hashtbl.t }
 
 exception Not_found_path of string
 exception Exists of string
@@ -24,7 +24,7 @@ exception Is_a_directory of string
 exception Not_empty of string
 exception Invalid_rename of string
 
-let create sem = { sem; root = Hashtbl.create 16; mu = Mutex.create () }
+let create sem = { sem; root = Hashtbl.create 16 }
 
 let fresh_meta time = { mtime = time; ctime = time; atime = time }
 
@@ -168,10 +168,9 @@ let with_meta t path f =
   | Some (File (_, m)) | Some (Dir (_, m)) -> f m
   | None -> raise (Not_found_path path)
 
-(* Timestamps advance by max, not assignment: a legacy run's touches are
-   already time-monotone (so this is the same store), and concurrent
-   same-superstep touches of a parallel run land on the same final value
-   in either arrival order. *)
+(* Timestamps advance by max, not assignment: a run's touches are already
+   time-monotone, so this is the same store, and no touch moves a time
+   backwards. *)
 let touch_mtime t ~time path =
   with_meta t path (fun m -> m.mtime <- max m.mtime time)
 
@@ -191,26 +190,3 @@ let all_files t =
   in
   go "" t.root;
   List.sort String.compare !acc
-
-(* Concurrency: during a domain-parallel run every public operation
-   serializes on the tree lock (the hash tables are not safe to even
-   read during a concurrent resize).  Legacy runs take the branch, not
-   the lock.  The wrappers below shadow the plain implementations; none
-   of the implementations call each other through the public names, so
-   the lock is never taken twice. *)
-
-let locked t f = Hpcfs_util.Domctx.locked t.mu f
-
-let lookup_file t path = locked t (fun () -> lookup_file t path)
-let exists t path = locked t (fun () -> exists t path)
-let is_dir t path = locked t (fun () -> is_dir t path)
-let create_file t ~time path = locked t (fun () -> create_file t ~time path)
-let mkdir t ~time path = locked t (fun () -> mkdir t ~time path)
-let rmdir t path = locked t (fun () -> rmdir t path)
-let unlink t path = locked t (fun () -> unlink t path)
-let rename t ~time src dst = locked t (fun () -> rename t ~time src dst)
-let readdir t path = locked t (fun () -> readdir t path)
-let stat t path = locked t (fun () -> stat t path)
-let touch_mtime t ~time path = locked t (fun () -> touch_mtime t ~time path)
-let touch_atime t ~time path = locked t (fun () -> touch_atime t ~time path)
-let all_files t = locked t (fun () -> all_files t)

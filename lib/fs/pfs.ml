@@ -1,6 +1,5 @@
 module Interval = Hpcfs_util.Interval
 module Obs = Hpcfs_obs.Obs
-module Domctx = Hpcfs_util.Domctx
 
 type t = {
   semantics : Consistency.t;
@@ -14,15 +13,12 @@ type t = {
   m_read : string;
   m_write : string;
   m_commit : string;
-  (* Striped per-domain counters (Domctx): pure commutative sums, so
-     concurrent ranks of a parallel run accumulate without locks and the
-     totals are schedule-independent. *)
-  reads : Domctx.counter;
-  writes : Domctx.counter;
-  bytes_read : Domctx.counter;
-  bytes_written : Domctx.counter;
-  stale_reads : Domctx.counter;
-  stale_bytes : Domctx.counter;
+  mutable reads : int;
+  mutable writes : int;
+  mutable bytes_read : int;
+  mutable bytes_written : int;
+  mutable stale_reads : int;
+  mutable stale_bytes : int;
 }
 
 let create ?stripe ?(local_order = true) ?(mds_shards = 1) semantics =
@@ -42,12 +38,12 @@ let create ?stripe ?(local_order = true) ?(mds_shards = 1) semantics =
     m_read = "fs.reads." ^ key;
     m_write = "fs.writes." ^ key;
     m_commit = "fs.commits." ^ key;
-    reads = Domctx.counter ();
-    writes = Domctx.counter ();
-    bytes_read = Domctx.counter ();
-    bytes_written = Domctx.counter ();
-    stale_reads = Domctx.counter ();
-    stale_bytes = Domctx.counter ();
+    reads = 0;
+    writes = 0;
+    bytes_read = 0;
+    bytes_written = 0;
+    stale_reads = 0;
+    stale_bytes = 0;
   }
 
 let semantics t = t.semantics
@@ -133,13 +129,13 @@ let do_read t ~time ~rank path ~off ~len =
   let result =
     Fdata.read ~local_order:t.local_order fd ~rank ~time ~off ~len
   in
-  Domctx.add t.reads 1;
-  Domctx.add t.bytes_read (Bytes.length result.Fdata.data);
+  t.reads <- t.reads + 1;
+  t.bytes_read <- t.bytes_read + Bytes.length result.Fdata.data;
   Obs.incr t.m_read;
   Obs.incr ~by:(Bytes.length result.Fdata.data) "fs.bytes_read";
   if result.Fdata.stale_bytes > 0 then begin
-    Domctx.add t.stale_reads 1;
-    Domctx.add t.stale_bytes result.Fdata.stale_bytes;
+    t.stale_reads <- t.stale_reads + 1;
+    t.stale_bytes <- t.stale_bytes + result.Fdata.stale_bytes;
     Obs.incr "fs.stale_reads";
     Obs.incr ~by:result.Fdata.stale_bytes "fs.stale_bytes"
   end;
@@ -186,8 +182,8 @@ let write t ~time ~rank path ~off data =
     account_stripe t (Interval.of_len off len)
   end;
   Fdata.write fd ~rank ~time ~off data;
-  Domctx.add t.writes 1;
-  Domctx.add t.bytes_written len;
+  t.writes <- t.writes + 1;
+  t.bytes_written <- t.bytes_written + len;
   Obs.incr t.m_write;
   Obs.incr ~by:len "fs.bytes_written";
   Namespace.touch_mtime t.namespace ~time path
@@ -224,12 +220,12 @@ type stats = {
 
 let stats (t : t) =
   {
-    reads = Domctx.total t.reads;
-    writes = Domctx.total t.writes;
-    bytes_read = Domctx.total t.bytes_read;
-    bytes_written = Domctx.total t.bytes_written;
-    stale_reads = Domctx.total t.stale_reads;
-    stale_bytes = Domctx.total t.stale_bytes;
+    reads = t.reads;
+    writes = t.writes;
+    bytes_read = t.bytes_read;
+    bytes_written = t.bytes_written;
+    stale_reads = t.stale_reads;
+    stale_bytes = t.stale_bytes;
     locks = Lockmgr.counters t.lockmgr;
   }
 

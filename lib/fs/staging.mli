@@ -19,7 +19,7 @@
     - stall accounting and the capped-backoff admission loop of an
       injected fault hook;
     - the staleness ground truth of a read;
-    - the coarse lock and the {!Backend.t} record.
+    - the {!Backend.t} record.
 
     Which retained records a storage failure forces back into the PFS is
     the PFS's own durability rule, {!Pfs.settled}.  What differs between
@@ -188,20 +188,12 @@ val read :
     one memcmp of the answer, and a per-byte count only when they
     differ. *)
 
-(** {1 Concurrency and the backend facade} *)
-
-val locked : t -> (unit -> 'a) -> 'a
-(** The store is shared by every rank, so a domain-parallel run takes one
-    coarse lock around each tier operation.  It nests above the per-file
-    Fdata locks — a tier operation may take one via the PFS, never the
-    reverse — so the ordering is acyclic.  Legacy runs take a branch, not
-    the lock. *)
+(** {1 The backend facade} *)
 
 module type TIER = Staging_intf.TIER with type core := t
 module type SURFACE = Staging_intf.SURFACE
 
-(** A tier's surface under {!locked}, with {!file_size} and the
-    {!Backend.t} record. *)
+(** A tier's surface, with {!file_size} and the {!Backend.t} record. *)
 module Surface (T : TIER) : SURFACE with type tier := T.tier
 
 (** {1 Statistics} *)

@@ -1,7 +1,7 @@
 (* The data surface a staging tier exposes, shared by {!Staging}'s
    signature and implementation and by the tiers' own interfaces. *)
 
-(** A tier's data operations, unlocked, over its staging core. *)
+(** A tier's data operations over its staging core. *)
 module type TIER = sig
   type core
   type tier
@@ -22,8 +22,8 @@ module type TIER = sig
   val truncate : tier -> time:int -> string -> int -> unit
 end
 
-(** The PFS-shaped surface of a tier, each operation under the tier's
-    lock: the same contracts as the corresponding {!Pfs} operations. *)
+(** The PFS-shaped surface of a tier: the same contracts as the
+    corresponding {!Pfs} operations. *)
 module type SURFACE = sig
   type tier
 

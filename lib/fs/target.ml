@@ -1,5 +1,4 @@
 module Obs = Hpcfs_obs.Obs
-module Domctx = Hpcfs_util.Domctx
 
 type state = Up | Degraded | Down
 
@@ -30,9 +29,7 @@ type t = {
   mutable recoveries : int;
   mutable mds_failures : int;
   mutable mds_recoveries : int;
-  (* Bumped from rank context (an op hitting a down target), so striped
-     per-domain; the other counters only move at superstep boundaries. *)
-  rejected_ops : Domctx.counter;
+  mutable rejected_ops : int;
 }
 
 let create ?(mds_shards = 1) ~count () =
@@ -49,7 +46,7 @@ let create ?(mds_shards = 1) ~count () =
     recoveries = 0;
     mds_failures = 0;
     mds_recoveries = 0;
-    rejected_ops = Domctx.counter ();
+    rejected_ops = 0;
   }
 
 let count t = t.count
@@ -161,7 +158,7 @@ let recover_mds ?shard t ~time =
   end
 
 let note_rejected t =
-  Domctx.add t.rejected_ops 1;
+  t.rejected_ops <- t.rejected_ops + 1;
   Obs.incr "fs.target.rejected_ops"
 
 let counters t =
@@ -171,5 +168,5 @@ let counters t =
     recoveries = t.recoveries;
     mds_failures = t.mds_failures;
     mds_recoveries = t.mds_recoveries;
-    rejected_ops = Domctx.total t.rejected_ops;
+    rejected_ops = t.rejected_ops;
   }

@@ -28,18 +28,11 @@ type entry = { e_off : int; e_len : int; e_owner : int }
 type dataset_info = { data_off : int; nbytes : int; index : int }
 
 (* Dataset layouts and attribute slots survive the writer's file instance so
-   a later reader (possibly another rank or run phase) can locate them.
-   The registries are global across ranks, so a domain-parallel run
-   serializes access on [reg_mu] (reads too: a concurrent resize is not
-   safe to read through). *)
+   a later reader (possibly another rank or run phase) can locate them. *)
 let dataset_registry : (string * string, dataset_info) Hashtbl.t =
   Hashtbl.create 64
 
 let attr_registry : (string * string, int) Hashtbl.t = Hashtbl.create 64
-
-let reg_mu = Mutex.create ()
-
-let reg_locked f = Hpcfs_util.Domctx.locked reg_mu f
 
 type file = {
   backend : backend;
@@ -248,7 +241,7 @@ let create_dataset file name ~nbytes =
   let aligned = (nbytes + data_align - 1) / data_align * data_align in
   let info = { data_off = file.eoa; nbytes; index } in
   file.eoa <- file.eoa + aligned;
-  reg_locked (fun () -> Hashtbl.replace dataset_registry (file.name, name) info);
+  Hashtbl.replace dataset_registry (file.name, name) info;
   dirty_header file name info;
   dirty_heap file;
   dirty_superblock file;
@@ -256,7 +249,7 @@ let create_dataset file name ~nbytes =
 
 let open_dataset file name =
   emit file ~func:"H5Dopen" ();
-  match reg_locked (fun () -> Hashtbl.find_opt dataset_registry (file.name, name)) with
+  match Hashtbl.find_opt dataset_registry (file.name, name) with
   | None -> invalid_arg ("Hdf5.open_dataset: unknown dataset " ^ name)
   | Some info ->
     (* Opening a dataset reads its object header — one of the small
@@ -312,14 +305,14 @@ let read ds ~off len =
     | B_posix _ -> assert false)
 
 let attr_off file name =
-  match reg_locked (fun () -> Hashtbl.find_opt attr_registry (file.name, name)) with
+  match Hashtbl.find_opt attr_registry (file.name, name) with
   | Some off -> off
   | None ->
     let off = attr_base + (file.next_attr * attr_slot) in
     if off + attr_slot > header_base then
       invalid_arg "Hdf5.write_attribute: attribute region full";
     file.next_attr <- file.next_attr + 1;
-    reg_locked (fun () -> Hashtbl.replace attr_registry (file.name, name) off);
+    Hashtbl.replace attr_registry (file.name, name) off;
     off
 
 let write_attribute file name data =

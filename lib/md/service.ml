@@ -22,7 +22,7 @@ module Obs = Hpcfs_obs.Obs
    Load is modelled in deterministic cost units (below), not wall time,
    so bench output is bit-identical across runs. *)
 
-let cost_lookup = 1 (* stat / access / open-by-path / utime *)
+let cost_lookup = 1 (* stat / access / open-by-path *)
 let cost_readdir = 2
 let cost_create = 3 (* create and mkdir: allocate inode + dirent *)
 let cost_remove = 2 (* unlink and rmdir *)
@@ -30,7 +30,6 @@ let cost_rename = 4 (* two dirents, two shards in the worst case *)
 
 type t = {
   pfs : Pfs.t;
-  mu : Mutex.t; (* serializes public operations during a parallel run *)
   ns : Namespace.t;
   semantics : Consistency.t;
   shards : int;
@@ -53,7 +52,6 @@ let create pfs =
   let shards = Pfs.mds_shards pfs in
   {
     pfs;
-    mu = Mutex.create ();
     ns = Pfs.namespace pfs;
     semantics = Pfs.semantics pfs;
     shards;
@@ -281,12 +279,6 @@ let rename t ~time ~client src dst =
   own_mutation t ~client src;
   own_mutation t ~client dst
 
-let utime t ~time ~client path =
-  charge_client t client;
-  ignore (serve t ~time ~op:"utime" ~cost:cost_lookup path);
-  Namespace.touch_mtime t.ns ~time path;
-  own_mutation t ~client path
-
 (* Open-path hook, called by the POSIX layer before the backend open.
    Session semantics revalidates on open — the client drops whatever it
    cached about the path so its view starts fresh.  The open itself is a
@@ -391,50 +383,3 @@ let makespan s = max s.server_makespan s.client_makespan
 let hit_ratio s =
   let total = s.cache_hits + s.cache_misses in
   if total = 0 then 0.0 else float_of_int s.cache_hits /. float_of_int total
-
-(* Concurrency: the per-client caches are private to their rank, but the
-   accounting (shard loads, hit/stale counters, the op and client-load
-   hash tables) is shared, so a domain-parallel run serializes every
-   public operation on one service lock.  All of it is commutative sums,
-   so totals do not depend on arrival order.  The lock nests above the
-   namespace tree lock (Service -> Namespace; never the reverse).  Legacy
-   runs take the branch, not the lock.  The wrappers shadow the plain
-   implementations; the implementations only call each other through the
-   unlocked names, so the lock is never taken twice. *)
-
-let locked t f = Hpcfs_util.Domctx.locked t.mu f
-
-let stat t ~time ~client path = locked t (fun () -> stat t ~time ~client path)
-
-let exists t ~time ~client path =
-  locked t (fun () -> exists t ~time ~client path)
-
-let is_dir t ~time ~client path =
-  locked t (fun () -> is_dir t ~time ~client path)
-
-let readdir t ~time ~client path =
-  locked t (fun () -> readdir t ~time ~client path)
-
-let mkdir t ~time ~client path =
-  locked t (fun () -> mkdir t ~time ~client path)
-
-let rmdir t ~time ~client path =
-  locked t (fun () -> rmdir t ~time ~client path)
-
-let unlink t ~time ~client path =
-  locked t (fun () -> unlink t ~time ~client path)
-
-let rename t ~time ~client src dst =
-  locked t (fun () -> rename t ~time ~client src dst)
-
-let utime t ~time ~client path =
-  locked t (fun () -> utime t ~time ~client path)
-
-let note_open t ~time ~client ~create path =
-  locked t (fun () -> note_open t ~time ~client ~create path)
-
-let note_commit t ~time ~client =
-  locked t (fun () -> note_commit t ~time ~client)
-
-let note_local_write t ~client path =
-  locked t (fun () -> note_local_write t ~client path)

@@ -65,8 +65,6 @@ val unlink : t -> time:int -> client:int -> string -> unit
 val rename : t -> time:int -> client:int -> string -> string -> unit
 (** Checks (and charges) both the source and destination shards. *)
 
-val utime : t -> time:int -> client:int -> string -> unit
-
 (** {1 Protocol hooks} *)
 
 val note_open : t -> time:int -> client:int -> create:bool -> string -> unit

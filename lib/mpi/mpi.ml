@@ -1,6 +1,5 @@
 module Sched = Hpcfs_sim.Sched
 module Obs = Hpcfs_obs.Obs
-module Domctx = Hpcfs_util.Domctx
 
 type payload =
   | P_unit
@@ -25,86 +24,63 @@ type event =
    [arrivals >= n * (k + 1)] of a rank's k-th arrival is monotone;
    [seen.(r)] (ranks touch only their own slot) counts rank r's
    arrivals. *)
-type rendezvous = { arrivals : int Atomic.t; mutable seen : int array }
+type rendezvous = { mutable arrivals : int; mutable seen : int array }
 
 type comm = {
   mutable size : int option;
   mailboxes : (int * int * int, payload Queue.t) Hashtbl.t;
-  mu : Mutex.t; (* guards mailboxes (table and queues) in parallel runs *)
   bar : rendezvous;
   coll : rendezvous;
   (* The collectives' deposit slots: two rows of one slot per rank, used
      alternately by collective sequence number parity. *)
   mutable slots : payload array array;
   mutable log : event list;
-  logs : event list array; (* per-domain logs of a parallel run *)
 }
 
-let rendezvous () = { arrivals = Atomic.make 0; seen = [||] }
+let rendezvous () = { arrivals = 0; seen = [||] }
 
 let world () =
   {
     size = None;
     mailboxes = Hashtbl.create 64;
-    mu = Mutex.create ();
     bar = rendezvous ();
     coll = rendezvous ();
     slots = [| [||]; [||] |];
     log = [];
-    logs = Array.make Domctx.max_slots [];
   }
 
-(* Pre-size the lazily initialised per-rank arrays so no rank races on
-   the first [size] call of a parallel run.  Idempotent; called by the
-   runner before a domain-parallel simulation starts. *)
-let prepare c ~nprocs =
-  c.size <- Some nprocs;
-  List.iter
-    (fun rv ->
-      if Array.length rv.seen <> nprocs then rv.seen <- Array.make nprocs 0)
-    [ c.bar; c.coll ];
-  if Array.length c.slots.(0) <> nprocs then
-    c.slots <- Array.init 2 (fun _ -> Array.make nprocs P_unit)
-
+(* The per-rank arrays are sized on the first [size] call, inside the
+   run, when the rank count is known. *)
 let size c =
   match c.size with
   | Some n -> n
   | None ->
     let n = Sched.nprocs () in
-    prepare c ~nprocs:n;
+    c.size <- Some n;
+    c.bar.seen <- Array.make n 0;
+    c.coll.seen <- Array.make n 0;
+    c.slots <- Array.init 2 (fun _ -> Array.make n P_unit);
     n
 
 let rank _c = Sched.self ()
 
-let log_event c e =
-  if Domctx.parallel () then begin
-    let k = Domctx.slot () in
-    c.logs.(k) <- e :: c.logs.(k)
-  end
-  else c.log <- e :: c.log
-
-let locked c f = Domctx.locked c.mu f
+let log_event c e = c.log <- e :: c.log
 
 let mailbox c ~src ~dst ~tag =
   let key = (src, dst, tag) in
-  locked c (fun () ->
-      match Hashtbl.find_opt c.mailboxes key with
-      | Some q -> q
-      | None ->
-        let q = Queue.create () in
-        Hashtbl.add c.mailboxes key q;
-        q)
+  match Hashtbl.find_opt c.mailboxes key with
+  | Some q -> q
+  | None ->
+    let q = Queue.create () in
+    Hashtbl.add c.mailboxes key q;
+    q
 
-(* Message order is deterministic under domain sharding: each channel
-   queue is pushed only by its source rank (in that rank's program
-   order) and popped only by its destination rank, so the lock serves
-   memory safety alone. *)
 let send c ~dst ~tag payload =
   let src = rank c in
   if dst < 0 || dst >= size c then invalid_arg "Mpi.send: bad destination";
   let time = Sched.tick () in
   let q = mailbox c ~src ~dst ~tag in
-  locked c (fun () -> Queue.push payload q);
+  Queue.push payload q;
   Obs.incr "mpi.sends";
   log_event c (E_send { src; dst; tag; time })
 
@@ -113,25 +89,22 @@ let recv c ~src ~tag =
   if src < 0 || src >= size c then invalid_arg "Mpi.recv: bad source";
   let q = mailbox c ~src ~dst ~tag in
   Sched.wait_until (fun () -> not (Queue.is_empty q));
-  let payload = locked c (fun () -> Queue.pop q) in
+  let payload = Queue.pop q in
   let time = Sched.tick () in
   Obs.incr "mpi.recvs";
   log_event c (E_recv { src; dst; tag; time });
   payload
 
 (* Arrive at [rv] and block until every rank has arrived as often as this
-   one; returns this rank's arrival number (from 0).  Under the legacy
-   scheduler the last arriver continues inline.  Under the parallel one
-   every rank, the last included, suspends and resumes at the next
-   superstep boundary, so exit ticks depend neither on arrival order nor
-   on how ranks are sharded across domains. *)
+   one; returns this rank's arrival number (from 0).  The last arriver
+   continues inline. *)
 let arrive rv ~n ~rank =
   let k = rv.seen.(rank) in
   rv.seen.(rank) <- k + 1;
   let target = n * (k + 1) in
-  let arrived = Atomic.fetch_and_add rv.arrivals 1 + 1 in
-  if arrived < target || Domctx.parallel () then
-    Sched.wait_until (fun () -> Atomic.get rv.arrivals >= target);
+  rv.arrivals <- rv.arrivals + 1;
+  if rv.arrivals < target then
+    Sched.wait_until (fun () -> rv.arrivals >= target);
   k
 
 let barrier c =
@@ -193,10 +166,6 @@ let event_time = function
   | E_barrier { enter; _ } | E_coll { enter; _ } -> enter
 
 (* Every event is stamped with a globally unique tick, so sorting by time
-   is a total order: the merged per-domain logs of a parallel run and the
-   single log of a legacy run yield the same sequence. *)
+   is a total order. *)
 let events c =
-  let all =
-    c.log :: Array.to_list c.logs |> List.concat_map (fun l -> l)
-  in
-  List.sort (fun a b -> Int.compare (event_time a) (event_time b)) all
+  List.sort (fun a b -> Int.compare (event_time a) (event_time b)) c.log

@@ -54,11 +54,6 @@ val world : unit -> comm
     [Sched.run], and shared by all ranks (it holds the mailboxes and the
     collectives' slots). *)
 
-val prepare : comm -> nprocs:int -> unit
-(** Pre-size the communicator's per-rank state for [nprocs] ranks.
-    Required before a domain-parallel run (see {!Hpcfs_sim.Psched}) so no
-    two ranks race on lazy initialisation; harmless otherwise. *)
-
 val rank : comm -> int
 val size : comm -> int
 

@@ -39,36 +39,9 @@ type sink = {
 let create () =
   { cells = Hashtbl.create 64; names = []; sp = []; ev = [] }
 
-(* During a domain-parallel run (Domctx.parallel) every mutation of the
-   installed sink takes this lock; telemetry volume is low enough that a
-   single mutex beats per-cell machinery.  Reads (exporters, the find
-   functions) run before/after the parallel section, single-threaded.
-   [span] must NOT
-   hold the lock around the user callback -- only the record itself. *)
-let par_mu = Mutex.create ()
-
-let locked f = Hpcfs_util.Domctx.locked par_mu f
-
-module Domctx = Hpcfs_util.Domctx
-
-(* Spans and instants recorded during a parallel section land in
-   per-domain buffers (appended lock-free, each touched only by its
-   owning domain) and merge into the sink when the scheduler finishes: a
-   stable sort by time and track makes the merged order independent of
-   how the OS interleaved the domains, so same-seed runs render
-   identically.  Counters stay under [par_mu]: they are commutative, so
-   arrival order never shows. *)
-let par_sp : span list array = Array.make Domctx.max_slots []
-let par_ev : instant list array = Array.make Domctx.max_slots []
-
-let track_key = function
-  | T_rank r -> r
-  | T_fs -> max_int - 5
-  | T_bb -> max_int - 4
-  | T_sched -> max_int - 3
-  | T_mpi -> max_int - 2
-  | T_core -> max_int - 1
-
+(* One simulation runs at a time, on one domain (lib/sim's [Sched.run]), so
+   every mutation of the installed sink is a plain unsynchronised update
+   and the sink's lists are in recording order by construction. *)
 let current : sink option ref = ref None
 let install s = current := Some s
 let uninstall () = current := None
@@ -104,48 +77,40 @@ let incr ?(by = 1) name =
   match !current with
   | None -> ()
   | Some s ->
-    locked (fun () ->
-        match cell s name (fun () -> C_counter { c = 0 }) with
-        | C_counter c -> c.c <- c.c + by
-        | C_gauge _ | C_hist _ -> ())
+    match cell s name (fun () -> C_counter { c = 0 }) with
+    | C_counter c -> c.c <- c.c + by
+    | C_gauge _ | C_hist _ -> ()
 
 let gauge name v =
   match !current with
   | None -> ()
   | Some s ->
-    locked (fun () ->
-        match cell s name (fun () -> C_gauge { g = 0; samples = [] }) with
-        | C_gauge g ->
-          g.g <- v;
-          g.samples <- (!logical (), v) :: g.samples
-        | C_counter _ | C_hist _ -> ())
+    match cell s name (fun () -> C_gauge { g = 0; samples = [] }) with
+    | C_gauge g ->
+      g.g <- v;
+      g.samples <- (!logical (), v) :: g.samples
+    | C_counter _ | C_hist _ -> ()
 
 let observe name x =
   match !current with
   | None -> ()
   | Some s ->
-    locked (fun () ->
-        match cell s name (fun () -> C_hist { xs = []; n = 0 }) with
-        | C_hist h ->
-          h.xs <- x :: h.xs;
-          h.n <- h.n + 1
-        | C_counter _ | C_gauge _ -> ())
+    match cell s name (fun () -> C_hist { xs = []; n = 0 }) with
+    | C_hist h ->
+      h.xs <- x :: h.xs;
+      h.n <- h.n + 1
+    | C_counter _ | C_gauge _ -> ()
 
 let event track ?(args = []) name =
   match !current with
   | None -> ()
   | Some s ->
-    let e =
+    s.ev <-
       { ev_name = name; ev_track = track; ev_t = !logical (); ev_args = args }
-    in
-    if Domctx.parallel () then begin
-      let k = Domctx.slot () in
-      par_ev.(k) <- e :: par_ev.(k)
-    end
-    else s.ev <- e :: s.ev
+      :: s.ev
 
 let record_span s track name ~t0 ~t1 ~w0 ~w1 args =
-  let sp =
+  s.sp <-
     {
       sp_name = name;
       sp_track = track;
@@ -155,41 +120,7 @@ let record_span s track name ~t0 ~t1 ~w0 ~w1 args =
       sp_w1 = w1;
       sp_args = args;
     }
-  in
-  if Domctx.parallel () then begin
-    let k = Domctx.slot () in
-    par_sp.(k) <- sp :: par_sp.(k)
-  end
-  else s.sp <- sp :: s.sp
-
-let par_flush () =
-  let collect a =
-    let l = Array.to_list a |> List.concat_map List.rev in
-    Array.fill a 0 (Array.length a) [];
-    l
-  in
-  let sp =
-    List.stable_sort
-      (fun a b ->
-        compare
-          (a.sp_t0, a.sp_t1, track_key a.sp_track, a.sp_name)
-          (b.sp_t0, b.sp_t1, track_key b.sp_track, b.sp_name))
-      (collect par_sp)
-  and ev =
-    List.stable_sort
-      (fun a b ->
-        compare
-          (a.ev_t, track_key a.ev_track, a.ev_name)
-          (b.ev_t, track_key b.ev_track, b.ev_name))
-      (collect par_ev)
-  in
-  match !current with
-  | None -> ()
-  | Some s ->
-    (* The sink lists are newest-first; reversed prepend keeps the merged
-       entries after everything recorded before the parallel section. *)
-    s.sp <- List.rev_append sp s.sp;
-    s.ev <- List.rev_append ev s.ev
+    :: s.sp
 
 let span track ?(args = []) name f =
   match !current with

@@ -130,9 +130,3 @@ val span_summary : sink -> (string * int * int * float) list
     in first-appearance order. *)
 
 val reset : sink -> unit
-
-val par_flush : unit -> unit
-(** Scheduler-internal: merge the spans and instants buffered per domain
-    during a parallel run into the installed sink, in a deterministic
-    (time, track)-sorted order.  Called once by the parallel scheduler as
-    a run finishes; a no-op outside that. *)

@@ -50,18 +50,6 @@ let backend ctx = ctx.backend
 let collector ctx = ctx.collector
 let mds ctx = ctx.mds
 
-(* Pre-populate the per-rank state table so no two ranks of a
-   domain-parallel run race on first-touch insertion (a concurrent
-   [Hashtbl.add] can resize the table under another reader).  Idempotent;
-   called by the runner before the simulation starts.  Each rank's state
-   is then only ever touched by that rank. *)
-let prepare ctx ~nprocs =
-  for r = 0 to nprocs - 1 do
-    if not (Hashtbl.mem ctx.ranks r) then
-      Hashtbl.add ctx.ranks r
-        { fds = Hashtbl.create 16; next_fd = 3; cwd = "/"; umask = 0o022 }
-  done
-
 let rank_state ctx =
   let r = Sched.self () in
   match Hashtbl.find_opt ctx.ranks r with
@@ -251,9 +239,6 @@ let sync_named ctx ~origin ~func fd =
 
 let fsync ctx ?(origin = Record.O_app) fd = sync_named ctx ~origin ~func:"fsync" fd
 
-let fdatasync ctx ?(origin = Record.O_app) fd =
-  sync_named ctx ~origin ~func:"fdatasync" fd
-
 (* stdio variants --------------------------------------------------------- *)
 
 let fopen ctx ?(origin = Record.O_app) path mode =
@@ -394,13 +379,6 @@ let dup ctx ?(origin = Record.O_app) fd =
   Hashtbl.replace s.fds nfd { f with path = f.path };
   nfd
 
-let dup2 ctx ?(origin = Record.O_app) fd nfd =
-  let f = lookup_fd ctx "dup2" fd in
-  let s = rank_state ctx in
-  ignore (emit ctx ~origin ~func:"dup2" ~file:f.path ~fd ());
-  Hashtbl.replace s.fds nfd { f with path = f.path };
-  nfd
-
 let fcntl ctx ?(origin = Record.O_app) fd cmd =
   let f = lookup_fd ctx "fcntl" fd in
   ignore (emit ctx ~origin ~func:"fcntl" ~file:f.path ~fd ~args:[ ("cmd", cmd) ] ());
@@ -443,29 +421,6 @@ let msync ctx ?(origin = Record.O_app) fd =
   with_handle "msync" f.path (fun () ->
       ctx.backend.Backend.fsync ~time ~rank:(Sched.self ()) f.path);
   Md.note_commit ctx.mds ~time ~client:(Sched.self ())
-
-let readlink ctx ?(origin = Record.O_app) path =
-  let abs = resolve ctx path in
-  ignore (emit ctx ~origin ~func:"readlink" ~file:abs ());
-  abs
-
-let chmod ctx ?(origin = Record.O_app) path mode =
-  let abs = resolve ctx path in
-  ignore
-    (emit ctx ~origin ~func:"chmod" ~file:abs
-       ~args:[ ("mode", string_of_int mode) ] ())
-
-let utime ctx ?(origin = Record.O_app) path =
-  let abs = resolve ctx path in
-  let time = emit ctx ~origin ~func:"utime" ~file:abs () in
-  Md.utime ctx.mds ~time ~client:(Sched.self ()) abs
-
-let remove ctx ?(origin = Record.O_app) path =
-  let abs = resolve ctx path in
-  let time = emit ctx ~origin ~func:"remove" ~file:abs () in
-  try Md.unlink ctx.mds ~time ~client:(Sched.self ()) abs
-  with Namespace.Not_found_path _ ->
-    err "remove" abs "no such file or directory"
 
 (* Introspection ----------------------------------------------------------- *)
 

@@ -35,11 +35,6 @@ val collector : ctx -> Hpcfs_trace.Collector.t
 val mds : ctx -> Hpcfs_md.Service.t
 (** The metadata service: per-shard load, cache counters, staleness. *)
 
-val prepare : ctx -> nprocs:int -> unit
-(** Pre-populate the per-rank descriptor tables for ranks [0..nprocs-1].
-    Required before a domain-parallel run (see {!Hpcfs_sim.Psched}) so no
-    two ranks race on first-touch insertion; harmless otherwise. *)
-
 exception Posix_error of { func : string; path : string; msg : string }
 
 type flag = O_RDONLY | O_WRONLY | O_RDWR | O_CREAT | O_TRUNC | O_APPEND
@@ -64,7 +59,6 @@ val lseek : ctx -> ?origin:origin -> int -> int -> whence -> int
 (** Returns the new file position. *)
 
 val fsync : ctx -> ?origin:origin -> int -> unit
-val fdatasync : ctx -> ?origin:origin -> int -> unit
 
 (** {1 stdio variants}
 
@@ -102,7 +96,6 @@ val chdir : ctx -> ?origin:origin -> string -> unit
 val truncate : ctx -> ?origin:origin -> string -> int -> unit
 val ftruncate : ctx -> ?origin:origin -> int -> int -> unit
 val dup : ctx -> ?origin:origin -> int -> int
-val dup2 : ctx -> ?origin:origin -> int -> int -> int
 val fcntl : ctx -> ?origin:origin -> int -> string -> int
 val umask : ctx -> ?origin:origin -> int -> int
 val fileno : ctx -> ?origin:origin -> int -> int
@@ -112,10 +105,6 @@ val opendir : ctx -> ?origin:origin -> string -> string list
 
 val mmap : ctx -> ?origin:origin -> int -> len:int -> unit
 val msync : ctx -> ?origin:origin -> int -> unit
-val readlink : ctx -> ?origin:origin -> string -> string
-val chmod : ctx -> ?origin:origin -> string -> int -> unit
-val utime : ctx -> ?origin:origin -> string -> unit
-val remove : ctx -> ?origin:origin -> string -> unit
 
 (** {1 Introspection} *)
 

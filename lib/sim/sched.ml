@@ -23,47 +23,20 @@ type state = {
 
 let current_sim : state option ref = ref None
 
-(* The parallel scheduler (Psched) redirects the ambient accessors while
-   one of its runs is active: rank bodies call [self]/[tick]/[now] through
-   this module regardless of which scheduler drives them. *)
-type alt = {
-  alt_self : unit -> int;
-  alt_nprocs : unit -> int;
-  alt_tick : unit -> int;
-  alt_now : unit -> int;
-}
-
-let alt : alt option ref = ref None
-let set_alt a = alt := a
-let running () = !current_sim <> None || !alt <> None
-
 let get_sim what =
   match !current_sim with
   | Some s -> s
   | None -> invalid_arg (what ^ ": no simulation running")
 
-let self () =
-  match !alt with
-  | Some a -> a.alt_self ()
-  | None -> (get_sim "Sched.self").current
-
-let nprocs () =
-  match !alt with
-  | Some a -> a.alt_nprocs ()
-  | None -> Array.length (get_sim "Sched.nprocs").procs
+let self () = (get_sim "Sched.self").current
+let nprocs () = Array.length (get_sim "Sched.nprocs").procs
 
 let tick () =
-  match !alt with
-  | Some a -> a.alt_tick ()
-  | None ->
-    let s = get_sim "Sched.tick" in
-    s.clock <- s.clock + 1;
-    s.clock
+  let s = get_sim "Sched.tick" in
+  s.clock <- s.clock + 1;
+  s.clock
 
-let now () =
-  match !alt with
-  | Some a -> a.alt_now ()
-  | None -> (get_sim "Sched.now").clock
+let now () = (get_sim "Sched.now").clock
 
 let yield () = perform Yield
 let wait_until pred = perform (Wait pred)
@@ -78,13 +51,13 @@ let debug_checks () =
   | None | Some "" | Some "0" -> false
   | Some _ -> true
 
-let nonmonotone_failure who r =
+let nonmonotone_failure r =
   failwith
     (Printf.sprintf
-       "%s: wait_until predicate of rank %d is not monotone (observed \
+       "Sched: wait_until predicate of rank %d is not monotone (observed \
         true, then false before the rank resumed); see the wait_until \
         contract in sched.mli"
-       who r)
+       r)
 
 (* Run one process until it yields, blocks or finishes; record the resulting
    proc state back into the array.
@@ -133,7 +106,7 @@ let step s r =
 
 let run ?(clock = 0) ?before_step ~nprocs body =
   if nprocs <= 0 then invalid_arg "Sched.run: nprocs must be positive";
-  if running () then
+  if !current_sim <> None then
     failwith
       "Sched.run: a simulation is already running (the scheduler is not \
        reentrant; finish or fail the active run first)";
@@ -175,7 +148,7 @@ let run ?(clock = 0) ?before_step ~nprocs body =
         (if debug && snap.(r) then
            match s.procs.(r) with
            | Waiting (pred, _) when not (pred ()) ->
-             nonmonotone_failure "Sched" r
+             nonmonotone_failure r
            | _ -> ());
         step s r;
         (match (before, s.procs.(r)) with

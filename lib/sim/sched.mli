@@ -10,9 +10,9 @@
     property Section 5.2 of the paper establishes for its adjusted wall-clock
     timestamps.
 
-    The scheduler is not reentrant: only one simulation may run at a time
-    ([run] raises [Failure] if another run — by this scheduler or by
-    {!Psched} — is active).  [self], [tick], [now], [yield] and
+    Every simulation runs on this scheduler.  It is not reentrant: only
+    one simulation may run at a time ([run] raises [Failure] if another run
+    is active).  [self], [tick], [now], [yield] and
     [wait_until] must only be called from inside a process body during
     [run].
 
@@ -63,25 +63,3 @@ val tick : unit -> int
 
 val now : unit -> int
 (** Current clock value without advancing it. *)
-
-(**/**)
-
-(* Internal plumbing for the parallel scheduler (Psched), which drives
-   the same rank bodies: the suspension effects rank code performs, and
-   the ambient-accessor redirection installed around a parallel run. *)
-
-type _ Effect.t +=
-  | Yield : unit Effect.t
-  | Wait : (unit -> bool) -> unit Effect.t
-
-type alt = {
-  alt_self : unit -> int;
-  alt_nprocs : unit -> int;
-  alt_tick : unit -> int;
-  alt_now : unit -> int;
-}
-
-val set_alt : alt option -> unit
-val running : unit -> bool
-val nonmonotone_failure : string -> int -> 'a
-val debug_checks : unit -> bool

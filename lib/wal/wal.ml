@@ -288,9 +288,6 @@ let truncate t ~time path len =
   Pfs.truncate (pfs t) ~time path len;
   Staging.truncate t.core path len
 
-(* Concurrency: under the parallel scheduler the *append order* of racing
-   ranks is interleaving-dependent, so WAL runs make their determinism
-   claims on the legacy scheduler (like faulted runs do). *)
 include Staging.Surface (struct
   type tier = t
 
@@ -303,7 +300,7 @@ include Staging.Surface (struct
   let truncate = truncate
 end)
 
-let drain_all t = Staging.locked t.core (fun () -> replay_all t)
+let drain_all t = replay_all t
 
 (* Failure handling --------------------------------------------------------- *)
 
@@ -343,7 +340,6 @@ type crash_summary = { lost_bytes : int; torn_bytes : int }
    for re-replay.  Surviving logged records are marked as recoveries.
    Call this before {!Pfs.crash}. *)
 let on_crash t ?victim ~time () =
-  Staging.locked t.core @@ fun () ->
   let lost = ref 0 and torn = ref 0 in
   let lose tbl total (r : Staging.record) =
     let l = Bytes.length r.data in
@@ -392,7 +388,6 @@ let on_crash t ?victim ~time () =
    applied records — and the rest of each file's applied suffix — for
    journal-style re-replay once the target recovers or fails over. *)
 let on_target_fail t ~time ~target =
-  Staging.locked t.core @@ fun () ->
   Staging.iter_files t.core (fun path q ->
       revert_suffix t path q ~logged:ignore ~starts:(fun r ->
           Staging.touches_target (pfs t) ~off:r.off ~len:(Bytes.length r.data)

@@ -52,7 +52,7 @@ let matrix (s : Conflict.summary) =
   Printf.sprintf "%d/%d/%d/%d" s.Conflict.waw_s s.Conflict.waw_d
     s.Conflict.raw_s s.Conflict.raw_d
 
-let run ?(seed = 42) ?domains (g : grid) =
+let run ?(seed = 42) (g : grid) =
   List.concat_map
     (fun nprocs ->
       List.concat_map
@@ -70,7 +70,7 @@ let run ?(seed = 42) ?domains (g : grid) =
                       let t0 = Sys.time () in
                       let result =
                         Runner.run ~semantics:engine ~local_order:true ~nprocs
-                          ~seed ?domains ?tier ?faults:plan body
+                          ~seed ?tier ?faults:plan body
                       in
                       let wall_s = Sys.time () -. t0 in
                       let report =
@@ -84,8 +84,8 @@ let run ?(seed = 42) ?domains (g : grid) =
                                (match (engine, tier, plan) with
                                | Consistency.Strong, None, None -> result
                                | _ ->
-                                 Validation.reference_run ~seed ?domains
-                                   ~nprocs body));
+                                 Validation.reference_run ~seed ~nprocs
+                                   body));
                       let o =
                         Validation.outcome_of
                           ~reference:(Option.get !reference) engine result

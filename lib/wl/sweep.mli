@@ -44,11 +44,8 @@ type row = {
 val cells : grid -> int
 (** Number of cells the grid expands to. *)
 
-val run : ?seed:int -> ?domains:int -> grid -> row list
-(** Run every cell.  [seed] seeds every run (default 42); [domains] runs
-    every cell (references included) on the superstep-parallel
-    scheduler, which leaves rows unchanged — traces are bit-identical
-    across domain counts — but scales the wall clock.
+val run : ?seed:int -> grid -> row list
+(** Run every cell.  [seed] seeds every run (default 42).
     The strong fault-free reference of each (workload, ranks) pair
     ({!Hpcfs_apps.Validation.reference_run}) is run once and shared by the
     cells that compare against it; when the pair's first cell is the

@@ -390,9 +390,8 @@ let test_paper_pin () =
 
 (* The payload bytes every app model and DSL workload writes: byte [i] of
    [payload ~len env tag] is [(tag + rank + i) land 0xff], at lengths
-   around the 256-byte period and tags around the byte wrap.  Rank bodies
-   may run on worker domains, so each rank only collects its buffers; the
-   assertions run after [Runner.run] returns. *)
+   around the 256-byte period and tags around the byte wrap.  Each rank
+   collects its buffers; the assertions run after [Runner.run] returns. *)
 let test_payload_bytes () =
   let nprocs = 3 in
   let lens = [ 0; 1; 255; 256; 257; 512; 4096; 4097 ]

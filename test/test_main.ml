@@ -3,7 +3,6 @@ let () =
     [
       ("util", Test_util.suite);
       ("sim", Test_sim.suite);
-      ("psched", Test_psched.suite);
       ("fs", Test_fs.suite);
       ("fdata-equiv", Test_fdata_equiv.suite);
       ("trace", Test_trace.suite);

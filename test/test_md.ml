@@ -271,23 +271,7 @@ let test_warm_cache_beats_baseline () =
   Alcotest.(check bool) "relaxed engine observes staleness" true
     (warm.Md.stale_stats > 0)
 
-(* Pinned to the legacy scheduler: the [stale_stats] classifier compares a
-   cache-served attr against live namespace truth at the instant of
-   serving, so under the parallel scheduler it races same-superstep
-   open/close mtime traffic on other shards — the served values, loads
-   and hit counts stay bit-identical, only the staleness observation
-   varies (carve-out documented in DESIGN.md).  "" is ignored by the
-   Runner HPCFS_DOMAINS parser and putenv cannot unset. *)
-let with_legacy_sched f =
-  let saved = Sys.getenv_opt "HPCFS_DOMAINS" in
-  Unix.putenv "HPCFS_DOMAINS" "";
-  Fun.protect
-    ~finally:(fun () ->
-      Unix.putenv "HPCFS_DOMAINS" (Option.value saved ~default:""))
-    f
-
 let test_storm_deterministic () =
-  with_legacy_sched @@ fun () ->
   let s1 =
     storm_stats ~semantics:Consistency.Session ~mds_shards:4 "DataLoader-Storm"
   and s2 =

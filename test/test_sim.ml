@@ -60,6 +60,51 @@ let test_not_reentrant_outside () =
     (Invalid_argument "Sched.self: no simulation running") (fun () ->
       ignore (Sched.self ()))
 
+let test_reentrancy_guard () =
+  Alcotest.check_raises "Sched inside Sched"
+    (Failure
+       "Sched.run: a simulation is already running (the scheduler is not \
+        reentrant; finish or fail the active run first)") (fun () ->
+      Sched.run ~nprocs:1 (fun _ -> Sched.run ~nprocs:1 (fun _ -> ())));
+  (* The guard releases once the run finishes. *)
+  Sched.run ~nprocs:1 (fun _ -> ())
+
+(* A predicate that observes true, then false: rank 0 un-makes it in the
+   round after the snapshot saw it hold, before the waiting rank 1
+   resumes.  Under HPCFS_SCHED_DEBUG the scheduler must call it out.  (The
+   final [flag := true] lets the program complete when the check is
+   off.) *)
+let nonmonotone_body flag r =
+  if r = 1 then Sched.wait_until (fun () -> !flag)
+  else begin
+    flag := true;
+    Sched.yield ();
+    flag := false;
+    Sched.yield ();
+    flag := true
+  end
+
+let with_sched_debug value f =
+  let saved = Sys.getenv_opt "HPCFS_SCHED_DEBUG" in
+  Unix.putenv "HPCFS_SCHED_DEBUG" value;
+  Fun.protect f ~finally:(fun () ->
+      Unix.putenv "HPCFS_SCHED_DEBUG" (Option.value saved ~default:""))
+
+let test_debug_monotonicity () =
+  with_sched_debug "1" (fun () ->
+      match Sched.run ~nprocs:2 (nonmonotone_body (ref false)) with
+      | () -> Alcotest.fail "non-monotone predicate not detected"
+      | exception Failure msg ->
+        Alcotest.(check bool)
+          (Printf.sprintf "names the contract (got: %s)" msg)
+          true
+          (String.starts_with ~prefix:"Sched: wait_until predicate of rank 1"
+             msg));
+  (* Without the variable the same program runs to completion: the waiter
+     eventually sees the predicate in a true state. *)
+  with_sched_debug "" (fun () ->
+      Sched.run ~nprocs:2 (nonmonotone_body (ref false)))
+
 let test_barrier_synchronizes () =
   let comm = Mpi.world () in
   let phase = Array.make 8 0 in
@@ -265,9 +310,8 @@ let arbitrary_program =
   QCheck.make gen ~print:(fun (n, steps) ->
       Printf.sprintf "%d ranks: %s" n (String.concat "; " (List.map step_name steps)))
 
-(* Every rank's observations equal the sequential reference under the
-   legacy scheduler, under the parallel one, and through [Runner.run] at
-   domains 1/2/4, whose MPI event logs must also be identical. *)
+(* Every rank's observations equal the sequential reference on a bare
+   scheduler run and through [Runner.run]. *)
 let qcheck_collective_programs =
   QCheck.Test.make ~name:"collective programs match the sequential reference"
     ~count:60 arbitrary_program (fun (n, steps) ->
@@ -275,38 +319,19 @@ let qcheck_collective_programs =
       let check what got =
         got = expected || QCheck.Test.fail_reportf "%s: results differ" what
       in
-      let legacy =
+      let bare =
         let comm = Mpi.world () in
+        Test_util.per_rank ~nprocs:n (fun _ -> run_program comm ~n steps)
+      in
+      let through_runner =
         let out = Array.make n [] in
-        Sched.run ~nprocs:n (fun r -> out.(r) <- run_program comm ~n steps);
+        ignore
+          (Runner.run ~nprocs:n (fun env ->
+               let comm = env.Runner.comm in
+               out.(Mpi.rank comm) <- run_program comm ~n steps));
         out
       in
-      let parallel =
-        let comm = Mpi.world () in
-        Mpi.prepare comm ~nprocs:n;
-        Test_util.per_rank ~domains:2 ~nprocs:n (fun _ ->
-            run_program comm ~n steps)
-      in
-      let through_runner d =
-        let out = Array.make n [] in
-        let result =
-          Runner.run ~nprocs:n ~domains:d (fun env ->
-              let comm = env.Runner.comm in
-              out.(Mpi.rank comm) <- run_program comm ~n steps)
-        in
-        (out, Lazy.force result.Runner.events)
-      in
-      let runs = List.map (fun d -> (d, through_runner d)) [ 1; 2; 4 ] in
-      let _, (_, base_events) = List.hd runs in
-      check "legacy scheduler" legacy
-      && check "parallel scheduler, 2 domains" parallel
-      && List.for_all
-           (fun (d, (out, events)) ->
-             check (Printf.sprintf "Runner.run ~domains:%d" d) out
-             && (events = base_events
-                || QCheck.Test.fail_reportf
-                     "event log at domains=%d differs from domains=1" d))
-           runs)
+      check "Sched.run" bare && check "Runner.run" through_runner)
 
 let suite =
   [
@@ -317,6 +342,9 @@ let suite =
     Alcotest.test_case "deadlock detection" `Quick test_deadlock_detected;
     Alcotest.test_case "exception propagation" `Quick test_exception_propagates;
     Alcotest.test_case "no ambient outside run" `Quick test_not_reentrant_outside;
+    Alcotest.test_case "reentrancy guard" `Quick test_reentrancy_guard;
+    Alcotest.test_case "debug monotonicity check" `Quick
+      test_debug_monotonicity;
     Alcotest.test_case "barrier synchronizes" `Quick test_barrier_synchronizes;
     Alcotest.test_case "barrier repeated" `Quick test_barrier_repeated;
     Alcotest.test_case "send/recv" `Quick test_send_recv;

@@ -189,7 +189,7 @@ let test_wal_check_pending () =
   in
   let leg label plan =
     let r =
-      Runner.run ~semantics:Consistency.Commit ~nprocs:8 ~domains:1 ~wal:slow
+      Runner.run ~semantics:Consistency.Commit ~nprocs:8 ~wal:slow
         ~faults:(Result.get_ok (Plan.of_string ~seed:7 plan))
         body
     in

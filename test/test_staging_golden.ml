@@ -5,8 +5,7 @@
    crash and a log-fault plan.  The tiers' stats and fsck text and every
    bb.* / wal.* obs counter are compared to a committed transcript, so any
    change to the staging machinery that moves a single byte of accounting
-   shows up here.  Pinned to one domain: cross-domain append order is
-   scheduling-dependent. *)
+   shows up here. *)
 
 module Consistency = Hpcfs_fs.Consistency
 module Runner = Hpcfs_apps.Runner
@@ -44,8 +43,7 @@ let counters sink =
 let leg ~label ?tier ?wal ?faults semantics =
   let sink = Obs.create () in
   let r =
-    Runner.run ~obs:sink ~semantics ~nprocs:8 ~domains:1 ?tier ?wal ?faults
-      body
+    Runner.run ~obs:sink ~semantics ~nprocs:8 ?tier ?wal ?faults body
   in
   let stats =
     match (r.Runner.tier, r.Runner.wal) with
@@ -108,12 +106,12 @@ let expected =
 writes: 120 (29184 B)  reads: 80 (17408 B)
 staged: 29184 B  drained: 29184 B  backlog never drained: 0 B
 stage-in: 0 B  stage-out: 0 B
-cache hits/misses: 52/28  drain stalls: 26 (29184 B)  peak occupancy: 4608 B
-stale reads: 36 (8424 B)
+cache hits/misses: 51/29  drain stalls: 26 (29184 B)  peak occupancy: 4608 B
+stale reads: 34 (8103 B)
   bb.bytes_read=17408
   bb.bytes_written=29184
-  bb.cache_hits=52
-  bb.cache_misses=28
+  bb.cache_hits=51
+  bb.cache_misses=29
   bb.drained_bytes=29184
   bb.reads=80
   bb.staged_bytes=29184
@@ -124,17 +122,17 @@ stale reads: 36 (8424 B)
 writes: 120 (29184 B)  reads: 80 (17408 B)
 staged: 29184 B  drained: 29184 B  backlog never drained: 0 B
 stage-in: 0 B  stage-out: 0 B
-cache hits/misses: 52/28  drain stalls: 22 (21760 B)  peak occupancy: 4032 B
-stale reads: 36 (8424 B)
+cache hits/misses: 51/29  drain stalls: 25 (24704 B)  peak occupancy: 2304 B
+stale reads: 37 (8679 B)
   bb.bytes_read=17408
   bb.bytes_written=29184
-  bb.cache_hits=52
-  bb.cache_misses=28
+  bb.cache_hits=51
+  bb.cache_misses=29
   bb.drained_bytes=29184
   bb.reads=80
   bb.staged_bytes=29184
-  bb.stalled_bytes=21760
-  bb.stalls=22
+  bb.stalled_bytes=24704
+  bb.stalls=25
   bb.writes=120
 == bb laminate
 writes: 120 (29184 B)  reads: 80 (17408 B)
@@ -153,44 +151,46 @@ stale reads: 31 (7149 B)
 == wal strong
 writes: 120 (29184 B)  reads: 80 (17408 B)
 appended: 29184 B  replayed: 29184 B  backlog never replayed: 0 B
-flush stalls: 30 (26176 B)  peak log occupancy: 1024 B  stale reads: 0 (0 B)
+flush stalls: 32 (28160 B)  peak log occupancy: 1024 B  stale reads: 0 (0 B)
 wal-fsck: 4 files, 4 clean, 0 recovered, 0 corrupted
   wal.appended_bytes=29184
   wal.bytes_read=17408
   wal.bytes_written=29184
   wal.drained_bytes=29184
   wal.reads=80
-  wal.stalled_bytes=26176
-  wal.stalls=30
+  wal.stalled_bytes=28160
+  wal.stalls=32
   wal.writes=120
 == wal commit
 writes: 120 (29184 B)  reads: 80 (17408 B)
 appended: 29184 B  replayed: 29184 B  backlog never replayed: 0 B
-flush stalls: 22 (21760 B)  peak log occupancy: 4032 B  stale reads: 21 (4032 B)
+flush stalls: 25 (24704 B)  peak log occupancy: 2304 B  stale reads: 18 (3456 B)
 wal-fsck: 4 files, 4 clean, 0 recovered, 0 corrupted
   wal.appended_bytes=29184
   wal.bytes_read=17408
   wal.bytes_written=29184
   wal.drained_bytes=29184
   wal.reads=80
-  wal.stalled_bytes=21760
-  wal.stalls=22
+  wal.stalled_bytes=24704
+  wal.stalls=25
   wal.writes=120
 == wal session
 writes: 120 (29184 B)  reads: 80 (17408 B)
 appended: 29184 B  replayed: 29184 B  backlog never replayed: 0 B
-flush stalls: 0 (0 B)  peak log occupancy: 7360 B  stale reads: 48 (10917 B)
+flush stalls: 1 (1152 B)  peak log occupancy: 4096 B  stale reads: 48 (10917 B)
 wal-fsck: 4 files, 4 clean, 0 recovered, 0 corrupted
   wal.appended_bytes=29184
   wal.bytes_read=17408
   wal.bytes_written=29184
   wal.drained_bytes=29184
   wal.reads=80
+  wal.stalled_bytes=1152
+  wal.stalls=1
   wal.writes=120
 == wal eventual:8
 writes: 120 (29184 B)  reads: 80 (17408 B)
 appended: 29184 B  replayed: 29184 B  backlog never replayed: 0 B
-flush stalls: 0 (0 B)  peak log occupancy: 7360 B  stale reads: 21 (4032 B)
+flush stalls: 0 (0 B)  peak log occupancy: 4096 B  stale reads: 0 (0 B)
 wal-fsck: 4 files, 4 clean, 0 recovered, 0 corrupted
   wal.appended_bytes=29184
   wal.bytes_read=17408
@@ -199,72 +199,72 @@ wal-fsck: 4 files, 4 clean, 0 recovered, 0 corrupted
   wal.reads=80
   wal.writes=120
 == bb async crash
-writes: 240 (58368 B)  reads: 103 (21824 B)
-staged: 58368 B  drained: 43776 B  backlog never drained: 14592 B
+writes: 237 (57792 B)  reads: 100 (21248 B)
+staged: 57792 B  drained: 43776 B  backlog never drained: 14016 B
 stage-in: 0 B  stage-out: 0 B
-cache hits/misses: 75/28  drain stalls: 22 (21760 B)  peak occupancy: 29184 B
-stale reads: 36 (8424 B)
-drain faults: 3 (3 retries, 61 backoff ticks, 0 aborts)  crash lost: 14592 B
-drains refused by down target: 250
-  crash rank=2 bb_lost=14592 wal_lost=0 wal_torn=0
-  bb.bytes_read=21824
-  bb.bytes_written=58368
-  bb.cache_hits=75
-  bb.cache_misses=28
-  bb.crash_lost_bytes=14592
+cache hits/misses: 71/29  drain stalls: 25 (24704 B)  peak occupancy: 28608 B
+stale reads: 37 (8679 B)
+drain faults: 3 (3 retries, 61 backoff ticks, 0 aborts)  crash lost: 14016 B
+drains refused by down target: 249
+  crash rank=2 bb_lost=14016 wal_lost=0 wal_torn=0
+  bb.bytes_read=21248
+  bb.bytes_written=57792
+  bb.cache_hits=71
+  bb.cache_misses=29
+  bb.crash_lost_bytes=14016
   bb.drain_backoff_ticks=61
   bb.drain_faults=3
   bb.drain_retries=3
-  bb.drain_target_down=250
+  bb.drain_target_down=249
   bb.drained_bytes=43776
-  bb.reads=103
-  bb.staged_bytes=58368
-  bb.stalled_bytes=21760
-  bb.stalls=22
-  bb.writes=240
+  bb.reads=100
+  bb.staged_bytes=57792
+  bb.stalled_bytes=24704
+  bb.stalls=25
+  bb.writes=237
 == wal commit crash
-writes: 240 (58368 B)  reads: 103 (21824 B)
-appended: 58368 B  replayed: 56064 B  backlog never replayed: 2304 B
-flush stalls: 22 (21760 B)  peak log occupancy: 29184 B  stale reads: 21 (4032 B)
-crash lost: 2112 B  torn: 192 B  recovered by replay: 26880 B
-replays refused by down target: 34
-wal-fsck: 4 files, 0 clean, 3 recovered, 1 corrupted; 26880 B replayed from the log; 2112 B lost, 192 B torn
+writes: 237 (57792 B)  reads: 100 (21248 B)
+appended: 57792 B  replayed: 56064 B  backlog never replayed: 1728 B
+flush stalls: 25 (24704 B)  peak log occupancy: 28608 B  stale reads: 18 (3456 B)
+crash lost: 1536 B  torn: 192 B  recovered by replay: 26880 B
+replays refused by down target: 33
+wal-fsck: 4 files, 0 clean, 3 recovered, 1 corrupted; 26880 B replayed from the log; 1536 B lost, 192 B torn
   /wl/workload/ckpt-0001   recovered recovered=8192B lost=0B torn=0B
   /wl/workload/ckpt-0002   recovered recovered=8192B lost=0B torn=0B
   /wl/workload/ckpt-0003   recovered recovered=8192B lost=0B torn=0B
-  /wl/workload/live        corrupted recovered=2304B lost=2112B torn=192B
-  crash rank=2 bb_lost=0 wal_lost=2112 wal_torn=192
-  wal.appended_bytes=58368
-  wal.bytes_read=21824
-  wal.bytes_written=58368
-  wal.crash_lost_bytes=2112
+  /wl/workload/live        corrupted recovered=2304B lost=1536B torn=192B
+  crash rank=2 bb_lost=0 wal_lost=1536 wal_torn=192
+  wal.appended_bytes=57792
+  wal.bytes_read=21248
+  wal.bytes_written=57792
+  wal.crash_lost_bytes=1536
   wal.crash_torn_bytes=192
-  wal.drain_target_down=34
+  wal.drain_target_down=33
   wal.drained_bytes=56064
-  wal.reads=103
+  wal.reads=100
   wal.recovered_bytes=26880
-  wal.stalled_bytes=21760
-  wal.stalls=22
-  wal.writes=240
+  wal.stalled_bytes=24704
+  wal.stalls=25
+  wal.writes=237
 == wal session logfail
 writes: 120 (29184 B)  reads: 80 (17408 B)
 appended: 28928 B  replayed: 28928 B  backlog never replayed: 0 B
-flush stalls: 30 (15424 B)  peak log occupancy: 4096 B  stale reads: 48 (10917 B)
+flush stalls: 26 (8576 B)  peak log occupancy: 4096 B  stale reads: 48 (10917 B)
 log faults: 7 (6 retries, 195 backoff ticks, 1 aborts)  write-through: 1 (256 B)
 wal-fsck: 4 files, 4 clean, 0 recovered, 0 corrupted
   wal.appended_bytes=28928
   wal.bytes_read=17408
   wal.bytes_written=29184
   wal.drained_bytes=28928
-  wal.evicted_bytes=15424
-  wal.evictions=30
+  wal.evicted_bytes=7424
+  wal.evictions=25
   wal.log_aborts=1
   wal.log_backoff_ticks=195
   wal.log_faults=7
   wal.log_retries=6
   wal.reads=80
-  wal.stalled_bytes=15424
-  wal.stalls=30
+  wal.stalled_bytes=8576
+  wal.stalls=26
   wal.writes=120
   wal.writethrough=1
   wal.writethrough_bytes=256|}

@@ -5,14 +5,12 @@ module Interval = Hpcfs_util.Interval
 module Table = Hpcfs_util.Table
 module Stats = Hpcfs_util.Stats
 
-(* Rank bodies under the parallel scheduler run on worker domains, where
-   Alcotest's formatter state is not safe to touch.  [per_rank ~domains
-   ~nprocs body] runs [body] on every rank, keeps the value each rank
-   returns, and hands back the observations indexed by rank once the run
-   is over: assert on them from the test's own domain. *)
-let per_rank ~domains ~nprocs body =
+(* [per_rank ~nprocs body] runs [body] on every rank, keeps the value
+   each rank returns, and hands back the observations indexed by rank once
+   the run is over. *)
+let per_rank ~nprocs body =
   let seen = Array.make nprocs None in
-  Hpcfs_sim.Psched.run ~domains ~nprocs (fun r -> seen.(r) <- Some (body r));
+  Hpcfs_sim.Sched.run ~nprocs (fun r -> seen.(r) <- Some (body r));
   Array.map Option.get seen
 
 let test_prng_deterministic () =

@@ -23,9 +23,8 @@ module Fault_report = Hpcfs_fault.Report
 
 (* A deliberately session-unsafe application: rank 0 writes, rank 1 reads
    the same bytes after a barrier but without any close/open in between.
-   The final barrier pins the read before the writer's closing close on
-   every scheduler (legacy rounds and superstep-parallel alike), so the
-   conflict classification below is schedule-independent. *)
+   The final barrier pins the read before the writer's closing close, so
+   the conflict classification below is schedule-independent. *)
 let session_unsafe (env : Runner.env) =
   let posix = env.Runner.posix in
   let rank = Mpi.rank env.Runner.comm in
@@ -151,18 +150,7 @@ let test_crash_restart_reuses_output_dir () =
    count a validation row or a sweep cell reports must be the tier's, not
    the raw PFS's underneath it.  A dirty shared file read back while still
    staged makes the two differ: under strong the async burst buffer serves
-   stale bytes while the direct PFS serves none.  Pinned to the legacy
-   scheduler: the reads of the dirty file race its writes within a
-   superstep, which is outside the parallel scheduler's determinism
-   contract ("" is ignored by the Runner HPCFS_DOMAINS parser, and putenv
-   cannot unset). *)
-let with_legacy_sched f =
-  let saved = Sys.getenv_opt "HPCFS_DOMAINS" in
-  Unix.putenv "HPCFS_DOMAINS" "";
-  Fun.protect
-    ~finally:(fun () ->
-      Unix.putenv "HPCFS_DOMAINS" (Option.value saved ~default:""))
-    f
+   stale bytes while the direct PFS serves none. *)
 
 let live_spec =
   "write:file=live,block=192,count=3,sync=none;\
@@ -171,7 +159,6 @@ let live_spec =
    read:file=live,block=192,count=3"
 
 let test_tiered_stale_reads_are_the_tiers () =
-  with_legacy_sched @@ fun () ->
   let w = Result.get_ok (Workload.of_string live_spec) in
   let body = Compile.body w in
   let nprocs = 8 in

@@ -63,7 +63,7 @@ let qcheck_wal_differential =
       let body = Compile.body w in
       List.for_all
         (fun semantics ->
-          let direct = Runner.run ~semantics ~nprocs:8 ~domains:1 body in
+          let direct = Runner.run ~semantics ~nprocs:8 body in
           List.for_all
             (fun (label, staging) ->
               let tier, wal =
@@ -72,7 +72,7 @@ let qcheck_wal_differential =
                 | `Bb c -> (Some c, None)
               in
               let staged =
-                Runner.run ~semantics ~nprocs:8 ~domains:1 ?tier ?wal body
+                Runner.run ~semantics ~nprocs:8 ?tier ?wal body
               in
               let fail msg =
                 QCheck.Test.fail_reportf "%s under %s: %s" label

@@ -23,18 +23,6 @@ let wl spec =
   | Ok w -> w
   | Error e -> Alcotest.failf "parse %S: %s" spec e
 
-(* Pin a test to the legacy scheduler: raw generated/mixed workloads may
-   issue unsynchronized same-superstep metadata ops from different ranks,
-   which is outside the parallel scheduler's determinism contract. *)
-let with_legacy_sched f =
-  let saved = Sys.getenv_opt "HPCFS_DOMAINS" in
-  (* putenv cannot unset; "" is ignored by the Runner parser. *)
-  Unix.putenv "HPCFS_DOMAINS" "";
-  Fun.protect
-    ~finally:(fun () ->
-      Unix.putenv "HPCFS_DOMAINS" (Option.value saved ~default:""))
-    f
-
 (* Parser ------------------------------------------------------------------- *)
 
 let test_parse_roundtrip_canonical () =
@@ -254,7 +242,6 @@ let test_dynamic_entry () =
    cooperative scheduler, and the same seed reproduces the run bit for
    bit.  Different seeds draw different branch sequences. *)
 let test_mix_execution () =
-  with_legacy_sched @@ fun () ->
   let w =
     wl "write:count=2;mix:n=6|2*write:layout=shared,count=2|1*barrier|1*read"
   in
@@ -335,19 +322,11 @@ let test_sweep_deterministic () =
 
 (* Whole-stack soak: any generated workload compiles, runs and validates
    under all four engines, and the same seed reproduces the run bit for
-   bit.
-
-   Pinned to the legacy scheduler: raw generated workloads may issue
-   unsynchronized same-superstep metadata ops from different ranks, which
-   is outside the parallel scheduler's determinism contract (cross-shard
-   mutex order decides the winner).  The parallel-scheduler QCheck soak in
-   test_psched runs the same generator through a determinizing transform
-   (barriers between phases) instead. *)
+   bit. *)
 let qcheck_soak =
   QCheck.Test.make ~name:"generated workloads run under every engine"
     ~count:25 Wl_gen.arbitrary (fun w ->
-    with_legacy_sched @@ fun () ->
-      (match Workload.validate w with
+        (match Workload.validate w with
       | Ok _ -> ()
       | Error e -> QCheck.Test.fail_reportf "generated invalid: %s" e);
       let body = Compile.body w in
