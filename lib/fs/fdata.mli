@@ -44,7 +44,7 @@ val read :
   read_result
 (** Resolve a read of [len] bytes at [off] as seen by [rank] at [time]
     under the file's engine.  Reads past the current size return the
-    in-range prefix.
+    in-range prefix.  The returned buffer is fresh: the caller owns it.
 
     [local_order] (default true) is the single-process guarantee of
     Section 3.5: a process's own overlapping writes take effect in issue
@@ -58,7 +58,7 @@ val oracle : t -> off:int -> len:int -> bytes
 (** The bytes a strongly-consistent PFS would return for the range: every
     write in issue order, whatever the file's engine.  The ground truth
     staged reads are compared against; no stale count is returned.  Reads
-    past the current size return the in-range prefix. *)
+    past the current size return the in-range prefix, in a fresh buffer. *)
 
 val commit : t -> rank:int -> time:int -> unit
 (** Record a commit (fsync/fdatasync) by [rank].  Only commit semantics
