@@ -15,11 +15,15 @@ let is_rank0 env = rank env = 0
 
 (* Byte [i] of a payload is [(tag + rank + i) land 0xff]: a byte ramp
    starting at [(tag + rank) land 0xff].  Two periods of the ramp let any
-   256-byte window of it be copied in one blit. *)
+   256-byte window of it be copied in one blit.
+
+   A write hands its buffer over to the storage stack, which keeps it as
+   written (see {!Posix.write}), so a payload is built once per (start,
+   length) and shared through the run's [payloads] table: no caller may
+   mutate one. *)
 let ramp = Bytes.init 512 (fun i -> Char.chr (i land 0xff))
 
-let payload ?(len = block) env tag =
-  let start = (tag + rank env) land 0xff in
+let make_payload start len =
   let b = Bytes.create len in
   let pos = ref 0 in
   while !pos < len do
@@ -28,6 +32,16 @@ let payload ?(len = block) env tag =
     pos := !pos + n
   done;
   b
+
+let payload ?(len = block) env tag =
+  let start = (tag + rank env) land 0xff in
+  let key = (len lsl 8) lor start in
+  match Hashtbl.find_opt env.Runner.payloads key with
+  | Some b -> b
+  | None ->
+    let b = make_payload start len in
+    Hashtbl.add env.Runner.payloads key b;
+    b
 
 (* One synchronized computation step: the communication that (a) separates
    I/O phases and (b) provides the happens-before edges that make the

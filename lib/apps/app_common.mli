@@ -8,7 +8,11 @@ val is_rank0 : Runner.env -> bool
 
 val payload : ?len:int -> Runner.env -> int -> bytes
 (** Deterministic rank- and tag-dependent buffer contents: byte [i] is
-    [(tag + rank + i) land 0xff]. *)
+    [(tag + rank + i) land 0xff].  The buffer is shared and read-only: calls
+    with the same [(tag + rank) land 0xff] and [len] in one run return the
+    same buffer, which earlier writes may still hold (writes take
+    ownership of their buffer, see {!Hpcfs_posix.Posix.write}).  Never
+    mutate it; copy it first. *)
 
 val compute : Runner.env -> unit
 (** One synchronized computation step (a barrier): separates I/O phases

@@ -35,6 +35,7 @@ type env = {
   nprocs : int;
   seed : int;
   attempt : int;
+  payloads : (int, bytes) Hashtbl.t;
 }
 
 (* The staging tier a run goes through, if any, and the backend the POSIX
@@ -70,7 +71,7 @@ let epilogue_drain ~tier ~wal =
    and — when the plan schedules a restart — the body re-runs on the
    surviving file system with the logical clock continued past the crash,
    the recovery path of checkpoint/restart practice. *)
-let run_faulted ~nprocs ~seed ~pfs ~mds ~collector ~tier ~wal
+let run_faulted ~nprocs ~seed ~payloads ~pfs ~mds ~collector ~tier ~wal
     ~backend:base_backend ~plan body =
   let inj = Injector.create plan in
   Option.iter
@@ -185,7 +186,7 @@ let run_faulted ~nprocs ~seed ~pfs ~mds ~collector ~tier ~wal
     let posix = Posix.make_ctx_backend ~mds backend collector in
     let comm = Mpi.world () in
     let mpiio = Mpiio.make_ctx posix comm in
-    let env = { comm; posix; mpiio; tier; nprocs; seed; attempt } in
+    let env = { comm; posix; mpiio; tier; nprocs; seed; attempt; payloads } in
     let status =
       try
         Obs.span Obs.T_sched "simulate"
@@ -333,11 +334,12 @@ let run ?obs ?(semantics = Hpcfs_fs.Consistency.Strong) ?(local_order = true)
     let mds = Md.create pfs in
     let collector = Collector.create () in
     let tier, wal, backend = staging ~tier ~wal pfs in
+    let payloads = Hashtbl.create 64 in
     let events, faults =
       match faults with
       | Some plan ->
         let events, outcome =
-          run_faulted ~nprocs ~seed ~pfs ~mds ~collector ~tier ~wal
+          run_faulted ~nprocs ~seed ~payloads ~pfs ~mds ~collector ~tier ~wal
             ~backend ~plan body
         in
         (events, Some outcome)
@@ -345,7 +347,9 @@ let run ?obs ?(semantics = Hpcfs_fs.Consistency.Strong) ?(local_order = true)
         let posix = Posix.make_ctx_backend ~mds backend collector in
         let comm = Mpi.world () in
         let mpiio = Mpiio.make_ctx posix comm in
-        let env = { comm; posix; mpiio; tier; nprocs; seed; attempt = 0 } in
+        let env =
+          { comm; posix; mpiio; tier; nprocs; seed; attempt = 0; payloads }
+        in
         Obs.span Obs.T_sched "simulate"
           ~args:[ ("nprocs", string_of_int nprocs) ]
           (fun () ->

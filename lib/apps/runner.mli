@@ -35,6 +35,10 @@ type env = {
   attempt : int;
       (** 0 on the first launch, incremented per crash restart — the
           recovery path branches on this (restart reads the checkpoint). *)
+  payloads : (int, bytes) Hashtbl.t;
+      (** The run's synthetic write payloads, shared across ranks and
+          restart attempts and filled by {!App_common.payload}.  Its
+          buffers are read-only: the storage stack keeps them as written. *)
 }
 (** Shared by all ranks of a run; rank identity comes from the scheduler. *)
 

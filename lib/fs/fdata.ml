@@ -414,9 +414,8 @@ let write t ~rank ~time ~off data =
   let len = Bytes.length data in
   if len > 0 then begin
     bump_watermark t time;
-    let w =
-      append_raw t ~rank ~time (Interval.of_len off len) (Bytes.copy data)
-    in
+    (* The log keeps the caller's buffer: writes hand theirs over. *)
+    let w = append_raw t ~rank ~time (Interval.of_len off len) data in
     index_write t w;
     let c = t.cache in
     (match t.sem with

@@ -157,7 +157,7 @@ let append t ~time ~rank path ~off data =
       rank;
       time;
       off;
-      data = Bytes.copy data;
+      data;
       state = Pending;
     }
   in

@@ -2,6 +2,7 @@
 
 module Prng = Hpcfs_util.Prng
 module Interval = Hpcfs_util.Interval
+module Extmap = Hpcfs_util.Extmap
 module Table = Hpcfs_util.Table
 module Stats = Hpcfs_util.Stats
 
@@ -90,6 +91,66 @@ let prop_subtract_disjoint =
           Interval.is_empty piece || not (Interval.overlaps piece i2))
         (Interval.subtract i1 i2))
 
+(* Extmap against a per-byte array: random sets and updates over a small
+   domain, then every byte of a query's pieces must match the array, the
+   pieces must come clipped, non-empty and ascending, and no covered byte
+   may be missing. *)
+let extmap_domain = 200
+
+let prop_extmap_matches_flat =
+  QCheck.Test.make ~name:"extmap set/update/query equal a flat array"
+    ~count:300
+    QCheck.(
+      pair
+        (list_of_size Gen.(0 -- 120)
+           (quad bool (int_bound (extmap_domain - 1)) (int_bound 40)
+              small_nat))
+        (pair (int_bound extmap_domain) (int_bound extmap_domain)))
+    (fun (ops, (qa, qb)) ->
+      let flat = Array.make extmap_domain None in
+      let m =
+        List.fold_left
+          (fun m (is_set, lo, len, v) ->
+            let hi = min extmap_domain (lo + len) in
+            let iv = Interval.make lo hi in
+            if is_set then begin
+              for i = lo to hi - 1 do
+                flat.(i) <- Some v
+              done;
+              Extmap.set iv v m
+            end
+            else begin
+              let f = function None -> v | Some old -> (old * 7) + v in
+              for i = lo to hi - 1 do
+                flat.(i) <- Some (f flat.(i))
+              done;
+              Extmap.update iv f m
+            end)
+          Extmap.empty ops
+      in
+      let check lo hi =
+        let seen = Array.make extmap_domain None in
+        let pieces = Extmap.query (Interval.make lo hi) m in
+        let rec ascending pos = function
+          | [] -> true
+          | ((iv : Interval.t), _) :: rest ->
+            iv.lo >= pos && iv.hi > iv.lo && iv.lo >= lo && iv.hi <= hi
+            && ascending iv.hi rest
+        in
+        List.iter
+          (fun ((iv : Interval.t), v) ->
+            for i = iv.lo to iv.hi - 1 do
+              seen.(i) <- Some v
+            done)
+          pieces;
+        ascending lo pieces
+        && Array.for_all Fun.id
+             (Array.init extmap_domain (fun i ->
+                  if i >= lo && i < hi then seen.(i) = flat.(i)
+                  else seen.(i) = None))
+      in
+      check 0 extmap_domain && check (min qa qb) (max qa qb))
+
 let contains_sub s sub =
   let n = String.length s and m = String.length sub in
   let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
@@ -177,6 +238,7 @@ let suite =
     Alcotest.test_case "interval invalid" `Quick test_interval_invalid;
     QCheck_alcotest.to_alcotest prop_intersect_commutes;
     QCheck_alcotest.to_alcotest prop_subtract_disjoint;
+    QCheck_alcotest.to_alcotest prop_extmap_matches_flat;
     Alcotest.test_case "table render" `Quick test_table_render;
     Alcotest.test_case "table pads" `Quick test_table_pads_short_rows;
     Alcotest.test_case "stats mean/stddev" `Quick test_stats_mean_stddev;
