@@ -800,8 +800,11 @@ let test_fdata_write_alloc_flat () =
   if growing <> [] then Alcotest.fail (String.concat "; " growing)
 
 (* Absolute cost of an appending write: one segment-index update, not one
-   per order.  The eventual:8 queue folds every write as its delay
-   expires, which adds a cache-index update per write. *)
+   per order, and no copy of the buffer.  The eventual:8 queue folds every
+   write as its delay expires, which adds a cache-index update per write.
+   Measured at n=4096: 109 words under strong, 118 under commit and
+   session, 126 under eventual:1000000 and 229 under eventual:8; the
+   limits leave about 10% for other compilers. *)
 let test_fdata_write_alloc_per_write () =
   let over =
     List.filter_map
@@ -816,11 +819,11 @@ let test_fdata_write_alloc_per_write () =
                (Consistency.to_string sem) words limit))
       Consistency.
         [
-          (Strong, 300.);
-          (Commit, 300.);
-          (Session, 300.);
-          (Eventual { delay = 1_000_000 }, 300.);
-          (Eventual { delay = 8 }, 400.);
+          (Strong, 120.);
+          (Commit, 130.);
+          (Session, 130.);
+          (Eventual { delay = 1_000_000 }, 140.);
+          (Eventual { delay = 8 }, 250.);
         ]
   in
   if over <> [] then Alcotest.fail (String.concat "; " over)

@@ -17,6 +17,7 @@ let () =
       ("bb", Test_bb.suite);
       ("wal", Test_wal.suite);
       ("staging", Test_staging_golden.suite @ Test_staging_core.suite);
+      ("ownership", Test_ownership.suite);
       ("fault", Test_fault.suite);
       ("wl", Test_wl.suite);
       ("obs", Test_obs.suite);
