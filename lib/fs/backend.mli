@@ -22,6 +22,8 @@ type t = {
   read :
     time:int -> rank:int -> string -> off:int -> len:int -> Fdata.read_result;
   write : time:int -> rank:int -> string -> off:int -> bytes -> unit;
+      (** Takes ownership of the buffer, as {!Pfs.write} does: the caller
+          must not mutate it afterwards.  [read] returns a fresh buffer. *)
   fsync : time:int -> rank:int -> string -> unit;
   truncate : time:int -> string -> int -> unit;
   file_size : string -> int;

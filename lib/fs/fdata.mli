@@ -24,7 +24,13 @@ val size : t -> int
     relaxed.) *)
 
 val write : t -> rank:int -> time:int -> off:int -> bytes -> unit
-(** Record a write of the full buffer at [off]. Extends the size if needed. *)
+(** Record a write of the full buffer at [off]. Extends the size if needed.
+
+    The log keeps the buffer itself, not a copy: the file owns it from now
+    on and the caller must not mutate it.  The file never mutates it
+    either — truncation and crash clipping replace it with a cut copy — so
+    one buffer may be written any number of times, to any files.  Every
+    read returns a fresh buffer. *)
 
 val truncate : t -> time:int -> int -> unit
 (** [truncate t ~time len] discards write history beyond [len] and sets the

@@ -45,7 +45,11 @@ val write : t -> time:int -> rank:int -> string -> off:int -> bytes -> unit
 (** Data-path operations raise {!Target.Target_down} when any stripe chunk
     of the extent maps to a [Down] target — before applying anything, so a
     failed write is never partially visible.  {!open_file} and {!truncate}
-    raise {!Target.Mds_down} while the metadata server is down. *)
+    raise {!Target.Mds_down} while the metadata server is down.
+
+    Buffers follow {!Fdata}: a write hands its buffer over to the file's
+    log (the caller must not mutate it afterwards), a read returns a fresh
+    one. *)
 
 val read_degraded :
   t -> time:int -> rank:int -> string -> off:int -> len:int -> Fdata.read_result

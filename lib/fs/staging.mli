@@ -63,7 +63,10 @@ val node_of_rank : t -> int -> int
 
 val append :
   t -> time:int -> rank:int -> string -> off:int -> bytes -> record
-(** Stage a copy of the write on the rank's node. *)
+(** Stage the write on the rank's node.  The record keeps the caller's
+    buffer, not a copy, and {!replay} hands the same buffer on to
+    {!Pfs.write}: the caller must not mutate it afterwards.  The store never
+    mutates it either; {!clip} replaces it with a cut copy. *)
 
 val file_queue : t -> string -> record Queue.t option
 (** The file's records in staging order.  A tier may compact it, as long

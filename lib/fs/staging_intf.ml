@@ -40,7 +40,9 @@ module type SURFACE = sig
 
   val write : tier -> time:int -> rank:int -> string -> off:int -> bytes -> unit
   (** Raises [Invalid_argument] if the file is laminated, like
-      {!Fdata.write}. *)
+      {!Fdata.write}.  The tier keeps the buffer as written, staged and
+      later replayed into the PFS without a copy: the caller must not
+      mutate it afterwards.  Reads return fresh buffers. *)
 
   val fsync : tier -> time:int -> rank:int -> string -> unit
   val truncate : tier -> time:int -> string -> int -> unit

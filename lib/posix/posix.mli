@@ -48,10 +48,21 @@ val openf : ctx -> ?origin:origin -> string -> flag list -> int
     {!Posix_error} when the file is absent and [O_CREAT] was not given. *)
 
 val close : ctx -> ?origin:origin -> int -> unit
+
 val read : ctx -> ?origin:origin -> int -> int -> bytes
+(** The returned buffer is fresh: the caller owns it and may mutate it. *)
+
 val write : ctx -> ?origin:origin -> int -> bytes -> int
+(** The buffer is handed over, not copied: the backend and the file's
+    write log keep it as written, so the caller must not mutate it
+    afterwards.  Build a new buffer per write, or copy before reusing
+    one.  Returns the bytes written. *)
+
 val pread : ctx -> ?origin:origin -> int -> off:int -> int -> bytes
+(** Like {!read}: a fresh buffer. *)
+
 val pwrite : ctx -> ?origin:origin -> int -> off:int -> bytes -> int
+(** Like {!write}: the callee owns the buffer from now on. *)
 
 type whence = SEEK_SET | SEEK_CUR | SEEK_END
 
@@ -72,6 +83,8 @@ val fopen : ctx -> ?origin:origin -> string -> string -> int
 val fclose : ctx -> ?origin:origin -> int -> unit
 val fread : ctx -> ?origin:origin -> int -> int -> bytes
 val fwrite : ctx -> ?origin:origin -> int -> bytes -> int
+(** Buffer ownership as for {!read} and {!write}. *)
+
 val fseek : ctx -> ?origin:origin -> int -> int -> whence -> unit
 val fflush : ctx -> ?origin:origin -> int -> unit
 
