@@ -24,6 +24,15 @@ let obs_enabled =
 
 let out_dir = "bench_out"
 
+(* Words allocated so far, minor and major heaps together: a block of more
+   than 256 words goes to the major heap directly and never shows in the
+   minor count.  The minor heap's count, plus the major words not promoted
+   from it; [Gc.minor_words] rather than the minor figure of [Gc.counters],
+   which can lag the allocation pointer. *)
+let allocated_words () =
+  let _, promoted, major = Gc.counters () in
+  Gc.minor_words () +. major -. promoted
+
 let ensure_dir dir = if not (Sys.file_exists dir) then Sys.mkdir dir 0o755
 
 let with_obs label f =

@@ -57,7 +57,7 @@ let failover () =
     List.concat_map
       (fun (mode, events) ->
         let plan = Plan.make ~seed:42 events in
-        let m0 = Gc.minor_words () in
+        let m0 = Bench_common.allocated_words () in
         let t0 = Unix.gettimeofday () in
         let rows =
           Validation.crash_report ~nprocs:Bench_common.nprocs ~semantics
@@ -69,7 +69,7 @@ let failover () =
         Bench_perf.record
           ~name:("failover/" ^ mode)
           (Bench_perf.per_op ~ns:(dt *. 1e9 /. runs)
-             ~allocs:((Gc.minor_words () -. m0) /. runs));
+             ~allocs:((Bench_common.allocated_words () -. m0) /. runs));
         rows)
       modes
   in

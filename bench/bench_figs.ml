@@ -5,6 +5,7 @@ module Runner = Hpcfs_apps.Runner
 module Report = Hpcfs_core.Report
 module Pattern = Hpcfs_core.Pattern
 module Access = Hpcfs_core.Access
+module Offsets = Hpcfs_core.Offsets
 module Interval = Hpcfs_util.Interval
 module Record = Hpcfs_trace.Record
 module Table = Hpcfs_util.Table
@@ -43,13 +44,9 @@ let fig1 which () =
 
 (* Figure 2: FLASH write patterns, collective (fbs) vs independent (nofbs). *)
 
-let flash_files report =
+let flash_files writes =
   let files = Hashtbl.create 8 in
-  List.iter
-    (fun a ->
-      if Access.is_write a then
-        Hashtbl.replace files a.Access.file ())
-    report.Report.accesses;
+  List.iter (fun a -> Hashtbl.replace files a.Access.file ()) writes;
   Hashtbl.fold (fun f () acc -> f :: acc) files [] |> List.sort compare
 
 let series_stats accesses =
@@ -63,12 +60,8 @@ let series_stats accesses =
   in
   (writers, meta, data)
 
-let describe_file label report file =
-  let series =
-    Pattern.offset_series
-      (List.filter Access.is_write report.Report.accesses)
-      ~file
-  in
+let describe_file label writes file =
+  let series = Pattern.offset_series writes ~file in
   let writers, meta, data = series_stats series in
   let meta_writers =
     List.sort_uniq compare (List.map (fun (_, r, _) -> r) meta)
@@ -103,7 +96,11 @@ let fig2 () =
       | None -> ()
       | Some entry ->
         let run = run_of entry in
-        let files = flash_files run.report in
+        let writes =
+          List.filter Access.is_write
+            (Offsets.resolve run.result.Runner.records).Offsets.accesses
+        in
+        let files = flash_files writes in
         let has_sub f sub =
           let n = String.length f and m = String.length sub in
           let rec go i = i + m <= n && (String.sub f i m = sub || go (i + 1)) in
@@ -113,19 +110,15 @@ let fig2 () =
         let plt = List.find_opt (fun f -> has_sub f "plt") files in
         Option.iter
           (fun f ->
-            describe_file (label ^ " checkpoint:") run.report f;
-            let series =
-              Pattern.offset_series
-                (List.filter Access.is_write run.report.Report.accesses)
-                ~file:f
-            in
+            describe_file (label ^ " checkpoint:") writes f;
+            let series = Pattern.offset_series writes ~file:f in
             let csv = Printf.sprintf "%s/fig2_%s_checkpoint.csv" out_dir name in
             dump_csv csv series;
             Printf.printf "  full offset/time series written to %s\n" csv;
             (* Rank-0 view (paper's Figure 2(f)): locally mostly monotonic. *)
             let rank0 =
               List.filter (fun a -> a.Access.rank = 0 && a.Access.file = f)
-                (List.filter Access.is_write run.report.Report.accesses)
+                writes
             in
             let m = Pattern.classify_stream rank0 in
             let c, mo, r = Pattern.percentages m in
@@ -134,7 +127,7 @@ let fig2 () =
               c mo r)
           chk;
         Option.iter
-          (fun f -> describe_file (label ^ " plot file:") run.report f)
+          (fun f -> describe_file (label ^ " plot file:") writes f)
           plt;
         print_newline ())
     [ ("FLASH-fbs", "(a-c) collective I/O"); ("FLASH-nofbs", "(d-f) independent I/O") ];

@@ -53,7 +53,7 @@ let pathological n =
 
 (* BENCH_PERF.json --------------------------------------------------------- *)
 
-(* Every perf scenario records (ns/op, minor words/op) here; the file is
+(* Every perf scenario records (ns/op, words/op) here; the file is
    rewritten after each experiment so partial runs still leave a valid
    snapshot in bench_out/BENCH_PERF.json. *)
 let json_objs : string list ref = ref []
@@ -83,7 +83,7 @@ let record ~name fields =
 let per_op ~ns ~allocs =
   [
     ("ns_per_op", Printf.sprintf "%.1f" ns);
-    ("minor_words_per_op", Printf.sprintf "%.1f" allocs);
+    ("words_per_op", Printf.sprintf "%.1f" allocs);
   ]
 
 (* Scenario rows already on disk, one per line as this module wrote them.
@@ -148,14 +148,14 @@ let write_bench_json () =
   close_out oc;
   Printf.printf "(wrote %s)\n" (Filename.concat out_dir "BENCH_PERF.json")
 
-(* Minor-heap allocation per call, averaged over a few runs. *)
+(* Words allocated per call, averaged over a few runs. *)
 let measure_allocs f =
   let n = 5 in
-  let m0 = Gc.minor_words () in
+  let m0 = allocated_words () in
   for _ = 1 to n do
     ignore (Sys.opaque_identity (f ()))
   done;
-  (Gc.minor_words () -. m0) /. float_of_int n
+  (allocated_words () -. m0) /. float_of_int n
 
 (* Bechamel helpers --------------------------------------------------------- *)
 
@@ -269,17 +269,17 @@ let build_history n ~write ~commit ~close ~sopen =
   done;
   sopen ~rank:reader ~time:((2 * n) + 1)
 
-(* ns/op and minor words/op over [reads] random 4 KiB reads; the first read
+(* ns/op and words/op over [reads] random 4 KiB reads; the first read
    is a warm-up so lazy cache builds don't skew the per-op cost. *)
 let time_reads read_at reads =
   ignore (read_at 0);
-  let m0 = Gc.minor_words () in
+  let m0 = allocated_words () in
   let t0 = Unix.gettimeofday () in
   for i = 1 to reads do
     ignore (Sys.opaque_identity (read_at i))
   done;
   let t1 = Unix.gettimeofday () in
-  let m1 = Gc.minor_words () in
+  let m1 = allocated_words () in
   ((t1 -. t0) *. 1e9 /. float_of_int reads, (m1 -. m0) /. float_of_int reads)
 
 let readpath () =
@@ -357,8 +357,8 @@ let readpath () =
               ("extent_ns_per_op", Printf.sprintf "%.1f" ens);
               ("ref_ns_per_op", Printf.sprintf "%.1f" rns);
               ("speedup", Printf.sprintf "%.2f" (rns /. ens));
-              ("extent_minor_words_per_op", Printf.sprintf "%.1f" ea);
-              ("ref_minor_words_per_op", Printf.sprintf "%.1f" ra);
+              ("extent_words_per_op", Printf.sprintf "%.1f" ea);
+              ("ref_words_per_op", Printf.sprintf "%.1f" ra);
             ])
         sizes)
     engines;

@@ -96,7 +96,7 @@ let sweep () =
     (List.length grid.Sweep.tiers)
     (List.length grid.Sweep.plans)
     (Sweep.cells grid);
-  let m0 = Gc.minor_words () in
+  let m0 = Bench_common.allocated_words () in
   let t0 = Unix.gettimeofday () in
   let rows = Sweep.run grid in
   let dt = Unix.gettimeofday () -. t0 in
@@ -109,7 +109,7 @@ let sweep () =
   Printf.printf "\nsweep matrix written to %s\n" path;
   Bench_perf.record ~name:"sweep/cell"
     (Bench_perf.per_op ~ns:(dt *. 1e9 /. cells)
-       ~allocs:((Gc.minor_words () -. m0) /. cells));
+       ~allocs:((Bench_common.allocated_words () -. m0) /. cells));
   List.iter
     (fun (wname, _) ->
       let ws = List.filter (fun r -> r.Sweep.workload = wname) rows in

@@ -92,8 +92,8 @@ let table4 () =
   List.iter
     (fun run ->
       let e = run.entry in
-      let session = Report.session_summary run.report in
-      let commit = Report.commit_summary run.report in
+      let session = run.report.Report.session in
+      let commit = run.report.Report.commit in
       let expected = Option.get e.Registry.expected_conflicts in
       let got =
         {

@@ -90,7 +90,7 @@ let scale () =
             (fun n ->
               let result = Runner.run ~nprocs:n entry.Registry.body in
               let report = Report.analyze ~nprocs:n result.Runner.records in
-              let s = Report.session_summary report in
+              let s = report.Report.session in
               Printf.sprintf "%s%s%s%s [%s]"
                 (if s.Conflict.waw_s > 0 then "Ws" else "--")
                 (if s.Conflict.waw_d > 0 then "Wd" else "--")
@@ -153,7 +153,7 @@ let burstfs () =
       | None -> ()
       | Some entry ->
         let run = run_of entry in
-        let s = Report.session_summary run.report in
+        let s = run.report.Report.session in
         let same = s.Conflict.waw_s + s.Conflict.raw_s in
         let normal, burst =
           Validation.validate_burstfs ~nprocs entry.Registry.body

@@ -16,6 +16,8 @@ module Metadata_report = Hpcfs_core.Metadata_report
 module Md = Hpcfs_md.Service
 module Conflict = Hpcfs_core.Conflict
 module Access = Hpcfs_core.Access
+module Offsets = Hpcfs_core.Offsets
+module Overlap = Hpcfs_core.Overlap
 module Tracefile = Hpcfs_trace.Tracefile
 module Consistency = Hpcfs_fs.Consistency
 module Table = Hpcfs_util.Table
@@ -465,7 +467,7 @@ let run_cmd =
            Ok ()
          | None ->
            let report = Report.analyze ~nprocs:ranks result.Runner.records in
-           Report.pp_summary Format.std_formatter report;
+           Report.pp_digest Format.std_formatter report;
            Ok ()
        in
        Option.iter
@@ -506,11 +508,11 @@ let analyze_cmd =
        match Tracefile.iter path ~f:(Report.feed stream) with
        | Error e -> Error e
        | Ok _ ->
-         let summary = Report.finish stream in
+         let report = Report.finish stream in
          if ranks = None then
            Printf.printf "ranks inferred from trace: %d\n"
-             summary.Report.nprocs;
-         Report.pp_digest Format.std_formatter summary;
+             report.Report.nprocs;
+         Report.pp_digest Format.std_formatter report;
          Ok ())
   in
   let doc = "Analyze a saved trace: patterns, conflicts, recommendation." in
@@ -581,11 +583,11 @@ let conflicts_cmd =
            let result =
              Runner.run ~nprocs:ranks ~mds_shards entry.Registry.body
            in
-           let report = Report.analyze ~nprocs:ranks result.Runner.records in
+           let accesses =
+             (Offsets.resolve result.Runner.records).Offsets.accesses
+           in
            let conflicts =
-             match semantics with
-             | Conflict.Session_semantics -> report.Report.session_conflicts
-             | Conflict.Commit_semantics -> report.Report.commit_conflicts
+             Conflict.of_pairs semantics (Overlap.detect accesses)
            in
            if conflicts = [] then print_endline "no conflicts detected"
            else begin
@@ -628,10 +630,7 @@ let profile_cmd =
            let result =
              Runner.run ~nprocs:ranks ~mds_shards entry.Registry.body
            in
-           let report = Report.analyze ~nprocs:ranks result.Runner.records in
-           let profile =
-             Hpcfs_core.Profile.build result.Runner.records report
-           in
+           let profile = Hpcfs_core.Profile.build result.Runner.records in
            Hpcfs_core.Profile.pp Format.std_formatter profile)
          (find_app ?workload app))
   in

@@ -53,7 +53,7 @@ let () =
   Printf.printf "captured %d trace records\n\n"
     (List.length result.Runner.records);
   let report = Report.analyze ~nprocs result.Runner.records in
-  Report.pp_summary Format.std_formatter report;
+  Report.pp_digest Format.std_formatter report;
   print_newline ();
   print_endline
     "The recommendation means: this application would run correctly on any\n\

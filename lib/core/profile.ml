@@ -35,7 +35,8 @@ let bucket_bounds b =
   let lo = 1 lsl b in
   if b >= 24 then (lo, max_int) else (lo, (lo * 2) - 1)
 
-let build records report =
+let build records =
+  let accesses = (Offsets.resolve records).Offsets.accesses in
   let layer_counts = Hashtbl.create 4 in
   let func_counts = Hashtbl.create 32 in
   List.iter
@@ -75,7 +76,7 @@ let build records report =
         f :=
           { !f with f_writes = !f.f_writes + 1;
             f_bytes_written = !f.f_bytes_written + len })
-    report.Report.accesses;
+    accesses;
   Hashtbl.iter
     (fun (path, _) () ->
       let f = file_entry path in
@@ -91,8 +92,9 @@ let build records report =
           | `Commit -> { !f with f_commit_conflicts = !f.f_commit_conflicts + 1 }))
       conflicts
   in
-  count_conflicts `Session report.Report.session_conflicts;
-  count_conflicts `Commit report.Report.commit_conflicts;
+  let pairs = Overlap.detect accesses in
+  count_conflicts `Session (Conflict.of_pairs Conflict.Session_semantics pairs);
+  count_conflicts `Commit (Conflict.of_pairs Conflict.Commit_semantics pairs);
   let sorted tbl =
     Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
     |> List.sort (fun (_, a) (_, b) -> compare b a)

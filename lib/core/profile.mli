@@ -28,8 +28,10 @@ type t = {
   files : file_stats list;  (** Sorted by path. *)
 }
 
-val build : Hpcfs_trace.Record.t list -> Report.t -> t
-(** Assemble the profile from the raw records and an existing analysis. *)
+val build : Hpcfs_trace.Record.t list -> t
+(** Assemble the profile from the raw records: their resolved accesses
+    and the conflicts among them ({!Offsets.resolve}, {!Overlap.detect},
+    {!Conflict.of_pairs}). *)
 
 val pp : Format.formatter -> t -> unit
 (** Render the profile as the multi-section text report. *)

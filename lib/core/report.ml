@@ -1,80 +1,6 @@
 type t = {
   nprocs : int;
   record_count : int;
-  accesses : Access.t list;
-  skipped : int;
-  events : Eventtab.t;
-  sharing : Sharing.t;
-  local_mix : Pattern.mix;
-  global_mix : Pattern.mix;
-  session_conflicts : Conflict.t list;
-  commit_conflicts : Conflict.t list;
-  metadata : Metadata_report.usage;
-  meta_counts : Metadata_report.counts;
-  verdict : Recommend.verdict;
-}
-
-module Obs = Hpcfs_obs.Obs
-
-(* Each analysis phase runs inside a telemetry span so a run's trace shows
-   where the offline wall-clock goes; with no sink installed [Obs.span] is
-   the identity. *)
-let analyze ~nprocs records =
-  Obs.span Obs.T_core "analyze" @@ fun () ->
-  let resolved =
-    Obs.span Obs.T_core "analyze.resolve" (fun () -> Offsets.resolve records)
-  in
-  let accesses = resolved.Offsets.accesses in
-  let pairs =
-    Obs.span Obs.T_core "analyze.overlap" (fun () -> Overlap.detect accesses)
-  in
-  let sharing =
-    Obs.span Obs.T_core "analyze.sharing" (fun () ->
-        Sharing.classify ~nprocs accesses)
-  in
-  let local_mix, global_mix =
-    Obs.span Obs.T_core "analyze.patterns" (fun () ->
-        (Pattern.local_mix accesses, Pattern.global_mix accesses))
-  in
-  let session_conflicts, commit_conflicts =
-    Obs.span Obs.T_core "analyze.conflicts" (fun () ->
-        ( Conflict.of_pairs Conflict.Session_semantics pairs,
-          Conflict.of_pairs Conflict.Commit_semantics pairs ))
-  in
-  let metadata, meta_counts =
-    Obs.span Obs.T_core "analyze.metadata" (fun () ->
-        let c = Metadata_report.collector () in
-        List.iter (Metadata_report.record c) records;
-        (Metadata_report.usage c, Metadata_report.counts c))
-  in
-  let verdict =
-    Obs.span Obs.T_core "analyze.recommend" (fun () ->
-        Recommend.of_summaries
-          ~session:(Conflict.summarize session_conflicts)
-          ~commit:(Conflict.summarize commit_conflicts))
-  in
-  {
-    nprocs;
-    record_count = List.length records;
-    accesses;
-    skipped = resolved.Offsets.skipped;
-    events = resolved.Offsets.events;
-    sharing;
-    local_mix;
-    global_mix;
-    session_conflicts;
-    commit_conflicts;
-    metadata;
-    meta_counts;
-    verdict;
-  }
-
-let session_summary t = t.verdict.Recommend.session_summary
-let commit_summary t = t.verdict.Recommend.commit_summary
-
-type summary = {
-  nprocs : int;
-  record_count : int;
   access_count : int;
   skipped : int;
   sharing : Sharing.t;
@@ -87,21 +13,7 @@ type summary = {
   verdict : Recommend.verdict;
 }
 
-let summary_of_report (t : t) : summary =
-  {
-    nprocs = t.nprocs;
-    record_count = t.record_count;
-    access_count = List.length t.accesses;
-    skipped = t.skipped;
-    sharing = t.sharing;
-    local_mix = t.local_mix;
-    global_mix = t.global_mix;
-    session = session_summary t;
-    commit = commit_summary t;
-    metadata = t.metadata;
-    meta_counts = t.meta_counts;
-    verdict = t.verdict;
-  }
+module Obs = Hpcfs_obs.Obs
 
 type stream = {
   given_nprocs : int option;
@@ -139,7 +51,7 @@ let feed s r =
   Metadata_report.record s.meta r;
   Offsets.feed s.resolver r
 
-let finish s : summary =
+let finish s : t =
   Obs.span Obs.T_core "analyze.stream" @@ fun () ->
   let events = Offsets.seal s.resolver in
   let nprocs =
@@ -180,6 +92,11 @@ let finish s : summary =
     verdict = Recommend.of_summaries ~session:!session ~commit:!commit;
   }
 
+let analyze ~nprocs records =
+  let s = stream ~nprocs () in
+  List.iter (feed s) records;
+  finish s
+
 let pp_mix ppf mix =
   let c, m, r = Pattern.percentages mix in
   Format.fprintf ppf "%.1f%% consecutive, %.1f%% monotonic, %.1f%% random" c m
@@ -189,7 +106,7 @@ let pp_conflict_summary ppf (s : Conflict.summary) =
   Format.fprintf ppf "WAW-S:%d WAW-D:%d RAW-S:%d RAW-D:%d" s.Conflict.waw_s
     s.Conflict.waw_d s.Conflict.raw_s s.Conflict.raw_d
 
-let pp_digest ppf (s : summary) =
+let pp_digest ppf (s : t) =
   Format.fprintf ppf "records analyzed : %d (%d data accesses, %d skipped)@."
     s.record_count s.access_count s.skipped;
   Format.fprintf ppf "sharing pattern  : %s, %s (%d ranks doing I/O on %d files)@."
@@ -204,4 +121,3 @@ let pp_digest ppf (s : summary) =
     (String.concat ", " (Metadata_report.used_ops s.metadata));
   Format.fprintf ppf "weakest semantics: %s@." (Recommend.describe s.verdict)
 
-let pp_summary ppf t = pp_digest ppf (summary_of_report t)

@@ -1,48 +1,21 @@
 (** One-stop analysis of a traced run: everything the paper reports per
-    application configuration, computed from a record list. *)
+    application configuration, folded from the trace one record at a
+    time.
+
+    {!feed} streams each record through offset resolution and the
+    metadata inventory; {!finish} seals the event tables and folds the
+    buffered data accesses file by file through the sharing, pattern, and
+    conflict accumulators — overlap pairs go straight into conflict
+    summaries via {!Overlap.iter_file_pairs}, never materializing a pair
+    list.  Memory is proportional to the resolved data accesses (and
+    event tables), not to the record count, so a trace too large to hold
+    as a record list streams from its file (the Recorder-at-scale mode).
+
+    Callers that need the per-access data (the conflict pairs of a file,
+    an offset series) compose Algorithm 1's building blocks themselves:
+    {!Offsets.resolve}, {!Overlap.detect}, {!Conflict.of_pairs}. *)
 
 type t = {
-  nprocs : int;
-  record_count : int;
-  accesses : Access.t list;
-  skipped : int;
-  events : Eventtab.t;
-  sharing : Sharing.t;
-  local_mix : Pattern.mix;
-  global_mix : Pattern.mix;
-  session_conflicts : Conflict.t list;
-  commit_conflicts : Conflict.t list;
-  metadata : Metadata_report.usage;
-  meta_counts : Metadata_report.counts;
-      (** Per-operation call counts behind {!field-metadata}. *)
-  verdict : Recommend.verdict;
-}
-
-val analyze : nprocs:int -> Hpcfs_trace.Record.t list -> t
-
-val session_summary : t -> Conflict.summary
-val commit_summary : t -> Conflict.summary
-
-val pp_summary : Format.formatter -> t -> unit
-(** Multi-line human-readable digest (used by the CLI and quickstart). *)
-
-(** {2 Streaming analysis}
-
-    The same analysis fed one record at a time, for traces too large to
-    hold as a record list (the Recorder-at-scale mode): {!feed} streams
-    each record through offset resolution and the metadata inventory;
-    {!finish} seals the event tables and folds the buffered data accesses
-    file by file through the sharing, pattern, and conflict accumulators
-    — overlap pairs go straight into conflict summaries via
-    {!Overlap.iter_file_pairs}, never materializing a pair list.  Memory
-    is proportional to the resolved data accesses (and event tables),
-    not to the record count.
-
-    A {!summary} holds exactly what {!pp_summary} prints; the streaming
-    summary of a trace equals {!summary_of_report} of {!analyze} on the
-    same records (locked by tests). *)
-
-type summary = {
   nprocs : int;
   record_count : int;
   access_count : int;
@@ -54,10 +27,9 @@ type summary = {
   commit : Conflict.summary;
   metadata : Metadata_report.usage;
   meta_counts : Metadata_report.counts;
+      (** Per-operation call counts behind {!field-metadata}. *)
   verdict : Recommend.verdict;
 }
-
-val summary_of_report : t -> summary
 
 type stream
 
@@ -67,8 +39,10 @@ val stream : ?nprocs:int -> unit -> stream
 
 val feed : stream -> Hpcfs_trace.Record.t -> unit
 
-val finish : stream -> summary
+val finish : stream -> t
 
-val pp_digest : Format.formatter -> summary -> unit
-(** Same text as {!pp_summary} ([pp_summary] is [pp_digest] of
-    {!summary_of_report}). *)
+val analyze : nprocs:int -> Hpcfs_trace.Record.t list -> t
+(** {!stream}, {!feed} each record, {!finish}. *)
+
+val pp_digest : Format.formatter -> t -> unit
+(** Multi-line human-readable digest (used by the CLI and quickstart). *)

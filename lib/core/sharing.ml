@@ -20,18 +20,6 @@ let structure_name = function
   | Strided -> "strided"
   | Strided_cyclic -> "strided cyclic"
 
-let merge_runs intervals =
-  let sorted = List.sort Interval.compare_lo intervals in
-  let rec go acc = function
-    | [] -> List.rev acc
-    | iv :: rest -> (
-      match acc with
-      | prev :: acc' when prev.Interval.hi >= iv.Interval.lo ->
-        go (Interval.union_hull prev iv :: acc') rest
-      | _ -> go (iv :: acc) rest)
-  in
-  go [] sorted
-
 (* Structure of one shared file: per-rank merged extent runs.  Repeated
    interleaved passes only count as cyclic when the file's writers are a
    proper subset of the ranks (aggregated I/O, as in collective buffering);
@@ -46,7 +34,9 @@ let file_structure ~nprocs accesses =
       | None -> Hashtbl.add per_rank a.Access.rank (ref [ a.Access.iv ]))
     accesses;
   let runs_per_rank =
-    Hashtbl.fold (fun rank l acc -> (rank, merge_runs !l) :: acc) per_rank []
+    Hashtbl.fold
+      (fun rank l acc -> (rank, Interval.merge_runs !l) :: acc)
+      per_rank []
   in
   let max_runs =
     List.fold_left (fun m (_, runs) -> max m (List.length runs)) 0

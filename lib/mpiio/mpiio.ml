@@ -136,18 +136,6 @@ let pieces_of domains iv =
       Option.map (fun inter -> (agg, inter)) (Interval.intersect dom iv))
     domains
 
-let merge_runs intervals =
-  let sorted = List.sort Interval.compare_lo intervals in
-  let rec go acc = function
-    | [] -> List.rev acc
-    | iv :: rest -> (
-      match acc with
-      | prev :: acc' when prev.Interval.hi >= iv.Interval.lo ->
-        go (Interval.union_hull prev iv :: acc') rest
-      | _ -> go (iv :: acc) rest)
-  in
-  go [] sorted
-
 (* All ranks' extents, gathered; only non-empty ones are kept. *)
 let gather_extents ctx ~off ~len =
   let all = Mpi.allgather ctx.comm (Mpi.P_ints [| off; len |]) in
@@ -208,7 +196,7 @@ let write_at_all ctx ?(origin = Record.O_app) fh ~off data =
                (pieces_of domains iv))
          extents;
        (* Write back merged contiguous runs covering the collected pieces. *)
-       let runs = merge_runs (List.map fst !collected) in
+       let runs = Interval.merge_runs (List.map fst !collected) in
        List.iter
          (fun run ->
            let buf = Bytes.make (Interval.length run) '\000' in
@@ -246,7 +234,7 @@ let read_at_all ctx ?(origin = Record.O_app) fh ~off len =
                (pieces_of domains iv))
            extents
        in
-       let runs = merge_runs (List.map snd my_pieces) in
+       let runs = Interval.merge_runs (List.map snd my_pieces) in
        let buffers =
          List.map
            (fun run ->

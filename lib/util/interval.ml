@@ -31,4 +31,15 @@ let subtract a b =
 let compare_lo a b =
   match compare a.lo b.lo with 0 -> compare a.hi b.hi | c -> c
 
+let merge_runs intervals =
+  let rec go acc = function
+    | [] -> List.rev acc
+    | iv :: rest -> (
+      match acc with
+      | prev :: acc' when prev.hi >= iv.lo ->
+        go (union_hull prev iv :: acc') rest
+      | _ -> go (iv :: acc) rest)
+  in
+  go [] (List.sort compare_lo intervals)
+
 let pp ppf i = Format.fprintf ppf "[%d,%d)" i.lo i.hi

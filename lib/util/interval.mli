@@ -37,4 +37,9 @@ val subtract : t -> t -> t list
 val compare_lo : t -> t -> int
 (** Order by lower endpoint, then upper. *)
 
+val merge_runs : t list -> t list
+(** Sort by [lo] and fuse intervals that overlap or touch: the runs come
+    back sorted, pairwise disjoint and not touching, and cover exactly
+    the bytes of the (non-empty) inputs. *)
+
 val pp : Format.formatter -> t -> unit

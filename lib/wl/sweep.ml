@@ -100,8 +100,8 @@ let run ?(seed = 42) (g : grid) =
                         structure =
                           Sharing.structure_name sharing.Sharing.structure;
                         session_matrix =
-                          matrix (Report.session_summary report);
-                        commit_matrix = matrix (Report.commit_summary report);
+                          matrix report.Report.session;
+                        commit_matrix = matrix report.Report.commit;
                         stale_reads = o.Validation.stale_reads;
                         corrupted = o.Validation.corrupted_files;
                         files = o.Validation.files;

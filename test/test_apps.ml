@@ -10,6 +10,8 @@ module Validation = Hpcfs_apps.Validation
 module Report = Hpcfs_core.Report
 module Sharing = Hpcfs_core.Sharing
 module Conflict = Hpcfs_core.Conflict
+module Offsets = Hpcfs_core.Offsets
+module Overlap = Hpcfs_core.Overlap
 module Happens_before = Hpcfs_core.Happens_before
 module Consistency = Hpcfs_fs.Consistency
 module Pattern = Hpcfs_core.Pattern
@@ -30,6 +32,14 @@ let report_of entry =
     Hashtbl.replace analyzed (Registry.label entry) (result, report);
     (result, report)
 
+(* The session and commit conflict pairs of a run, from Algorithm 1's
+   building blocks. *)
+let conflicts result =
+  let accesses = (Offsets.resolve result.Runner.records).Offsets.accesses in
+  let pairs = Overlap.detect accesses in
+  ( Conflict.of_pairs Conflict.Session_semantics pairs,
+    Conflict.of_pairs Conflict.Commit_semantics pairs )
+
 let matrix_of_summary (s : Conflict.summary) =
   {
     Registry.waw_s = s.Conflict.waw_s > 0;
@@ -47,7 +57,7 @@ let test_table3 entry () =
 
 let test_table4 entry expected () =
   let _, report = report_of entry in
-  let got = matrix_of_summary (Report.session_summary report) in
+  let got = matrix_of_summary report.Report.session in
   Alcotest.(check bool) "WAW-S" expected.Registry.waw_s got.Registry.waw_s;
   Alcotest.(check bool) "WAW-D" expected.Registry.waw_d got.Registry.waw_d;
   Alcotest.(check bool) "RAW-S" expected.Registry.raw_s got.Registry.raw_s;
@@ -57,8 +67,8 @@ let test_commit_clears_flash_only () =
   List.iter
     (fun entry ->
       let _, report = report_of entry in
-      let session = Report.session_summary report in
-      let commit = Report.commit_summary report in
+      let session = report.Report.session in
+      let commit = report.Report.commit in
       if entry.Registry.app = "FLASH" then begin
         Alcotest.(check bool) "FLASH conflicts under session" false
           (Conflict.no_conflicts session);
@@ -79,7 +89,7 @@ let test_only_flash_has_cross_process_conflicts () =
   List.iter
     (fun entry ->
       let _, report = report_of entry in
-      let s = Report.session_summary report in
+      let s = report.Report.session in
       let has_d = s.Conflict.waw_d > 0 || s.Conflict.raw_d > 0 in
       Alcotest.(check bool)
         (Registry.label entry ^ " D-conflicts iff FLASH")
@@ -94,12 +104,12 @@ let test_conflicts_are_race_free () =
       match Registry.find name with
       | None -> Alcotest.fail ("missing entry " ^ name)
       | Some entry ->
-        let result, report = report_of entry in
+        let result, _ = report_of entry in
         let hb =
           Happens_before.build ~nprocs (Lazy.force result.Runner.events)
         in
         Alcotest.(check bool) (name ^ " race-free") true
-          (Happens_before.race_free hb report.Report.session_conflicts))
+          (Happens_before.race_free hb (fst (conflicts result))))
     [ "FLASH-fbs"; "FLASH-nofbs"; "NWChem"; "MACSio"; "LAMMPS-ADIOS" ]
 
 let test_scale_independence () =
@@ -118,8 +128,8 @@ let test_scale_independence () =
           Report.analyze ~nprocs:32 r.Runner.records
         in
         Alcotest.(check bool) (name ^ " same conflict pattern") true
-          (matrix_of_summary (Report.session_summary small)
-          = matrix_of_summary (Report.session_summary large));
+          (matrix_of_summary small.Report.session
+          = matrix_of_summary large.Report.session);
         Alcotest.(check string) (name ^ " same xy")
           (Sharing.xy_name small.Report.sharing.Sharing.xy)
           (Sharing.xy_name large.Report.sharing.Sharing.xy))
@@ -191,7 +201,7 @@ let test_flash_collective_metadata_fix () =
      cross-process conflict. *)
   let result = Runner.run ~nprocs Hpcfs_apps.Flash.run_fbs_collective_metadata in
   let report = Report.analyze ~nprocs result.Runner.records in
-  let s = Report.session_summary report in
+  let s = report.Report.session in
   Alcotest.(check int) "no cross-process WAW" 0 s.Conflict.waw_d;
   Alcotest.(check int) "no cross-process RAW" 0 s.Conflict.raw_d
 
@@ -232,6 +242,7 @@ let pin_line entry =
     Printf.sprintf "%d (%d ordered)" (List.length d)
       (List.length (List.filter (Happens_before.conflict_synchronized hb) d))
   in
+  let session_conflicts, commit_conflicts = conflicts result in
   let m = report.Report.local_mix in
   let outcomes =
     Validation.validate ~nprocs ~semantics:pin_engines entry.Registry.body
@@ -245,15 +256,15 @@ let pin_line entry =
     "%s: classes session %s commit %s; %s %s; local %d/%d/%d; %s; \
      recommend %s; cross session %s, commit %s"
     (Registry.label entry)
-    (flags (Report.session_summary report))
-    (flags (Report.commit_summary report))
+    (flags report.Report.session)
+    (flags report.Report.commit)
     (Sharing.xy_name report.Report.sharing.Sharing.xy)
     (Sharing.structure_name report.Report.sharing.Sharing.structure)
     m.Pattern.consecutive m.Pattern.monotonic m.Pattern.random
     (String.concat ", " outcomes)
     (Recommend.describe report.Report.verdict)
-    (cross report.Report.session_conflicts)
-    (cross report.Report.commit_conflicts)
+    (cross session_conflicts)
+    (cross commit_conflicts)
 
 let expected_pin =
   [

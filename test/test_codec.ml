@@ -1,7 +1,7 @@
 (* Tests for the binary trace pipeline: varint primitives, the chunked
    codec, format auto-detection and conversion, the collector's spill
-   mode, codec telemetry, and the streaming analysis path's equivalence
-   to the list-based one. *)
+   mode, codec telemetry, and the streaming analysis checked against a
+   reference composed from the batch building blocks. *)
 
 module Record = Hpcfs_trace.Record
 module Varint = Hpcfs_trace.Varint
@@ -10,6 +10,15 @@ module Tracefile = Hpcfs_trace.Tracefile
 module Collector = Hpcfs_trace.Collector
 module Obs = Hpcfs_obs.Obs
 module Report = Hpcfs_core.Report
+module Offsets = Hpcfs_core.Offsets
+module Conflict = Hpcfs_core.Conflict
+module Sharing = Hpcfs_core.Sharing
+module Pattern = Hpcfs_core.Pattern
+module Metadata_report = Hpcfs_core.Metadata_report
+module Recommend = Hpcfs_core.Recommend
+module Overlap_ref = Hpcfs_oracle.Overlap_ref
+module Wl_gen = Hpcfs_oracle.Wl_gen
+module Compile = Hpcfs_wl.Compile
 module Registry = Hpcfs_apps.Registry
 module Runner = Hpcfs_apps.Runner
 
@@ -490,24 +499,54 @@ let test_spill_counter () =
 
 (* Streaming analysis ------------------------------------------------------- *)
 
-let check_stream_equals_analyze ~nprocs records =
-  let expected = Report.summary_of_report (Report.analyze ~nprocs records) in
-  let s = Report.stream ~nprocs () in
-  List.iter (Report.feed s) records;
-  let got = Report.finish s in
+(* What [Report.analyze] must compute, composed from the batch building
+   blocks over the whole access list: offset resolution, the naive
+   all-pairs overlap scan, conflict filtering per model, whole-list
+   sharing and pattern classification, the metadata inventory and the
+   recommendation.  Nothing here goes through the per-file fold or the
+   per-rank merge of the streaming path. *)
+let reference ~nprocs records : Report.t =
+  let resolved = Offsets.resolve records in
+  let accesses = resolved.Offsets.accesses in
+  let pairs = Overlap_ref.detect_naive accesses in
+  let summary semantics =
+    Conflict.summarize (Conflict.of_pairs semantics pairs)
+  in
+  let session = summary Conflict.Session_semantics in
+  let commit = summary Conflict.Commit_semantics in
+  let meta = Metadata_report.collector () in
+  List.iter (Metadata_report.record meta) records;
+  {
+    Report.nprocs;
+    record_count = List.length records;
+    access_count = List.length accesses;
+    skipped = resolved.Offsets.skipped;
+    sharing = Sharing.classify ~nprocs accesses;
+    local_mix = Pattern.local_mix accesses;
+    global_mix = Pattern.global_mix accesses;
+    session;
+    commit;
+    metadata = Metadata_report.usage meta;
+    meta_counts = Metadata_report.counts meta;
+    verdict = Recommend.of_summaries ~session ~commit;
+  }
+
+let check_analyze_equals_reference ~nprocs records =
+  let expected = reference ~nprocs records in
+  let got = Report.analyze ~nprocs records in
   Alcotest.(check string) "digest equal"
     (Format.asprintf "%a" Report.pp_digest expected)
     (Format.asprintf "%a" Report.pp_digest got);
-  Alcotest.(check bool) "summaries structurally equal" true (got = expected)
+  Alcotest.(check bool) "reports structurally equal" true (got = expected)
 
-let test_stream_equals_analyze_apps () =
+let test_analyze_equals_reference_apps () =
   List.iter
     (fun entry ->
       let result = Runner.run ~nprocs:4 entry.Registry.body in
-      check_stream_equals_analyze ~nprocs:4 result.Runner.records)
-    (match Registry.all with a :: b :: c :: _ -> [ a; b; c ] | l -> l)
+      check_analyze_equals_reference ~nprocs:4 result.Runner.records)
+    Registry.all
 
-let test_stream_equals_analyze_edge_cases () =
+let test_analyze_equals_reference_edge_cases () =
   (* Unresolvable fds (skips), seeks, appends, truncation, read-only
      ranks; the corners of offset resolution. *)
   let t = ref 0 in
@@ -532,13 +571,13 @@ let test_stream_equals_analyze_edge_cases () =
       r ~rank:2 ~file:"/log" ~count:6 "truncate";
     ]
   in
-  check_stream_equals_analyze ~nprocs:3 records;
+  check_analyze_equals_reference ~nprocs:3 records;
   (* Inferred rank count: max rank + 1. *)
   let s = Report.stream () in
   List.iter (Report.feed s) records;
   Alcotest.(check int) "inferred nprocs" 3 (Report.finish s).Report.nprocs;
   (* Empty trace. *)
-  check_stream_equals_analyze ~nprocs:1 []
+  check_analyze_equals_reference ~nprocs:1 []
 
 let test_stream_from_binary_file () =
   (* The acceptance path: records stream from a binary trace into the
@@ -546,13 +585,22 @@ let test_stream_from_binary_file () =
   let records = golden_records () in
   with_temp @@ fun path ->
   Tracefile.save ~format:Tracefile.Binary path records;
-  let expected = Report.summary_of_report (Report.analyze ~nprocs:4 records) in
   let s = Report.stream ~nprocs:4 () in
   (match Tracefile.iter path ~f:(Report.feed s) with
   | Ok _ -> ()
   | Error e -> Alcotest.fail e);
-  Alcotest.(check bool) "streamed summary equals analyze" true
-    (Report.finish s = expected)
+  Alcotest.(check bool) "streamed report equals the reference" true
+    (Report.finish s = reference ~nprocs:4 records)
+
+(* Generated workloads at small rank counts: shapes the catalogue lacks
+   (mixed phases, random orders, read-back of another rank's blocks). *)
+let qcheck_analyze_equals_reference =
+  QCheck.Test.make ~name:"analyze = reference (generated)"
+    ~count:200
+    QCheck.(pair (int_range 1 6) Wl_gen.arbitrary)
+    (fun (nprocs, w) ->
+      let records = (Runner.run ~nprocs (Compile.body w)).Runner.records in
+      Report.analyze ~nprocs records = reference ~nprocs records)
 
 (* Malformed extents --------------------------------------------------------- *)
 
@@ -656,12 +704,13 @@ let suite =
       test_collector_spill_matches_memory;
     Alcotest.test_case "codec counters" `Quick test_codec_counters;
     Alcotest.test_case "spill counter" `Quick test_spill_counter;
-    Alcotest.test_case "stream = analyze (apps)" `Quick
-      test_stream_equals_analyze_apps;
-    Alcotest.test_case "stream = analyze (edge cases)" `Quick
-      test_stream_equals_analyze_edge_cases;
+    Alcotest.test_case "analyze = reference (apps)" `Quick
+      test_analyze_equals_reference_apps;
+    Alcotest.test_case "analyze = reference (edge cases)" `Quick
+      test_analyze_equals_reference_edge_cases;
     Alcotest.test_case "stream from binary file" `Quick
       test_stream_from_binary_file;
+    QCheck_alcotest.to_alcotest qcheck_analyze_equals_reference;
     QCheck_alcotest.to_alcotest qcheck_varint_roundtrip;
     QCheck_alcotest.to_alcotest qcheck_codec_roundtrip;
     Alcotest.test_case "bad extents refused" `Quick test_bad_extents_refused;

@@ -177,18 +177,18 @@ let prop_profile_consistent =
     arbitrary_workload (fun workload ->
       let nprocs, _ = workload in
       let _, records = execute workload in
-      let report = Report.analyze ~nprocs records in
-      let profile = Profile.build records report in
+      let profile = Profile.build records in
       let file_reads = List.fold_left (fun a f -> a + f.Profile.f_reads) 0 profile.Profile.files in
       let file_writes = List.fold_left (fun a f -> a + f.Profile.f_writes) 0 profile.Profile.files in
       let reads, writes =
         List.fold_left
           (fun (r, w) a ->
             if Access.is_write a then (r, w + 1) else (r + 1, w))
-          (0, 0) report.Report.accesses
+          (0, 0) (Offsets.resolve records).Offsets.accesses
       in
       profile.Profile.total_records = List.length records
       && file_reads = reads && file_writes = writes
+      && reads + writes = (Report.analyze ~nprocs records).Report.access_count
       && List.fold_left (fun a (_, _, n) -> a + n) 0 profile.Profile.size_histogram
          = reads + writes)
 

@@ -91,6 +91,41 @@ let prop_subtract_disjoint =
           Interval.is_empty piece || not (Interval.overlaps piece i2))
         (Interval.subtract i1 i2))
 
+(* merge_runs against a per-byte model: the runs are non-empty, sorted,
+   neither overlap nor touch, and cover exactly the input's bytes. *)
+let merge_domain = 200
+
+let prop_merge_runs_matches_bytes =
+  QCheck.Test.make ~name:"merge_runs = per-byte model"
+    ~count:500
+    QCheck.(
+      list_of_size Gen.(0 -- 30)
+        (pair (int_bound (merge_domain - 1)) (int_range 1 40)))
+    (fun spans ->
+      let ivs =
+        List.map
+          (fun (lo, len) -> Interval.make lo (min merge_domain (lo + len)))
+          spans
+      in
+      let bytes ivs =
+        let covered = Array.make merge_domain false in
+        List.iter
+          (fun (iv : Interval.t) ->
+            for i = iv.lo to iv.hi - 1 do
+              covered.(i) <- true
+            done)
+          ivs;
+        covered
+      in
+      let runs = Interval.merge_runs ivs in
+      let rec apart = function
+        | (a : Interval.t) :: (b :: _ as rest) -> a.hi < b.lo && apart rest
+        | [ _ ] | [] -> true
+      in
+      List.for_all (fun iv -> not (Interval.is_empty iv)) runs
+      && apart runs
+      && bytes runs = bytes ivs)
+
 (* Extmap against a per-byte array: random sets and updates over a small
    domain, then every byte of a query's pieces must match the array, the
    pieces must come clipped, non-empty and ascending, and no covered byte
@@ -239,6 +274,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_intersect_commutes;
     QCheck_alcotest.to_alcotest prop_subtract_disjoint;
     QCheck_alcotest.to_alcotest prop_extmap_matches_flat;
+    QCheck_alcotest.to_alcotest prop_merge_runs_matches_bytes;
     Alcotest.test_case "table render" `Quick test_table_render;
     Alcotest.test_case "table pads" `Quick test_table_pads_short_rows;
     Alcotest.test_case "stats mean/stddev" `Quick test_stats_mean_stddev;

@@ -81,8 +81,8 @@ let test_analysis_agrees_with_validation () =
   (* The trace analysis must predict exactly what validation observes. *)
   let result = Runner.run ~nprocs:2 session_unsafe in
   let report = Report.analyze ~nprocs:2 result.Runner.records in
-  let session = Report.session_summary report in
-  let commit = Report.commit_summary report in
+  let session = report.Report.session in
+  let commit = report.Report.commit in
   Alcotest.(check bool) "RAW-D predicted under session" true
     (session.Conflict.raw_d > 0);
   Alcotest.(check bool) "RAW-D predicted under commit" true
@@ -90,9 +90,9 @@ let test_analysis_agrees_with_validation () =
   let result = Runner.run ~nprocs:2 commit_safe in
   let report = Report.analyze ~nprocs:2 result.Runner.records in
   Alcotest.(check int) "commit clean with fsync" 0
-    (Report.commit_summary report).Conflict.raw_d;
+    report.Report.commit.Conflict.raw_d;
   Alcotest.(check bool) "session still conflicting" true
-    ((Report.session_summary report).Conflict.raw_d > 0)
+    (report.Report.session.Conflict.raw_d > 0)
 
 let test_eventual_delay_sweep () =
   (* With a zero delay eventual consistency behaves like strong; with a
@@ -122,8 +122,8 @@ let test_skew_adjustment_restores_conflict_order () =
   in
   let adjusted = Skew.align ~sync_point:skew skewed in
   let report = Report.analyze ~nprocs:2 adjusted in
-  let base = Report.session_summary baseline in
-  let adj = Report.session_summary report in
+  let base = baseline.Report.session in
+  let adj = report.Report.session in
   Alcotest.(check bool) "same conflict summary after adjustment" true
     (base = adj);
   Alcotest.(check int) "skew magnitude" 1_000_000

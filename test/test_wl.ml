@@ -217,7 +217,7 @@ let test_reexpressed (label, spec) () =
     | Some c -> c
     | None -> Alcotest.failf "%s has no Table 4 row" label
   in
-  let got = matrix_of_summary (Report.session_summary report) in
+  let got = matrix_of_summary report.Report.session in
   Alcotest.(check bool) "WAW-S" expected.Registry.waw_s got.Registry.waw_s;
   Alcotest.(check bool) "WAW-D" expected.Registry.waw_d got.Registry.waw_d;
   Alcotest.(check bool) "RAW-S" expected.Registry.raw_s got.Registry.raw_s;
