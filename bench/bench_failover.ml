@@ -21,13 +21,9 @@
 
 module Registry = Hpcfs_apps.Registry
 module Validation = Hpcfs_apps.Validation
-module Consistency = Hpcfs_fs.Consistency
 module Plan = Hpcfs_fault.Plan
 
 let app = "pF3D-IO"
-
-let semantics =
-  [ Consistency.Strong; Consistency.Commit; Consistency.Session ]
 
 let fail_at = 1400
 let recover_after = 512
@@ -60,12 +56,12 @@ let failover () =
         let m0 = Bench_common.allocated_words () in
         let t0 = Unix.gettimeofday () in
         let rows =
-          Validation.crash_report ~nprocs:Bench_common.nprocs ~semantics
+          Validation.crash_report ~nprocs:Bench_common.nprocs
             ~app:(Printf.sprintf "%s/%s" (Registry.label e) mode)
             ~plan e.Registry.body
         in
         let dt = Unix.gettimeofday () -. t0 in
-        let runs = float_of_int (List.length semantics) in
+        let runs = float_of_int (List.length Validation.engines) in
         Bench_perf.record
           ~name:("failover/" ^ mode)
           (Bench_perf.per_op ~ns:(dt *. 1e9 /. runs)

@@ -17,7 +17,6 @@
 module Registry = Hpcfs_apps.Registry
 module Runner = Hpcfs_apps.Runner
 module Validation = Hpcfs_apps.Validation
-module Consistency = Hpcfs_fs.Consistency
 module Plan = Hpcfs_fault.Plan
 module Report = Hpcfs_fault.Report
 module Table = Hpcfs_util.Table
@@ -28,9 +27,6 @@ let plan =
   Plan.make ~seed:42
     [ Plan.crash ~rank:1 ~restart_delay:64 (Plan.At_io 5) ]
 
-let semantics =
-  [ Consistency.Strong; Consistency.Commit; Consistency.Session ]
-
 let entry_of name =
   match Registry.find name with
   | Some e -> e
@@ -40,7 +36,7 @@ let recovery_rows () =
   List.concat_map
     (fun name ->
       let entry = entry_of name in
-      Validation.crash_report ~nprocs:Bench_common.nprocs ~semantics
+      Validation.crash_report ~nprocs:Bench_common.nprocs
         ~app:(Registry.label entry) ~plan entry.Registry.body)
     apps
 

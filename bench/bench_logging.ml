@@ -43,13 +43,7 @@ let bb_byte_ns = 0.125
 let wal_op_ns = 3_000.
 let wal_byte_ns = 0.25 (* 4 GB/s sequential node-local log append *)
 
-let engines =
-  [
-    Consistency.Strong;
-    Consistency.Commit;
-    Consistency.Session;
-    Consistency.Eventual { delay = 16 };
-  ]
+let engines = Validation.engines @ [ Consistency.Eventual { delay = 16 } ]
 
 (* Checkpoint-dominated storm: N-N epochs of small blocks, where the
    per-operation PFS overhead dominates and ack-at-append pays off. *)

@@ -36,13 +36,7 @@ let shard_counts = if small then [ 1; 4 ] else [ 1; 4; 16 ]
 
 let engines =
   if small then [ Consistency.Strong; Consistency.Session ]
-  else
-    [
-      Consistency.Strong;
-      Consistency.Commit;
-      Consistency.Session;
-      Consistency.Eventual { delay = 8 };
-    ]
+  else Hpcfs_apps.Validation.engines @ [ Consistency.Eventual { delay = 8 } ]
 
 let bench_nprocs = if small then 8 else min nprocs 32
 

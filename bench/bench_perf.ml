@@ -293,12 +293,7 @@ let readpath () =
   let sizes = if small then [ 200; 1_000 ] else [ 1_000; 10_000 ] in
   let reads = if small then 200 else 2_000 in
   let engines =
-    [
-      Consistency.Strong;
-      Consistency.Commit;
-      Consistency.Session;
-      Consistency.Eventual { delay = 8 };
-    ]
+    Hpcfs_apps.Validation.engines @ [ Consistency.Eventual { delay = 8 } ]
   in
   let t =
     Table.create

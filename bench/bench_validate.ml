@@ -47,14 +47,14 @@ let validate () =
       let strong = find Consistency.Strong in
       let commit = find Consistency.Commit in
       let session = find Consistency.Session in
-      (* The recommendation must be safe: running at the recommended level
-         (or stronger) must be correct. *)
+      (* The recommendation must be safe: the recommended engine and every
+         stronger one validate correct. *)
       let holds =
-        Validation.correct strong
-        && (match verdict.Recommend.semantics with
-           | Consistency.Session -> Validation.correct session && Validation.correct commit
-           | Consistency.Commit -> Validation.correct commit
-           | Consistency.Strong | Consistency.Eventual _ -> true)
+        List.for_all
+          (fun (o : Validation.outcome) ->
+            Validation.correct o
+            || Consistency.compare_strength o.semantics verdict.semantics < 0)
+          outcomes
       in
       Table.add_row t
         [

@@ -507,13 +507,16 @@ let analyze_cmd =
       (let stream = Report.stream ?nprocs:ranks () in
        match Tracefile.iter path ~f:(Report.feed stream) with
        | Error e -> Error e
-       | Ok _ ->
-         let report = Report.finish stream in
-         if ranks = None then
-           Printf.printf "ranks inferred from trace: %d\n"
-             report.Report.nprocs;
-         Report.pp_digest Format.std_formatter report;
-         Ok ())
+       | Ok _ -> (
+         match Report.check_ranks stream with
+         | Error e -> Error (Printf.sprintf "%s: %s" path e)
+         | Ok () ->
+           let report = Report.finish stream in
+           if ranks = None then
+             Printf.printf "ranks inferred from trace: %d\n"
+               report.Report.nprocs;
+           Report.pp_digest Format.std_formatter report;
+           Ok ()))
   in
   let doc = "Analyze a saved trace: patterns, conflicts, recommendation." in
   Cmd.v (Cmd.info "analyze" ~doc) Term.(const run $ file_arg $ ranks_opt_arg)

@@ -51,6 +51,12 @@ let run_against ~reference ~nprocs ?local_order ?tier ?wal ?faults model body
 
 let engines = [ Consistency.Strong; Consistency.Commit; Consistency.Session ]
 
+(* A direct, unfaulted run of the engine that publishes every write on
+   arrival is the strong reference run itself. *)
+let is_reference ?tier ?wal ?faults model =
+  Consistency.publication model = On_arrival
+  && Option.(is_none tier && is_none wal && is_none faults)
+
 let with_obs obs go =
   match obs with None -> go () | Some sink -> Obs.with_sink sink go
 
@@ -60,26 +66,23 @@ let validate ?obs ?(nprocs = 64) ?(semantics = engines) ?tier ?wal ?faults
   (* The reference is the direct, unfaulted strong candidate: its outcome
      is taken here, so the reference run is unreachable while the other
      candidates run. *)
-  let reference, strong =
+  let reference, stale_reads =
     let r =
       Obs.span Obs.T_core "validate.reference" (fun () ->
           reference_run ~nprocs body)
     in
-    let d = final_digests r in
-    ( d,
-      {
-        semantics = Consistency.Strong;
-        stale_reads = Runner.stale_reads r;
-        corrupted_files = 0;
-        files = List.length d;
-      } )
+    (final_digests r, Runner.stale_reads r)
   in
-  let direct = Option.(is_none tier && is_none wal && is_none faults) in
   List.map
-    (function
-      | Consistency.Strong when direct -> strong
-      | model ->
-        run_against ~reference ~nprocs ?tier ?wal ?faults model body)
+    (fun model ->
+      if is_reference ?tier ?wal ?faults model then
+        {
+          semantics = model;
+          stale_reads;
+          corrupted_files = 0;
+          files = List.length reference;
+        }
+      else run_against ~reference ~nprocs ?tier ?wal ?faults model body)
     semantics
 
 (* Crash-consistency report: the same app and fault plan, once per

@@ -38,6 +38,19 @@ val reference_run :
 (** The reference: [body] fault-free and direct under strong semantics,
     with single-process write order kept. *)
 
+val engines : Hpcfs_fs.Consistency.t list
+(** The engines {!validate} and {!crash_report} run by default: strong,
+    commit and session. *)
+
+val is_reference :
+  ?tier:Hpcfs_bb.Tier.config ->
+  ?wal:Hpcfs_wal.Wal.config ->
+  ?faults:Hpcfs_fault.Plan.t ->
+  Hpcfs_fs.Consistency.t ->
+  bool
+(** Whether a run of this engine with these options is the reference run
+    itself: direct, unfaulted and strong. *)
+
 val outcome_of :
   reference:(string * Digest.t) list -> Hpcfs_fs.Consistency.t ->
   Runner.result -> outcome

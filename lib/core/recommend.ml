@@ -8,19 +8,16 @@ type verdict = {
 }
 
 let of_summaries ~session:session_summary ~commit:commit_summary =
-  let semantics =
-    if Conflict.only_same_process session_summary then Consistency.Session
-    else if Conflict.only_same_process commit_summary then Consistency.Commit
-    else Consistency.Strong
+  (* Same-process ordering is judged on the summary of the chosen engine:
+     session's own, or commit's for commit and strong. *)
+  let semantics, judged =
+    if Conflict.only_same_process session_summary then
+      (Consistency.Session, session_summary)
+    else if Conflict.only_same_process commit_summary then
+      (Consistency.Commit, commit_summary)
+    else (Consistency.Strong, commit_summary)
   in
-  let needs_local_order =
-    not
-      (Conflict.no_conflicts
-         (match semantics with
-         | Consistency.Session -> session_summary
-         | Consistency.Commit | Consistency.Strong | Consistency.Eventual _ ->
-           commit_summary))
-  in
+  let needs_local_order = not (Conflict.no_conflicts judged) in
   { semantics; session_summary; commit_summary; needs_local_order }
 
 let describe v =

@@ -51,6 +51,12 @@ let feed s r =
   Metadata_report.record s.meta r;
   Offsets.feed s.resolver r
 
+let check_ranks s =
+  match s.given_nprocs with
+  | Some n when n <= s.max_rank ->
+    Error (Printf.sprintf "the trace has %d ranks, %d given" (s.max_rank + 1) n)
+  | Some _ | None -> Ok ()
+
 let finish s : t =
   Obs.span Obs.T_core "analyze.stream" @@ fun () ->
   let events = Offsets.seal s.resolver in

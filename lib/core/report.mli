@@ -39,6 +39,11 @@ val stream : ?nprocs:int -> unit -> stream
 
 val feed : stream -> Hpcfs_trace.Record.t -> unit
 
+val check_ranks : stream -> (unit, string) result
+(** [Error] naming both counts when a given [nprocs] is below the rank
+    count of the records fed so far (largest rank + 1): {!finish} would
+    analyze the trace as if it had fewer ranks than it has. *)
+
 val finish : stream -> t
 
 val analyze : nprocs:int -> Hpcfs_trace.Record.t list -> t

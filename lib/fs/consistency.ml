@@ -8,6 +8,28 @@ let strength = function
 
 let compare_strength a b = compare (strength a) (strength b)
 
+type publication = On_arrival | At_operation | After_delay
+
+let publication = function
+  | Strong -> On_arrival
+  | Commit | Session -> At_operation
+  | Eventual _ -> After_delay
+
+let delay = function
+  | Eventual { delay } -> delay
+  | Strong | Commit | Session -> 0
+
+let publishes_at t op =
+  match (t, op) with
+  | Commit, (`Fsync | `Close) | Session, `Close -> true
+  | (Strong | Commit | Session | Eventual _), _ -> false
+
+let open_acquires = function
+  | Session -> true
+  | Strong | Commit | Eventual _ -> false
+
+let takes_locks t = publication t = On_arrival
+
 let name = function
   | Strong -> "strong consistency"
   | Commit -> "commit consistency"
@@ -91,12 +113,8 @@ let table1 =
 
 let category_of_pfs fs =
   let fs = String.lowercase_ascii fs in
-  let matches (_, systems) =
-    List.exists (fun s -> String.lowercase_ascii s = fs) systems
-  in
-  match List.find_opt matches table1 with
-  | Some ("Strong Consistency", _) -> Some Strong
-  | Some ("Commit Consistency", _) -> Some Commit
-  | Some ("Session Consistency", _) -> Some Session
-  | Some ("Eventual Consistency", _) -> Some (Eventual { delay = 0 })
-  | Some _ | None -> None
+  List.combine [ Strong; Commit; Session; Eventual { delay = 0 } ] table1
+  |> List.find_map (fun (engine, (_, systems)) ->
+         if List.exists (fun s -> String.lowercase_ascii s = fs) systems then
+           Some engine
+         else None)

@@ -1,4 +1,5 @@
-(** The four PFS consistency-semantics categories of Section 3.
+(** The four PFS consistency-semantics categories of Section 3, and the
+    rules that tell them apart.
 
     The categorization orders models by when a write becomes visible to a
     subsequent read:
@@ -10,6 +11,10 @@
       reader (close-to-open, as in NFS).
     - {b Eventual}: after an unspecified propagation delay, with no
       application action required.
+
+    The rules below are written here once; the extent store, the PFS's
+    locks, the write-ahead log and the metadata service ask them instead
+    of matching on an engine.
 
     The module also carries the paper's Table 1 knowledge base mapping
     production PFSs to categories. *)
@@ -26,6 +31,29 @@ val strength : t -> int
 
 val compare_strength : t -> t -> int
 (** Compare by {!strength} (eventual delays are ignored). *)
+
+(** When a write publishes, i.e. may become visible to other processes. *)
+type publication =
+  | On_arrival  (** Strong: as the write completes. *)
+  | At_operation  (** Commit, session: at a {!publishes_at} operation. *)
+  | After_delay  (** Eventual: {!delay} ticks after the write's issue. *)
+
+val publication : t -> publication
+
+val delay : t -> int
+(** The eventual propagation delay; 0 for every other engine. *)
+
+val publishes_at : t -> [ `Fsync | `Close ] -> bool
+(** Whether the operation publishes its caller's earlier writes: commit
+    publishes at [fsync] and at [close] (Section 3.2: "a close() call
+    usually also has the effect of a commit"), session only at [close]. *)
+
+val open_acquires : t -> bool
+(** Session: a reader sees a publication only once it opens the file
+    after it. *)
+
+val takes_locks : t -> bool
+(** Byte-range locks are taken exactly where writes publish on arrival. *)
 
 val name : t -> string
 (** Human-readable category name, e.g. ["session consistency"]. *)

@@ -22,10 +22,9 @@
 
    Each file interprets one consistency engine, fixed at {!create}: every
    write carries one publish time ([pub]) under it, each rank keeps one
-   list of publishing events (commits and closes under commit, closes
-   under session) and one list of still-unpublished writes, and the file
-   keeps one cache.  Publishing events (commit, close, eventual-delay
-   expiry) trigger epoch compaction: the writer's newly-published writes
+   list of publishing events and one list of still-unpublished writes,
+   and the file keeps one cache.  Publishing events (and delay expiry)
+   trigger epoch compaction: the writer's newly-published writes
    fold into the base in (publish_time, issue_time, seq) order.  A read
    then copies the base range and overlays the reader's few still-pending
    visible extents.
@@ -53,10 +52,8 @@ type write_rec = {
   mutable w_data : bytes;
   mutable w_live : bool;  (* false once dropped by truncate/crash *)
   mutable pub : int;
-      (* publish time under the file's engine: w_time under strong,
-         w_time + delay under eventual, the writer's first publishing
-         event after w_time under commit/session ([unpublished] if none
-         yet) *)
+      (* publish time under the file's engine ([pub_of]; [unpublished]
+         while its publishing event has not happened) *)
 }
 
 (* Ascending event times of one rank (publishing events or opens). *)
@@ -125,22 +122,24 @@ type seg = { s_issue : int; s_strong : int; s_writer : int }
 
 type t = {
   sem : Consistency.t;
+  (* [sem]'s rules that the read path asks per logged write, taken once *)
+  publication : Consistency.publication;
+  acquires : bool;  (* Consistency.open_acquires *)
   mutable log : write_rec array;
   mutable log_n : int;
   mutable live : int;  (* live writes in the log *)
   mutable size : int;
   events : (int, evlist) Hashtbl.t;
-      (* publishing events per rank: commits and closes under commit,
-         closes under session, none under strong/eventual *)
-  opens : (int, evlist) Hashtbl.t;  (* session only *)
+      (* per rank, the operations that publish under the engine *)
+  opens : (int, evlist) Hashtbl.t;  (* where a reader's open acquires *)
   mutable laminated_at : int option;
   mutable index : seg Extmap.t;  (* rebuilt wholesale after truncate/crash *)
   mutable multi_ranges : bool;  (* any multi-writer segment exists *)
   writer_set : (int, unit) Hashtbl.t;  (* ranks that ever wrote *)
   (* Unpublished writes per rank, newest (w_time, seq) first; the
      "pending overlay" of the reader's own extents, and the candidate set
-     crash reconciliation walks instead of the full log.  Commit/session
-     only. *)
+     crash reconciliation walks instead of the full log.  Publication at
+     an operation only. *)
   unpub : (int, write_rec list ref) Hashtbl.t;
   cache : cache;
   mutable watermark : int;  (* max event/write time seen (event clock) *)
@@ -163,6 +162,8 @@ let dummy_write =
 let create sem =
   {
     sem;
+    publication = Consistency.publication sem;
+    acquires = Consistency.open_acquires sem;
     log = Array.make 16 dummy_write;
     log_n = 0;
     live = 0;
@@ -214,10 +215,9 @@ let laminated_by t time =
 (* Publish time of a write [rank] issues at [time] under the file's
    engine; [unpublished] while its publishing event has not happened. *)
 let pub_of t ~rank time =
-  match t.sem with
-  | Strong -> time
-  | Eventual { delay } -> time + delay
-  | Commit | Session -> (
+  match t.publication with
+  | On_arrival | After_delay -> time + Consistency.delay t.sem
+  | At_operation -> (
     match Hashtbl.find_opt t.events rank with
     | Some l -> ev_first_after l time
     | None -> unpublished)
@@ -338,8 +338,7 @@ let publish t ~rank ~time =
    whose delay expired fold in, in publish order. *)
 let fold_eventual t =
   let c = t.cache in
-  match t.sem with
-  | Eventual _ when c.c_valid ->
+  if c.c_valid && t.publication = After_delay then begin
     (* Fold runs of equal publish time as one epoch (several ranks writing
        in the same tick expire together). *)
     let q = c.c_pending in
@@ -356,7 +355,7 @@ let fold_eventual t =
       | _ -> ()
     in
     go ()
-  | _ -> ()
+  end
 
 (* Full pub-field recomputation, for histories whose event clock went
    backwards (the reference model allows it, so we must too). *)
@@ -418,9 +417,9 @@ let write t ~rank ~time ~off data =
     let w = append_raw t ~rank ~time (Interval.of_len off len) data in
     index_write t w;
     let c = t.cache in
-    (match t.sem with
-    | Strong -> ()
-    | Commit | Session ->
+    (match t.publication with
+    | On_arrival -> ()
+    | At_operation ->
       (* A write already published on arrival (its rank committed at a
          later timestamp before this record was inserted — e.g. a
          burst-buffer drain replaying an old extent) would have to fold
@@ -428,7 +427,7 @@ let write t ~rank ~time ~off data =
          instead. *)
       if w.pub <> unpublished then c.c_valid <- false
       else unpub_insert (unpub t rank) w
-    | Eventual _ ->
+    | After_delay ->
       (* The pending queue must stay ascending in publish time; an
          out-of-order arrival (old-timestamped replay) falls back to a
          rebuild, as does one that would fold mid-base. *)
@@ -456,35 +455,32 @@ let publishing_event t ~rank ~time =
 
 let commit t ~rank ~time =
   bump_watermark t time;
-  if t.sem = Commit then publishing_event t ~rank ~time;
+  if Consistency.publishes_at t.sem `Fsync then publishing_event t ~rank ~time;
   fold_eventual t
 
 let session_open t ~rank ~time =
   bump_watermark t time;
-  if t.sem = Session then ignore (ev_push (evl t.opens rank) time);
+  if t.acquires then ignore (ev_push (evl t.opens rank) time);
   fold_eventual t
 
-(* A close also publishes under commit semantics (cf. Section 3.2: "a
-   close() call usually also has the effect of a commit"). *)
 let session_close t ~rank ~time =
   bump_watermark t time;
-  (match t.sem with
-  | Commit | Session -> publishing_event t ~rank ~time
-  | Strong | Eventual _ -> ());
+  if Consistency.publishes_at t.sem `Close then publishing_event t ~rank ~time;
   fold_eventual t
+
+(* Has [rank] acquired, by [time], what was published at [pub]?  Where a
+   reader's open acquires, that takes an open in (pub, time]. *)
+let acquired t ~rank ~pub ~time =
+  pub <= time
+  && ((not t.acquires) || ev_exists_in (evl t.opens rank) ~after:pub ~upto:time)
 
 (* Does [rank] observe write [w] at [time]?  Mirrors the reference model:
    own writes always; lamination publishes everything once reached;
-   session readers additionally need an open after the writer's close. *)
+   otherwise once the reader has acquired the write's publication. *)
 let visible t ~rank ~time w =
   w.w_rank = rank || laminated_by t time
-  ||
-  match t.sem with
-  | Strong -> true
-  | Commit | Eventual _ -> w.pub <= time
-  | Session ->
-    w.pub <> unpublished
-    && ev_exists_in (evl t.opens rank) ~after:w.pub ~upto:time
+  || t.publication = On_arrival
+  || acquired t ~rank ~pub:w.pub ~time
 
 (* When [w] takes effect from this reader's point of view: own writes at
    issue time; laminated files restore issue order; otherwise the publish
@@ -542,10 +538,7 @@ let add_crash_stats a b =
    operation that publishes it has executed (strong: on arrival). *)
 let durable t ~issued ~pub ~time =
   laminated_by t time
-  ||
-  match t.sem with
-  | Strong -> issued < time
-  | Commit | Session | Eventual _ -> pub <= time
+  || if t.publication = On_arrival then issued < time else pub <= time
 
 let persisted t ~time w = durable t ~issued:w.w_time ~pub:w.pub ~time
 
@@ -556,17 +549,16 @@ let settled t ~rank ~issued ~time =
   durable t ~issued ~pub:(pub_of t ~rank issued) ~time
 
 (* The candidate non-durable writes, walked instead of the full log when
-   the pending index is exact: under commit/session semantics on a
+   the pending index is exact: under publication at an operation on a
    monotone clock, every publish time ever assigned is <= the crash time,
    so the non-persisted writes are exactly the unpublished lists. *)
 let crash_candidates t ~time =
-  match t.sem with
-  | (Commit | Session) when t.monotonic && time >= t.watermark ->
+  if t.publication = At_operation && t.monotonic && time >= t.watermark then
     Some
       (Hashtbl.fold (fun _ l acc -> List.rev_append !l acc) t.unpub []
       |> List.filter (fun w -> w.w_live)
       |> List.sort (fun a b -> compare a.w_seq b.w_seq))
-  | _ -> None
+  else None
 
 let crash t ~time ~stripe_size ~keep_stripes =
   if not t.monotonic then recompute_pubs t;
@@ -869,7 +861,7 @@ let read_strong t ~off ~len =
 let rebuild_cache t =
   if not t.monotonic then recompute_pubs t;
   let c = t.cache in
-  let eventual = match t.sem with Eventual _ -> true | _ -> false in
+  let eventual = t.publication = After_delay in
   let published = ref [] and pending = ref [] and hi = ref 0 in
   for i = t.log_n - 1 downto 0 do
     let w = t.log.(i) in
@@ -905,17 +897,13 @@ let rebuild_cache t =
 (* Can the settled base answer this read exactly?  (1) publishing events
    never ran backwards (pub fields precise); (2) the base is built; (3)
    every folded epoch is visible to this reader — published at or before
-   [time], and under session semantics covered by an open the reader made
-   after all the folds; (4) no multi-writer segment in range when the
-   reader has written the file (its own settled writes sort at issue time
-   for it, not at the publish time the base folded them at). *)
+   [time], and, where a reader's open acquires, covered by an open the
+   reader made after all the folds; (4) no multi-writer segment in range
+   when the reader has written the file (its own settled writes sort at
+   issue time for it, not at the publish time the base folded them at). *)
 let fast_ok t c ~rank ~time ~off ~len =
   t.monotonic && c.c_valid
-  && (match t.sem with
-     | Session ->
-       c.c_folded_pub = min_int
-       || ev_exists_in (evl t.opens rank) ~after:c.c_folded_pub ~upto:time
-     | Strong | Commit | Eventual _ -> c.c_folded_pub <= time)
+  && (c.c_folded_pub = min_int || acquired t ~rank ~pub:c.c_folded_pub ~time)
   && (not t.multi_ranges
      || not (Hashtbl.mem t.writer_set rank)
      || not
@@ -934,13 +922,11 @@ let read_fast t c ~rank ~time ~off ~len =
   if n > 0 then Bytes.blit c.c_base off data 0 n;
   let base_pieces = Extmap.query req c.c_base_seq in
   let overlay =
-    match t.sem with
-    | Eventual _ ->
+    if t.publication = After_delay then
       Queue.fold
         (fun acc w -> if w.w_rank = rank || w.pub <= time then w :: acc else acc)
         [] c.c_pending
-    | Strong | Commit | Session -> (
-      match Hashtbl.find_opt t.unpub rank with Some l -> !l | None -> [])
+    else match Hashtbl.find_opt t.unpub rank with Some l -> !l | None -> []
   in
   let overlay = List.filter (fun w -> Interval.overlaps req w.w_iv) overlay in
   let vis_pieces =
@@ -1002,15 +988,13 @@ let read ?(local_order = true) t ~rank ~time ~off ~len =
          exact. *)
       read_strong t ~off ~len
     | Some _ -> read_slow t ~local_order:true ~rank ~time ~off ~len
-    | None -> (
-      match t.sem with
-      | Strong -> read_strong t ~off ~len
-      | Commit | Session | Eventual _ ->
-        let c = t.cache in
-        if not c.c_valid then rebuild_cache t;
-        if fast_ok t c ~rank ~time ~off ~len then
-          read_fast t c ~rank ~time ~off ~len
-        else read_slow t ~local_order:true ~rank ~time ~off ~len)
+    | None when t.publication = On_arrival -> read_strong t ~off ~len
+    | None ->
+      let c = t.cache in
+      if not c.c_valid then rebuild_cache t;
+      if fast_ok t c ~rank ~time ~off ~len then
+        read_fast t c ~rank ~time ~off ~len
+      else read_slow t ~local_order:true ~rank ~time ~off ~len
 
 let oracle t ~off ~len =
   let len = clip t ~off ~len in

@@ -103,13 +103,10 @@ val crash :
     durability rules of the file's consistency engine to the write
     history, as of a whole-job crash at [time]:
 
-    - a write {e persisted} under the engine's rules survives whole.  Under
-      strong consistency every write issued before the crash is durable on
-      arrival; under commit consistency a write survives only if the writer
-      committed ([fsync]/[close]) after it and before the crash; under
-      session consistency only if the writer closed its session; under
-      eventual consistency only if the propagation delay had elapsed.
-      Lamination persists everything.
+    - a write {e persisted} under the engine's rules survives whole: one
+      issued before the crash where writes publish on arrival, otherwise
+      one published by the crash ({!Consistency.publication}).  Lamination
+      persists everything.
     - per rank, the {e newest} unpersisted write is considered in flight: it
       is torn at stripe boundaries, keeping a prefix of
       [keep_stripes ~total] whole stripes out of [total] pieces (callers
@@ -124,11 +121,8 @@ val crash :
 val settled : t -> rank:int -> issued:int -> time:int -> bool
 (** Is a write [rank] issued at [issued] persisted as of [time]?  The rule
     {!crash} applies, asked of the file's publishing events instead of a
-    logged write: strong persists on arrival; commit once [rank]
-    committed or closed after the write, by [time]; session once it
-    closed; eventual once the propagation delay elapsed.  Lamination
-    persists everything.  Host-side logs use it to tell which retained
-    writes a storage failure cannot take from the PFS. *)
+    logged write.  Host-side logs use it to tell which retained writes a
+    storage failure cannot take from the PFS. *)
 
 val crash_target :
   t ->

@@ -91,9 +91,8 @@ let check_data t ~time iv =
   end
 
 let account_lock t ~file ~rank mode iv =
-  match t.semantics with
-  | Consistency.Strong -> Lockmgr.access t.lockmgr ~file ~client:rank mode iv
-  | Consistency.Commit | Consistency.Session | Consistency.Eventual _ -> ()
+  if Consistency.takes_locks t.semantics then
+    Lockmgr.access t.lockmgr ~file ~client:rank mode iv
 
 (* Stripe accounting only runs with a sink installed: computing the extent
    decomposition would otherwise cost an allocation per data operation. *)

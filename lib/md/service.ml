@@ -80,17 +80,16 @@ let cache_of t client =
 
 let shard_of t path = Shardmap.shard ~shards:t.shards path
 
-(* Whether the engine may serve a cache entry filled at [cached_at].
-   Strong never caches in the first place; commit/session entries stay
-   valid until the protocol drops them (commit, reopen, own mutation);
-   eventual entries expire after the engine's visibility delay. *)
+(* Whether the engine may serve a cache entry filled at [cached_at]:
+   entries published at an operation stay valid until the protocol drops
+   them (commit, reopen, own mutation). *)
 let may_serve t ~time ~cached_at =
-  match t.semantics with
-  | Consistency.Strong -> false
-  | Consistency.Commit | Consistency.Session -> true
-  | Consistency.Eventual { delay } -> time - cached_at <= delay
+  match Consistency.publication t.semantics with
+  | On_arrival -> false
+  | At_operation -> true
+  | After_delay -> time - cached_at <= Consistency.delay t.semantics
 
-let caching t = t.semantics <> Consistency.Strong
+let caching t = Consistency.publication t.semantics <> On_arrival
 
 (* Server-side accounting of one operation on [path]'s shard.  Raises
    {!Target.Mds_down} when that shard is unavailable — cache hits never
@@ -280,15 +279,15 @@ let rename t ~time ~client src dst =
   own_mutation t ~client dst
 
 (* Open-path hook, called by the POSIX layer before the backend open.
-   Session semantics revalidates on open — the client drops whatever it
-   cached about the path so its view starts fresh.  The open itself is a
-   server lookup (or a create, when the file springs into existence),
-   charged to the owning shard — and its response carries the path's
-   attributes, so under every caching engine the opener's attr entry is
-   refreshed with truth (an open never leaves a stale negative behind). *)
+   Where the open acquires, the client drops whatever it cached about the
+   path so its view starts fresh.  The open itself is a server lookup (or
+   a create, when the file springs into existence), charged to the owning
+   shard — and its response carries the path's attributes, so under every
+   caching engine the opener's attr entry is refreshed with truth (an open
+   never leaves a stale negative behind). *)
 let note_open t ~time ~client ~create path =
   let creating = create && not (Namespace.exists t.ns path) in
-  (if caching t && t.semantics = Consistency.Session then
+  (if Consistency.open_acquires t.semantics then
      let cache = cache_of t client in
      let had =
        (match Mdcache.find_attr cache path with Some _ -> 1 | None -> 0)
@@ -311,10 +310,10 @@ let note_open t ~time ~client ~create path =
        dropped above instead and the next stat round-trips.) *)
     Mdcache.put_attr (cache_of t client) ~time path (truth_attr t path)
 
-(* Commit-path hook (fsync and friends): commit semantics revalidates at
-   commit points, so the committing client drops its whole cache. *)
+(* Commit-path hook (fsync and friends): where fsync publishes, the
+   committing client drops its whole cache. *)
 let note_commit t ~time:_ ~client =
-  if t.semantics = Consistency.Commit then begin
+  if Consistency.publishes_at t.semantics `Fsync then begin
     match Hashtbl.find_opt t.caches client with
     | None -> ()
     | Some cache ->

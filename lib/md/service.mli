@@ -10,12 +10,11 @@
       file-per-process spreads across all of them, and [mdsfail]
       plans apply per shard;
     - a {b per-client stat/attribute/dentry cache} ({!Mdcache}) whose
-      serve and invalidation protocol is dictated by the PFS's active
-      consistency engine: strong looks through on every call (never
-      caches), commit revalidates at commit points (fsync clears the
-      committing client's cache), session revalidates on open (opening
-      a path drops what the client cached about it), eventual serves
-      entries up to the engine's visibility delay (TTL).
+      serve and invalidation protocol follows the PFS engine's rules
+      ({!Hpcfs_fs.Consistency}): nothing is cached where writes publish
+      on arrival; a publishing fsync clears the committing client's
+      cache; an acquiring open drops what the client cached about the
+      path; entries published after a delay are served up to it.
 
     Staleness is accounted against ground truth: every answer served
     from a cache is compared with the authoritative namespace at serve
@@ -68,13 +67,13 @@ val rename : t -> time:int -> client:int -> string -> string -> unit
 (** {1 Protocol hooks} *)
 
 val note_open : t -> time:int -> client:int -> create:bool -> string -> unit
-(** Called by the POSIX layer before a backend open.  Under session
-    semantics the client revalidates: it drops whatever it cached about
+(** Called by the POSIX layer before a backend open.  Where the open
+    acquires, the client revalidates: it drops whatever it cached about
     the path.  The open itself is a server lookup (a create when the
     file springs into existence), charged to the owning shard. *)
 
 val note_commit : t -> time:int -> client:int -> unit
-(** Called on fsync and friends.  Under commit semantics the committing
+(** Called on fsync and friends.  Where fsync publishes, the committing
     client revalidates: its whole cache is cleared. *)
 
 val note_local_write : t -> client:int -> string -> unit

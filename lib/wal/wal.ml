@@ -92,18 +92,18 @@ let tally tbl path len = Hashtbl.replace tbl path (len + tallied tbl path)
 let flushed t node =
   Option.value ~default:min_int (Hashtbl.find_opt t.flushed node)
 
-(* Is the log copy of [r] on stable log media as of [time]?  Strong mode
-   runs the log synchronously (every append hits the platter — the price
-   of replay-before-visibility with no loss window); under commit/session
-   an fsync or close by any rank of the node flushes the whole node log;
-   under eventual an aged-out record has already been published, so its
-   log copy no longer matters. *)
+(* Is the log copy of [r] on stable log media as of [time]?  Where writes
+   publish on arrival the log runs synchronously (every append hits the
+   platter — the price of replay-before-visibility with no loss window);
+   otherwise a flush by any rank of the node flushes the whole node log,
+   and a record published after its delay no longer needs its log copy. *)
 let durable t (r : Staging.record) ~time =
-  match Pfs.semantics (pfs t) with
-  | Consistency.Strong -> true
-  | Consistency.Commit | Consistency.Session -> flushed t r.node > r.time
-  | Consistency.Eventual { delay } ->
-    r.time + delay <= time || flushed t r.node > r.time
+  let sem = Pfs.semantics (pfs t) in
+  match Consistency.publication sem with
+  | On_arrival -> true
+  | At_operation -> flushed t r.node > r.time
+  | After_delay ->
+    r.time + Consistency.delay sem <= time || flushed t r.node > r.time
 
 (* Is an applied record already persisted server-side?  Settled bytes
    survive a target failure on their own; unsettled ones must be
@@ -158,28 +158,25 @@ let replay_all t =
 
 let stall t bytes = Staging.stall t.core bytes
 
-(* The publication rule per engine: which operations must wait for the
-   file's replay.  Strong publishes on arrival, so visibility is enforced
-   at reads instead; commit publishes on fsync (and close, which also
-   commits); session publishes on close only; eventual publishes by age
-   alone — nothing synchronous. *)
+(* Whether [op] must wait for the file's replay: every publishing
+   operation, and every flush where writes publish on arrival. *)
 let flush_on t op =
-  match Pfs.semantics (pfs t) with
-  | Consistency.Strong | Consistency.Commit -> true
-  | Consistency.Session -> op = `Close
-  | Consistency.Eventual _ -> false
+  let sem = Pfs.semantics (pfs t) in
+  Consistency.publication sem = On_arrival || Consistency.publishes_at sem op
 
-(* Before a read observes the file: strong replays all of it; eventual
-   replays the records whose TTL elapsed — the queue is issue-time
-   ordered, so the aged set is a prefix. *)
+(* Before a read observes the file, replay what is published by now: all
+   of it on arrival, the records whose delay elapsed after a delay — the
+   queue is issue-time ordered, so the aged set is a prefix. *)
 let visibility_drain t ~time path =
-  match Pfs.semantics (pfs t) with
-  | Consistency.Strong -> stall t (drain_for_file t path)
-  | Consistency.Eventual { delay } ->
+  let sem = Pfs.semantics (pfs t) in
+  match Consistency.publication sem with
+  | On_arrival -> stall t (drain_for_file t path)
+  | After_delay ->
+    let delay = Consistency.delay sem in
     ignore
       (drain_for_file t path ~until:(fun (r : Staging.record) ->
            r.time + delay <= time))
-  | Consistency.Commit | Consistency.Session -> ()
+  | At_operation -> ()
 
 (* Data surface ------------------------------------------------------------- *)
 

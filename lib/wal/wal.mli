@@ -5,13 +5,10 @@
     a record to its compute node's sequential log and is acknowledged at
     append time.  The core's paced drain replays the log into the PFS at
     the original [(time, rank)], so the PFS's own consistency engine still
-    governs publication; each engine's rule says when a file's replay must
-    be complete:
-
-    - strong: the whole file is replayed before any read observes it;
-    - commit: the file is replayed by the time an [fsync] returns;
-    - session: the file is replayed by the time a [close] returns;
-    - eventual: records are replayed within the engine's TTL.
+    governs publication, and its rule ({!Hpcfs_fs.Consistency.publication})
+    says when a file's replay must be complete: before a read observes it
+    where writes publish on arrival, by the return of every publishing
+    operation, and within the engine's delay.
 
     Crash semantics are defined end to end.  A whole-job crash loses only
     the victim node's un-flushed log tail, torn at a record boundary;

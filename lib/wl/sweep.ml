@@ -18,12 +18,8 @@ let default_grid =
     ranks = [ 8 ];
     workloads = [];
     engines =
-      [
-        Consistency.Strong;
-        Consistency.Commit;
-        Consistency.Session;
-        Consistency.Eventual { delay = Consistency.default_eventual_delay };
-      ];
+      Validation.engines
+      @ [ Consistency.Eventual { delay = Consistency.default_eventual_delay } ];
     tiers = [ ("direct", None) ];
     plans = [ ("none", None) ];
   }
@@ -77,15 +73,14 @@ let run ?(seed = 42) (g : grid) =
                         Report.analyze ~nprocs result.Runner.records
                       in
                       let sharing = report.Report.sharing in
-                      if !reference = None then
-                        reference :=
-                          Some
-                            (Validation.final_digests
-                               (match (engine, tier, plan) with
-                               | Consistency.Strong, None, None -> result
-                               | _ ->
-                                 Validation.reference_run ~seed ~nprocs
-                                   body));
+                      if !reference = None then begin
+                        let r =
+                          if Validation.is_reference ?tier ?faults:plan engine
+                          then result
+                          else Validation.reference_run ~seed ~nprocs body
+                        in
+                        reference := Some (Validation.final_digests r)
+                      end;
                       let o =
                         Validation.outcome_of
                           ~reference:(Option.get !reference) engine result

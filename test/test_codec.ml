@@ -677,6 +677,32 @@ let test_seek_past_max_int_skipped () =
   Alcotest.(check int) "skipped" 1 summary.Report.skipped;
   Alcotest.(check int) "no data access" 0 summary.Report.access_count
 
+(* A rank count below the trace's own must be refused before the analysis
+   runs: the fold would otherwise classify the trace as if some of its
+   ranks did not exist.  The 4-rank golden run streams from a binary
+   file, as [hpcfs_analyze analyze] reads it. *)
+let test_stream_refuses_too_few_ranks () =
+  let records = golden_records () in
+  with_temp @@ fun path ->
+  Tracefile.save ~format:Tracefile.Binary path records;
+  let check_with nprocs =
+    let s = Report.stream ?nprocs () in
+    (match Tracefile.iter path ~f:(Report.feed s) with
+    | Ok _ -> ()
+    | Error e -> Alcotest.fail e);
+    Report.check_ranks s
+  in
+  (match check_with (Some 2) with
+  | Error msg ->
+    Alcotest.(check bool) ("names both counts: " ^ msg) true
+      (contains msg "4 ranks" && contains msg "2 given")
+  | Ok () -> Alcotest.fail "--ranks 2 accepted for a 4-rank trace");
+  List.iter
+    (fun nprocs ->
+      Alcotest.(check bool) "enough ranks accepted" true
+        (check_with nprocs = Ok ()))
+    [ Some 4; Some 8; None ]
+
 let suite =
   [
     Alcotest.test_case "varint roundtrip" `Quick test_varint_roundtrip;
@@ -716,4 +742,6 @@ let suite =
     Alcotest.test_case "bad extents refused" `Quick test_bad_extents_refused;
     Alcotest.test_case "seek past max_int skipped" `Quick
       test_seek_past_max_int_skipped;
+    Alcotest.test_case "stream refuses too few ranks" `Quick
+      test_stream_refuses_too_few_ranks;
   ]

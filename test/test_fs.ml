@@ -758,6 +758,33 @@ let test_consistency_table1 () =
   Alcotest.(check bool) "unknown fs" true
     (Consistency.category_of_pfs "ext4" = None)
 
+(* The engine rules against Section 3's definitions, one row per engine
+   (eventual at two delays): a strong write publishes as it completes and
+   is the one kind that takes byte-range locks; commit publishes at the
+   writer's fsync and close, session at its close only, and a session
+   reader sees a publication only through a later open; eventual publishes
+   on its own after the delay, with no operation involved. *)
+let test_consistency_rules () =
+  let open Consistency in
+  List.iter
+    (fun (e, pub, delay, at_fsync, at_close, acquires, locks) ->
+      let what rule = Printf.sprintf "%s %s" (to_string e) rule in
+      Alcotest.(check bool) (what "publication") true (publication e = pub);
+      Alcotest.(check int) (what "delay") delay (Consistency.delay e);
+      Alcotest.(check bool) (what "publishes at fsync") at_fsync
+        (publishes_at e `Fsync);
+      Alcotest.(check bool) (what "publishes at close") at_close
+        (publishes_at e `Close);
+      Alcotest.(check bool) (what "open acquires") acquires (open_acquires e);
+      Alcotest.(check bool) (what "takes locks") locks (takes_locks e))
+    [
+      (Strong, On_arrival, 0, false, false, false, true);
+      (Commit, At_operation, 0, true, true, false, false);
+      (Session, At_operation, 0, false, true, true, false);
+      (Eventual { delay = 0 }, After_delay, 0, false, false, false, false);
+      (Eventual { delay = 16 }, After_delay, 16, false, false, false, false);
+    ]
+
 (* Minor words allocated per write when one rank appends [n] 8-byte
    extents at increasing times.  A first write and read build the settled
    cache, so the eventual queue is live from the start (with a delay no
@@ -918,4 +945,6 @@ let suite =
       test_fdata_write_alloc_per_write;
     QCheck_alcotest.to_alcotest qcheck_fdata_strong_matches_flat;
     QCheck_alcotest.to_alcotest qcheck_stripe_split_reconcatenates;
+    Alcotest.test_case "consistency engine rules" `Quick
+      test_consistency_rules;
   ]
