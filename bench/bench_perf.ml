@@ -282,6 +282,45 @@ let time_reads read_at reads =
   let m1 = allocated_words () in
   ((t1 -. t0) *. 1e9 /. float_of_int reads, (m1 -. m0) /. float_of_int reads)
 
+module Namespace = Hpcfs_fs.Namespace
+module Shardmap = Hpcfs_fs.Shardmap
+
+(* Path resolution over 16,384 files at depth 3 (16 x 32 directories of
+   32 files): a hit, a miss in an existing directory, a stat, and the
+   metadata shard map's parent, each on canonical paths drawn in a
+   scattered order. *)
+let namespace_rows ~ops =
+  let ns = Namespace.create Consistency.Strong in
+  let dir i j = Printf.sprintf "/d%d/s%d" i j in
+  for i = 0 to 15 do
+    Namespace.mkdir ns ~time:0 (Printf.sprintf "/d%d" i);
+    for j = 0 to 31 do
+      Namespace.mkdir ns ~time:0 (dir i j);
+      for k = 0 to 31 do
+        let path = Printf.sprintf "%s/f%d" (dir i j) k in
+        ignore (Namespace.create_file ns ~time:0 path)
+      done
+    done
+  done;
+  (* Consecutive draws land in different directories. *)
+  let path leaf n =
+    let j = n * 4099 mod 16_384 in
+    Printf.sprintf "%s/%s%d" (dir (j / 1024) (j / 32 mod 32)) leaf (j mod 32)
+  in
+  let hits = Array.init 4096 (path "f") in
+  let misses = Array.init 4096 (path "g") in
+  let at a i = a.(i land 4095) in
+  [
+    ("namespace/hit", fun i -> ignore (Namespace.lookup_file ns (at hits i)));
+    ("namespace/miss", fun i -> ignore (Namespace.exists ns (at misses i)));
+    ("namespace/stat", fun i -> ignore (Namespace.stat ns (at hits i)));
+    ("namespace/parent", fun i -> ignore (Shardmap.parent (at hits i)));
+  ]
+  |> List.map (fun (name, op) ->
+         let ns, words = time_reads op ops in
+         record ~name (("ops", string_of_int ops) :: per_op ~ns ~allocs:words);
+         [ name; Printf.sprintf "%.0f" ns; Printf.sprintf "%.1f" words ])
+
 let readpath () =
   section
     "Read path: extent store (epoch compaction) vs reference log repaint";
@@ -362,6 +401,14 @@ let readpath () =
     "(expected shape: the reference repaints the full write log per read, so\n\
     \ its cost grows with history length; the extent store answers from the\n\
     \ settled base + pending overlay and stays near-flat.)";
+  section "Namespace: path resolution, 16,384 files at depth 3";
+  let t =
+    Table.create ~aligns:[ Table.Left; Table.Right; Table.Right ]
+      [ "scenario"; "ns/op"; "words/op" ]
+  in
+  List.iter (Table.add_row t)
+    (namespace_rows ~ops:(if small then 20_000 else 1_000_000));
+  Table.print t;
   write_bench_json ()
 
 let scaling () =

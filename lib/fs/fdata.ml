@@ -829,21 +829,25 @@ let read_slow t ~local_order ~rank ~time ~off ~len =
    from one query. *)
 let strong_view t req =
   let off = req.Interval.lo in
-  let data = Bytes.make (Interval.length req) '\000' in
-  let stale =
-    List.fold_left
-      (fun stale (iv, s) ->
-        let w = t.log.(s.s_strong) in
-        let n = Interval.length iv in
-        Bytes.blit w.w_data
-          (iv.Interval.lo - w.w_iv.Interval.lo)
-          data
-          (iv.Interval.lo - off)
-          n;
-        if s.s_issue <> s.s_strong then stale + n else stale)
-      0 (Extmap.query req t.index)
-  in
-  (data, stale)
+  let data = Bytes.create (Interval.length req) in
+  (* Pieces come in ascending order: zero each gap before one, then the
+     tail after the last. *)
+  let pos = ref off and stale = ref 0 in
+  List.iter
+    (fun (iv, s) ->
+      let w = t.log.(s.s_strong) in
+      let n = Interval.length iv in
+      Bytes.fill data (!pos - off) (iv.Interval.lo - !pos) '\000';
+      Bytes.blit w.w_data
+        (iv.Interval.lo - w.w_iv.Interval.lo)
+        data
+        (iv.Interval.lo - off)
+        n;
+      pos := iv.Interval.hi;
+      if s.s_issue <> s.s_strong then stale := !stale + n)
+    (Extmap.query req t.index);
+  Bytes.fill data (!pos - off) (req.Interval.hi - !pos) '\000';
+  (data, !stale)
 
 (* Strong-consistency (and laminated-file) fast path: the index's strong
    field answers content, its issue field identity. *)
@@ -917,9 +921,12 @@ let fast_ok t c ~rank ~time ~off ~len =
 let read_fast t c ~rank ~time ~off ~len =
   if Obs.enabled () then Obs.incr "fs.extent.fast_reads";
   let req = Interval.of_len off len in
-  let data = Bytes.make len '\000' in
+  let data = Bytes.create len in
+  (* The base is zero wherever nothing was folded in: only the tail past
+     its end needs zeroing. *)
   let n = max 0 (min len (c.c_base_len - off)) in
   if n > 0 then Bytes.blit c.c_base off data 0 n;
+  Bytes.fill data n (len - n) '\000';
   let base_pieces = Extmap.query req c.c_base_seq in
   let overlay =
     if t.publication = After_delay then

@@ -5,7 +5,27 @@
     relaxed engine actually observe is decided above it, by the sharded
     metadata service and its per-client caches in [lib/md] (the
     ground-truth oracle those caches are compared against is exactly
-    this tree). *)
+    this tree).
+
+    {b Canonical form.}  Empty components are ignored and a missing
+    leading ['/'] is implied, so ["//a/b/"], ["a/b"] and ["/a/b"] name
+    one path, whose canonical spelling is ["/a/b"] (["/"] for the root).
+    Other components, ["."] and [".."] included, are plain names.
+
+    {b Index.}  Next to the directory tables (the tree [readdir] and
+    emptiness checks read), a flat hash index maps the canonical path of
+    every entry but the root to the same node the tree holds.  Every
+    mutation keeps the two in step; a directory rename re-keys its whole
+    subtree, and only after all of its checks have passed, so a raising
+    operation leaves both unchanged.
+
+    {b Cost.}  A lookup on a canonical path is a scan that allocates
+    nothing and one hash probe; a hit allocates nothing.  Other
+    spellings are canonicalized first.  A miss probes the ancestors
+    upward: if the deepest existing one is a file the path raises
+    {!Not_a_directory}, if it is a directory the path is absent — the
+    answer a top-down component walk gives.  Exceptions carry the path
+    as the caller spelled it. *)
 
 type t
 
@@ -32,8 +52,32 @@ val create : Consistency.t -> t
 (** A namespace containing only the root directory; its files are created
     under the given consistency engine. *)
 
+val canonical : string -> string
+(** The canonical spelling of a path; the argument itself when it is
+    already canonical. *)
+
+type file
+(** A regular file's entry: its payload and its timestamps.  Callers
+    that resolve a path once per operation hold on to it. *)
+
+val lookup : t -> string -> file
+(** Raises {!Not_found_path}, {!Not_a_directory} (a component before the
+    last is a file) or {!Is_a_directory}. *)
+
+val lookup_opt : t -> string -> file option
+(** [None] wherever {!exists} is false; raises {!Is_a_directory} on a
+    directory, like {!lookup}. *)
+
+val data : file -> Fdata.t
+
+val touch_mtime : file -> time:int -> unit
+(** Bump a file's modification time (called on data writes). *)
+
+val touch_atime : file -> time:int -> unit
+(** Bump a file's access time (called on data reads). *)
+
 val lookup_file : t -> string -> Fdata.t
-(** File payload at a path. Raises {!Not_found_path} / {!Is_a_directory}. *)
+(** [data (lookup t path)]. *)
 
 val create_file : t -> time:int -> string -> Fdata.t
 (** Create a regular file; parent directories must exist.  Raises
@@ -65,12 +109,6 @@ val readdir : t -> string -> string list
 (** Entry names of a directory, sorted. *)
 
 val stat : t -> string -> stat
-
-val touch_mtime : t -> time:int -> string -> unit
-(** Bump a path's modification time (called on data writes). *)
-
-val touch_atime : t -> time:int -> string -> unit
-(** Bump a path's access time (called on data reads). *)
 
 val all_files : t -> string list
 (** Paths of every regular file, sorted — used by validation sweeps. *)

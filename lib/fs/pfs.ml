@@ -120,7 +120,8 @@ let close_file t ~time ~rank path =
 
 (* The read body shared by the checked path and the degraded fallback. *)
 let do_read t ~time ~rank path ~off ~len =
-  let fd = Namespace.lookup_file t.namespace path in
+  let file = Namespace.lookup t.namespace path in
+  let fd = Namespace.data file in
   if len > 0 then begin
     account_lock t ~file:path ~rank Lockmgr.Read (Interval.of_len off len);
     account_stripe t (Interval.of_len off len)
@@ -138,7 +139,7 @@ let do_read t ~time ~rank path ~off ~len =
     Obs.incr "fs.stale_reads";
     Obs.incr ~by:result.Fdata.stale_bytes "fs.stale_bytes"
   end;
-  Namespace.touch_atime t.namespace ~time path;
+  Namespace.touch_atime file ~time;
   result
 
 let read t ~time ~rank path ~off ~len =
@@ -175,17 +176,17 @@ let read_degraded t ~time ~rank path ~off ~len =
 let write t ~time ~rank path ~off data =
   let len = Bytes.length data in
   if len > 0 then check_data t ~time (Interval.of_len off len);
-  let fd = Namespace.lookup_file t.namespace path in
+  let file = Namespace.lookup t.namespace path in
   if len > 0 then begin
     account_lock t ~file:path ~rank Lockmgr.Write (Interval.of_len off len);
     account_stripe t (Interval.of_len off len)
   end;
-  Fdata.write fd ~rank ~time ~off data;
+  Fdata.write (Namespace.data file) ~rank ~time ~off data;
   t.writes <- t.writes + 1;
   t.bytes_written <- t.bytes_written + len;
   Obs.incr t.m_write;
   Obs.incr ~by:len "fs.bytes_written";
-  Namespace.touch_mtime t.namespace ~time path
+  Namespace.touch_mtime file ~time
 
 let fsync t ~time ~rank path =
   let fd = Namespace.lookup_file t.namespace path in
@@ -197,15 +198,16 @@ let laminate t ~time path =
 
 let truncate t ~time path len =
   check_mds t ~time path;
-  let fd = Namespace.lookup_file t.namespace path in
-  Fdata.truncate fd ~time len;
-  Namespace.touch_mtime t.namespace ~time path
+  let file = Namespace.lookup t.namespace path in
+  Fdata.truncate (Namespace.data file) ~time len;
+  Namespace.touch_mtime file ~time
 
 let file_size t path = Fdata.size (Namespace.lookup_file t.namespace path)
 
 let settled t ~rank ~path ~issued ~time =
-  (not (Namespace.exists t.namespace path))
-  || Fdata.settled (Namespace.lookup_file t.namespace path) ~rank ~issued ~time
+  match Namespace.lookup_opt t.namespace path with
+  | None -> true
+  | Some file -> Fdata.settled (Namespace.data file) ~rank ~issued ~time
 
 type stats = {
   reads : int;

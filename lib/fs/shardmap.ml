@@ -6,22 +6,27 @@
    shards, while a shared-directory create storm funnels into one — the
    tradeoff the metadata bench measures. *)
 
-let parent path =
-  let components =
-    String.split_on_char '/' path |> List.filter (fun c -> c <> "")
-  in
-  match List.rev components with
-  | [] | [ _ ] -> "/"
-  | _leaf :: rev_dirs -> "/" ^ String.concat "/" (List.rev rev_dirs)
+(* The parent is the canonical path up to its last '/'; ["/"] for a
+   top-level entry and for the root. *)
+let parent_len key = max 1 (String.rindex key '/')
 
-(* 32-bit FNV-1a.  Deterministic across runs and platforms, cheap, and
-   well-mixed for short path strings. *)
-let hash s =
+let parent path =
+  let key = Namespace.canonical path in
+  let n = parent_len key in
+  if n = String.length key then key else String.sub key 0 n
+
+(* 32-bit FNV-1a over [s]'s first [n] bytes.  Deterministic across runs
+   and platforms, cheap, and well-mixed for short path strings. *)
+let hash_prefix s n =
   let h = ref 0x811c9dc5 in
-  String.iter
-    (fun c -> h := (!h lxor Char.code c) * 0x01000193 land 0xffffffff)
-    s;
+  for i = 0 to n - 1 do
+    h := (!h lxor Char.code s.[i]) * 0x01000193 land 0xffffffff
+  done;
   !h
 
+(* Hashes the parent in place, without cutting it out of the path. *)
 let shard ~shards path =
-  if shards <= 1 then 0 else hash (parent path) mod shards
+  if shards <= 1 then 0
+  else
+    let key = Namespace.canonical path in
+    hash_prefix key (parent_len key) mod shards

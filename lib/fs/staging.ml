@@ -204,7 +204,9 @@ let resync t =
   Obs.gauge t.backlog_gauge t.occupancy
 
 let hw_size t path = Option.value ~default:0 (Hashtbl.find_opt t.hw path)
-let file_size t path = max (Pfs.file_size t.pfs path) (hw_size t path)
+let fdata t path = Namespace.lookup_file (Pfs.namespace t.pfs) path
+let size_of t fd path = max (Fdata.size fd) (hw_size t path)
+let file_size t path = size_of t (fdata t path) path
 let extend t path hi = Hashtbl.replace t.hw path (max (hw_size t path) hi)
 
 (* A record's bytes are cut with the file whether or not they reached the
@@ -372,8 +374,8 @@ let count_write t len =
    pending record of the file, in staging (= issue) order — the ground
    truth Fdata reads are measured against, extended to data that has not
    reached the PFS yet. *)
-let ground_truth t path ~off ~len =
-  let oracle = Pfs.read_oracle t.pfs path ~off ~len in
+let ground_truth t fd path ~off ~len =
+  let oracle = Fdata.oracle fd ~off ~len in
   let buf =
     if Bytes.length oracle = len then oracle
     else begin
@@ -398,9 +400,10 @@ let count_stale data truth n =
   end
 
 let read t path ~off ~len ~serve =
-  let n = max 0 (min len (max 0 (file_size t path - off))) in
+  let fd = fdata t path in
+  let n = max 0 (min len (max 0 (size_of t fd path - off))) in
   let data = serve n in
-  let stale = count_stale data (ground_truth t path ~off ~len:n) n in
+  let stale = count_stale data (ground_truth t fd path ~off ~len:n) n in
   bump t.c.reads 1;
   bump t.c.bytes_read n;
   if stale > 0 then begin
@@ -487,8 +490,9 @@ module Surface (T : TIER) = struct
 end
 
 let laminated pfs path =
-  let ns = Pfs.namespace pfs in
-  Namespace.exists ns path && Fdata.is_laminated (Namespace.lookup_file ns path)
+  match Namespace.lookup_opt (Pfs.namespace pfs) path with
+  | None -> false
+  | Some file -> Fdata.is_laminated (Namespace.data file)
 
 let touches_target pfs ~off ~len ~target =
   List.exists

@@ -21,13 +21,22 @@ let set_meter ~enabled f =
 
 let tick name by = !meter name by
 
+(* Adler-32, reduced mod 65521 once per 5552-byte block: the standard
+   bound (zlib's NMAX), the longest run of 0xFF bytes after which [b]
+   still fits in 32 bits, so the sums never need reducing inside it. *)
 let adler32 s =
-  let a = ref 1 and b = ref 0 in
-  String.iter
-    (fun c ->
-      a := (!a + Char.code c) mod 65521;
-      b := (!b + !a) mod 65521)
-    s;
+  let n = String.length s in
+  let a = ref 1 and b = ref 0 and i = ref 0 in
+  while !i < n do
+    let stop = min n (!i + 5552) in
+    for j = !i to stop - 1 do
+      a := !a + Char.code (String.unsafe_get s j);
+      b := !b + !a
+    done;
+    a := !a mod 65521;
+    b := !b mod 65521;
+    i := stop
+  done;
   (!b lsl 16) lor !a
 
 let layer_code = function

@@ -36,6 +36,9 @@
 val magic : string
 (** The 12-byte file prefix, version byte included. *)
 
+val adler32 : string -> int
+(** The Adler-32 checksum each chunk carries over its payload. *)
+
 (** {2 Encoding} *)
 
 type encoder

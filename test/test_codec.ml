@@ -320,6 +320,7 @@ let test_decoder_payload_past_eof () =
       (String.length whole + 4096, "4 KiB past EOF");
     ]
 
+(* The definition: both sums reduced after every byte. *)
 let adler32 s =
   let a = ref 1 and b = ref 0 in
   String.iter
@@ -328,6 +329,36 @@ let adler32 s =
       b := (!b + !a) mod 65521)
     s;
   (!b lsl 16) lor !a
+
+(* The codec reduces once per block; random payloads up to three blocks
+   long, and all-0xFF ones (the largest sums a block reaches), must give
+   the definition's checksum. *)
+let qcheck_adler32_definition =
+  let gen =
+    QCheck.Gen.(
+      int_bound (3 * 5552 + 7) >>= fun len ->
+      oneof
+        [
+          string_size ~gen:char (return len);
+          return (String.make len '\xFF');
+        ])
+  in
+  QCheck.Test.make ~name:"adler32 = definition" ~count:200
+    (QCheck.make gen ~print:(fun s ->
+         Printf.sprintf "%d bytes" (String.length s)))
+    (fun s -> Codec.adler32 s = adler32 s)
+
+let test_adler32_block_edges () =
+  List.iter
+    (fun len ->
+      List.iter
+        (fun c ->
+          let s = String.make len c in
+          Alcotest.(check int)
+            (Printf.sprintf "%d x %C" len c)
+            (adler32 s) (Codec.adler32 s))
+        [ '\xFF'; '\x00'; 'a' ])
+    [ 0; 1; 5551; 5552; 5553; 2 * 5552; (2 * 5552) + 1; 100_000 ]
 
 (* A one-record trace with a correct checksum: one POSIX record (header 0,
    rank 0, time delta 0) whose func string reference is [func]. *)
@@ -738,6 +769,8 @@ let suite =
       test_stream_from_binary_file;
     QCheck_alcotest.to_alcotest qcheck_analyze_equals_reference;
     QCheck_alcotest.to_alcotest qcheck_varint_roundtrip;
+    QCheck_alcotest.to_alcotest qcheck_adler32_definition;
+    Alcotest.test_case "adler32 block edges" `Quick test_adler32_block_edges;
     QCheck_alcotest.to_alcotest qcheck_codec_roundtrip;
     Alcotest.test_case "bad extents refused" `Quick test_bad_extents_refused;
     Alcotest.test_case "seek past max_int skipped" `Quick

@@ -440,7 +440,7 @@ let test_namespace_stat () =
   let ns = Namespace.create Consistency.Strong in
   let fd = Namespace.create_file ns ~time:5 "/f" in
   Fdata.write fd ~rank:0 ~time:6 ~off:0 (b "123");
-  Namespace.touch_mtime ns ~time:7 "/f";
+  Namespace.touch_mtime (Namespace.lookup ns "/f") ~time:7;
   let st = Namespace.stat ns "/f" in
   Alcotest.(check int) "size" 3 st.Namespace.st_size;
   Alcotest.(check int) "mtime" 7 st.Namespace.st_mtime;

@@ -59,7 +59,7 @@ let test_engine_staleness () =
     (fun (name, sem, expected) ->
       let _, ns, md = make_md sem in
       ignore (Md.stat md ~time:10 ~client:1 "/d/f");
-      Namespace.touch_mtime ns ~time:20 "/d/f";
+      Namespace.touch_mtime (Namespace.lookup ns "/d/f") ~time:20;
       let st = Md.stat md ~time:30 ~client:1 "/d/f" in
       let s = Md.stats md in
       Alcotest.(check (list int)) name expected
@@ -83,7 +83,7 @@ let test_protocol_revalidation () =
      client's cache, so the next stat round-trips and sees truth. *)
   let _, ns, md = make_md Consistency.Commit in
   ignore (Md.stat md ~time:10 ~client:1 "/d/f");
-  Namespace.touch_mtime ns ~time:20 "/d/f";
+  Namespace.touch_mtime (Namespace.lookup ns "/d/f") ~time:20;
   Md.note_commit md ~time:25 ~client:1;
   let st = Md.stat md ~time:30 ~client:1 "/d/f" in
   Alcotest.(check int) "commit revalidates" 20 st.Namespace.st_mtime;
@@ -92,7 +92,7 @@ let test_protocol_revalidation () =
   (* Session semantics: reopening the path refreshes the opener's view. *)
   let _, ns, md = make_md Consistency.Session in
   ignore (Md.stat md ~time:10 ~client:1 "/d/f");
-  Namespace.touch_mtime ns ~time:20 "/d/f";
+  Namespace.touch_mtime (Namespace.lookup ns "/d/f") ~time:20;
   Md.note_open md ~time:25 ~client:1 ~create:false "/d/f";
   let st = Md.stat md ~time:30 ~client:1 "/d/f" in
   Alcotest.(check int) "open revalidates" 20 st.Namespace.st_mtime;
