@@ -82,12 +82,14 @@ let codec_throughput () =
         with_temp @@ fun path ->
         let (), enc_s = time (fun () -> Tracefile.save ~format path records) in
         let bytes = file_size path in
+        let w0 = allocated_words () in
         let decoded, dec_s =
           time (fun () ->
               match Tracefile.fold path ~init:0 ~f:(fun acc _ -> acc + 1) with
               | Ok c -> c
               | Error e -> failwith e)
         in
+        let dec_words = (allocated_words () -. w0) /. float_of_int n in
         assert (decoded = n);
         Table.add_row t
           [
@@ -107,6 +109,7 @@ let codec_throughput () =
               Printf.sprintf "%.2f" (float bytes /. float (max 1 n)) );
             ("encode_records_per_s", Printf.sprintf "%.0f" (float n /. enc_s));
             ("decode_records_per_s", Printf.sprintf "%.0f" (float n /. dec_s));
+            ("decode_words_per_record", Printf.sprintf "%.2f" dec_words);
           ];
         (bytes, enc_s, dec_s)
       in

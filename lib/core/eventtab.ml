@@ -1,24 +1,32 @@
 type series = { mutable acc : int list; mutable sorted : int array }
 
+(* Keyed by (rank, file). *)
+module Tbl = Hashtbl.Make (struct
+  type t = int * string
+
+  let equal ((r1 : int), f1) (r2, f2) = r1 = r2 && String.equal f1 f2
+  let hash = Hashtbl.hash
+end)
+
 type t = {
-  opens : (int * string, series) Hashtbl.t;
-  closes : (int * string, series) Hashtbl.t;
-  commits : (int * string, series) Hashtbl.t;
+  opens : series Tbl.t;
+  closes : series Tbl.t;
+  commits : series Tbl.t;
   mutable sealed : bool;
 }
 
 let create () =
   {
-    opens = Hashtbl.create 64;
-    closes = Hashtbl.create 64;
-    commits = Hashtbl.create 64;
+    opens = Tbl.create 64;
+    closes = Tbl.create 64;
+    commits = Tbl.create 64;
     sealed = false;
   }
 
 let add tbl key time =
-  match Hashtbl.find_opt tbl key with
-  | Some s -> s.acc <- time :: s.acc
-  | None -> Hashtbl.add tbl key { acc = [ time ]; sorted = [||] }
+  match Tbl.find tbl key with
+  | s -> s.acc <- time :: s.acc
+  | exception Not_found -> Tbl.add tbl key { acc = [ time ]; sorted = [||] }
 
 let add_open t ~rank ~file time = add t.opens (rank, file) time
 let add_close t ~rank ~file time = add t.closes (rank, file) time
@@ -26,10 +34,10 @@ let add_commit t ~rank ~file time = add t.commits (rank, file) time
 
 let seal t =
   let seal_tbl tbl =
-    Hashtbl.iter
+    Tbl.iter
       (fun _ s ->
         let a = Array.of_list s.acc in
-        Array.sort compare a;
+        Array.sort Int.compare a;
         s.sorted <- a)
       tbl
   in
@@ -40,7 +48,7 @@ let seal t =
 
 let sorted t tbl key =
   if not t.sealed then invalid_arg "Eventtab: query before seal";
-  match Hashtbl.find_opt tbl key with Some s -> s.sorted | None -> [||]
+  match Tbl.find tbl key with s -> s.sorted | exception Not_found -> [||]
 
 (* Largest element <= x, or min_int. *)
 let floor_find a x =

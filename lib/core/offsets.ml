@@ -19,9 +19,17 @@ type raw = {
   r_func : string;
 }
 
+(* Keyed by (rank, fd). *)
+module Fds = Hashtbl.Make (struct
+  type t = int * int
+
+  let equal ((r1 : int), (f1 : int)) (r2, f2) = r1 = r2 && f1 = f2
+  let hash = Hashtbl.hash
+end)
+
 type stream = {
   events : Eventtab.t;
-  fds : (int * int, fd_state) Hashtbl.t;
+  fds : fd_state Fds.t;
   sizes : (string, int) Hashtbl.t;
   mutable skipped : int;
   emit : raw -> unit;
@@ -30,7 +38,7 @@ type stream = {
 let stream ~emit =
   {
     events = Eventtab.create ();
-    fds = Hashtbl.create 64;
+    fds = Fds.create 64;
     sizes = Hashtbl.create 64;
     skipped = 0;
     emit;
@@ -82,9 +90,9 @@ let handle s r =
   let with_fd k =
     match r.Record.fd with
     | Some fd -> (
-      match Hashtbl.find_opt s.fds (rank, fd) with
-      | Some state -> k state
-      | None -> s.skipped <- s.skipped + 1)
+      match Fds.find s.fds (rank, fd) with
+      | state -> k state
+      | exception Not_found -> s.skipped <- s.skipped + 1)
     | None -> s.skipped <- s.skipped + 1
   in
   match r.Record.func with
@@ -95,7 +103,7 @@ let handle s r =
       let trunc = has_flag r "O_TRUNC" || mode_is r 'w' in
       if trunc then Hashtbl.replace s.sizes file 0;
       let pos = if append then size s file else 0 in
-      Hashtbl.replace s.fds (rank, fd) { file; pos; append };
+      Fds.replace s.fds (rank, fd) { file; pos; append };
       Eventtab.add_open s.events ~rank ~file r.Record.time
     | _ -> s.skipped <- s.skipped + 1)
   | "close" | "fclose" ->
@@ -103,7 +111,7 @@ let handle s r =
         Eventtab.add_close s.events ~rank ~file:state.file r.Record.time;
         Eventtab.add_commit s.events ~rank ~file:state.file r.Record.time;
         match r.Record.fd with
-        | Some fd -> Hashtbl.remove s.fds (rank, fd)
+        | Some fd -> Fds.remove s.fds (rank, fd)
         | None -> ())
   | "fsync" | "fdatasync" | "fflush" | "msync" ->
     with_fd (fun state ->

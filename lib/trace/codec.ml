@@ -67,6 +67,21 @@ let origin_of_code = function
   | 5 -> Some Record.O_silo
   | _ -> None
 
+module Strings = Hashtbl.Make (String)
+module Ranks = Hashtbl.Make (Int)
+
+(* A rank's previous time and offset in the open chunk: the bases of its
+   next deltas, updated in place so a record costs no table entry. *)
+type last = { mutable last_time : int; mutable last_off : int }
+
+let last_of deltas rank =
+  match Ranks.find deltas rank with
+  | last -> last
+  | exception Not_found ->
+    let last = { last_time = 0; last_off = 0 } in
+    Ranks.add deltas rank last;
+    last
+
 (* Encoding ---------------------------------------------------------------- *)
 
 type encoder = {
@@ -74,8 +89,8 @@ type encoder = {
   chunk_records : int;
   payload : Buffer.t;
   scratch : Buffer.t;  (* chunk header assembly *)
-  strings : (string, int) Hashtbl.t;  (* per-chunk intern table *)
-  deltas : (int, int * int) Hashtbl.t;  (* rank -> last time, last offset *)
+  strings : int Strings.t;  (* per-chunk intern table *)
+  deltas : last Ranks.t;
   mutable nstrings : int;
   mutable pending : int;  (* records in the open chunk *)
   mutable records : int;
@@ -94,8 +109,8 @@ let encoder ?(chunk_records = default_chunk_records) oc =
     chunk_records = max 1 chunk_records;
     payload = Buffer.create 65536;
     scratch = Buffer.create 32;
-    strings = Hashtbl.create 64;
-    deltas = Hashtbl.create 64;
+    strings = Strings.create 64;
+    deltas = Ranks.create 64;
     nstrings = 0;
     pending = 0;
     records = 0;
@@ -106,16 +121,23 @@ let encoder ?(chunk_records = default_chunk_records) oc =
   }
 
 let intern e s =
-  match Hashtbl.find_opt e.strings s with
-  | Some id -> Varint.write e.payload id
-  | None ->
+  match Strings.find e.strings s with
+  | id -> Varint.write e.payload id
+  | exception Not_found ->
     Varint.write e.payload e.nstrings;
     Varint.write e.payload (String.length s);
     Buffer.add_string e.payload s;
-    Hashtbl.add e.strings s e.nstrings;
+    Strings.add e.strings s e.nstrings;
     e.nstrings <- e.nstrings + 1;
     e.interned <- e.interned + 1;
     tick "trace.codec.interned_strings" 1
+
+let rec intern_args e = function
+  | [] -> ()
+  | (k, v) :: rest ->
+    intern e k;
+    intern e v;
+    intern_args e rest
 
 let flush_chunk e =
   if e.pending > 0 then begin
@@ -136,8 +158,8 @@ let flush_chunk e =
     tick "trace.codec.bytes_encoded" frame;
     tick "trace.codec.chunks_encoded" 1;
     Buffer.clear e.payload;
-    Hashtbl.reset e.strings;
-    Hashtbl.reset e.deltas;
+    Strings.reset e.strings;
+    Ranks.reset e.deltas;
     e.nstrings <- 0;
     e.pending <- 0
   end
@@ -147,35 +169,31 @@ let encode e (r : Record.t) =
   let header =
     layer_code r.Record.layer
     lor (origin_code r.Record.origin lsl 2)
-    lor (if r.Record.file <> None then 1 lsl 5 else 0)
-    lor (if r.Record.fd <> None then 1 lsl 6 else 0)
-    lor (if r.Record.offset <> None then 1 lsl 7 else 0)
-    lor (if r.Record.count <> None then 1 lsl 8 else 0)
+    lor (if Option.is_some r.Record.file then 1 lsl 5 else 0)
+    lor (if Option.is_some r.Record.fd then 1 lsl 6 else 0)
+    lor (if Option.is_some r.Record.offset then 1 lsl 7 else 0)
+    lor (if Option.is_some r.Record.count then 1 lsl 8 else 0)
     lor (List.length r.Record.args lsl 9)
   in
   Varint.write e.payload header;
   Varint.write e.payload r.Record.rank;
-  let last_time, last_off =
-    Option.value ~default:(0, 0) (Hashtbl.find_opt e.deltas r.Record.rank)
-  in
-  Varint.write_signed e.payload (r.Record.time - last_time);
+  let last = last_of e.deltas r.Record.rank in
+  Varint.write_signed e.payload (r.Record.time - last.last_time);
+  last.last_time <- r.Record.time;
   intern e r.Record.func;
-  Option.iter (intern e) r.Record.file;
-  Option.iter (Varint.write_signed e.payload) r.Record.fd;
-  let next_off =
-    match r.Record.offset with
-    | Some off ->
-      Varint.write_signed e.payload (off - last_off);
-      off
-    | None -> last_off
-  in
-  Hashtbl.replace e.deltas r.Record.rank (r.Record.time, next_off);
-  Option.iter (Varint.write_signed e.payload) r.Record.count;
-  List.iter
-    (fun (k, v) ->
-      intern e k;
-      intern e v)
-    r.Record.args;
+  (match r.Record.file with Some file -> intern e file | None -> ());
+  (match r.Record.fd with
+  | Some fd -> Varint.write_signed e.payload fd
+  | None -> ());
+  (match r.Record.offset with
+  | Some off ->
+    Varint.write_signed e.payload (off - last.last_off);
+    last.last_off <- off
+  | None -> ());
+  (match r.Record.count with
+  | Some count -> Varint.write_signed e.payload count
+  | None -> ());
+  intern_args e r.Record.args;
   e.pending <- e.pending + 1;
   e.records <- e.records + 1;
   tick "trace.codec.records_encoded" 1;
@@ -209,7 +227,7 @@ type decoder = {
   mutable chunk_index : int;  (* 1-based, for error messages *)
   mutable table : string array;  (* per-chunk intern table *)
   mutable ntable : int;
-  rdeltas : (int, int * int) Hashtbl.t;
+  rdeltas : last Ranks.t;
   mutable total : int;
   mutable at_end : bool;
 }
@@ -258,7 +276,7 @@ let decoder ic =
             chunk_index = 0;
             table = Array.make 64 "";
             ntable = 0;
-            rdeltas = Hashtbl.create 64;
+            rdeltas = Ranks.create 64;
             total = 0;
             at_end = false;
           }
@@ -276,24 +294,31 @@ let add_string d s =
   d.table.(d.ntable) <- s;
   d.ntable <- d.ntable + 1
 
+(* A malformed record raises [Varint.Malformed], the one exception the
+   record decoder uses: [iter] turns it into an [Error] naming the chunk,
+   so it never leaves this module.  A message is formatted only when its
+   check fails. *)
+let malformed fmt = Printf.ksprintf (fun s -> raise (Varint.Malformed s)) fmt
+
 let read_string d =
-  let* id = Varint.read d.chunk in
-  if 0 <= id && id < d.ntable then Ok d.table.(id)
+  let c = d.chunk in
+  let id = Varint.read c in
+  if 0 <= id && id < d.ntable then d.table.(id)
   else if id = d.ntable then begin
-    let* len = Varint.read d.chunk in
-    if len < 0 || len > String.length d.chunk.Varint.data - d.chunk.Varint.pos
-    then Error "truncated string"
+    let len = Varint.read c in
+    if len < 0 || len > String.length c.Varint.data - c.Varint.pos then
+      malformed "truncated string"
     else begin
-      let s = String.sub d.chunk.Varint.data d.chunk.Varint.pos len in
-      d.chunk.Varint.pos <- d.chunk.Varint.pos + len;
+      let s = String.sub c.Varint.data c.Varint.pos len in
+      c.Varint.pos <- c.Varint.pos + len;
       add_string d s;
-      Ok s
+      s
     end
   end
-  else Error (Printf.sprintf "dangling string reference %d" id)
+  else malformed "dangling string reference %d" id
 
-(* One frame: either the next chunk is loaded (returning true) or the
-   trailer was verified against a clean EOF (returning false). *)
+(* One frame: either the next chunk is loaded or the trailer was verified
+   against a clean EOF (and [at_end] set). *)
 let read_frame d =
   match input_char d.ic with
   | exception End_of_file ->
@@ -313,7 +338,7 @@ let read_frame d =
       | _ -> Error "trailing bytes after trailer"
       | exception End_of_file ->
         d.at_end <- true;
-        Ok false
+        Ok ()
     end
   | c when c = chunk_marker ->
     d.chunk_index <- d.chunk_index + 1;
@@ -352,10 +377,10 @@ let read_frame d =
         d.chunk <- { Varint.data = payload; pos = 0 };
         d.remaining <- nrecords;
         d.ntable <- 0;
-        Hashtbl.reset d.rdeltas;
+        Ranks.reset d.rdeltas;
         tick "trace.codec.bytes_decoded" (len + 5);
         tick "trace.codec.chunks_decoded" 1;
-        Ok true
+        Ok ()
       end
     end
   | c ->
@@ -364,82 +389,74 @@ let read_frame d =
                        chunk %d"
          (Char.code c) d.chunk_index)
 
-let decode_record d =
-  let* header = Varint.read d.chunk in
-  let* layer =
-    Option.to_result
-      ~none:(Printf.sprintf "bad layer code %d" (header land 0x3))
-      (layer_of_code (header land 0x3))
-  in
-  let* origin =
-    Option.to_result
-      ~none:(Printf.sprintf "bad origin code %d" ((header lsr 2) land 0x7))
-      (origin_of_code ((header lsr 2) land 0x7))
-  in
-  let nargs = header lsr 9 in
-  let* rank = Varint.read d.chunk in
-  let last_time, last_off =
-    Option.value ~default:(0, 0) (Hashtbl.find_opt d.rdeltas rank)
-  in
-  let* dt = Varint.read_signed d.chunk in
-  let time = last_time + dt in
-  let* func = read_string d in
-  let* file =
-    if header land (1 lsl 5) <> 0 then Result.map Option.some (read_string d)
-    else Ok None
-  in
-  let* fd =
-    if header land (1 lsl 6) <> 0 then
-      Result.map Option.some (Varint.read_signed d.chunk)
-    else Ok None
-  in
-  let* offset, next_off =
-    if header land (1 lsl 7) <> 0 then
-      let* doff = Varint.read_signed d.chunk in
-      let off = last_off + doff in
-      Ok (Some off, off)
-    else Ok (None, last_off)
-  in
-  let* count =
-    if header land (1 lsl 8) <> 0 then
-      Result.map Option.some (Varint.read_signed d.chunk)
-    else Ok None
-  in
-  let* () =
-    match Record.check_extent ~offset ~count with
-    | Ok () -> Ok ()
-    | Error e -> Error (Printf.sprintf "record %d: %s" (d.total + 1) e)
-  in
-  let rec read_args n acc =
-    if n = 0 then Ok (List.rev acc)
-    else
-      let* k = read_string d in
-      let* v = read_string d in
-      read_args (n - 1) ((k, v) :: acc)
-  in
-  let* args = read_args nargs [] in
-  Hashtbl.replace d.rdeltas rank (time, next_off);
-  Ok { Record.time; rank; layer; origin; func; file; fd; offset; count; args }
-
-let rec next d =
-  if d.at_end then Ok None
-  else if d.remaining = 0 then
-    let* more = read_frame d in
-    if more then next d else Ok None
+let rec read_args d n acc =
+  if n = 0 then List.rev acc
   else begin
-    match decode_record d with
-    | Error e -> chunk_err d "%s" e
-    | Ok r ->
-      d.remaining <- d.remaining - 1;
-      d.total <- d.total + 1;
-      tick "trace.codec.records_decoded" 1;
-      if
-        d.remaining = 0
-        && d.chunk.Varint.pos <> String.length d.chunk.Varint.data
-      then
-        chunk_err d "%d leftover bytes after last record"
-          (String.length d.chunk.Varint.data - d.chunk.Varint.pos)
-      else Ok (Some r)
+    let k = read_string d in
+    let v = read_string d in
+    read_args d (n - 1) ((k, v) :: acc)
   end
 
-let decoded d = d.total
+let decode_record d =
+  let c = d.chunk in
+  let header = Varint.read c in
+  let layer =
+    match layer_of_code (header land 0x3) with
+    | Some layer -> layer
+    | None -> malformed "bad layer code %d" (header land 0x3)
+  in
+  let origin =
+    match origin_of_code ((header lsr 2) land 0x7) with
+    | Some origin -> origin
+    | None -> malformed "bad origin code %d" ((header lsr 2) land 0x7)
+  in
+  let rank = Varint.read c in
+  let last = last_of d.rdeltas rank in
+  let time = last.last_time + Varint.read_signed c in
+  let func = read_string d in
+  let file =
+    if header land (1 lsl 5) <> 0 then Some (read_string d) else None
+  in
+  let fd =
+    if header land (1 lsl 6) <> 0 then Some (Varint.read_signed c) else None
+  in
+  let offset =
+    if header land (1 lsl 7) <> 0 then
+      Some (last.last_off + Varint.read_signed c)
+    else None
+  in
+  let count =
+    if header land (1 lsl 8) <> 0 then Some (Varint.read_signed c) else None
+  in
+  (match Record.check_extent ~offset ~count with
+  | Ok () -> ()
+  | Error e -> malformed "record %d: %s" (d.total + 1) e);
+  let args = read_args d (header lsr 9) [] in
+  last.last_time <- time;
+  (match offset with Some off -> last.last_off <- off | None -> ());
+  { Record.time; rank; layer; origin; func; file; fd; offset; count; args }
+
+(* The next record of the loaded chunk, and the chunk's bookkeeping. *)
+let next_record d =
+  let r = decode_record d in
+  d.remaining <- d.remaining - 1;
+  d.total <- d.total + 1;
+  tick "trace.codec.records_decoded" 1;
+  let c = d.chunk in
+  if d.remaining = 0 && c.Varint.pos <> String.length c.Varint.data then
+    malformed "%d leftover bytes after last record"
+      (String.length c.Varint.data - c.Varint.pos);
+  r
+
+(* The handler covers the decode only: [f] runs outside it, so an
+   exception of the caller's own passes through untouched. *)
+let rec iter d ~f =
+  if d.at_end then Ok d.total
+  else if d.remaining = 0 then
+    match read_frame d with Ok () -> iter d ~f | Error e -> Error e
+  else
+    match next_record d with
+    | r ->
+      f r;
+      iter d ~f
+    | exception Varint.Malformed e -> chunk_err d "%s" e

@@ -82,16 +82,7 @@ let iter_text ic ~f =
 let iter_binary ic ~f =
   match Codec.decoder ic with
   | Error e -> Error e
-  | Ok d ->
-    let rec go () =
-      match Codec.next d with
-      | Error e -> Error e
-      | Ok None -> Ok (Codec.decoded d)
-      | Ok (Some r) ->
-        f r;
-        go ()
-    in
-    go ()
+  | Ok d -> Codec.iter d ~f
 
 let iter path ~f =
   with_in path (fun ic ->

@@ -25,18 +25,22 @@ let write_signed buf n = write buf (zigzag n)
 
 type reader = { data : string; mutable pos : int }
 
-let read r =
-  let n = String.length r.data in
-  let rec go acc shift bytes =
-    if bytes > max_bytes then Error "varint too long"
-    else if r.pos >= n then Error "truncated varint"
-    else begin
-      let b = Char.code r.data.[r.pos] in
-      r.pos <- r.pos + 1;
-      let acc = acc lor ((b land 0x7f) lsl shift) in
-      if b land 0x80 = 0 then Ok acc else go acc (shift + 7) (bytes + 1)
-    end
-  in
-  go 0 0 1
+exception Malformed of string
 
-let read_signed r = Result.map unzigzag (read r)
+(* A top-level loop rather than a local closure over the reader: the
+   decoder calls this several times per record, and a closure would be
+   allocated on every call. *)
+let rec read_from r acc shift bytes =
+  if bytes > max_bytes then raise (Malformed "varint too long")
+  else if r.pos >= String.length r.data then
+    raise (Malformed "truncated varint")
+  else begin
+    let b = Char.code r.data.[r.pos] in
+    r.pos <- r.pos + 1;
+    let acc = acc lor ((b land 0x7f) lsl shift) in
+    if b land 0x80 = 0 then acc else read_from r acc (shift + 7) (bytes + 1)
+  end
+
+let read r = read_from r 0 0 1
+
+let read_signed r = unzigzag (read r)

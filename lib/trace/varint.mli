@@ -21,11 +21,18 @@ val write_signed : Buffer.t -> int -> unit
 type reader = { data : string; mutable pos : int }
 (** Cursor into an already-loaded byte string (one codec chunk). *)
 
-val read : reader -> (int, string) result
-(** Decode one unsigned varint, advancing the cursor.  Errors (rather
-    than raising) on a truncated or over-long encoding. *)
+exception Malformed of string
+(** A truncated or over-long encoding; the message says which. *)
 
-val read_signed : reader -> (int, string) result
+val read : reader -> int
+(** Decode one unsigned varint, advancing the cursor.  Raises
+    {!Malformed} ["truncated varint"] when the data ends inside the
+    encoding and ["varint too long"] past {!max_bytes}; the binary trace
+    decoder turns either into an [Error] naming the chunk.  Raising
+    rather than returning a [result] keeps the per-field cost of a decode
+    at zero allocations. *)
+
+val read_signed : reader -> int
 (** [read] composed with {!unzigzag}. *)
 
 val zigzag : int -> int

@@ -77,10 +77,10 @@ let test_varint_roundtrip () =
         (Buffer.length buf <= Varint.max_bytes);
       let r = { Varint.data = Buffer.contents buf; pos = 0 } in
       match Varint.read r with
-      | Ok n' ->
+      | n' ->
         Alcotest.(check int) (Printf.sprintf "unsigned %d" n) n n';
         Alcotest.(check int) "cursor at end" (Buffer.length buf) r.Varint.pos
-      | Error e -> Alcotest.fail e)
+      | exception Varint.Malformed e -> Alcotest.fail e)
     varint_edge_cases;
   List.iter
     (fun n ->
@@ -88,8 +88,8 @@ let test_varint_roundtrip () =
       Varint.write_signed buf n;
       let r = { Varint.data = Buffer.contents buf; pos = 0 } in
       match Varint.read_signed r with
-      | Ok n' -> Alcotest.(check int) (Printf.sprintf "signed %d" n) n n'
-      | Error e -> Alcotest.fail e)
+      | n' -> Alcotest.(check int) (Printf.sprintf "signed %d" n) n n'
+      | exception Varint.Malformed e -> Alcotest.fail e)
     varint_edge_cases
 
 let test_varint_zigzag () =
@@ -116,12 +116,12 @@ let test_varint_zigzag () =
 let test_varint_errors () =
   (* A continuation bit with nothing after it. *)
   (match Varint.read { Varint.data = "\x80"; pos = 0 } with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "expected truncated-varint error");
+  | exception Varint.Malformed _ -> ()
+  | _ -> Alcotest.fail "expected truncated-varint error");
   (* Ten continuation bytes can't be a 63-bit int. *)
   match Varint.read { Varint.data = String.make 10 '\x80'; pos = 0 } with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "expected over-long varint error"
+  | exception Varint.Malformed _ -> ()
+  | _ -> Alcotest.fail "expected over-long varint error"
 
 let qcheck_varint_roundtrip =
   QCheck.Test.make ~name:"varint roundtrip, arbitrary ints" ~count:500
@@ -130,9 +130,9 @@ let qcheck_varint_roundtrip =
       Varint.write buf n;
       Varint.write_signed buf n;
       let r = { Varint.data = Buffer.contents buf; pos = 0 } in
-      match (Varint.read r, Varint.read_signed r) with
-      | Ok u, Ok s -> u = n && s = n
-      | _ -> false)
+      match Varint.read r with
+      | u -> u = n && Varint.read_signed r = n
+      | exception Varint.Malformed _ -> false)
 
 (* Codec round trips -------------------------------------------------------- *)
 
@@ -300,9 +300,9 @@ let test_decoder_payload_past_eof () =
   in
   (* First chunk: marker byte, record count, payload length. *)
   let r = { Varint.data = whole; pos = String.length Codec.magic + 1 } in
-  ignore (Result.get_ok (Varint.read r));
+  ignore (Varint.read r);
   let len_at = r.Varint.pos in
-  ignore (Result.get_ok (Varint.read r));
+  ignore (Varint.read r);
   let rest =
     String.sub whole r.Varint.pos (String.length whole - r.Varint.pos)
   in
@@ -360,19 +360,14 @@ let test_adler32_block_edges () =
         [ '\xFF'; '\x00'; 'a' ])
     [ 0; 1; 5551; 5552; 5553; 2 * 5552; (2 * 5552) + 1; 100_000 ]
 
-(* A one-record trace with a correct checksum: one POSIX record (header 0,
-   rank 0, time delta 0) whose func string reference is [func]. *)
-let one_record_trace func =
-  let payload =
-    let b = Buffer.create 32 in
-    Buffer.add_string b "\x00\x00\x00";
-    func b;
-    Buffer.contents b
-  in
+(* A one-chunk trace around [payload]: a correct checksum, so the payload
+   reaches the record decoder, and a trailer that agrees with the chunk's
+   record count. *)
+let chunk_trace ?(nrecords = 1) payload =
   let buf = Buffer.create 64 in
   Buffer.add_string buf Codec.magic;
   Buffer.add_char buf '\xC4' (* chunk marker *);
-  Varint.write buf 1;
+  Varint.write buf nrecords;
   Varint.write buf (String.length payload);
   let sum = adler32 payload in
   for i = 0 to 3 do
@@ -380,36 +375,135 @@ let one_record_trace func =
   done;
   Buffer.add_string buf payload;
   Buffer.add_char buf '\xC5' (* trailer marker *);
-  Varint.write buf 1;
+  Varint.write buf nrecords;
   Buffer.contents buf
 
-let test_decoder_bad_string_refs () =
+let varints ns =
+  let b = Buffer.create 16 in
+  List.iter (Varint.write b) ns;
+  Buffer.contents b
+
+(* A POSIX record from rank 0 at time delta 0 whose func is a new string,
+   interned as id 0. *)
+let write_record = varints [ 0; 0; 0; 0; 5 ] ^ "write"
+
+(* A second record on rank 0 with an explicit offset and count (header
+   bits 7 and 8), func back-referencing id 0. *)
+let extent_record ~offset ~count =
+  varints
+    [ (1 lsl 7) lor (1 lsl 8); 0; Varint.zigzag 1; 0; Varint.zigzag offset;
+      Varint.zigzag count ]
+
+(* Every class of malformed record, each message in full. *)
+let test_decoder_malformed_records () =
   with_temp @@ fun path ->
   List.iter
-    (fun (func, substring, what) ->
-      write_file path (one_record_trace func);
-      expect_load_error ~substring path what)
+    (fun (what, nrecords, payload, expected) ->
+      write_file path (chunk_trace ~nrecords payload);
+      match Tracefile.load path with
+      | Ok _ -> Alcotest.failf "%s: expected an error" what
+      | Error msg -> Alcotest.(check string) what expected msg)
     [
+      ("bad layer code", 1, varints [ 3 ], "chunk 1: bad layer code 3");
+      ("bad origin code", 1, varints [ 6 lsl 2 ], "chunk 1: bad origin code 6");
+      ("truncated varint", 1, "\x00\x00\x80", "chunk 1: truncated varint");
+      ( "varint too long", 1, "\x00" ^ String.make 10 '\x80',
+        "chunk 1: varint too long" );
+      ( "dangling string reference", 1, varints [ 0; 0; 0; 5 ],
+        "chunk 1: dangling string reference 5" );
       ( (* a 9-byte id that sets OCaml's sign bit *)
-        (fun b -> Buffer.add_string b "\x80\x80\x80\x80\x80\x80\x80\x80\x40"),
-        "chunk 1: dangling string reference",
-        "negative string id" );
+        "negative string id", 1,
+        "\x00\x00\x00\x80\x80\x80\x80\x80\x80\x80\x80\x40",
+        Printf.sprintf "chunk 1: dangling string reference %d" min_int );
       ( (* a new string whose length overflows the cursor arithmetic *)
-        (fun b ->
-          Varint.write b 0;
-          Varint.write b max_int;
-          Buffer.add_string b "write"),
-        "chunk 1: truncated string",
-        "max_int string length" );
+        "max_int string length", 1,
+        varints [ 0; 0; 0; 0; max_int ] ^ "write",
+        "chunk 1: truncated string" );
+      ( "short string", 1, varints [ 0; 0; 0; 0; 6 ] ^ "write",
+        "chunk 1: truncated string" );
+      ( "negative count", 2, write_record ^ extent_record ~offset:0 ~count:(-5),
+        "chunk 1: record 2: negative count -5" );
+      ( "overflowing extent", 2,
+        write_record ^ extent_record ~offset:max_int ~count:5,
+        Printf.sprintf "chunk 1: record 2: offset %d + count 5 overflows"
+          max_int );
+      ( "leftover bytes", 1, write_record ^ "\x00\x00",
+        "chunk 1: 2 leftover bytes after last record" );
     ]
 
-(* Cross-format ------------------------------------------------------------- *)
+(* Bytes flipped or overwritten inside a valid chunk's payload, with the
+   checksum recomputed so the damage reaches the record decoder: the
+   reader must answer [Ok] or [Error], never raise. *)
+let qcheck_decoder_never_raises =
+  let whole =
+    with_temp @@ fun path ->
+    ignore (write_binary adversarial_records path);
+    read_file path
+  in
+  (* The single chunk: marker, record count, payload length, checksum. *)
+  let r = { Varint.data = whole; pos = String.length Codec.magic + 1 } in
+  let nrecords = Varint.read r in
+  let len = Varint.read r in
+  let payload = String.sub whole (r.Varint.pos + 4) len in
+  let edit_gen =
+    QCheck.Gen.(triple (int_bound (len - 1)) bool (int_range 1 255))
+  in
+  let damage edits =
+    let b = Bytes.of_string payload in
+    List.iter
+      (fun (i, flip, v) ->
+        let c = if flip then Char.code (Bytes.get b i) lxor v else v in
+        Bytes.set b i (Char.chr c))
+      edits;
+    chunk_trace ~nrecords (Bytes.to_string b)
+  in
+  QCheck.Test.make ~name:"decoder never raises on a damaged payload"
+    ~count:300
+    (QCheck.make
+       ~print:QCheck.Print.(list (triple int bool int))
+       QCheck.Gen.(list_size (int_range 1 4) edit_gen))
+    (fun edits ->
+      with_temp @@ fun path ->
+      write_file path (damage edits);
+      match Tracefile.iter path ~f:ignore with
+      | Ok _ | Error _ -> true
+      | exception e ->
+        QCheck.Test.fail_reportf "raised %s" (Printexc.to_string e))
 
 let golden_records () =
   let result =
     Runner.run ~nprocs:4 (List.hd Registry.all).Registry.body
   in
   result.Runner.records
+
+(* Decoding allocates the record and little else: 17.7 words per record
+   on this trace (the record block, its options and its argument list).
+   The bound leaves headroom above that and sits far below the 334 words
+   a decoder pays when it formats its error strings for every record and
+   boxes every field in a [result]. *)
+let decode_words_bound = 40.
+
+let test_decode_allocation () =
+  let records = List.concat (List.init 5 (fun _ -> golden_records ())) in
+  with_temp @@ fun path ->
+  ignore (write_binary records path);
+  let before = Test_ownership.allocated_words () in
+  let n =
+    match Tracefile.iter path ~f:ignore with
+    | Ok n -> n
+    | Error e -> Alcotest.fail e
+  in
+  let per_record =
+    (Test_ownership.allocated_words () -. before) /. float_of_int n
+  in
+  Alcotest.(check int) "records decoded" (List.length records) n;
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f words per record <= %.0f" per_record
+       decode_words_bound)
+    true
+    (per_record <= decode_words_bound)
+
+(* Cross-format ------------------------------------------------------------- *)
 
 let test_convert_golden () =
   (* text -> binary -> text must reproduce the text file byte for byte. *)
@@ -752,8 +846,10 @@ let suite =
       test_decoder_checksum_mismatch;
     Alcotest.test_case "decoder payload past EOF" `Quick
       test_decoder_payload_past_eof;
-    Alcotest.test_case "decoder bad string references" `Quick
-      test_decoder_bad_string_refs;
+    Alcotest.test_case "decoder malformed records" `Quick
+      test_decoder_malformed_records;
+    QCheck_alcotest.to_alcotest qcheck_decoder_never_raises;
+    Alcotest.test_case "decode allocation" `Quick test_decode_allocation;
     Alcotest.test_case "convert golden" `Quick test_convert_golden;
     Alcotest.test_case "detect format" `Quick test_detect_format;
     Alcotest.test_case "iter/fold stream" `Quick test_iter_streaming_counts;
