@@ -14,20 +14,21 @@
      {!oracle}), and the owning rank or [multi_writer].  A write updates
      all three with one query, one carve and one add per run of equal
      segments; an append past every segment needs only the add;
-   - a *base* cache for a relaxed engine: a settled byte buffer plus
-     segment index holding everything already published, folded in
+   - a *settled* cache for a relaxed engine: a segment index naming, per
+     byte range, the published write that owns it, folded in
      effective-time (epoch) order as publishing events arrive — the
      UnifyFS/BurstFS shape, where a server-side extent index over write
-     segments replaces the client's log walk.
+     segments replaces the client's log walk.  It holds no bytes: those
+     stay in the logged writes' buffers.
 
    Each file interprets one consistency engine, fixed at {!create}: every
    write carries one publish time ([pub]) under it, each rank keeps one
    list of publishing events and one list of still-unpublished writes,
    and the file keeps one cache.  Publishing events (and delay expiry)
    trigger epoch compaction: the writer's newly-published writes
-   fold into the base in (publish_time, issue_time, seq) order.  A read
-   then copies the base range and overlays the reader's few still-pending
-   visible extents.
+   fold into the owner map in (publish_time, issue_time, seq) order.  A
+   read merges the map's pieces with the reader's few still-pending
+   visible extents and copies each piece from its write's buffer.
 
    Bit-for-bit equivalence with the reference model is preserved by
    construction where the fast path applies, and by falling back to the
@@ -99,17 +100,15 @@ let ev_exists_in l ~after ~upto =
   let first = ev_first_after l after in
   first <> unpublished && first <= upto
 
-(* Settled cache of a relaxed engine.  [c_base] holds the published bytes,
-   folded in effective-time order up to [c_folded_pub]; [c_base_seq]
-   records which write owns each settled byte.  Under eventual, writes
-   whose delay has not expired by the event-clock watermark wait in the
-   FIFO [c_pending] (ascending publish time).  Strong files never build
-   it. *)
+(* Settled cache of a relaxed engine.  [c_settled] names the write that
+   owns each published byte, folded in effective-time order up to
+   [c_folded_pub]; the bytes themselves stay in the log.  Under eventual,
+   writes whose delay has not expired by the event-clock watermark wait in
+   the FIFO [c_pending] (ascending publish time).  Strong files never
+   build it. *)
 type cache = {
   mutable c_valid : bool;
-  mutable c_base : bytes;
-  mutable c_base_len : int;
-  mutable c_base_seq : int Extmap.t;
+  mutable c_settled : int Extmap.t;
   mutable c_folded_pub : int;  (* min_int when nothing folded *)
   c_pending : write_rec Queue.t;  (* Eventual only; ascending pub *)
   mutable c_pend_pub : int;  (* publish time of the last queued pending *)
@@ -178,9 +177,7 @@ let create sem =
     cache =
       {
         c_valid = false;
-        c_base = Bytes.empty;
-        c_base_len = 0;
-        c_base_seq = Extmap.empty;
+        c_settled = Extmap.empty;
         c_folded_pub = min_int;
         c_pending = Queue.create ();
         c_pend_pub = min_int;
@@ -278,37 +275,20 @@ let unpub_insert lref w =
 
 let unpub t rank = find_or_add t.unpub rank (fun () -> ref [])
 
-(* Grow a cache's base buffer to cover [hi] bytes (incremental folds;
-   a rebuild presizes the buffer instead). *)
-let base_reserve c hi =
-  if hi > Bytes.length c.c_base then begin
-    let cap = max hi (max 64 (2 * Bytes.length c.c_base)) in
-    let b = Bytes.make cap '\000' in
-    Bytes.blit c.c_base 0 b 0 c.c_base_len;
-    c.c_base <- b
-  end;
-  if hi > c.c_base_len then c.c_base_len <- hi
+(* Fold one write into the settled owner map (already clipped to the file
+   by construction; truncation rebuilds the cache wholesale). *)
+let settle c w = c.c_settled <- Extmap.set w.w_iv w.w_seq c.c_settled
 
-(* Fold one write into a settled base (already clipped to the file by
-   construction; truncation rebuilds the cache wholesale). *)
-let base_paint c w =
-  let lo = w.w_iv.Interval.lo and hi = w.w_iv.Interval.hi in
-  if hi > lo then begin
-    base_reserve c hi;
-    Bytes.blit w.w_data 0 c.c_base lo (hi - lo);
-    c.c_base_seq <- Extmap.set w.w_iv w.w_seq c.c_base_seq
-  end
-
-(* Epoch compaction: fold writes newly published at [pub] into the base.
+(* Epoch compaction: fold writes newly published at [pub] into the cache.
    [ws] arrives ascending (w_time, seq) — the in-epoch effective order.
    Publishing at or before the previous fold means two epochs would have
-   to interleave, which a flat buffer cannot express: invalidate and let
+   to interleave, which one owner map cannot express: invalidate and let
    the next read rebuild in globally sorted order. *)
 let fold_epoch c ~pub ws =
   if ws <> [] then begin
     if pub <= c.c_folded_pub then c.c_valid <- false
     else begin
-      List.iter (fun w -> base_paint c w) ws;
+      List.iter (settle c) ws;
       c.c_folded_pub <- pub;
       if Obs.enabled () then begin
         Obs.incr "fs.extent.compactions";
@@ -423,14 +403,13 @@ let write t ~rank ~time ~off data =
       (* A write already published on arrival (its rank committed at a
          later timestamp before this record was inserted — e.g. a
          burst-buffer drain replaying an old extent) would have to fold
-         into the middle of a settled base: invalidate the cache
-         instead. *)
+         into the middle of the settled cache: invalidate it instead. *)
       if w.pub <> unpublished then c.c_valid <- false
       else unpub_insert (unpub t rank) w
     | After_delay ->
       (* The pending queue must stay ascending in publish time; an
          out-of-order arrival (old-timestamped replay) falls back to a
-         rebuild, as does one that would fold mid-base. *)
+         rebuild, as does one that would fold mid-cache. *)
       if c.c_valid then
         if w.pub <= c.c_folded_pub then c.c_valid <- false
         else if (not (Queue.is_empty c.c_pending)) && w.pub < c.c_pend_pub
@@ -824,30 +803,39 @@ let read_slow t ~local_order ~rank ~time ~off ~len =
   done;
   { data; stale_bytes = !stale }
 
-(* The index's strong-order bytes for [req] — the strong-consistency (and
-   laminated-file) view — and the bytes whose issue-order winner differs,
-   from one query. *)
-let strong_view t req =
+(* A fresh buffer for [req] assembled from ascending, disjoint [pieces],
+   each copied from the buffer of the logged write [seq_of] names; the
+   gaps between pieces read as zeros.  Never a write's own buffer. *)
+let assemble t req pieces seq_of =
   let off = req.Interval.lo in
   let data = Bytes.create (Interval.length req) in
-  (* Pieces come in ascending order: zero each gap before one, then the
-     tail after the last. *)
-  let pos = ref off and stale = ref 0 in
+  let pos = ref off in
   List.iter
-    (fun (iv, s) ->
-      let w = t.log.(s.s_strong) in
-      let n = Interval.length iv in
+    (fun (iv, v) ->
+      let w = t.log.(seq_of v) in
       Bytes.fill data (!pos - off) (iv.Interval.lo - !pos) '\000';
       Bytes.blit w.w_data
         (iv.Interval.lo - w.w_iv.Interval.lo)
         data
         (iv.Interval.lo - off)
-        n;
-      pos := iv.Interval.hi;
-      if s.s_issue <> s.s_strong then stale := !stale + n)
-    (Extmap.query req t.index);
+        (Interval.length iv);
+      pos := iv.Interval.hi)
+    pieces;
   Bytes.fill data (!pos - off) (req.Interval.hi - !pos) '\000';
-  (data, !stale)
+  data
+
+(* The index's strong-order bytes for [req] — the strong-consistency (and
+   laminated-file) view — and the bytes whose issue-order winner differs,
+   from one query. *)
+let strong_view t req =
+  let pieces = Extmap.query req t.index in
+  let stale =
+    List.fold_left
+      (fun n (iv, s) ->
+        if s.s_issue <> s.s_strong then n + Interval.length iv else n)
+      0 pieces
+  in
+  (assemble t req pieces (fun s -> s.s_strong), stale)
 
 (* Strong-consistency (and laminated-file) fast path: the index's strong
    field answers content, its issue field identity. *)
@@ -858,23 +846,19 @@ let read_strong t ~off ~len =
 
 (* Relaxed-engine settled cache ------------------------------------------- *)
 
-(* Rebuild the settled base from scratch: fold every published live write
+(* Rebuild the settled cache from scratch: fold every published live write
    in (publish, issue, seq) order — the globally-sorted epoch sequence the
-   incremental folds approximate one event at a time.  The base is
-   allocated once, at the largest extent end among the published writes. *)
+   incremental folds approximate one event at a time. *)
 let rebuild_cache t =
   if not t.monotonic then recompute_pubs t;
   let c = t.cache in
   let eventual = t.publication = After_delay in
-  let published = ref [] and pending = ref [] and hi = ref 0 in
+  let published = ref [] and pending = ref [] in
   for i = t.log_n - 1 downto 0 do
     let w = t.log.(i) in
     if w.w_live then
       if if eventual then w.pub <= t.watermark else w.pub <> unpublished
-      then begin
-        published := w :: !published;
-        hi := max !hi w.w_iv.Interval.hi
-      end
+      then published := w :: !published
       else if eventual then pending := w :: !pending
   done;
   let published =
@@ -882,13 +866,11 @@ let rebuild_cache t =
       (fun a b -> if a.pub <> b.pub then compare a.pub b.pub else strong_cmp a b)
       !published
   in
-  c.c_base <- Bytes.make !hi '\000';
-  c.c_base_len <- 0;
-  c.c_base_seq <- Extmap.empty;
+  c.c_settled <- Extmap.empty;
   c.c_folded_pub <- min_int;
   List.iter
     (fun w ->
-      base_paint c w;
+      settle c w;
       c.c_folded_pub <- w.pub)
     published;
   (* Ascending (w_time, seq) = ascending publish time for a fixed delay. *)
@@ -898,13 +880,13 @@ let rebuild_cache t =
   c.c_valid <- true;
   if Obs.enabled () then Obs.incr "fs.extent.rebuilds"
 
-(* Can the settled base answer this read exactly?  (1) publishing events
-   never ran backwards (pub fields precise); (2) the base is built; (3)
+(* Can the settled cache answer this read exactly?  (1) publishing events
+   never ran backwards (pub fields precise); (2) the cache is built; (3)
    every folded epoch is visible to this reader — published at or before
    [time], and, where a reader's open acquires, covered by an open the
    reader made after all the folds; (4) no multi-writer segment in range
    when the reader has written the file (its own settled writes sort at
-   issue time for it, not at the publish time the base folded them at). *)
+   issue time for it, not at the publish time the cache folded them at). *)
 let fast_ok t c ~rank ~time ~off ~len =
   t.monotonic && c.c_valid
   && (c.c_folded_pub = min_int || acquired t ~rank ~pub:c.c_folded_pub ~time)
@@ -915,19 +897,13 @@ let fast_ok t c ~rank ~time ~off ~len =
              (fun (_, s) -> s.s_writer = multi_writer)
              (Extmap.query (Interval.of_len off len) t.index)))
 
-(* Fast path: copy the settled base range and overlay the few still-pending
-   extents visible to this reader, merged per byte by the reader's full
-   effective-order key. *)
+(* Fast path: the settled owners of the range, overlaid with the few
+   still-pending extents visible to this reader, merged per byte by the
+   reader's full effective-order key; the bytes come from the owners'
+   logged buffers. *)
 let read_fast t c ~rank ~time ~off ~len =
   if Obs.enabled () then Obs.incr "fs.extent.fast_reads";
   let req = Interval.of_len off len in
-  let data = Bytes.create len in
-  (* The base is zero wherever nothing was folded in: only the tail past
-     its end needs zeroing. *)
-  let n = max 0 (min len (c.c_base_len - off)) in
-  if n > 0 then Bytes.blit c.c_base off data 0 n;
-  Bytes.fill data n (len - n) '\000';
-  let base_pieces = Extmap.query req c.c_base_seq in
   let overlay =
     if t.publication = After_delay then
       Queue.fold
@@ -936,46 +912,31 @@ let read_fast t c ~rank ~time ~off ~len =
     else match Hashtbl.find_opt t.unpub rank with Some l -> !l | None -> []
   in
   let overlay = List.filter (fun w -> Interval.overlaps req w.w_iv) overlay in
-  let vis_pieces =
-    if overlay = [] then base_pieces
+  let owners =
+    if overlay = [] then c.c_settled
     else begin
       let key seq =
         let w = t.log.(seq) in
         (effective_time t ~rank w, w.w_time, w.w_seq)
       in
-      let pm =
-        List.fold_left
-          (fun pm (iv, seq) -> Extmap.set iv seq pm)
-          Extmap.empty base_pieces
-      in
-      let pm =
-        List.fold_left
-          (fun pm w ->
-            match Interval.intersect req w.w_iv with
-            | None -> pm
-            | Some iv ->
-              Extmap.update iv
-                (function
-                  | Some old when key old > key w.w_seq -> old
-                  | _ -> w.w_seq)
-                pm)
-          pm overlay
-      in
-      let pieces = Extmap.query req pm in
-      List.iter
-        (fun (iv, seq) ->
-          let w = t.log.(seq) in
-          Bytes.blit w.w_data
-            (iv.Interval.lo - w.w_iv.Interval.lo)
-            data
-            (iv.Interval.lo - off)
-            (Interval.length iv))
-        pieces;
-      pieces
+      (* The owner map is persistent: overlaying this read's view leaves
+         the cache untouched. *)
+      List.fold_left
+        (fun m w ->
+          match Interval.intersect req w.w_iv with
+          | None -> m
+          | Some iv ->
+            Extmap.update iv
+              (function
+                | Some old when key old > key w.w_seq -> old
+                | _ -> w.w_seq)
+              m)
+        c.c_settled overlay
     end
   in
-  let stale = stale_between req (Extmap.query req t.index) vis_pieces in
-  { data; stale_bytes = stale }
+  let pieces = Extmap.query req owners in
+  let stale = stale_between req (Extmap.query req t.index) pieces in
+  { data = assemble t req pieces Fun.id; stale_bytes = stale }
 
 (* Requested length clipped to the file: reads past the size return the
    in-range prefix. *)

@@ -198,7 +198,7 @@ let encode e (r : Record.t) =
   e.records <- e.records + 1;
   tick "trace.codec.records_encoded" 1;
   if !meter_on () then
-    tick "trace.codec.text_bytes" (String.length (Record.to_line r) + 1);
+    tick "trace.codec.text_bytes" (Record.line_length r + 1);
   if e.pending >= e.chunk_records then flush_chunk e
 
 let finish e =

@@ -120,6 +120,42 @@ let to_line t =
   in
   String.concat "\t" fields
 
+(* Length of [escape_gen ~key s], without building it. *)
+let escaped_length ~key s =
+  let n = ref (String.length s) in
+  for i = 0 to String.length s - 1 do
+    match String.unsafe_get s i with
+    | '\\' | '\t' | '\n' -> incr n
+    | '=' when key -> incr n
+    | _ -> ()
+  done;
+  !n
+
+(* Length of [string_of_int x]: its decimal digits, plus the sign. *)
+let int_length x =
+  let rec digits x n = if x < 10 && x > -10 then n else digits (x / 10) (n + 1) in
+  digits x 1 + if x < 0 then 1 else 0
+
+let opt_length f = function None -> 1 | Some v -> f v
+
+let line_length t =
+  let args =
+    List.fold_left
+      (fun n (k, v) ->
+        n + escaped_length ~key:true k + 1 + escaped_length ~key:false v + 1)
+      0 t.args
+  in
+  int_length t.time + int_length t.rank
+  + String.length (layer_name t.layer)
+  + String.length (origin_name t.origin)
+  + escaped_length ~key:false t.func
+  + (match t.file with None -> 1 | Some f -> escaped_length ~key:false f)
+  + opt_length int_length t.fd
+  + opt_length int_length t.offset
+  + opt_length int_length t.count
+  + 8 (* tabs between the nine fixed fields *)
+  + args
+
 let parse_opt f = function "-" -> Ok None | s -> Result.map Option.some (f s)
 
 (* First '=' that is a real separator, i.e. preceded by an even run of

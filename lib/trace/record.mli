@@ -53,6 +53,9 @@ val to_line : t -> string
     keys is escaped as [\=], so any record round-trips through
     {!of_line}. *)
 
+val line_length : t -> int
+(** [String.length (to_line t)], computed without building the line. *)
+
 val check_extent : offset:int option -> count:int option -> (unit, string) result
 (** Refuse an extent the analysis cannot represent: a negative [count],
     or an [offset + count] above [max_int]. *)

@@ -606,7 +606,12 @@ let test_codec_counters () =
     (c "chunks_decoded");
   Alcotest.(check bool) "interned strings" true (c "interned_strings" > 0);
   Alcotest.(check bool) "text equivalent measured" true
-    (c "text_bytes" > c "bytes_encoded")
+    (c "text_bytes" > c "bytes_encoded");
+  Alcotest.(check int) "text equivalent is the text trace's size"
+    (List.fold_left
+       (fun n r -> n + String.length (Record.to_line r) + 1)
+       0 adversarial_records)
+    (c "text_bytes")
 
 let test_spill_counter () =
   let sink = Obs.create () in

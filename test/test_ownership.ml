@@ -25,6 +25,7 @@ module Wal = Hpcfs_wal.Wal
 module Backoff = Hpcfs_util.Backoff
 module Runner = Hpcfs_apps.Runner
 module App_common = Hpcfs_apps.App_common
+module Obs = Hpcfs_obs.Obs
 
 let engines =
   Consistency.[ Strong; Commit; Session; Eventual { delay = 8 } ]
@@ -251,6 +252,37 @@ let test_reads_are_fresh () =
       intact l name)
     engines
 
+(* A read whose range is exactly one write's extent assembles from a single
+   piece, where a read path could hand back that write's own buffer; every
+   [Fdata.read] above spans two writes.  Rank 0's write is settled in the
+   cache; rank 1's is still pending (unpublished, or inside the eventual
+   delay) and reaches its own writer through the overlay.  Both reads must
+   take the fast path: [fresh] reads twice. *)
+let test_whole_write_reads_are_fresh () =
+  List.iter
+    (fun sem ->
+      let name = Consistency.to_string sem in
+      let l = ledger () in
+      let fd = Fdata.create sem in
+      Fdata.write fd ~rank:0 ~time:1 ~off:0 (hand l 64 6);
+      Fdata.commit fd ~rank:0 ~time:2;
+      Fdata.session_close fd ~rank:0 ~time:3;
+      Fdata.session_open fd ~rank:1 ~time:12;
+      Fdata.session_open fd ~rank:2 ~time:12;
+      Fdata.write fd ~rank:1 ~time:13 ~off:64 (hand l 64 7);
+      let sink = Obs.create () in
+      Obs.with_sink sink (fun () ->
+          fresh (name ^ " Fdata.read of a whole settled write") (fun () ->
+              (Fdata.read fd ~rank:2 ~time:20 ~off:0 ~len:64).Fdata.data);
+          fresh (name ^ " Fdata.read of a whole pending write") (fun () ->
+              (Fdata.read fd ~rank:1 ~time:20 ~off:64 ~len:64).Fdata.data));
+      Alcotest.(check int)
+        (name ^ " reads on the fast path")
+        4
+        (Obs.find_counter sink "fs.extent.fast_reads");
+      intact l name)
+    engines
+
 let test_tier_reads_are_fresh () =
   let l = ledger () in
   let pfs = Pfs.create Consistency.Session in
@@ -396,6 +428,8 @@ let suite =
       test_reads_are_fresh;
     Alcotest.test_case "tier reads return fresh buffers" `Quick
       test_tier_reads_are_fresh;
+    Alcotest.test_case "reads of one whole write are fresh" `Quick
+      test_whole_write_reads_are_fresh;
     Alcotest.test_case "fdata write copies no payload" `Quick
       test_fdata_write_alloc;
     Alcotest.test_case "staged write copies no payload" `Quick

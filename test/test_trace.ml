@@ -299,6 +299,38 @@ let qcheck_record_roundtrip_adversarial =
       | Ok r' -> extent_fits r && r = r'
       | Error _ -> not (extent_fits r))
 
+(* [line_length] is the length of the line [to_line] would build, whatever
+   the fields hold: escapes in every free-form field, ['='] in keys, any
+   number of arguments, and integers of every width and sign. *)
+let qcheck_line_length =
+  let field_gen =
+    QCheck.Gen.(
+      string_size ~gen:(oneofl [ 'a'; '\t'; '\n'; '\\'; '='; ' '; '/' ])
+        (int_bound 10))
+  in
+  let int_gen =
+    QCheck.Gen.(
+      oneof [ int; oneofl [ min_int; max_int; 0; -1; 9; 10; -9; -10; 99 ] ])
+  in
+  let gen =
+    QCheck.Gen.(
+      let* time = int_gen and* rank = int_gen in
+      let* layer = oneofl Record.[ L_posix; L_mpiio; L_hdf5 ] in
+      let* origin =
+        oneofl Record.[ O_app; O_mpi; O_hdf5; O_netcdf; O_adios; O_silo ]
+      in
+      let* func = field_gen and* file = opt field_gen in
+      let* fd = opt int_gen and* offset = opt int_gen in
+      let* count = opt int_gen in
+      let* args = list_size (int_bound 3) (pair field_gen field_gen) in
+      return
+        (Record.make ~time ~rank ~layer ~origin ~func ?file ?fd ?offset ?count
+           ~args ()))
+  in
+  QCheck.Test.make ~name:"line_length is the line's length" ~count:500
+    (QCheck.make ~print:Record.to_line gen) (fun r ->
+      Record.line_length r = String.length (Record.to_line r))
+
 let qcheck_record_roundtrip =
   let gen =
     QCheck.Gen.(
@@ -377,4 +409,5 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_record_roundtrip;
     QCheck_alcotest.to_alcotest qcheck_record_roundtrip_adversarial;
     QCheck_alcotest.to_alcotest qcheck_collector_records_sort;
+    QCheck_alcotest.to_alcotest qcheck_line_length;
   ]
