@@ -282,6 +282,53 @@ let time_reads read_at reads =
   let m1 = allocated_words () in
   ((t1 -. t0) *. 1e9 /. float_of_int reads, (m1 -. m0) /. float_of_int reads)
 
+(* Slow reads: the same history under session, then one more write and
+   close by a writer after the reading rank's last open, so the settled
+   cache has folded an epoch the reader has not acquired and every
+   session read takes the slow path; BurstFS mode ([local_order:false])
+   always does.  One row per mode and history length. *)
+let slow_rows ~sizes ~reads =
+  List.concat_map
+    (fun n ->
+      let fd = Fdata.create Consistency.Session in
+      build_history n
+        ~write:(fun ~rank ~time ~off payload ->
+          Fdata.write fd ~rank ~time ~off payload)
+        ~commit:(fun ~rank ~time -> Fdata.commit fd ~rank ~time)
+        ~close:(fun ~rank ~time -> Fdata.session_close fd ~rank ~time)
+        ~sopen:(fun ~rank ~time -> Fdata.session_open fd ~rank ~time);
+      Fdata.write fd ~rank:0 ~time:((2 * n) + 2) ~off:0 (Bytes.make 512 'y');
+      Fdata.session_close fd ~rank:0 ~time:((2 * n) + 3);
+      let now = (2 * n) + 4 in
+      let size = Fdata.size fd in
+      let off_of i = i * 4099 * 512 mod max 4096 (size - 4096) in
+      List.map
+        (fun (mode, local_order) ->
+          let ns, words =
+            time_reads
+              (fun i ->
+                (Fdata.read ~local_order fd ~rank:99 ~time:now ~off:(off_of i)
+                   ~len:4096)
+                  .Fdata.stale_bytes)
+              reads
+          in
+          record
+            ~name:(Printf.sprintf "readpath/slow/%s/%d" mode n)
+            [
+              ("writes", string_of_int n);
+              ("reads", string_of_int reads);
+              ("ns_per_read", Printf.sprintf "%.1f" ns);
+              ("words_per_read", Printf.sprintf "%.1f" words);
+            ];
+          [
+            "readpath/slow/" ^ mode;
+            string_of_int n;
+            Printf.sprintf "%.0f" ns;
+            Printf.sprintf "%.1f" words;
+          ])
+        [ ("session", true); ("burstfs", false) ])
+    sizes
+
 module Namespace = Hpcfs_fs.Namespace
 module Shardmap = Hpcfs_fs.Shardmap
 
@@ -438,6 +485,17 @@ let readpath () =
   print_endline
     "(expected shape: words per write flat in history length and in write\n\
     \ size; the cache names each byte's owner and copies no file bytes.)";
+  section "Read path: slow reads (stale session open, BurstFS mode)";
+  let slow =
+    Table.create
+      ~aligns:[ Table.Left; Table.Right; Table.Right; Table.Right ]
+      [ "scenario"; "writes"; "ns/read"; "words/read" ]
+  in
+  List.iter (Table.add_row slow) (slow_rows ~sizes ~reads);
+  Table.print slow;
+  print_endline
+    "(expected shape: flat in history length; a slow read repaints only the\n\
+    \ writes that overlap it and counts stale bytes per segment.)";
   section "Namespace: path resolution, 16,384 files at depth 3";
   let t =
     Table.create ~aligns:[ Table.Left; Table.Right; Table.Right ]

@@ -19,17 +19,12 @@ type raw = {
   r_func : string;
 }
 
-(* Keyed by (rank, fd). *)
-module Fds = Hashtbl.Make (struct
-  type t = int * int
-
-  let equal ((r1 : int), (f1 : int)) (r2, f2) = r1 = r2 && f1 = f2
-  let hash = Hashtbl.hash
-end)
+(* Open descriptors, per rank then per fd: two int lookups build no key. *)
+module Itbl = Hashtbl.Make (Int)
 
 type stream = {
   events : Eventtab.t;
-  fds : fd_state Fds.t;
+  fds : fd_state Itbl.t Itbl.t;
   sizes : (string, int) Hashtbl.t;
   mutable skipped : int;
   emit : raw -> unit;
@@ -38,16 +33,36 @@ type stream = {
 let stream ~emit =
   {
     events = Eventtab.create ();
-    fds = Fds.create 64;
+    fds = Itbl.create 64;
     sizes = Hashtbl.create 64;
     skipped = 0;
     emit;
   }
 
+let rank_fds s rank =
+  match Itbl.find s.fds rank with
+  | fds -> fds
+  | exception Not_found ->
+    let fds = Itbl.create 8 in
+    Itbl.add s.fds rank fds;
+    fds
+
+(* Is [tok] one of the '|'-separated names in [s] from [i] on?  Scans
+   in place, where splitting would build a list of strings per open. *)
+let rec token_end s j =
+  if j < String.length s && s.[j] <> '|' then token_end s (j + 1) else j
+
+let rec same_at s i tok c =
+  c = String.length tok || (s.[i + c] = tok.[c] && same_at s i tok (c + 1))
+
+let rec has_token s tok i =
+  let j = token_end s i in
+  (j - i = String.length tok && same_at s i tok 0)
+  || (j < String.length s && has_token s tok (j + 1))
+
 let has_flag record flag =
   match Record.arg record "flags" with
-  | Some flags ->
-    List.exists (fun f -> f = flag) (String.split_on_char '|' flags)
+  | Some flags -> has_token flags flag 0
   | None -> false
 
 let mode_is record prefix =
@@ -85,74 +100,87 @@ let explicit s r op file off count =
     { r_time = r.Record.time; r_rank = r.Record.rank; r_file = file;
       r_iv = Interval.of_len off count; r_op = op; r_func = r.Record.func }
 
+(* What a POSIX call does to the replay state. *)
+type call =
+  | Open
+  | Close
+  | Sync
+  | Seek
+  | Read
+  | Write
+  | Pread
+  | Pwrite
+  | Truncate
+  | Ftruncate
+  | Other
+
+let call_of = function
+  | "open" | "fopen" -> Open
+  | "close" | "fclose" -> Close
+  | "fsync" | "fdatasync" | "fflush" | "msync" -> Sync
+  | "lseek" | "fseek" -> Seek
+  | "read" | "fread" -> Read
+  | "write" | "fwrite" -> Write
+  | "pread" -> Pread
+  | "pwrite" -> Pwrite
+  | "truncate" -> Truncate
+  | "ftruncate" -> Ftruncate
+  | _ -> Other
+
+let count r = Option.value ~default:0 r.Record.count
+
+let offset r = Option.value ~default:0 r.Record.offset
+
+(* A call on the open descriptor [fd] of [state]. *)
+let on_fd s r call fd state =
+  let rank = r.Record.rank and time = r.Record.time in
+  match call with
+  | Close ->
+    Eventtab.add_close s.events ~rank ~file:state.file time;
+    Eventtab.add_commit s.events ~rank ~file:state.file time;
+    Itbl.remove (rank_fds s rank) fd
+  | Sync -> Eventtab.add_commit s.events ~rank ~file:state.file time
+  | Seek ->
+    let base =
+      match Record.arg r "whence" with
+      | Some "SEEK_SET" | None -> 0
+      | Some "SEEK_CUR" -> state.pos
+      | Some "SEEK_END" -> size s state.file
+      | Some _ -> 0
+    in
+    state.pos <- max 0 (base + offset r)
+  | Read -> data s r Access.Read state (count r)
+  | Write -> data s r Access.Write state (count r)
+  | Pread -> explicit s r Access.Read state.file (offset r) (count r)
+  | Pwrite -> explicit s r Access.Write state.file (offset r) (count r)
+  | Ftruncate -> Hashtbl.replace s.sizes state.file (count r)
+  | Open | Truncate | Other -> ()
+
 let handle s r =
   let rank = r.Record.rank in
-  let with_fd k =
-    match r.Record.fd with
-    | Some fd -> (
-      match Fds.find s.fds (rank, fd) with
-      | state -> k state
-      | exception Not_found -> s.skipped <- s.skipped + 1)
-    | None -> s.skipped <- s.skipped + 1
-  in
-  match r.Record.func with
-  | "open" | "fopen" -> (
+  match call_of r.Record.func with
+  | Other -> ()
+  | Open -> (
     match (r.Record.file, r.Record.fd) with
     | Some file, Some fd ->
       let append = has_flag r "O_APPEND" || mode_is r 'a' in
       let trunc = has_flag r "O_TRUNC" || mode_is r 'w' in
       if trunc then Hashtbl.replace s.sizes file 0;
       let pos = if append then size s file else 0 in
-      Fds.replace s.fds (rank, fd) { file; pos; append };
+      Itbl.replace (rank_fds s rank) fd { file; pos; append };
       Eventtab.add_open s.events ~rank ~file r.Record.time
     | _ -> s.skipped <- s.skipped + 1)
-  | "close" | "fclose" ->
-    with_fd (fun state ->
-        Eventtab.add_close s.events ~rank ~file:state.file r.Record.time;
-        Eventtab.add_commit s.events ~rank ~file:state.file r.Record.time;
-        match r.Record.fd with
-        | Some fd -> Fds.remove s.fds (rank, fd)
-        | None -> ())
-  | "fsync" | "fdatasync" | "fflush" | "msync" ->
-    with_fd (fun state ->
-        Eventtab.add_commit s.events ~rank ~file:state.file r.Record.time)
-  | "lseek" | "fseek" ->
-    with_fd (fun state ->
-        let off = Option.value ~default:0 r.Record.offset in
-        let base =
-          match Record.arg r "whence" with
-          | Some "SEEK_SET" | None -> 0
-          | Some "SEEK_CUR" -> state.pos
-          | Some "SEEK_END" -> size s state.file
-          | Some _ -> 0
-        in
-        state.pos <- max 0 (base + off))
-  | "read" | "fread" ->
-    with_fd (fun state ->
-        data s r Access.Read state (Option.value ~default:0 r.Record.count))
-  | "write" | "fwrite" ->
-    with_fd (fun state ->
-        data s r Access.Write state (Option.value ~default:0 r.Record.count))
-  | "pread" ->
-    with_fd (fun state ->
-        explicit s r Access.Read state.file
-          (Option.value ~default:0 r.Record.offset)
-          (Option.value ~default:0 r.Record.count))
-  | "pwrite" ->
-    with_fd (fun state ->
-        explicit s r Access.Write state.file
-          (Option.value ~default:0 r.Record.offset)
-          (Option.value ~default:0 r.Record.count))
-  | "truncate" -> (
+  | Truncate -> (
     match r.Record.file with
-    | Some file ->
-      Hashtbl.replace s.sizes file (Option.value ~default:0 r.Record.count)
+    | Some file -> Hashtbl.replace s.sizes file (count r)
     | None -> s.skipped <- s.skipped + 1)
-  | "ftruncate" ->
-    with_fd (fun state ->
-        Hashtbl.replace s.sizes state.file
-          (Option.value ~default:0 r.Record.count))
-  | _ -> ()
+  | call -> (
+    match r.Record.fd with
+    | None -> s.skipped <- s.skipped + 1
+    | Some fd -> (
+      match Itbl.find (Itbl.find s.fds rank) fd with
+      | state -> on_fd s r call fd state
+      | exception Not_found -> s.skipped <- s.skipped + 1))
 
 let feed s r = if r.Record.layer = Record.L_posix then handle s r
 

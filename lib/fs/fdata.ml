@@ -32,12 +32,15 @@
 
    Bit-for-bit equivalence with the reference model is preserved by
    construction where the fast path applies, and by falling back to the
-   (also-accelerated) log walk everywhere it does not: non-monotone clocks,
+   reference algorithm everywhere it does not: non-monotone clocks,
    BurstFS mode (local_order = false), session readers in stale sessions,
    and readers whose own writes overlap other ranks' (where the
-   single-process guarantee reorders the settled fold).  The differential
-   QCheck suite in test/test_fdata_equiv.ml drives both implementations
-   through randomized interleavings under all four engines. *)
+   single-process guarantee reorders the settled fold).  That slow path
+   walks the log but repaints only the writes that overlap the read, as an
+   owner map, and counts stale bytes per segment against the index.  The
+   differential QCheck suite in test/test_fdata_equiv.ml drives both
+   implementations through randomized interleavings under all four
+   engines. *)
 
 module Interval = Hpcfs_util.Interval
 module Extmap = Hpcfs_util.Extmap
@@ -191,9 +194,9 @@ let size t = t.size
 let write_count t = t.live
 
 let find_or_add tbl rank make =
-  match Hashtbl.find_opt tbl rank with
-  | Some l -> l
-  | None ->
+  match Hashtbl.find tbl rank with
+  | l -> l
+  | exception Not_found ->
     let l = make () in
     Hashtbl.add tbl rank l;
     l
@@ -713,96 +716,6 @@ let crash_target t ~time ~stripe_size ~server_count ~target =
 
 (* Reads ------------------------------------------------------------------ *)
 
-(* Count bytes where the issue-order winner differs from the visible
-   winner, walking the two clipped segment lists (the index's, projected
-   to the issue-order field, and the visible seqs) in one pass. *)
-let stale_between req index_pieces vis_pieces =
-  let lo = req.Interval.lo and hi = req.Interval.hi in
-  let stale = ref 0 in
-  let ap = ref (List.map (fun (iv, s) -> (iv, s.s_issue)) index_pieces)
-  and vp = ref vis_pieces in
-  let pos = ref lo in
-  let seg_at pieces pos =
-    (* Value covering [pos] (if any) and the next boundary after [pos]. *)
-    match pieces with
-    | [] -> (None, hi)
-    | (iv, v) :: _ ->
-      if iv.Interval.lo > pos then (None, iv.Interval.lo)
-      else (Some v, iv.Interval.hi)
-  in
-  let rec advance pieces pos =
-    match pieces with
-    | (iv, _) :: rest when iv.Interval.hi <= pos -> advance rest pos
-    | l -> l
-  in
-  while !pos < hi do
-    ap := advance !ap !pos;
-    vp := advance !vp !pos;
-    let a, abound = seg_at !ap !pos in
-    let v, vbound = seg_at !vp !pos in
-    let next = min hi (min abound vbound) in
-    if a <> v then stale := !stale + (next - !pos);
-    pos := next
-  done;
-  !stale
-
-(* The reference algorithm over the live log, with O(1)/O(log) visibility
-   and effective-time lookups instead of list scans.  Used for every case
-   the settled cache cannot express; also the bit-for-bit specification
-   the fast path must match. *)
-let read_slow t ~local_order ~rank ~time ~off ~len =
-  if Obs.enabled () then Obs.incr "fs.extent.slow_reads";
-  if not t.monotonic then recompute_pubs t;
-  let req = Interval.of_len off len in
-  let data = Bytes.make len '\000' in
-  let vis_seq = Array.make len (-1) in
-  let any_seq = Array.make len (-1) in
-  let paint seq_arr ?into seq w =
-    match Interval.intersect req w.w_iv with
-    | None -> ()
-    | Some inter ->
-      let src_pos = inter.Interval.lo - w.w_iv.Interval.lo in
-      let dst_pos = inter.Interval.lo - off in
-      let n = Interval.length inter in
-      (match into with
-      | Some buf -> Bytes.blit w.w_data src_pos buf dst_pos n
-      | None -> ());
-      Array.fill seq_arr dst_pos n seq
-  in
-  (* Identities are positions among *surviving* writes, renumbered like the
-     reference model's list (truncate/crash compact it); under
-     local_order:false only position 0 can ever match its negation. *)
-  let keyed = ref [] in
-  let live_i = ref (-1) in
-  for i = 0 to t.log_n - 1 do
-    let w = t.log.(i) in
-    if w.w_live then begin
-      incr live_i;
-      let s = !live_i in
-      paint any_seq s w;
-      if visible t ~rank ~time w then
-        let key =
-          if local_order then (effective_time t ~rank w, w.w_time, s)
-          else
-            (* BurstFS mode: no single-process ordering; ties on effective
-               time break in reverse issue order. *)
-            (effective_time t ~rank:(-2) w, -w.w_time, -s)
-        in
-        keyed := (key, w) :: !keyed
-    end
-  done;
-  let sorted = List.sort (fun (a, _) (b, _) -> compare a b) !keyed in
-  (* Paint the key's seq component (negated in BurstFS mode, like the
-     reference): under local_order:false a byte painted by any write other
-     than seq 0 never matches the issue-order identity, deliberately
-     flagging every byte whose order was adversarial. *)
-  List.iter (fun ((_, _, s), w) -> paint vis_seq ~into:data s w) sorted;
-  let stale = ref 0 in
-  for i = 0 to len - 1 do
-    if any_seq.(i) <> vis_seq.(i) then incr stale
-  done;
-  { data; stale_bytes = !stale }
-
 (* A fresh buffer for [req] assembled from ascending, disjoint [pieces],
    each copied from the buffer of the logged write [seq_of] names; the
    gaps between pieces read as zeros.  Never a write's own buffer. *)
@@ -823,6 +736,77 @@ let assemble t req pieces seq_of =
     pieces;
   Bytes.fill data (!pos - off) (req.Interval.hi - !pos) '\000';
   data
+
+(* Bytes where the issue-order winner (the index's [s_issue]) and the
+   visible winner differ, from the two clipped, ascending segment lists:
+   every byte either list covers counts, less once for each byte both
+   cover and again where both name the [same] winner.  [same] is
+   equality, except in BurstFS mode. *)
+let stale_between ?(same = Int.equal) index_pieces vis_pieces =
+  let covered pieces =
+    List.fold_left (fun n (iv, _) -> n + Interval.length iv) 0 pieces
+  in
+  let rec shared acc ip vp =
+    match (ip, vp) with
+    | [], _ | _, [] -> acc
+    | (ia, s) :: irest, (va, v) :: vrest ->
+      let open Interval in
+      let n = Int.min ia.hi va.hi - Int.max ia.lo va.lo in
+      let acc =
+        if n <= 0 then acc
+        else if same s.s_issue v then acc + (2 * n)
+        else acc + n
+      in
+      if ia.hi <= va.hi then shared acc irest vp else shared acc ip vrest
+  in
+  covered index_pieces + covered vis_pieces - shared 0 index_pieces vis_pieces
+
+(* The reader's order over visible writes; the later write wins a byte.
+   Ascending (effective time, issue time, seq).  BurstFS mode has no
+   single-process ordering: writes published by one operation tie on
+   effective time and break the tie in reverse issue order, a legal,
+   adversarial outcome. *)
+let effective_order t ~local_order ~rank a b =
+  let rank = if local_order then rank else -2 in
+  let c = Int.compare (effective_time t ~rank a) (effective_time t ~rank b) in
+  if c <> 0 then c else if local_order then strong_cmp a b else strong_cmp b a
+
+(* The reference algorithm, from pieces: only the live writes that overlap
+   the request can paint it, so only those are checked for visibility and
+   sorted, then folded into a small owner map whose pieces give the bytes
+   and, against the index, the stale count.  Used for every case the
+   settled cache cannot express; also the bit-for-bit specification the
+   fast path must match. *)
+let read_slow t ~local_order ~rank ~time ~off ~len =
+  if Obs.enabled () then Obs.incr "fs.extent.slow_reads";
+  if not t.monotonic then recompute_pubs t;
+  let req = Interval.of_len off len in
+  let first_live = ref (-1) and hits = ref [] in
+  for i = 0 to t.log_n - 1 do
+    let w = t.log.(i) in
+    if w.w_live then begin
+      if !first_live < 0 then first_live := i;
+      if Interval.overlaps req w.w_iv && visible t ~rank ~time w then
+        hits := w :: !hits
+    end
+  done;
+  let hits = Array.of_list !hits in
+  Array.sort (effective_order t ~local_order ~rank) hits;
+  let owners =
+    Array.fold_left (fun m w -> Extmap.set w.w_iv w.w_seq m) Extmap.empty hits
+  in
+  let pieces = Extmap.query req owners in
+  (* The reference names writes by their position among surviving writes
+     and, in BurstFS mode, paints the negated position: only position 0
+     (the first live write) can match its own negation. *)
+  let same =
+    if local_order then Int.equal
+    else fun a v -> a = v && a = !first_live
+  in
+  {
+    data = assemble t req pieces Fun.id;
+    stale_bytes = stale_between ~same (Extmap.query req t.index) pieces;
+  }
 
 (* The index's strong-order bytes for [req] — the strong-consistency (and
    laminated-file) view — and the bytes whose issue-order winner differs,
@@ -914,11 +898,7 @@ let read_fast t c ~rank ~time ~off ~len =
   let overlay = List.filter (fun w -> Interval.overlaps req w.w_iv) overlay in
   let owners =
     if overlay = [] then c.c_settled
-    else begin
-      let key seq =
-        let w = t.log.(seq) in
-        (effective_time t ~rank w, w.w_time, w.w_seq)
-      in
+    else
       (* The owner map is persistent: overlaying this read's view leaves
          the cache untouched. *)
       List.fold_left
@@ -928,14 +908,16 @@ let read_fast t c ~rank ~time ~off ~len =
           | Some iv ->
             Extmap.update iv
               (function
-                | Some old when key old > key w.w_seq -> old
+                | Some old
+                  when effective_order t ~local_order:true ~rank t.log.(old) w
+                       > 0 ->
+                  old
                 | _ -> w.w_seq)
               m)
         c.c_settled overlay
-    end
   in
   let pieces = Extmap.query req owners in
-  let stale = stale_between req (Extmap.query req t.index) pieces in
+  let stale = stale_between (Extmap.query req t.index) pieces in
   { data = assemble t req pieces Fun.id; stale_bytes = stale }
 
 (* Requested length clipped to the file: reads past the size return the

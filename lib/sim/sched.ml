@@ -59,31 +59,31 @@ let nonmonotone_failure r =
         contract in sched.mli"
        r)
 
-(* Run one process until it yields, blocks or finishes; record the resulting
-   proc state back into the array.
+(* The deep handler of rank [r]'s fiber.  It is installed once, when the
+   fiber first starts; every subsequent suspension is caught by that same
+   handler (deep semantics), which stores the continuation and lets
+   control return to the scheduler at the point of the [continue] that
+   resumed the fiber. *)
+let handler s r =
+  {
+    retc = (fun () -> s.procs.(r) <- Finished);
+    exnc = (fun e -> raise e);
+    effc =
+      (fun (type a) (eff : a Effect.t) ->
+        match eff with
+        | Yield ->
+          Some (fun (k : (a, unit) continuation) -> s.procs.(r) <- Runnable k)
+        | Wait pred ->
+          Some
+            (fun (k : (a, unit) continuation) ->
+              s.procs.(r) <- Waiting (pred, k))
+        | _ -> None);
+  }
 
-   The deep handler is installed once, when the fiber first starts; every
-   subsequent suspension is caught by that same handler (deep semantics),
-   which stores the continuation and lets control return to the scheduler at
-   the point of the [continue] that resumed the fiber. *)
+(* Run one process until it yields, blocks or finishes; record the resulting
+   proc state back into the array.  Only a fresh fiber needs a handler, so
+   visits to finished or still-blocked ranks allocate nothing. *)
 let step s r =
-  let handler =
-    {
-      retc = (fun () -> s.procs.(r) <- Finished);
-      exnc = (fun e -> raise e);
-      effc =
-        (fun (type a) (eff : a Effect.t) ->
-          match eff with
-          | Yield ->
-            Some
-              (fun (k : (a, unit) continuation) -> s.procs.(r) <- Runnable k)
-          | Wait pred ->
-            Some
-              (fun (k : (a, unit) continuation) ->
-                s.procs.(r) <- Waiting (pred, k))
-          | _ -> None);
-    }
-  in
   s.current <- r;
   (* Fault hooks fire before the process runs, so a kill lands even while
      the victim is blocked (e.g. inside a barrier). *)
@@ -93,7 +93,7 @@ let step s r =
   match s.procs.(r) with
   | Fresh body ->
     Obs.incr "sim.steps";
-    match_with body () handler
+    match_with body () (handler s r)
   | Runnable k ->
     Obs.incr "sim.steps";
     continue k ()

@@ -7,6 +7,7 @@
 
 open Hpcfs_fs
 module Fdata_ref = Hpcfs_oracle.Fdata_ref
+module Obs = Hpcfs_obs.Obs
 
 type op =
   | Write of int * int * int * int  (* rank, clock delta, off, len *)
@@ -249,6 +250,45 @@ let equiv_test sem name =
       try run_case sem ops
       with Mismatch msg -> QCheck.Test.fail_report msg)
 
+(* The slow path is covered, not only reachable: a session reader whose
+   open predates the last fold of the settled cache reads through it, in
+   both [local_order] modes, and matches the reference. *)
+let test_slow_path_covered () =
+  let a = Fdata.create Consistency.Session and b = Fdata_ref.create () in
+  let write ~time off len =
+    let data = mk_data 0 time off len in
+    Fdata.write a ~rank:0 ~time ~off data;
+    Fdata_ref.write b ~rank:0 ~time ~off (Bytes.copy data)
+  and close ~time =
+    Fdata.session_close a ~rank:0 ~time;
+    Fdata_ref.session_close b ~rank:0 ~time
+  in
+  write ~time:1 0 16;
+  write ~time:2 8 16;
+  close ~time:3;
+  Fdata.session_open a ~rank:1 ~time:4;
+  Fdata_ref.session_open b ~rank:1 ~time:4;
+  write ~time:5 4 8;
+  close ~time:6;
+  List.iter
+    (fun local_order ->
+      let mode = if local_order then "local order" else "BurstFS" in
+      let sink = Obs.create () in
+      let ra =
+        Obs.with_sink sink (fun () ->
+            Fdata.read ~local_order a ~rank:1 ~time:7 ~off:0 ~len:24)
+      and rb =
+        Fdata_ref.read ~local_order b ~semantics:Consistency.Session ~rank:1
+          ~time:7 ~off:0 ~len:24
+      in
+      Alcotest.(check bool) (mode ^ ": slow reads") true
+        (Obs.find_counter sink "fs.extent.slow_reads" > 0);
+      Alcotest.(check string) (mode ^ ": data")
+        (Bytes.to_string rb.Fdata_ref.data) (Bytes.to_string ra.Fdata.data);
+      Alcotest.(check int) (mode ^ ": stale bytes") rb.Fdata_ref.stale_bytes
+        ra.Fdata.stale_bytes)
+    [ true; false ]
+
 let suite =
   [
     QCheck_alcotest.to_alcotest
@@ -271,4 +311,6 @@ let suite =
       (settled_test
          (Consistency.Eventual { delay = 3 })
          "settled follows publication: eventual");
+    Alcotest.test_case "slow path covered in both orders" `Quick
+      test_slow_path_covered;
   ]

@@ -956,6 +956,77 @@ let test_fdata_fold_alloc () =
   in
   if bad <> [] then Alcotest.fail (String.concat "; " bad)
 
+(* A session read on a stale open (the reader opened before the last
+   fold of the settled cache) takes the slow path, as does every BurstFS
+   read.  It repaints only the logged writes that overlap the request and
+   counts stale bytes per segment, so its cost follows the request, not
+   the log: no per-byte array and no key per logged write.  Rank 0 writes
+   4,096 blocks of 1 KiB and closes, rank 1 opens, rank 0 rewrites the
+   first half and closes again; rank 1 then reads 4 KiB (five blocks) at
+   64 offsets.  Measured: 814 words per read (845 in BurstFS mode), the
+   513-word result plus about 58 per overlapping write, where painting two
+   per-byte arrays and keying every logged write cost over 8,705. *)
+let slow_read_words_bound = 1024.
+
+let test_fdata_slow_read_alloc () =
+  let block = 1024 and n = 4096 and reads = 64 in
+  let fd = Fdata.create Consistency.Session and fr = Fdata_ref.create () in
+  let write ~time i data =
+    Fdata.write fd ~rank:0 ~time ~off:(i * block) data;
+    Fdata_ref.write fr ~rank:0 ~time ~off:(i * block) data
+  and close ~time =
+    Fdata.session_close fd ~rank:0 ~time;
+    Fdata_ref.session_close fr ~rank:0 ~time
+  in
+  let a = Bytes.make block 'a' and b = Bytes.make block 'b' in
+  for i = 0 to n - 1 do
+    write ~time:(i + 1) i a
+  done;
+  close ~time:(n + 1);
+  Fdata.session_open fd ~rank:1 ~time:(n + 2);
+  Fdata_ref.session_open fr ~rank:1 ~time:(n + 2);
+  for i = 0 to (n / 2) - 1 do
+    write ~time:(n + 3 + i) i b
+  done;
+  close ~time:(2 * n);
+  let time = (2 * n) + 10 in
+  let off k = k * 12_289 mod ((n * block) - 4096) in
+  List.iter
+    (fun local_order ->
+      let mode = if local_order then "session" else "burstfs" in
+      let read k =
+        Fdata.read ~local_order fd ~rank:1 ~time ~off:(off k) ~len:4096
+      in
+      let sink = Obs.create () in
+      Obs.with_sink sink (fun () ->
+          for k = 0 to 7 do
+            let r = read k
+            and e =
+              Fdata_ref.read ~local_order fr ~semantics:Consistency.Session
+                ~rank:1 ~time ~off:(off k) ~len:4096
+            in
+            Alcotest.(check string) (mode ^ " data")
+              (Bytes.to_string e.Fdata_ref.data) (Bytes.to_string r.Fdata.data);
+            Alcotest.(check int) (mode ^ " stale bytes") e.Fdata_ref.stale_bytes
+              r.Fdata.stale_bytes
+          done);
+      Alcotest.(check int) (mode ^ " slow reads") 8
+        (Obs.find_counter sink "fs.extent.slow_reads");
+      let before = Test_ownership.allocated_words () in
+      for k = 0 to reads - 1 do
+        ignore (Sys.opaque_identity (read k))
+      done;
+      let words =
+        (Test_ownership.allocated_words () -. before) /. float_of_int reads
+      in
+      Printf.printf "%s: %.1f words per slow read\n" mode words;
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %.1f words per read <= %.0f" mode words
+           slow_read_words_bound)
+        true
+        (words <= slow_read_words_bound))
+    [ true; false ]
+
 let qcheck_fdata_strong_matches_flat =
   (* Under strong semantics, replaying random writes into Fdata must match a
      flat byte-array model. *)
@@ -1048,6 +1119,8 @@ let suite =
       test_fdata_rebuild_alloc;
     Alcotest.test_case "fdata fold allocation per write" `Quick
       test_fdata_fold_alloc;
+    Alcotest.test_case "fdata slow read allocation per read" `Quick
+      test_fdata_slow_read_alloc;
     QCheck_alcotest.to_alcotest qcheck_fdata_strong_matches_flat;
     QCheck_alcotest.to_alcotest qcheck_stripe_split_reconcatenates;
     Alcotest.test_case "consistency engine rules" `Quick

@@ -105,6 +105,35 @@ let test_debug_monotonicity () =
   with_sched_debug "" (fun () ->
       Sched.run ~nprocs:2 (nonmonotone_body (ref false)))
 
+(* Words a run allocates when one rank yields [rounds] times while [idle]
+   others sit out every round: half finished at once, half blocked on a
+   predicate that stays false until the last round. *)
+let idle_run_words ~idle ~rounds =
+  let released = ref false in
+  let before = Test_ownership.allocated_words () in
+  Sched.run ~nprocs:(idle + 1) (fun r ->
+      if r = idle then begin
+        for _ = 1 to rounds do
+          Sched.yield ()
+        done;
+        released := true
+      end
+      else if r >= idle / 2 then Sched.wait_until (fun () -> !released));
+  Test_ownership.allocated_words () -. before
+
+(* Only a fresh fiber needs an effect handler, so visiting a finished rank
+   or a rank whose predicate is still false allocates nothing.  Building
+   the handler on every visit cost 14 words each. *)
+let test_idle_visits_allocate_nothing () =
+  let idle = 32 and rounds = 1000 in
+  let words =
+    (idle_run_words ~idle ~rounds -. idle_run_words ~idle:0 ~rounds)
+    /. float_of_int (idle * rounds)
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.2f words per idle visit <= 1" words)
+    true (words <= 1.)
+
 let test_barrier_synchronizes () =
   let comm = Mpi.world () in
   let phase = Array.make 8 0 in
@@ -345,6 +374,8 @@ let suite =
     Alcotest.test_case "reentrancy guard" `Quick test_reentrancy_guard;
     Alcotest.test_case "debug monotonicity check" `Quick
       test_debug_monotonicity;
+    Alcotest.test_case "idle visits allocate nothing" `Quick
+      test_idle_visits_allocate_nothing;
     Alcotest.test_case "barrier synchronizes" `Quick test_barrier_synchronizes;
     Alcotest.test_case "barrier repeated" `Quick test_barrier_repeated;
     Alcotest.test_case "send/recv" `Quick test_send_recv;
