@@ -11,7 +11,7 @@ module Obs = Hpcfs_obs.Obs
 module Injector = Hpcfs_fault.Injector
 module Plan = Hpcfs_fault.Plan
 module Journal = Hpcfs_fs.Journal
-module Recovery = Hpcfs_fs.Recovery
+module Staging = Hpcfs_fs.Staging
 module Target = Hpcfs_fs.Target
 module Md = Hpcfs_md.Service
 
@@ -122,8 +122,8 @@ let run_faulted ~nprocs ~seed ~payloads ~pfs ~mds ~collector ~tier ~wal
       plan.Plan.events
     |> Option.join
   in
-  let replay_journal ~time =
-    Option.iter (fun j -> ignore (Journal.replay j ~time)) journal
+  let replay_journal () =
+    Option.iter (fun j -> ignore (Journal.replay j)) journal
   in
   if Injector.has_target_events inj then
     Injector.set_storage_hook inj (fun ~time action ->
@@ -155,10 +155,10 @@ let run_faulted ~nprocs ~seed ~payloads ~pfs ~mds ~collector ~tier ~wal
             :: !target_records;
           (* A failover replica serves immediately: the journal replays its
              dirty entries into the replica on the spot. *)
-          if failover then replay_journal ~time
+          if failover then replay_journal ()
         | Injector.Recover_ost target ->
           Pfs.recover_target pfs ~time target;
-          replay_journal ~time;
+          replay_journal ();
           Option.iter (fun w -> ignore (Wal.drain_all w)) wal
         | Injector.Fail_mds { shard } ->
           Pfs.fail_mds ?shard pfs ~time;
@@ -227,7 +227,7 @@ let run_faulted ~nprocs ~seed ~payloads ~pfs ~mds ~collector ~tier ~wal
     let bb_lost =
       match (tier, victim) with
       | Some t, Some rank ->
-        Tier.crash_node t ~node:(Tier.node_of_rank t rank) ~time
+        Tier.crash_node t ~node:(Tier.node_of_rank t rank)
       | _ -> 0
     in
     (* The WAL applies the crash *before* the PFS reconciles: the victim
@@ -281,21 +281,20 @@ let run_faulted ~nprocs ~seed ~payloads ~pfs ~mds ~collector ~tier ~wal
   in
   attempt_loop ~clock:0 ~attempt:0;
   (* Flush storage transitions scheduled after the job's last step (e.g. a
-     recovery during the epilogue window), then give the journal its final
-     replay: an fsck pass that classifies every file. *)
-  let epilogue_time = 1 lsl 40 in
+     recovery during the epilogue window), drain the staging tier, then
+     run the fsck over the staging core that saw the failures: the
+     journal's after its final replay, else the WAL's after its own, else
+     the burst buffer's, whose final replay was the epilogue drain. *)
   if Injector.has_target_events inj then
-    Injector.advance_targets inj ~time:epilogue_time;
+    Injector.advance_targets inj ~time:(1 lsl 40);
   epilogue_drain ~tier ~wal;
-  let recovery =
-    Option.map
-      (fun j ->
-        Obs.span Obs.T_fs "fsck" (fun () ->
-            Recovery.check j ~time:epilogue_time))
-      journal
-  in
-  let wal_check =
-    Option.map (fun w -> Obs.span Obs.T_fs "fsck" (fun () -> Wal.check w)) wal
+  let fsck f = Some (Obs.span Obs.T_fs "fsck" f) in
+  let check =
+    match (journal, wal, tier) with
+    | Some j, _, _ -> fsck (fun () -> Journal.check j)
+    | None, Some w, _ -> fsck (fun () -> Wal.check w)
+    | None, None, Some t -> fsck (fun () -> Staging.check (Tier.core t))
+    | None, None, None -> None
   in
   (* Each attempt's log in attempt order, sorted only if someone asks. *)
   let attempts = List.rev !comms in
@@ -308,9 +307,8 @@ let run_faulted ~nprocs ~seed ~payloads ~pfs ~mds ~collector ~tier ~wal
       o_log_faults = Injector.injected_log_faults inj;
       o_target_failures = List.rev !target_records;
       o_journal = Option.map Journal.stats journal;
-      o_recovery = recovery;
       o_wal = Option.map Wal.stats wal;
-      o_wal_check = wal_check;
+      o_check = check;
     } )
 
 let run ?obs ?(semantics = Hpcfs_fs.Consistency.Strong) ?(local_order = true)

@@ -60,6 +60,7 @@ let create ?(config = default_config) pfs =
 
 let set_fault t ?prng hook = Staging.set_fault t.core ?prng hook
 let pfs t = Staging.pfs t.core
+let core t = t.core
 let config t = t.config
 let occupancy t = Staging.occupancy t.core
 let node_of_rank t rank = Staging.node_of_rank t.core rank
@@ -288,10 +289,10 @@ let drain_all t ?(time = max_int) () =
   Staging.drain_all t.core ~replay:(drain_extent t ~time)
 
 (* A node crash loses the node's undrained (dirty) staged bytes: they exist
-   only in its local buffer, so they never reach the PFS.  Clean (drained)
-   cached extents and snapshots are mere caches — also gone, but no data is
-   lost with them. *)
-let crash_node t ~node:id ~time:_ =
+   only in its local buffer, so they never reach the PFS, and the core's
+   ledger tallies them lost.  Clean (drained) cached extents and snapshots
+   are mere caches — also gone, but no data is lost with them. *)
+let crash_node t ~node:id =
   match Hashtbl.find_opt t.nodes id with
   | None -> 0
   | Some node ->
@@ -300,8 +301,11 @@ let crash_node t ~node:id ~time:_ =
       (fun _ l ->
         List.iter
           (fun (x : Staging.record) ->
-            if x.state = Pending then lost := !lost + Bytes.length x.data;
-            Staging.drop t.core x)
+            if x.state = Pending then begin
+              lost := !lost + Bytes.length x.data;
+              Staging.lose t.core x
+            end
+            else Staging.drop t.core x)
           !l)
       node.n_by_file;
     Hashtbl.reset node.n_by_file;

@@ -38,6 +38,9 @@ val config : t -> config
 val node_of_rank : t -> int -> int
 (** The node a rank's writes are staged on. *)
 
+val core : t -> Hpcfs_fs.Staging.t
+(** The staging core holding the staged extents, for inspection. *)
+
 (** {1 The PFS-shaped data surface}
 
     Opening passes through to the PFS (sessions are recorded there) and
@@ -85,11 +88,13 @@ val set_fault :
     configured [retry] policy with backoff delays drawn from
     [prng].  With no hook installed the drain path is untouched. *)
 
-val crash_node : t -> node:int -> time:int -> int
-(** [crash_node t ~node ~time] loses the node's buffer to a crash: every
-    undrained staged extent is dropped — those bytes never reach the PFS —
-    and the node's clean caches are invalidated.  Returns the undrained
-    bytes lost. *)
+val crash_node : t -> node:int -> int
+(** [crash_node t ~node] loses the node's buffer to a crash: every
+    undrained staged extent is lost ({!Hpcfs_fs.Staging.lose}) — those
+    bytes never reach the PFS — and the node's clean caches are
+    invalidated.  Returns the undrained bytes lost.  After the final
+    {!drain_all}, {!Hpcfs_fs.Staging.check} on {!core} classifies the
+    files. *)
 
 (** {1 Statistics} *)
 

@@ -334,9 +334,8 @@ type outcome = {
   o_log_faults : int;
   o_target_failures : target_record list;  (** In firing order. *)
   o_journal : Hpcfs_fs.Journal.stats option;
-  o_recovery : Hpcfs_fs.Recovery.report option;
   o_wal : Hpcfs_wal.Wal.stats option;
-  o_wal_check : Hpcfs_wal.Wal.check_report option;
+  o_check : Hpcfs_fs.Staging.check option;
 }
 
 let replayed_bytes outcome =
@@ -380,18 +379,3 @@ let bb_lost_bytes outcome =
   List.fold_left (fun acc cr -> acc + cr.cr_bb_lost_bytes) 0 outcome.o_crashes
 
 let target_failure_count outcome = List.length outcome.o_target_failures
-
-let journal_lost_bytes outcome =
-  match outcome.o_journal with
-  | Some j -> j.Hpcfs_fs.Journal.outstanding_bytes
-  | None -> 0
-
-let wal_lost_bytes outcome =
-  match outcome.o_wal_check with
-  | Some c -> c.Hpcfs_wal.Wal.lost_bytes + c.Hpcfs_wal.Wal.pending_bytes
-  | None -> 0
-
-let wal_torn_bytes outcome =
-  match outcome.o_wal_check with
-  | Some c -> c.Hpcfs_wal.Wal.torn_bytes
-  | None -> 0

@@ -138,13 +138,13 @@ type outcome = {
   o_journal : Hpcfs_fs.Journal.stats option;
       (** Client journal counters; [None] when the plan scheduled no
           storage failure (no journal interposed). *)
-  o_recovery : Hpcfs_fs.Recovery.report option;
-      (** Fsck verdicts after the final replay pass; [None] without a
-          journal. *)
   o_wal : Hpcfs_wal.Wal.stats option;
       (** WAL-tier counters; [None] when the run was not WAL-tiered. *)
-  o_wal_check : Hpcfs_wal.Wal.check_report option;
-      (** The WAL's post-run fsck (replayed/lost/torn per file). *)
+  o_check : Hpcfs_fs.Staging.check option;
+      (** The post-run fsck ({!Hpcfs_fs.Staging.check}) after the final
+          replay: the client journal's when one exists, else the WAL's,
+          else the burst buffer's; [None] for a direct run without a
+          journal. *)
 }
 
 val crash_stats : outcome -> Hpcfs_fs.Fdata.crash_stats
@@ -154,13 +154,4 @@ val crash_stats : outcome -> Hpcfs_fs.Fdata.crash_stats
 val bb_lost_bytes : outcome -> int
 val target_failure_count : outcome -> int
 val replayed_bytes : outcome -> int
-val journal_lost_bytes : outcome -> int
-(** Bytes still parked/dirty/lost in the journal at end of run — the
-    unreplayable remainder. *)
-
-val wal_lost_bytes : outcome -> int
-(** Bytes the WAL could not bring back: destroyed log tail plus records
-    with no live target to replay to.  0 for untiered runs. *)
-
-val wal_torn_bytes : outcome -> int
 val wal_recovered_bytes : outcome -> int

@@ -1,3 +1,5 @@
+module Staging = Hpcfs_fs.Staging
+
 type row = {
   r_app : string;
   r_semantics : string;
@@ -49,18 +51,12 @@ let row_of_outcome ~app ~semantics ~post_files ~post_corrupted
     | [] -> (-1, -1)
     | c :: _ -> (c.Injector.cr_rank, c.Injector.cr_time)
   in
-  let fsck_clean, fsck_recovered, fsck_corrupted =
-    match (o.Injector.o_recovery, o.Injector.o_wal_check) with
-    | Some r, _ ->
-      ( r.Hpcfs_fs.Recovery.clean,
-        r.Hpcfs_fs.Recovery.recovered,
-        r.Hpcfs_fs.Recovery.corrupted )
-    | None, Some c ->
-      ( c.Hpcfs_wal.Wal.clean,
-        c.Hpcfs_wal.Wal.recovered,
-        c.Hpcfs_wal.Wal.corrupted )
-    | None, None -> (0, 0, 0)
-  in
+  let fsck f = match o.Injector.o_check with Some c -> f c | None -> 0 in
+  (* Bytes the check found gone for good: destroyed, or with no live
+     target to replay to. *)
+  let unrecoverable c = c.Staging.lost_bytes + c.Staging.pending_bytes in
+  let has_journal = o.Injector.o_journal <> None in
+  let has_wal = o.Injector.o_wal <> None in
   {
     r_app = app;
     r_semantics = semantics;
@@ -79,46 +75,100 @@ let row_of_outcome ~app ~semantics ~post_files ~post_corrupted
     r_post_corrupted = post_corrupted;
     r_target_failures = Injector.target_failure_count o;
     r_replayed_bytes = Injector.replayed_bytes o;
-    r_journal_lost_bytes = Injector.journal_lost_bytes o;
-    r_fsck_clean = fsck_clean;
-    r_fsck_recovered = fsck_recovered;
-    r_fsck_corrupted = fsck_corrupted;
-    r_wal = o.Injector.o_wal <> None;
+    r_journal_lost_bytes = (if has_journal then fsck unrecoverable else 0);
+    r_fsck_clean = fsck (fun c -> c.Staging.clean);
+    r_fsck_recovered = fsck (fun c -> c.Staging.recovered);
+    r_fsck_corrupted = fsck (fun c -> c.Staging.corrupted);
+    r_wal = has_wal;
     r_log_faults = o.Injector.o_log_faults;
     r_wal_recovered_bytes = Injector.wal_recovered_bytes o;
-    r_wal_lost_bytes = Injector.wal_lost_bytes o;
-    r_wal_torn_bytes = Injector.wal_torn_bytes o;
+    r_wal_lost_bytes = (if has_wal then fsck unrecoverable else 0);
+    r_wal_torn_bytes =
+      (if has_wal then fsck (fun c -> c.Staging.torn_bytes) else 0);
   }
 
-(* The extended (target-failure) columns appear only when some row saw a
-   storage failure, and the WAL columns only when some row ran through the
-   WAL tier: legacy inputs render the exact historical table and CSV,
-   byte for byte. *)
+(* Column sets.  The CSV holds the [Base] columns, the [Extended]
+   (target-failure) ones when some row saw a storage failure, the [Walled]
+   ones when some row ran through the WAL tier, then the verdict: legacy
+   inputs render the exact historical CSV, byte for byte.  A table takes
+   one layout — [Walled] over [Extended] over [Base] — and shows the
+   columns that name it. *)
+type set = Base | Extended | Walled | Verdict
+
+type value = Str of string | Int of int | Flag of bool
+
+(* [table] is the heading, the width (negative: left-aligned) and the
+   layouts showing the column. *)
+type column = {
+  name : string;
+  set : set;
+  table : (string * int * set list) option;
+  get : row -> value;
+}
+
+let all = [ Base; Extended; Walled ]
+let col ?table set name get = { name; set; table; get }
+
+(* In table order.  The CSV orders the sets as declared and keeps this
+   order within each, so [post_corrupted], the tables' last count, stays
+   the last base CSV column. *)
+let columns =
+  [
+    col Base "app" ~table:("app", -14, all) (fun r -> Str r.r_app);
+    col Base "semantics" ~table:("semantics", -10, all) (fun r ->
+        Str r.r_semantics);
+    col Base "plan" (fun r -> Str r.r_plan);
+    col Base "crashed" ~table:("crashed", 7, all) (fun r -> Flag r.r_crashed);
+    col Base "crash_rank" (fun r -> Int r.r_crash_rank);
+    col Base "crash_time" (fun r -> Int r.r_crash_time);
+    col Base "restarts" ~table:("restarts", 8, all) (fun r -> Int r.r_restarts);
+    col Base "lost_writes" (fun r -> Int r.r_lost_writes);
+    col Base "lost_bytes" ~table:("lost_bytes", 10, all) (fun r ->
+        Int r.r_lost_bytes);
+    col Base "torn_writes" ~table:("torn_wr", 7, [ Base; Extended ]) (fun r ->
+        Int r.r_torn_writes);
+    col Base "torn_bytes" ~table:("torn_bytes", 10, all) (fun r ->
+        Int r.r_torn_bytes);
+    col Base "bb_lost_bytes" ~table:("bb_lost", 8, [ Base; Extended ])
+      (fun r -> Int r.r_bb_lost_bytes);
+    col Base "drain_faults" (fun r -> Int r.r_drain_faults);
+    col Base "post_files" (fun r -> Int r.r_post_files);
+    col Extended "target_failures" ~table:("ost_fail", 8, [ Extended; Walled ])
+      (fun r -> Int r.r_target_failures);
+    col Extended "replayed_bytes" ~table:("replayed", 9, [ Extended ])
+      (fun r -> Int r.r_replayed_bytes);
+    col Extended "journal_lost_bytes" ~table:("jrnl_lost", 9, [ Extended ])
+      (fun r -> Int r.r_journal_lost_bytes);
+    col Extended "fsck_clean" (fun r -> Int r.r_fsck_clean);
+    col Extended "fsck_recovered" (fun r -> Int r.r_fsck_recovered);
+    col Extended "fsck_corrupted" (fun r -> Int r.r_fsck_corrupted);
+    col Walled "log_faults" ~table:("log_fault", 10, [ Walled ]) (fun r ->
+        Int r.r_log_faults);
+    col Walled "wal_recovered_bytes" ~table:("wal_recov", 9, [ Walled ])
+      (fun r -> Int r.r_wal_recovered_bytes);
+    col Walled "wal_lost_bytes" ~table:("wal_lost", 8, [ Walled ]) (fun r ->
+        Int r.r_wal_lost_bytes);
+    col Walled "wal_torn_bytes" ~table:("wal_torn", 8, [ Walled ]) (fun r ->
+        Int r.r_wal_torn_bytes);
+    col Base "post_corrupted" ~table:("corrupt", 7, all) (fun r ->
+        Int r.r_post_corrupted);
+    col Verdict "verdict" ~table:("verdict", 10, all) (fun r ->
+        Str (verdict r));
+  ]
+
 let extended rows = List.exists (fun r -> r.r_target_failures > 0) rows
 let walled rows = List.exists (fun r -> r.r_wal) rows
 
-let base_columns =
-  [
-    "app"; "semantics"; "plan"; "crashed"; "crash_rank"; "crash_time";
-    "restarts"; "lost_writes"; "lost_bytes"; "torn_writes"; "torn_bytes";
-    "bb_lost_bytes"; "drain_faults"; "post_files"; "post_corrupted";
-  ]
-
-let extended_columns =
-  [
-    "target_failures"; "replayed_bytes"; "journal_lost_bytes"; "fsck_clean";
-    "fsck_recovered"; "fsck_corrupted";
-  ]
-
-let wal_columns =
-  [ "log_faults"; "wal_recovered_bytes"; "wal_lost_bytes"; "wal_torn_bytes" ]
+let csv_columns ~ext ~wal =
+  List.stable_sort (fun a b -> compare a.set b.set) columns
+  |> List.filter (fun c ->
+         match c.set with
+         | Base | Verdict -> true
+         | Extended -> ext
+         | Walled -> wal)
 
 let header ~ext ~wal =
-  String.concat ","
-    (base_columns
-    @ (if ext then extended_columns else [])
-    @ (if wal then wal_columns else [])
-    @ [ "verdict" ])
+  String.concat "," (List.map (fun c -> c.name) (csv_columns ~ext ~wal))
 
 let csv_header = header ~ext:false ~wal:false
 let csv_header_extended = header ~ext:true ~wal:false
@@ -128,103 +178,49 @@ let csv_quote s =
     "\"" ^ String.concat "\"\"" (String.split_on_char '"' s) ^ "\""
   else s
 
-let to_csv_row ~ext ~wal r =
-  let base =
-    [
-      csv_quote r.r_app;
-      csv_quote r.r_semantics;
-      csv_quote r.r_plan;
-      string_of_bool r.r_crashed;
-      string_of_int r.r_crash_rank;
-      string_of_int r.r_crash_time;
-      string_of_int r.r_restarts;
-      string_of_int r.r_lost_writes;
-      string_of_int r.r_lost_bytes;
-      string_of_int r.r_torn_writes;
-      string_of_int r.r_torn_bytes;
-      string_of_int r.r_bb_lost_bytes;
-      string_of_int r.r_drain_faults;
-      string_of_int r.r_post_files;
-      string_of_int r.r_post_corrupted;
-    ]
-  in
-  let ext_tail =
-    if ext then
-      [
-        string_of_int r.r_target_failures;
-        string_of_int r.r_replayed_bytes;
-        string_of_int r.r_journal_lost_bytes;
-        string_of_int r.r_fsck_clean;
-        string_of_int r.r_fsck_recovered;
-        string_of_int r.r_fsck_corrupted;
-      ]
-    else []
-  in
-  let wal_tail =
-    if wal then
-      [
-        string_of_int r.r_log_faults;
-        string_of_int r.r_wal_recovered_bytes;
-        string_of_int r.r_wal_lost_bytes;
-        string_of_int r.r_wal_torn_bytes;
-      ]
-    else []
-  in
-  String.concat "," (base @ ext_tail @ wal_tail @ [ verdict r ])
-
 let to_csv rows =
-  let ext = extended rows in
-  let wal = walled rows in
-  String.concat "\n"
-    (header ~ext ~wal :: List.map (to_csv_row ~ext ~wal) rows)
-  ^ "\n"
+  let ext = extended rows and wal = walled rows in
+  let cols = csv_columns ~ext ~wal in
+  let line r =
+    String.concat ","
+      (List.map
+         (fun c ->
+           match c.get r with
+           | Str s -> csv_quote s
+           | Int n -> string_of_int n
+           | Flag b -> string_of_bool b)
+         cols)
+  in
+  String.concat "\n" (header ~ext ~wal :: List.map line rows) ^ "\n"
 
 let pp ppf rows =
-  let open Format in
-  if walled rows then begin
-    fprintf ppf
-      "%-14s %-10s %7s %8s %10s %10s %8s %10s %9s %8s %8s %7s %10s@."
-      "app" "semantics" "crashed" "restarts" "lost_bytes" "torn_bytes"
-      "ost_fail" "log_fault" "wal_recov" "wal_lost" "wal_torn" "corrupt"
-      "verdict";
-    List.iter
-      (fun r ->
-        fprintf ppf
-          "%-14s %-10s %7s %8d %10d %10d %8d %10d %9d %8d %8d %7d %10s@."
-          r.r_app r.r_semantics
-          (if r.r_crashed then "yes" else "no")
-          r.r_restarts r.r_lost_bytes r.r_torn_bytes r.r_target_failures
-          r.r_log_faults r.r_wal_recovered_bytes r.r_wal_lost_bytes
-          r.r_wal_torn_bytes r.r_post_corrupted (verdict r))
-      rows
-  end
-  else if extended rows then begin
-    fprintf ppf
-      "%-14s %-10s %7s %8s %10s %7s %10s %8s %8s %9s %9s %7s %10s@."
-      "app" "semantics" "crashed" "restarts" "lost_bytes" "torn_wr"
-      "torn_bytes" "bb_lost" "ost_fail" "replayed" "jrnl_lost" "corrupt"
-      "verdict";
-    List.iter
-      (fun r ->
-        fprintf ppf
-          "%-14s %-10s %7s %8d %10d %7d %10d %8d %8d %9d %9d %7d %10s@."
-          r.r_app r.r_semantics
-          (if r.r_crashed then "yes" else "no")
-          r.r_restarts r.r_lost_bytes r.r_torn_writes r.r_torn_bytes
-          r.r_bb_lost_bytes r.r_target_failures r.r_replayed_bytes
-          r.r_journal_lost_bytes r.r_post_corrupted (verdict r))
-      rows
-  end
-  else begin
-    fprintf ppf "%-14s %-10s %7s %8s %10s %7s %10s %8s %7s %10s@."
-      "app" "semantics" "crashed" "restarts" "lost_bytes" "torn_wr"
-      "torn_bytes" "bb_lost" "corrupt" "verdict";
-    List.iter
-      (fun r ->
-        fprintf ppf "%-14s %-10s %7s %8d %10d %7d %10d %8d %7d %10s@."
-          r.r_app r.r_semantics
-          (if r.r_crashed then "yes" else "no")
-          r.r_restarts r.r_lost_bytes r.r_torn_writes r.r_torn_bytes
-          r.r_bb_lost_bytes r.r_post_corrupted (verdict r))
-      rows
-  end
+  let layout =
+    if walled rows then Walled else if extended rows then Extended else Base
+  in
+  let cells =
+    List.filter_map
+      (fun c ->
+        match c.table with
+        | Some (heading, width, layouts) when List.mem layout layouts ->
+          Some (heading, width, c.get)
+        | _ -> None)
+      columns
+  in
+  let pad width s =
+    if width < 0 then Printf.sprintf "%-*s" (-width) s
+    else Printf.sprintf "%*s" width s
+  in
+  let line cell =
+    Format.fprintf ppf "%s@."
+      (String.concat " "
+         (List.map (fun ((_, width, _) as c) -> pad width (cell c)) cells))
+  in
+  line (fun (heading, _, _) -> heading);
+  List.iter
+    (fun r ->
+      line (fun (_, _, get) ->
+          match get r with
+          | Str s -> s
+          | Int n -> string_of_int n
+          | Flag b -> if b then "yes" else "no"))
+    rows

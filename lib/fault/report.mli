@@ -29,8 +29,8 @@ type row = {
   r_replayed_bytes : int;  (** Bytes the client journal replayed back. *)
   r_journal_lost_bytes : int;  (** Journaled bytes that stayed unreplayable. *)
   r_fsck_clean : int;
-      (** {!Hpcfs_fs.Recovery.check} verdict counts — or, for a WAL-tiered
-          run with no client journal, {!Hpcfs_wal.Wal.check} counts. *)
+      (** Verdict counts of the run's {!Hpcfs_fs.Staging.check}: the
+          client journal's, else the WAL's, else the burst buffer's. *)
   r_fsck_recovered : int;
   r_fsck_corrupted : int;
   r_wal : bool;  (** Did the run go through the WAL tier? *)

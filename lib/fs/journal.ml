@@ -5,20 +5,19 @@ module Obs = Hpcfs_obs.Obs
 (* Every journaled write is a {!Staging.record}: [Pending] was parked by a
    down target, or was applied and then lost its volatile copy to a target
    failure; [Applied] is in the PFS, unsettled as far as the journal last
-   looked; [Dropped] is settled, truncated away or — with a tally in
-   [lost_per_file] — given up on by the fsck. *)
+   looked; [Dropped] is settled, truncated away or — tallied lost in the
+   core's ledger — given up on by the fsck. *)
 type t = {
   core : Staging.t;
   retry : Backoff.policy;
   prng : Prng.t;
-  lost_per_file : (string, int * int) Hashtbl.t;  (* writes, bytes *)
-  replayed_per_file : (string, int) Hashtbl.t;
   mutable recorded : int;
   mutable retries : int;
   mutable giveups : int;
   mutable backoff_ticks : int;
   mutable parked_writes : int;
   mutable replayed_writes : int;
+  mutable lost_writes : int;
 }
 
 let create ?(retry = Backoff.default) ~prng pfs =
@@ -33,17 +32,17 @@ let create ?(retry = Backoff.default) ~prng pfs =
         ~ranks_per_node:1 ~retry pfs;
     retry;
     prng;
-    lost_per_file = Hashtbl.create 16;
-    replayed_per_file = Hashtbl.create 16;
     recorded = 0;
     retries = 0;
     giveups = 0;
     backoff_ticks = 0;
     parked_writes = 0;
     replayed_writes = 0;
+    lost_writes = 0;
   }
 
 let pfs t = Staging.pfs t.core
+let core t = t.core
 
 let record t ~rank ~path ~time ~off data ~parked =
   if Bytes.length data > 0 then begin
@@ -76,42 +75,29 @@ let on_target_fail t ~time ~target =
         q);
   Staging.resync t.core
 
-let file_replayed_bytes t path =
-  Option.value ~default:0 (Hashtbl.find_opt t.replayed_per_file path)
-
-let replay t ~time:_ =
+(* Every replay is a recovery: the journal only replays what a failure
+   took from the PFS or refused. *)
+let replay t =
   Staging.drain_all t.core ~replay:(fun r ->
       let n = Staging.replay t.core r in
       if n > 0 then begin
         t.replayed_writes <- t.replayed_writes + 1;
-        Hashtbl.replace t.replayed_per_file r.file
-          (n + file_replayed_bytes t r.file)
+        Staging.recovered t.core r n
       end;
       n)
 
-let lost t path =
-  Option.value ~default:(0, 0) (Hashtbl.find_opt t.lost_per_file path)
-
-let mark_lost t =
+(* The fsck: a final replay pass, and what still cannot land is lost. *)
+let check t =
+  ignore (replay t);
   Staging.iter_backlog t.core (fun r ->
-      let n, bytes = lost t r.file in
-      Hashtbl.replace t.lost_per_file r.file
-        (n + 1, bytes + Bytes.length r.data);
-      Staging.drop t.core r)
-
-let file_outstanding t path =
-  let n = ref 0 in
-  Staging.iter_pending t.core path (fun _ -> incr n);
-  let lost_n, lost_bytes = lost t path in
-  (!n + lost_n, Staging.pending_in_file t.core path + lost_bytes)
+      t.lost_writes <- t.lost_writes + 1;
+      Staging.lose t.core r);
+  Staging.check t.core
 
 let outstanding t =
-  let n = ref 0 and bytes = ref 0 in
-  Staging.iter_files t.core (fun path _ ->
-      let fn, fb = file_outstanding t path in
-      n := !n + fn;
-      bytes := !bytes + fb);
-  (!n, !bytes)
+  let n = ref t.lost_writes in
+  Staging.iter_backlog t.core (fun _ -> incr n);
+  (!n, Staging.occupancy t.core + Staging.lost_bytes t.core)
 
 type stats = {
   recorded : int;

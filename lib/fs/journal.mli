@@ -22,8 +22,8 @@
     - {!replay} moves [Pending] records into the PFS, back to [Applied];
     - a truncate clips [Pending] and [Applied] records alike
       ({!Staging.truncate});
-    - the fsck's {!mark_lost} gives up on what is still [Pending]: it is
-      [Dropped], and a per-file tally keeps it as lost. *)
+    - the fsck ({!check}) gives up on what is still [Pending]: it is
+      [Dropped] and tallied lost in the core's ledger ({!Staging.lose}). *)
 
 type t
 
@@ -34,6 +34,9 @@ val create : ?retry:Hpcfs_util.Backoff.policy -> prng:Hpcfs_util.Prng.t -> Pfs.t
     streams). *)
 
 val pfs : t -> Pfs.t
+
+val core : t -> Staging.t
+(** The staging core holding the journaled writes, for inspection. *)
 
 val wrap : t -> Backend.t -> Backend.t
 (** Interpose the journal on a backend: successful writes are recorded as
@@ -51,26 +54,23 @@ val on_target_fail : t -> time:int -> target:int -> unit
     the failure) or returns to [Pending] for replay.  Call before any
     replay, right after {!Pfs.fail_target}. *)
 
-val replay : t -> time:int -> int
+val replay : t -> int
 (** Re-issue every [Pending] record, oldest first, against the PFS at the
     record's {e original} rank and timestamp ({!Staging.replay}) — replay
     restores the history the failure erased, it does not rewrite it.
     Records whose target is still down stay pending; the rest return to
-    [Applied].  Returns the bytes successfully replayed. *)
+    [Applied], and their bytes are tallied recovered.  Returns the bytes
+    successfully replayed. *)
 
-val mark_lost : t -> unit
-(** Give up on every still-pending record (end of the fsck pass): they are
-    dropped and tallied per file as unreplayable. *)
+val check : t -> Staging.check
+(** The journal's fsck: one final {!replay}, then every record still
+    pending is given up on — dropped and tallied lost — and
+    {!Staging.check} classifies every file (files never journaled are
+    [Clean]). *)
 
 val outstanding : t -> int * int
 (** Writes, and their bytes, not in the PFS: still pending, or given up
-    on by {!mark_lost}. *)
-
-val file_outstanding : t -> string -> int * int
-(** {!outstanding} restricted to one path. *)
-
-val file_replayed_bytes : t -> string -> int
-(** Bytes successfully replayed into one path so far. *)
+    on by {!check}. *)
 
 type stats = {
   recorded : int;  (** Writes journaled (every successful or parked write). *)

@@ -46,9 +46,17 @@ type counts = {
   mutable stale_bytes : int;
 }
 
-(* A file's records in staging order, and how many of their bytes are
-   pending. *)
-type file = { queue : record Queue.t; mutable pending_bytes : int }
+(* A file's records in staging order, how many of their bytes are
+   pending, and its crash ledger: bytes recovery replays brought back, and
+   bytes failures destroyed — whole, or torn as an in-flight write.  The
+   ledger moves only at loss and recovery events. *)
+type file = {
+  queue : record Queue.t;
+  mutable pending_bytes : int;
+  mutable recovered : int;
+  mutable lost : int;
+  mutable torn : int;
+}
 
 type t = {
   pfs : Pfs.t;
@@ -166,7 +174,10 @@ let append t ~time ~rank path ~off data =
   (match Hashtbl.find_opt t.per_file path with
   | Some f -> Queue.add r f.queue
   | None ->
-    let f = { queue = Queue.create (); pending_bytes = 0 } in
+    let f =
+      { queue = Queue.create (); pending_bytes = 0; recovered = 0; lost = 0;
+        torn = 0 }
+    in
     Queue.add r f.queue;
     Hashtbl.add t.per_file path f);
   add_pending t r len;
@@ -411,6 +422,100 @@ let read t path ~off ~len ~serve =
     t.c.stale_bytes <- t.c.stale_bytes + stale
   end;
   { Fdata.data; stale_bytes = stale }
+
+(* Crash ledger and post-crash check --------------------------------------- *)
+
+let lose t ?(torn = false) r =
+  let f = Hashtbl.find t.per_file r.file in
+  let len = Bytes.length r.data in
+  if torn then f.torn <- f.torn + len else f.lost <- f.lost + len;
+  drop t r
+
+let recovered t r n =
+  let f = Hashtbl.find t.per_file r.file in
+  f.recovered <- f.recovered + n
+
+let lost_bytes t =
+  Hashtbl.fold (fun _ f acc -> acc + f.lost + f.torn) t.per_file 0
+
+type verdict = Clean | Recovered | Corrupted
+
+type file_check = {
+  c_path : string;
+  c_verdict : verdict;
+  c_recovered_bytes : int;
+  c_lost_bytes : int;
+  c_torn_bytes : int;
+  c_pending_bytes : int;
+}
+
+type check = {
+  files : file_check list;
+  recovered_bytes : int;
+  lost_bytes : int;
+  torn_bytes : int;
+  pending_bytes : int;
+  clean : int;
+  recovered : int;
+  corrupted : int;
+}
+
+let check t =
+  let paths = List.sort compare (Namespace.all_files (Pfs.namespace t.pfs)) in
+  let files =
+    List.map
+      (fun path ->
+        let recovered, lost, torn =
+          match Hashtbl.find_opt t.per_file path with
+          | Some f -> (f.recovered, f.lost, f.torn)
+          | None -> (0, 0, 0)
+        in
+        let pending = pending_in_file t path in
+        {
+          c_path = path;
+          c_verdict =
+            (if lost + torn + pending > 0 then Corrupted
+             else if recovered > 0 then Recovered
+             else Clean);
+          c_recovered_bytes = recovered;
+          c_lost_bytes = lost;
+          c_torn_bytes = torn;
+          c_pending_bytes = pending;
+        })
+      paths
+  in
+  let count v = List.length (List.filter (fun f -> f.c_verdict = v) files) in
+  let sum f = List.fold_left (fun acc x -> acc + f x) 0 files in
+  {
+    files;
+    recovered_bytes = sum (fun f -> f.c_recovered_bytes);
+    lost_bytes = sum (fun f -> f.c_lost_bytes);
+    torn_bytes = sum (fun f -> f.c_torn_bytes);
+    pending_bytes = sum (fun f -> f.c_pending_bytes);
+    clean = count Clean;
+    recovered = count Recovered;
+    corrupted = count Corrupted;
+  }
+
+let pp_check ~prefix ppf c =
+  Format.fprintf ppf "%s-fsck: %d files, %d clean, %d recovered, %d corrupted"
+    prefix (List.length c.files) c.clean c.recovered c.corrupted;
+  if c.recovered_bytes > 0 then
+    Format.fprintf ppf "; %d B replayed from the log" c.recovered_bytes;
+  if c.lost_bytes + c.torn_bytes > 0 then
+    Format.fprintf ppf "; %d B lost, %d B torn" c.lost_bytes c.torn_bytes;
+  if c.pending_bytes > 0 then
+    Format.fprintf ppf "; %d B unreplayable" c.pending_bytes;
+  List.iter
+    (fun f ->
+      if f.c_verdict <> Clean then
+        Format.fprintf ppf "@.  %-24s %-9s recovered=%dB lost=%dB torn=%dB"
+          f.c_path
+          (if f.c_verdict = Recovered then "recovered" else "corrupted")
+          f.c_recovered_bytes
+          (f.c_lost_bytes + f.c_pending_bytes)
+          f.c_torn_bytes)
+    c.files
 
 (* Statistics --------------------------------------------------------------- *)
 

@@ -19,7 +19,8 @@
     - stall accounting and the capped-backoff admission loop of an
       injected fault hook;
     - the staleness ground truth of a read;
-    - the {!Backend.t} record.
+    - the {!Backend.t} record;
+    - the crash ledger and the post-crash {!check}.
 
     Which retained records a storage failure forces back into the PFS is
     the PFS's own durability rule, {!Pfs.settled}.  What differs between
@@ -198,6 +199,58 @@ module type SURFACE = Staging_intf.SURFACE
 
 (** A tier's surface, with {!file_size} and the {!Backend.t} record. *)
 module Surface (T : TIER) : SURFACE with type tier := T.tier
+
+(** {1 Crash ledger and post-crash check}
+
+    Every tier's answer to "what did the failure cost each file?" is kept
+    here, per file: the bytes recovery replays brought back, and the bytes
+    failures destroyed, whole or torn.  The ledger moves only when a tier
+    reports a loss or a recovery, never on append, replay or drain. *)
+
+val lose : t -> ?torn:bool -> record -> unit
+(** A failure destroyed the record: {!drop} it and tally its bytes on its
+    file as lost, or as torn when [torn] (the in-flight write a crash
+    cut). *)
+
+val recovered : t -> record -> int -> unit
+(** A recovery replay of the record brought the given bytes back. *)
+
+val lost_bytes : t -> int
+(** Bytes lost or torn, over every file the store ever held. *)
+
+type verdict =
+  | Clean  (** Nothing lost, nothing left pending, nothing recovered. *)
+  | Recovered  (** Recovery replays brought bytes back; nothing is lost. *)
+  | Corrupted  (** Bytes were lost, torn, or cannot be replayed. *)
+
+type file_check = {
+  c_path : string;
+  c_verdict : verdict;
+  c_recovered_bytes : int;  (** Brought back by recovery replays. *)
+  c_lost_bytes : int;  (** Destroyed whole. *)
+  c_torn_bytes : int;  (** The torn in-flight write. *)
+  c_pending_bytes : int;  (** Still pending: no live target to replay to. *)
+}
+
+type check = {
+  files : file_check list;  (** Every file of the PFS namespace, by path. *)
+  recovered_bytes : int;
+  lost_bytes : int;
+  torn_bytes : int;
+  pending_bytes : int;
+  clean : int;
+  recovered : int;
+  corrupted : int;
+}
+
+val check : t -> check
+(** The post-crash fsck: classify every file of the PFS namespace from the
+    ledger and {!pending_in_file}.  Pure: the tier runs its own final
+    replay first. *)
+
+val pp_check : prefix:string -> Format.formatter -> check -> unit
+(** [<prefix>-fsck: N files, ...], then one line per file that is not
+    [Clean]. *)
 
 (** {1 Statistics} *)
 

@@ -1,5 +1,4 @@
 module Pfs = Hpcfs_fs.Pfs
-module Namespace = Hpcfs_fs.Namespace
 module Consistency = Hpcfs_fs.Consistency
 module Target = Hpcfs_fs.Target
 module Staging = Hpcfs_fs.Staging
@@ -26,9 +25,10 @@ let default_config =
 (* A logged write is a {!Staging.record}, as a {!Hpcfs_fs.Journal} entry
    is: [Pending] is in the log, not yet replayed; [Applied] is replayed;
    [Dropped] was truncated away or died with its node's log — lost, or
-   torn as the in-flight append (the per-file crash tallies keep which).
-   Unlike the burst buffer's, the per-file queues are never compacted:
-   fsck and crash handling walk every record a file ever logged. *)
+   torn as the in-flight append (the core's ledger keeps which).  Unlike
+   the burst buffer's, the per-file queues are never compacted: crash and
+   target-failure handling walk every record a file ever logged, to revert
+   its applied suffix. *)
 type t = {
   core : Staging.t;
   config : config;
@@ -37,11 +37,8 @@ type t = {
      the log platter and survive the node's crash. *)
   flushed : (int, int) Hashtbl.t;
   (* Records that survived a crash or target failure in the durable log:
-     their next replay is a recovery, which the fsck report classifies. *)
+     their next replay is a recovery, tallied in the core's ledger. *)
   recovering : (int, unit) Hashtbl.t;
-  recovered_per_file : (string, int) Hashtbl.t;
-  crash_lost_per_file : (string, int) Hashtbl.t;
-  crash_torn_per_file : (string, int) Hashtbl.t;
   mutable cap_override : int option;  (* a plan's logcap=BYTES *)
   mutable s_flushes : int;
   writethrough : Staging.counter;
@@ -61,9 +58,6 @@ let create ?(config = default_config) pfs =
     config;
     flushed = Hashtbl.create 16;
     recovering = Hashtbl.create 16;
-    recovered_per_file = Hashtbl.create 16;
-    crash_lost_per_file = Hashtbl.create 16;
-    crash_torn_per_file = Hashtbl.create 16;
     cap_override = None;
     s_flushes = 0;
     writethrough = Staging.counter "wal.writethrough";
@@ -85,9 +79,6 @@ let effective_cap t =
   match (t.config.capacity_per_node, t.cap_override) with
   | None, c | c, None -> c
   | Some a, Some b -> Some (min a b)
-
-let tallied tbl path = Option.value ~default:0 (Hashtbl.find_opt tbl path)
-let tally tbl path len = Hashtbl.replace tbl path (len + tallied tbl path)
 
 let flushed t node =
   Option.value ~default:min_int (Hashtbl.find_opt t.flushed node)
@@ -121,7 +112,7 @@ let drain_record t (r : Staging.record) =
   if n > 0 && Hashtbl.mem t.recovering r.seq then begin
     Hashtbl.remove t.recovering r.seq;
     Staging.bump t.recovered n;
-    tally t.recovered_per_file r.file n
+    Staging.recovered t.core r n
   end;
   n
 
@@ -338,11 +329,10 @@ type crash_summary = { lost_bytes : int; torn_bytes : int }
    Call this before {!Pfs.crash}. *)
 let on_crash t ?victim ~time () =
   let lost = ref 0 and torn = ref 0 in
-  let lose tbl total (r : Staging.record) =
-    let l = Bytes.length r.data in
-    r.state <- Dropped;
-    total := !total + l;
-    tally tbl r.file l
+  let lose ~tear (r : Staging.record) =
+    let len = Bytes.length r.data in
+    if tear then torn := !torn + len else lost := !lost + len;
+    Staging.lose t.core ~torn:tear r
   in
   Option.iter
     (fun v ->
@@ -357,8 +347,7 @@ let on_crash t ?victim ~time () =
                   (* The PFS may still persist settled bytes; only the log
                      copy is gone.  An unsettled applied record whose bytes
                      the PFS drops has no log copy to replay from: lost. *)
-                  if not (settled t r ~time) then
-                    lose t.crash_lost_per_file lost r
+                  if not (settled t r ~time) then lose ~tear:false r
                 | Dropped -> ())
             q);
       let newest_first (a : Staging.record) (b : Staging.record) =
@@ -367,8 +356,8 @@ let on_crash t ?victim ~time () =
       match List.sort newest_first !dead with
       | [] -> ()
       | newest :: rest ->
-        lose t.crash_torn_per_file torn newest;
-        List.iter (lose t.crash_lost_per_file lost) rest)
+        lose ~tear:true newest;
+        List.iter (lose ~tear:false) rest)
     victim;
   (* Pass 2: revert the applied-but-unpersisted suffix of every file. *)
   Staging.iter_files t.core (fun path q ->
@@ -392,22 +381,10 @@ let on_target_fail t ~time ~target =
           && not (settled t r ~time)));
   Staging.resync t.core
 
-(* Post-crash fsck, mirroring {!Hpcfs_fs.Recovery.check}: a final replay
-   pass, then per-file classification of what the log brought back and
-   what the crash semantics allowed to disappear. *)
-type verdict = Hpcfs_fs.Recovery.verdict = Clean | Recovered | Corrupted
+(* Post-crash fsck ----------------------------------------------------------- *)
 
-type file_check = {
-  c_path : string;
-  c_verdict : verdict;
-  c_recovered_bytes : int;
-  c_lost_bytes : int;
-  c_torn_bytes : int;
-  c_pending_bytes : int;
-}
-
-type check_report = {
-  files : file_check list;
+type check = Staging.check = {
+  files : Staging.file_check list;
   recovered_bytes : int;
   lost_bytes : int;
   torn_bytes : int;
@@ -419,57 +396,7 @@ type check_report = {
 
 let check t =
   ignore (replay_all t);
-  let paths = List.sort compare (Namespace.all_files (Pfs.namespace (pfs t))) in
-  let files =
-    List.map
-      (fun path ->
-        let pending = Staging.pending_in_file t.core path in
-        let lost = tallied t.crash_lost_per_file path in
-        let torn = tallied t.crash_torn_per_file path in
-        let recovered = tallied t.recovered_per_file path in
-        {
-          c_path = path;
-          c_verdict =
-            Hpcfs_fs.Recovery.classify ~lost:(lost + torn + pending) ~recovered;
-          c_recovered_bytes = recovered;
-          c_lost_bytes = lost;
-          c_torn_bytes = torn;
-          c_pending_bytes = pending;
-        })
-      paths
-  in
-  let count v = List.length (List.filter (fun f -> f.c_verdict = v) files) in
-  let sum f = List.fold_left (fun acc x -> acc + f x) 0 files in
-  {
-    files;
-    recovered_bytes = sum (fun f -> f.c_recovered_bytes);
-    lost_bytes = sum (fun f -> f.c_lost_bytes);
-    torn_bytes = sum (fun f -> f.c_torn_bytes);
-    pending_bytes = sum (fun f -> f.c_pending_bytes);
-    clean = count Clean;
-    recovered = count Recovered;
-    corrupted = count Corrupted;
-  }
-
-let pp_check ppf r =
-  Format.fprintf ppf "wal-fsck: %d files, %d clean, %d recovered, %d corrupted"
-    (List.length r.files) r.clean r.recovered r.corrupted;
-  if r.recovered_bytes > 0 then
-    Format.fprintf ppf "; %d B replayed from the log" r.recovered_bytes;
-  if r.lost_bytes + r.torn_bytes > 0 then
-    Format.fprintf ppf "; %d B lost, %d B torn" r.lost_bytes r.torn_bytes;
-  if r.pending_bytes > 0 then
-    Format.fprintf ppf "; %d B unreplayable" r.pending_bytes;
-  List.iter
-    (fun f ->
-      if f.c_verdict <> Clean then
-        Format.fprintf ppf "@.  %-24s %-9s recovered=%dB lost=%dB torn=%dB"
-          f.c_path
-          (Hpcfs_fs.Recovery.verdict_name f.c_verdict)
-          f.c_recovered_bytes
-          (f.c_lost_bytes + f.c_pending_bytes)
-          f.c_torn_bytes)
-    r.files
+  Staging.check t.core
 
 (* Statistics --------------------------------------------------------------- *)
 

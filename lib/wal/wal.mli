@@ -18,8 +18,8 @@
     log-device failure ([logfail:]) retries under the configured capped
     backoff and then degrades that write to write-through; a log-capacity
     plan ([logcap=]) forces drain-stalls and write-through once a node's
-    log is full.  {!check} is the post-crash fsck classifying what the log
-    recovered and what the crash semantics allowed to disappear. *)
+    log is full.  The crash ledger lives in the staging core, and {!check}
+    runs the core's post-crash fsck after a final replay. *)
 
 type t
 
@@ -88,19 +88,8 @@ val on_target_fail : t -> time:int -> target:int -> unit
 
 (** {1 Post-crash fsck} *)
 
-type verdict = Hpcfs_fs.Recovery.verdict = Clean | Recovered | Corrupted
-
-type file_check = {
-  c_path : string;
-  c_verdict : verdict;
-  c_recovered_bytes : int;  (** Re-replayed from the durable log. *)
-  c_lost_bytes : int;  (** Destroyed with the victim's log tail. *)
-  c_torn_bytes : int;  (** The torn in-flight append. *)
-  c_pending_bytes : int;  (** Still logged, no live target to replay to. *)
-}
-
-type check_report = {
-  files : file_check list;  (** Sorted by path. *)
+type check = Hpcfs_fs.Staging.check = {
+  files : Hpcfs_fs.Staging.file_check list;
   recovered_bytes : int;
   lost_bytes : int;
   torn_bytes : int;
@@ -109,12 +98,13 @@ type check_report = {
   recovered : int;
   corrupted : int;
 }
+(** {!Hpcfs_fs.Staging.check}, re-exported so code reading the WAL's check
+    as [c.Wal.lost_bytes] (the end-to-end harness does) keeps working. *)
 
-val check : t -> check_report
-(** Final replay pass ({!drain_all}) followed by per-file classification —
-    the WAL analogue of {!Hpcfs_fs.Recovery.check}. *)
-
-val pp_check : Format.formatter -> check_report -> unit
+val check : t -> check
+(** The WAL's final replay ({!drain_all}), then
+    {!Hpcfs_fs.Staging.check}: what the durable log recovered, and what
+    the crash semantics let disappear. *)
 
 (** {1 Fault injection} *)
 

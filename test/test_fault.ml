@@ -12,7 +12,7 @@ module Fdata = Hpcfs_fs.Fdata
 module Stripe = Hpcfs_fs.Stripe
 module Target = Hpcfs_fs.Target
 module Journal = Hpcfs_fs.Journal
-module Recovery = Hpcfs_fs.Recovery
+module Staging = Hpcfs_fs.Staging
 module Backend = Hpcfs_fs.Backend
 module Prng = Hpcfs_util.Prng
 module Posix = Hpcfs_posix.Posix
@@ -394,12 +394,12 @@ let test_journal_replay_restores_contents () =
   Alcotest.(check string) "degraded read serves zeroes" (String.make 8 '\000')
     (Bytes.to_string r.Fdata.data);
   (* Replay lands nothing while the target is still down... *)
-  Alcotest.(check int) "no replay while down" 0 (Journal.replay j ~time:8);
+  Alcotest.(check int) "no replay while down" 0 (Journal.replay j);
   (* ...and everything once it recovers: the two dirty entries plus the
      parked one, at their original ranks and timestamps. *)
   Pfs.recover_target pfs ~time:9 2;
   Alcotest.(check int) "replay lands all three entries" 72
-    (Journal.replay j ~time:10);
+    (Journal.replay j);
   Alcotest.(check (pair int int)) "journal drained" (0, 0)
     (Journal.outstanding j);
   b.Backend.close_file ~time:11 ~rank:0 "/f";
@@ -409,31 +409,32 @@ let test_journal_replay_restores_contents () =
    ^ String.make 32 'B')
     (Bytes.to_string r.Fdata.data);
   (* fsck over a drained journal: every file clean, nothing lost. *)
-  let rep = Recovery.check j ~time:30 in
-  Alcotest.(check int) "no corrupted files" 0 rep.Recovery.corrupted;
-  Alcotest.(check int) "no lost bytes" 0 rep.Recovery.lost_bytes
+  let rep = Journal.check j in
+  Alcotest.(check int) "no corrupted files" 0 rep.Staging.corrupted;
+  Alcotest.(check int) "no lost bytes" 0 rep.Staging.lost_bytes
 
 let test_recovery_verdicts () =
   (* A target that never comes back: the dirty entries cannot replay, fsck
      gives up on them and classifies the file corrupted. *)
   let _, j, _ = journal_scenario Consistency.Session ~publish:false in
-  let rep = Recovery.check j ~time:100 in
-  Alcotest.(check int) "one corrupted file" 1 rep.Recovery.corrupted;
-  Alcotest.(check int) "both entries lost" 2 rep.Recovery.lost_writes;
-  Alcotest.(check int) "their bytes are gone" 64 rep.Recovery.lost_bytes;
-  (match rep.Recovery.files with
+  let rep = Journal.check j in
+  Alcotest.(check int) "one corrupted file" 1 rep.Staging.corrupted;
+  Alcotest.(check int) "both entries lost" 2
+    (Journal.stats j).Journal.outstanding_writes;
+  Alcotest.(check int) "their bytes are gone" 64 rep.Staging.lost_bytes;
+  (match rep.Staging.files with
   | [ f ] ->
     Alcotest.(check bool) "verdict corrupted" true
-      (f.Recovery.f_verdict = Recovery.Corrupted)
+      (f.Staging.c_verdict = Staging.Corrupted)
   | _ -> Alcotest.fail "expected one file report");
   (* The same failure with a recovered target: fsck's final replay lands
      everything and the file is recovered, not corrupted. *)
   let pfs, j, _ = journal_scenario Consistency.Session ~publish:false in
   Pfs.recover_target pfs ~time:9 2;
-  let rep = Recovery.check j ~time:100 in
-  Alcotest.(check int) "nothing corrupted" 0 rep.Recovery.corrupted;
-  Alcotest.(check int) "one recovered file" 1 rep.Recovery.recovered;
-  Alcotest.(check int) "all bytes replayed" 64 rep.Recovery.replayed_bytes
+  let rep = Journal.check j in
+  Alcotest.(check int) "nothing corrupted" 0 rep.Staging.corrupted;
+  Alcotest.(check int) "one recovered file" 1 rep.Staging.recovered;
+  Alcotest.(check int) "all bytes replayed" 64 rep.Staging.recovered_bytes
 
 (* Target failures through the runner -------------------------------------- *)
 
@@ -470,13 +471,14 @@ let test_runner_target_failure_recovery () =
     Alcotest.(check bool) "journal replayed the refused and dropped bytes"
       true
       (Injector.replayed_bytes o > 0);
-    Alcotest.(check int) "nothing unreplayable" 0 (Injector.journal_lost_bytes o);
-    (match o.Injector.o_recovery with
+    Alcotest.(check int) "nothing unreplayable" 0
+      (Option.get o.Injector.o_journal).Journal.outstanding_bytes;
+    (match o.Injector.o_check with
     | None -> Alcotest.fail "expected an fsck report"
     | Some rep ->
-      Alcotest.(check int) "fsck: nothing corrupted" 0 rep.Recovery.corrupted;
+      Alcotest.(check int) "fsck: nothing corrupted" 0 rep.Staging.corrupted;
       Alcotest.(check bool) "fsck: files recovered" true
-        (rep.Recovery.recovered > 0)));
+        (rep.Staging.recovered > 0)));
   Alcotest.(check (list (pair string string)))
     "recovered to the fault-free state" (final_contents reference)
     (final_contents faulted)
@@ -492,14 +494,14 @@ let test_runner_target_failure_permanent () =
   | None -> Alcotest.fail "expected a fault outcome"
   | Some o -> (
     Alcotest.(check bool) "unreplayable bytes remain" true
-      (Injector.journal_lost_bytes o > 0);
-    match o.Injector.o_recovery with
+      ((Option.get o.Injector.o_journal).Journal.outstanding_bytes > 0);
+    match o.Injector.o_check with
     | None -> Alcotest.fail "expected an fsck report"
     | Some rep ->
       Alcotest.(check bool) "fsck: corrupted files" true
-        (rep.Recovery.corrupted > 0);
+        (rep.Staging.corrupted > 0);
       Alcotest.(check bool) "fsck: lost bytes surfaced" true
-        (rep.Recovery.lost_bytes > 0))
+        (rep.Staging.lost_bytes > 0))
 
 let test_runner_mds_failure () =
   attempts_seen := [];

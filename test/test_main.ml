@@ -19,7 +19,7 @@ let () =
       ("wal", Test_wal.suite);
       ("staging", Test_staging_golden.suite @ Test_staging_core.suite);
       ("ownership", Test_ownership.suite);
-      ("fault", Test_fault.suite);
+      ("fault", Test_fault.suite @ Test_faults_golden.suite);
       ("wl", Test_wl.suite);
       ("obs", Test_obs.suite);
       ("integration", Test_integration.suite);

@@ -169,7 +169,7 @@ let test_tier_writes () =
       intact l (name ^ " after truncate");
       w ~rank:0 ~time:103 ~off:20 200;
       w ~rank:2 ~time:104 ~off:300 50;
-      ignore (Tier.crash_node tier ~node:1 ~time:105);
+      ignore (Tier.crash_node tier ~node:1);
       intact l (name ^ " after a node crash");
       ignore (Tier.drain_all tier ());
       intact l (name ^ " after drain");

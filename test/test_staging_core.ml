@@ -2,8 +2,9 @@
    {!Staging.t} through random store operations and checks each file's
    pending byte count against a fold over the file's queue after every
    step, and that a truncate leaves no live record past the new length;
-   the same fold checks the WAL fsck's per-file pending bytes after a
-   crash and after a storage-target failure.  A fixed read script pins the
+   the same fold checks the post-crash check's per-file pending bytes, and
+   its lost bytes against what the tier reported losing, through the WAL,
+   the client journal and the burst buffer.  A fixed read script pins the
    exact stale-read accounting of reads overlapping the reader's own
    pending records, another rank's, and none, through the WAL and the
    burst buffer.  A truncate followed by a target failure leaves the same
@@ -22,6 +23,7 @@ module Tier = Hpcfs_bb.Tier
 module Drain = Hpcfs_bb.Drain
 module Wal = Hpcfs_wal.Wal
 module Plan = Hpcfs_fault.Plan
+module Injector = Hpcfs_fault.Injector
 module Runner = Hpcfs_apps.Runner
 module Workload = Hpcfs_wl.Workload
 module Compile = Hpcfs_wl.Compile
@@ -171,42 +173,115 @@ let qcheck_pending_count =
         ops;
       true)
 
-(* A WAL's fsck reports each file's unreplayable bytes: after a crash (the
-   log reverts applied suffixes and loses a tail) and after a target that
-   never comes back (its records stay logged), the report must agree with
-   the fold over the log's queues. *)
-let test_wal_check_pending () =
-  let body =
-    Compile.body
-      (Result.get_ok
-         (Workload.of_string
-            "checkpoint:steps=6,every=2,layout=shared,pattern=strided,\
-             block=256,count=4,sync=fsync"))
+(* One check over every backend: {!Staging.check} must agree with the
+   core it reads — each file's pending bytes with the fold over its queue,
+   and its lost and torn bytes with what the tier reported losing. *)
+let agrees label core (c : Staging.check) ~lost =
+  List.iter
+    (fun (f : Staging.file_check) ->
+      Alcotest.(check int)
+        (Printf.sprintf "%s: %s pending" label f.c_path)
+        (fold_pending core f.c_path) f.c_pending_bytes)
+    c.files;
+  Alcotest.(check int) (label ^ ": lost bytes") lost
+    (c.lost_bytes + c.torn_bytes)
+
+let ckpt_body sync =
+  Compile.body
+    (Result.get_ok
+       (Workload.of_string
+          ("checkpoint:steps=6,every=2,layout=shared,pattern=strided,\
+            block=256,count=4,sync=" ^ sync)))
+
+(* A staged checkpoint through the runner: the backend's core, the
+   outcome's check, and the crash records. *)
+let staged_run ?(sync = "fsync") ?tier ?wal plan =
+  let r =
+    Runner.run ~semantics:Consistency.Commit ~nprocs:8 ?tier ?wal
+      ~faults:(Result.get_ok (Plan.of_string ~seed:7 plan))
+      (ckpt_body sync)
   in
+  let core =
+    match (r.Runner.tier, r.Runner.wal) with
+    | Some t, _ -> Tier.core t
+    | None, Some w -> Wal.core w
+    | None, None -> Alcotest.fail "run was not staged"
+  in
+  let o = Option.get r.Runner.faults in
+  (core, Option.get o.Injector.o_check, o.Injector.o_crashes)
+
+(* The WAL: after a crash (the log reverts applied suffixes and loses a
+   tail) and after a target that never comes back (its records stay
+   logged). *)
+let test_wal_check_pending () =
   let slow =
     { Wal.default_config with Wal.bandwidth_bytes_per_tick = 64;
       drain_interval = 8 }
   in
-  let leg label plan =
-    let r =
-      Runner.run ~semantics:Consistency.Commit ~nprocs:8 ~wal:slow
-        ~faults:(Result.get_ok (Plan.of_string ~seed:7 plan))
-        body
-    in
-    let w = Option.get r.Runner.wal in
-    let c = Wal.check w in
-    List.iter
-      (fun (f : Wal.file_check) ->
-        Alcotest.(check int)
-          (Printf.sprintf "%s: %s pending" label f.Wal.c_path)
-          (fold_pending (Wal.core w) f.Wal.c_path)
-          f.Wal.c_pending_bytes)
-      c.Wal.files;
-    c.Wal.pending_bytes
+  let core, c, crashes =
+    staged_run ~sync:"none" ~wal:slow "crash:rank=2,io=5,restart=64"
   in
-  ignore (leg "crash" "crash:rank=2,io=24,restart=64");
+  let lost =
+    List.fold_left
+      (fun acc (cr : Injector.crash_record) ->
+        acc + cr.cr_wal_lost_bytes + cr.cr_wal_torn_bytes)
+      0 crashes
+  in
+  agrees "crash" core c ~lost;
+  Alcotest.(check bool) "the crash lost log bytes" true (lost > 0);
+  let core, c, _ = staged_run ~wal:slow "ostfail:target=0,t=60" in
+  agrees "ostfail" core c ~lost:0;
   Alcotest.(check bool) "a dead target leaves bytes pending" true
-    (leg "ostfail" "ostfail:target=0,t=60" > 0)
+    (c.pending_bytes > 0)
+
+(* The client journal: before its fsck the parked writes are pending;
+   the fsck gives up on them, and they are lost. *)
+let test_journal_check_pending () =
+  let pfs =
+    Pfs.create ~stripe:(Stripe.create ~stripe_size:8 ~server_count:4)
+      Consistency.Session
+  in
+  let j = Journal.create ~prng:(Prng.create 3) pfs in
+  let b = Journal.wrap j (Backend.of_pfs pfs) in
+  ignore (b.Backend.open_file ~time:1 ~rank:0 ~create:true ~trunc:false "/f");
+  b.Backend.write ~time:2 ~rank:0 "/f" ~off:0 (Bytes.make 32 'A');
+  ignore (Pfs.fail_target pfs ~time:3 2);
+  Journal.on_target_fail j ~time:3 ~target:2;
+  b.Backend.write ~time:4 ~rank:0 "/f" ~off:32 (Bytes.make 32 'B');
+  let core = Journal.core j in
+  let before = Staging.check core in
+  agrees "journal before fsck" core before ~lost:0;
+  Alcotest.(check int) "both writes pending" 64 before.pending_bytes;
+  let c = Journal.check j in
+  agrees "journal after fsck" core c ~lost:64;
+  Alcotest.(check int) "the file is corrupted" 1 c.corrupted
+
+(* The burst buffer: an async crash loses the victim node's undrained
+   extents — nothing flushes them, as the checkpoint never syncs — and the
+   check marks their files corrupted. *)
+let test_bb_check_pending () =
+  let tier =
+    { Tier.default_config with
+      Tier.policy =
+        Drain.Async { bandwidth_bytes_per_tick = 64; drain_interval = 8 } }
+  in
+  let core, c, crashes =
+    staged_run ~sync:"none" ~tier "crash:rank=2,io=5,restart=64"
+  in
+  let lost =
+    List.fold_left
+      (fun acc (cr : Injector.crash_record) -> acc + cr.cr_bb_lost_bytes)
+      0 crashes
+  in
+  agrees "bb crash" core c ~lost;
+  Alcotest.(check bool) "the crash lost staged bytes" true (lost > 0);
+  List.iter
+    (fun (f : Staging.file_check) ->
+      Alcotest.(check bool)
+        (f.c_path ^ " is corrupted iff it lost bytes")
+        (f.c_lost_bytes > 0)
+        (f.c_verdict = Staging.Corrupted))
+    c.files
 
 (* Stale-byte accounting --------------------------------------------------- *)
 
@@ -295,7 +370,7 @@ let truncate_then_fail semantics layer =
       let j = Journal.create ~prng:(Prng.create 3) pfs in
       ( Journal.wrap j (Backend.of_pfs pfs),
         (fun target -> Journal.on_target_fail j ~time:5 ~target),
-        fun () -> ignore (Journal.replay j ~time:6) )
+        fun () -> ignore (Journal.replay j) )
     | `Wal ->
       let w = Wal.create pfs in
       ( Wal.backend w,
@@ -333,6 +408,10 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_pending_count;
     Alcotest.test_case "wal fsck pending = queue fold" `Quick
       test_wal_check_pending;
+    Alcotest.test_case "journal fsck pending = queue fold" `Quick
+      test_journal_check_pending;
+    Alcotest.test_case "bb fsck pending = queue fold" `Quick
+      test_bb_check_pending;
     Alcotest.test_case "stale accounting by overlap" `Quick
       test_stale_accounting;
     Alcotest.test_case "truncate then target failure" `Quick

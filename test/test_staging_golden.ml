@@ -8,6 +8,7 @@
    shows up here. *)
 
 module Consistency = Hpcfs_fs.Consistency
+module Staging = Hpcfs_fs.Staging
 module Runner = Hpcfs_apps.Runner
 module Tier = Hpcfs_bb.Tier
 module Drain = Hpcfs_bb.Drain
@@ -51,10 +52,11 @@ let leg ~label ?tier ?wal ?faults semantics =
     | None, Some w ->
       let check =
         match r.Runner.faults with
-        | Some { Injector.o_wal_check = Some c; _ } -> c
+        | Some { Injector.o_check = Some c; _ } -> c
         | _ -> Wal.check w
       in
-      Format.asprintf "%a@.%a" Wal.pp_stats (Wal.stats w) Wal.pp_check check
+      Format.asprintf "%a@.%a" Wal.pp_stats (Wal.stats w)
+        (Staging.pp_check ~prefix:"wal") check
     | None, None -> ""
   in
   let crashes =

@@ -11,6 +11,7 @@ module Plan = Hpcfs_fault.Plan
 module Injector = Hpcfs_fault.Injector
 module Consistency = Hpcfs_fs.Consistency
 module Pfs = Hpcfs_fs.Pfs
+module Staging = Hpcfs_fs.Staging
 module Posix = Hpcfs_posix.Posix
 module Runner = Hpcfs_apps.Runner
 module Validation = Hpcfs_apps.Validation
@@ -30,7 +31,7 @@ let wal_stats result = Wal.stats (Option.get result.Runner.wal)
 
 let wal_check result =
   match result.Runner.faults with
-  | Some { Injector.o_wal_check = Some c; _ } -> c
+  | Some { Injector.o_check = Some c; _ } -> c
   | _ -> Alcotest.fail "expected a WAL fsck in the fault outcome"
 
 (* Differential ------------------------------------------------------------- *)
@@ -89,9 +90,10 @@ let qcheck_wal_differential =
                 if Wal.occupancy wal <> 0 then fail "backlog left";
                 let c = Wal.check wal in
                 if
-                  c.Wal.lost_bytes + c.Wal.torn_bytes + c.Wal.pending_bytes
+                  c.Staging.lost_bytes + c.Staging.torn_bytes
+                  + c.Staging.pending_bytes
                   <> 0
-                  || c.Wal.corrupted <> 0
+                  || c.Staging.corrupted <> 0
                 then fail "fault-free fsck not clean"
               | None, None -> fail "run was not staged");
               true)
@@ -145,9 +147,9 @@ let test_ostfail_mid_drain () =
   Alcotest.(check bool) "drains were refused by the down target" true
     (s.Wal.core.target_down > 0);
   let c = wal_check faulted in
-  Alcotest.(check int) "no bytes lost" 0 c.Wal.lost_bytes;
-  Alcotest.(check int) "no bytes torn" 0 c.Wal.torn_bytes;
-  Alcotest.(check int) "no bytes stranded" 0 c.Wal.pending_bytes
+  Alcotest.(check int) "no bytes lost" 0 c.Staging.lost_bytes;
+  Alcotest.(check int) "no bytes torn" 0 c.Staging.torn_bytes;
+  Alcotest.(check int) "no bytes stranded" 0 c.Staging.pending_bytes
 
 (* Crash-tail semantics ----------------------------------------------------- *)
 
@@ -208,11 +210,12 @@ let test_crash_tail_commit () =
     ((c.Injector.cr_wal_lost_bytes + c.Injector.cr_wal_torn_bytes) mod 32 = 0);
   (* Without a restart the fsck must own up to the damage. *)
   let chk = wal_check result in
-  Alcotest.(check bool) "fsck reports corruption" true (chk.Wal.corrupted > 0);
+  Alcotest.(check bool) "fsck reports corruption" true
+    (chk.Staging.corrupted > 0);
   Alcotest.(check int) "fsck agrees on the lost bytes"
-    c.Injector.cr_wal_lost_bytes chk.Wal.lost_bytes;
+    c.Injector.cr_wal_lost_bytes chk.Staging.lost_bytes;
   Alcotest.(check int) "fsck agrees on the torn bytes"
-    c.Injector.cr_wal_torn_bytes chk.Wal.torn_bytes
+    c.Injector.cr_wal_torn_bytes chk.Staging.torn_bytes
 
 (* Log-device failure modes ------------------------------------------------- *)
 
